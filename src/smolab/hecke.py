@@ -89,20 +89,17 @@ def _unitary_pair(lam: complex) -> tuple[complex, complex]:
     return a, b
 
 
-def load_hecke(path: str | Path, weight: int, label: str | None = None,
-               level_one: bool = True) -> RepresentationData:
+def load_hecke(path: str | Path, weight: int, label: str | None = None) -> RepresentationData:
     """Load a ``p,a_p`` CSV of eigenvalues and renormalize to unit products.
 
     Rows must be ascending in p with no duplicates; entries breaking the
     |a_p| <= 2 p^((k-1)/2) size bound are kept but recorded as warnings.
     """
     text = Path(path).read_text()
-    return parse_hecke_text(text, weight, label=label or Path(path).stem,
-                            level_one=level_one)
+    return parse_hecke_text(text, weight, label=label or Path(path).stem)
 
 
-def parse_hecke_text(text: str, weight: int, label: str = "hecke",
-                     level_one: bool = True) -> RepresentationData:
+def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> RepresentationData:
     from .sieve import is_prime
 
     reader = csv.reader(io.StringIO(text))
@@ -144,7 +141,6 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke",
         label=label, degree=2,
         coefficient_fn=normalized,
         satake_fn=satake,
-        ramified=frozenset() if level_one else frozenset(),
         support=support,
         support_limit=support[-1] if support else 0,
         normalization=f"a_p / p^({weight - 1}/2), parameter product 1",

@@ -95,6 +95,8 @@ class CongruenceSelector(PrimeSelector):
     residues: frozenset[int]
 
     def __post_init__(self):
+        if self.modulus < 1:
+            raise ParseError(f"congruence modulus {self.modulus} must be a positive integer")
         units = {r % self.modulus for r in self.residues
                  if math.gcd(r, self.modulus) == 1}
         object.__setattr__(self, "residues", frozenset(units))
@@ -148,10 +150,17 @@ class DegreeSelector(PrimeSelector):
 @dataclass(frozen=True)
 class ExplicitList(PrimeSelector):
     primes: tuple[int, ...]
+    _members: frozenset[int] = field(init=False, repr=False, compare=False, default=None)
     _sorted: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_sorted", np.array(sorted(set(self.primes)), dtype=np.int64))
+        members = frozenset(int(p) for p in self.primes)
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_sorted", np.array(sorted(members), dtype=np.int64))
+
+    def contains(self, p: int) -> bool:
+        # a set lookup; the base class builds a one-element array per call
+        return int(p) in self._members
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         return np.isin(primes, self._sorted)

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +231,16 @@ def test_emit_io_error(tmp_path):
     report = Report(experiment="x", inputs={}, payload={})
     with pytest.raises(IoError):
         emit(report, "json", tmp_path / "missing-dir" / "out.json")
+
+
+def test_nonpositive_congruence_modulus_is_a_typed_error():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "smolab.cli", "density", "natural",
+         "--selector", "mod:0:1", "--x", "1e3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    assert re.search(r"^[a-z-]+: \S", proc.stderr, re.MULTILINE), proc.stderr

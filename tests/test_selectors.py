@@ -118,3 +118,19 @@ def test_membership_is_pure():
     first = sel.mask(PRIMES).tolist()
     second = sel.mask(PRIMES).tolist()
     assert first == second
+
+
+def test_explicit_list_contains_agrees_with_mask():
+    chosen = ExplicitList((13, 5, 11, 5, 997))
+    candidates = np.arange(0, 1100, dtype=np.int64)
+    expected = chosen.mask(candidates)
+    assert [chosen.contains(int(n)) for n in candidates] == expected.tolist()
+    assert chosen.contains(np.int64(997)) and not chosen.contains(np.int64(7))
+
+
+@pytest.mark.parametrize("modulus", [0, -4])
+def test_congruence_modulus_must_be_positive(modulus):
+    with pytest.raises(ParseError):
+        CongruenceSelector(modulus, frozenset({1}))
+    with pytest.raises(ParseError):
+        parse_selector(f"mod:{modulus}:1")

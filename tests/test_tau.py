@@ -1,8 +1,33 @@
+import hashlib
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smolab.errors import LimitExceeded
+from smolab.sieve import simple_sieve
 from smolab.tau import (discriminant_coefficients, eta_block_coefficients,
-                        generate_tau, poly_mul_trunc, tau_csv_text)
+                        eta_cubed_coefficients, generate_tau, poly_mul_trunc,
+                        tau_csv_text)
+
+# sha256 of ",".join(str(tau(n)) for n in 1..10**4), taken from the earlier
+# Kronecker-substitution implementation (pentagonal series, five int products)
+TAU_1E4_SHA256 = "9514e69488cef1f7677168e841e504396576c2ce64e3184da732991791d8257c"
+
+
+@pytest.fixture(scope="module")
+def tau_1e4():
+    return discriminant_coefficients(10**4)
+
+
+def schoolbook(a, b, order):
+    out = [0] * (order + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= order:
+                out[i + j] += x * y
+    return out
 
 
 def naive_eta_product_24(limit):
@@ -78,3 +103,58 @@ def test_csv_output_shape():
     assert lines[0] == "p,a_p"
     assert lines[1] == "2,-24"
     assert len(lines) == 1 + 8  # primes up to 20
+
+
+def test_tau_to_1e4_matches_pinned_digest(tau_1e4):
+    digest = hashlib.sha256(",".join(map(str, tau_1e4)).encode()).hexdigest()
+    assert digest == TAU_1E4_SHA256
+
+
+def test_jacobi_closed_form_is_cube_of_eta_block():
+    order = 400
+    e1 = eta_block_coefficients(order)
+    assert eta_cubed_coefficients(order) == schoolbook(schoolbook(e1, e1, order), e1, order)
+
+
+def test_hecke_relations_hold_for_every_n_to_1e4(tau_1e4):
+    # tau(1) = 1, tau(mn) = tau(m) tau(n) for coprime m, n, and
+    # tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1)) determine tau from tau(p)
+    tau = lambda n: tau_1e4[n - 1]
+    limit = len(tau_1e4)
+    smallest = list(range(limit + 1))
+    for p in map(int, simple_sieve(math.isqrt(limit))):
+        for m in range(p * p, limit + 1, p):
+            if smallest[m] == m:
+                smallest[m] = p
+    assert tau(1) == 1
+    for n in range(2, limit + 1):
+        p = smallest[n]
+        pk, k = p, 1
+        while n % (pk * p) == 0:
+            pk, k = pk * p, k + 1
+        if pk != n:
+            assert tau(n) == tau(pk) * tau(n // pk), n
+        elif k > 1:
+            assert tau(n) == tau(p) * tau(n // p) - p**11 * tau(n // p // p), n
+
+
+coefficient = st.one_of(st.integers(-3, 3), st.integers(-10**60, 10**60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.lists(coefficient, max_size=30), b=st.lists(coefficient, max_size=30),
+       order=st.integers(0, 70))
+@example(a=[-5, -7, -1], b=[-2, -3], order=10)
+@example(a=[0, 0, 0], b=[1, -2], order=4)
+@example(a=[], b=[3], order=2)
+@example(a=[10**80, -10**80, 1], b=[-10**80, 10**80], order=3)
+@example(a=[-1] * 25, b=[-(10**40)] * 25, order=60)
+def test_poly_mul_matches_schoolbook_on_signed_inputs(a, b, order):
+    assert poly_mul_trunc(a, b, order) == schoolbook(a, b, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.lists(coefficient, max_size=30), order=st.integers(0, 70))
+@example(a=[-(10**50)] * 10, order=30)
+def test_poly_mul_squaring_matches_schoolbook(a, order):
+    assert poly_mul_trunc(a, a, order) == schoolbook(a, a, order)
