@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import characters, density, euler, experiments, groups
-from .errors import SmolabError, UsageError
+from .errors import ParseError, SmolabError, UsageError
 from .fields import parse_fieldspec
 from .hecke import load_hecke, synthetic_tempered, synthetic_with_profile
 from .report import Report, emit
@@ -67,15 +67,26 @@ def _load_group(path: str) -> groups.FiniteGroup:
     return groups.build_group(groups.parse_group_file(text), label=Path(path).stem)
 
 
+def _parse_seed(text: str, spec: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad seed {text!r} in data spec {spec!r}")
+
+
 def _load_rep(spec: str, weight: int, seed: int):
-    """``path.csv`` loads an eigenvalue file; ``synthetic:<seed>`` draws one."""
+    """``path.csv`` loads an eigenvalue file; ``synthetic:<seed>`` and
+    ``profile:<name>:<seed>`` draw synthetic sources."""
     if spec.startswith("synthetic:"):
-        return synthetic_tempered(int(spec.split(":", 1)[1]))
+        return synthetic_tempered(_parse_seed(spec.split(":", 1)[1], spec))
     if spec == "synthetic":
         return synthetic_tempered(seed)
     if spec.startswith("profile:"):
-        _, name, s = spec.split(":")
-        return synthetic_with_profile(int(s), euler.grc_profile(name, 2))
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise UsageError(f"expected profile:<name>:<seed>, got {spec!r}")
+        return synthetic_with_profile(_parse_seed(parts[2], spec),
+                                      euler.grc_profile(parts[1], 2))
     return load_hecke(spec, weight=weight)
 
 
@@ -86,11 +97,16 @@ def _load_satake_csv(path: str) -> list[euler.LocalFactor]:
         for row in csv.reader(handle):
             if not row or row[0].strip().lower() in ("p", "#"):
                 continue
-            q = int(row[1])
-            pairs = row[2:]
-            alphas = tuple(complex(float(pairs[i]), float(pairs[i + 1]))
-                           for i in range(0, len(pairs) - 1, 2))
+            try:
+                q = int(row[1])
+                pairs = row[2:]
+                alphas = tuple(complex(float(pairs[i]), float(pairs[i + 1]))
+                               for i in range(0, len(pairs) - 1, 2))
+            except (IndexError, ValueError):
+                raise ParseError(f"bad Satake row {row!r} in {path}")
             factors.append(euler.LocalFactor(q=q, alphas=alphas, degree=max(1, len(alphas))))
+    if not factors:
+        raise ParseError(f"no Satake rows in {path}")
     return factors
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LimitExceeded
+from .errors import LimitExceeded, UsageError
 from .selectors import PrimeSelector
 from .sieve import PRIME_LIMIT, segment_map
 
@@ -48,7 +48,7 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
     """Counting ratios #{p in S, p <= x} / #{p <= x unramified} on a grid."""
     grid = [int(x) for x in x_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("x grid must be strictly ascending")
+        raise UsageError("x grid must be strictly ascending")
     if grid[-1] > PRIME_LIMIT:
         raise LimitExceeded(f"natural density cutoff capped at {PRIME_LIMIT}")
     excluded = np.array(sorted(selector.excluded), dtype=np.int64)
@@ -93,9 +93,9 @@ def dirichlet_density_estimate(selector: PrimeSelector, s_grid, cutoff: int,
     """
     s_values = [float(s) for s in s_grid]
     if not s_values or any(not (1.0 < s <= 2.0) for s in s_values):
-        raise ValueError("s grid must lie in (1, 2]")
+        raise UsageError("s grid must lie in (1, 2]")
     if any(b >= a for a, b in zip(s_values, s_values[1:])):
-        raise ValueError("s grid must descend toward 1")
+        raise UsageError("s grid must descend toward 1")
     if cutoff > PRIME_LIMIT:
         raise LimitExceeded(f"dirichlet cutoff capped at {PRIME_LIMIT}")
     s_arr = np.array(s_values)
@@ -237,7 +237,7 @@ class PrimeZetaScan:
 def prime_zeta(s: float, cutoff: int, workers: int | None = None) -> PrimeZetaScan:
     """Truncated sum over primes of p^-s and its offset from log(1/(s-1))."""
     if s <= 1.0:
-        raise ValueError("prime power-sum scan needs s > 1")
+        raise UsageError("prime power-sum scan needs s > 1")
     if cutoff > PRIME_LIMIT:
         raise LimitExceeded(f"cutoff capped at {PRIME_LIMIT}")
     total = 0.0

@@ -124,5 +124,7 @@ class IoError(SmolabError):
     code = "io-error"
 
 
-class UsageError(SmolabError):
+class UsageError(SmolabError, ValueError):
+    """A bad argument value; also a ``ValueError`` for library callers."""
+
     code = "usage-error"

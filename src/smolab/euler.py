@@ -18,9 +18,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import (LimitExceeded, NormMismatch, NotPositiveType, PoleHit,
-                     UnknownProfile)
+                     UnknownProfile, UsageError)
 from .selectors import PrimeSelector
-from .sieve import iter_prime_segments
+from .sieve import iter_prime_segments, prime_stream
 
 TEMPERED_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
@@ -38,11 +38,11 @@ class LocalFactor:
 
     def __post_init__(self):
         if self.q < 2:
-            raise ValueError(f"norm must be >= 2, got {self.q}")
+            raise UsageError(f"norm must be >= 2, got {self.q}")
         if len(self.alphas) > self.degree:
-            raise ValueError(f"{len(self.alphas)} parameters exceed degree {self.degree}")
+            raise UsageError(f"{len(self.alphas)} parameters exceed degree {self.degree}")
         if any(a == 0 for a in self.alphas):
-            raise ValueError("local parameters must be nonzero")
+            raise UsageError("local parameters must be nonzero")
         object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
 
     @property
@@ -106,7 +106,7 @@ def _c2d(z: complex) -> dict:
 
 def rs_leading_coefficient(f: LocalFactor, conjugated: bool = True) -> RankinSelbergCoefficient:
     if f.k < 1:
-        raise ValueError("need at least one local parameter")
+        raise UsageError("need at least one local parameter")
     total = sum(f.alphas)
     conj_val = sum(a * b.conjugate() for a in f.alphas for b in f.alphas)
     unconj_val = total * total
@@ -139,11 +139,8 @@ class EulerProduct:
         limit = max_prime
         if self.support_limit is not None:
             limit = min(limit, self.support_limit)
-        for seg in iter_prime_segments(limit):
-            mask = self.universe.mask(seg)
-            for p in seg[mask]:
-                if int(p) not in self.ramified:
-                    yield int(p)
+        for seg in prime_stream(limit, self.universe, exclude=self.ramified):
+            yield from seg.tolist()
 
 
 def zeta_product() -> EulerProduct:
@@ -252,7 +249,7 @@ def landau_region_check(ep: EulerProduct, selector: PrimeSelector,
 def key_observation_abscissa(delta, j: int):
     """delta + 1/j: absolute-convergence edge for degree-j products with |a| <= q^delta."""
     if j < 1:
-        raise ValueError("degree j must be >= 1")
+        raise UsageError("degree j must be >= 1")
     if isinstance(delta, (int, Fraction)):
         return Fraction(delta) + Fraction(1, j)
     return float(delta) + 1.0 / j
@@ -298,7 +295,7 @@ def convergence_probe(selector: PrimeSelector, delta: float, sigmas,
     sig = tuple(float(s) for s in sigmas)
     cuts = tuple(int(c) for c in sorted(cutoffs))
     if not cuts:
-        raise ValueError("need at least one cutoff")
+        raise UsageError("need at least one cutoff")
     max_p = selector.max_prime_for_norm(cuts[-1])
     partials: dict[float, list[float]] = {s: [] for s in sig}
     # accumulate per sigma in ascending cutoff order, one sieve pass

@@ -11,20 +11,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from .density import natural_density_estimate
 from .errors import (DegreeMismatch, InfeasibleEpsilon, NotNested,
-                     NotPrimeDegree, NotTempered)
+                     NotPrimeDegree, PoleHit, UsageError)
+# log_expansion and prime_array are not called here; perfbench/tracer.py wraps
+# them under these names alongside the prime walkers
 from .euler import (GRCBoundProfile, ConvergenceProbe, convergence_probe,
-                    eval_local, log_expansion, rankin_selberg_local)
+                    log_expansion)
 from .fields import FieldSpec
 from .hecke import RepresentationData, require_size_bound
 from .selectors import DegreeSelector, ExplicitList, PrimeSelector
-from .sieve import iter_prime_segments, prime_array, segment_map
+from .sieve import (iter_prime_segments, prime_array, prime_stream, restrict,
+                    segment_map)
 
 COEFF_EQ_TOL = 1e-9
+PROBE_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
 DEFAULT_EPS_GRID = (Fraction(1, 12), Fraction(1, 10), Fraction(1, 8))
 CUTOFF_COUPLING = 1.5
 CUTOFF_CAP = 10**8
@@ -64,30 +69,36 @@ class AgreementReport:
         }
 
 
+def _data_limit(limit: int, *reps: RepresentationData) -> int:
+    """The scan limit cut down to the last prime every source has data for."""
+    return min([limit] + [r.support_limit for r in reps if r.support_limit is not None])
+
+
+def _common_support(*reps: RepresentationData) -> np.ndarray | None:
+    """Sorted primes every source with an explicit support lists, or None."""
+    supports = [np.asarray(r.support, dtype=np.int64) for r in reps if r.support is not None]
+    return reduce(np.intersect1d, supports) if supports else None
+
+
+def _unramified_stream(limit: int, A: RepresentationData, B: RepresentationData,
+                       selector: PrimeSelector | None = None):
+    """Prime segments to ``limit`` in both sources' support and unramified for both."""
+    return prime_stream(limit, selector, support=_common_support(A, B),
+                        exclude=A.ramified | B.ramified)
+
+
 def compare_local(A: RepresentationData, B: RepresentationData,
                   scan_limit: int) -> AgreementReport:
     """Scan the common unramified support for unequal normalized coefficients."""
     if A.degree != B.degree:
         raise DegreeMismatch(f"degrees {A.degree} != {B.degree}")
-    bad: list[int] = []
+    limit = _data_limit(scan_limit, A, B)
     compared = 0
-    skip = A.ramified | B.ramified
-    limit = scan_limit
-    for rep in (A, B):
-        if rep.support_limit is not None:
-            limit = min(limit, rep.support_limit)
-    support: set[int] | None = None
-    for rep in (A, B):
-        if rep.support is not None:
-            s = set(rep.support)
-            support = s if support is None else (support & s)
-    for seg in iter_prime_segments(limit):
-        for p in (int(x) for x in seg):
-            if p in skip or (support is not None and p not in support):
-                continue
-            compared += 1
-            if abs(complex(A.coefficient(p)) - complex(B.coefficient(p))) > COEFF_EQ_TOL:
-                bad.append(p)
+    bad: list[int] = []
+    for seg in _unramified_stream(limit, A, B):
+        compared += len(seg)
+        gap = np.abs(A.coefficient_array(seg) - B.coefficient_array(seg))
+        bad.extend(seg[gap > COEFF_EQ_TOL].tolist())
     n = A.degree
     return AgreementReport(
         labels=(A.label, B.label),
@@ -146,7 +157,7 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
     """
     eps_values = sorted((float(e) for e in (eps_grid or DEFAULT_EPS_GRID)), reverse=True)
     if len(eps_values) < 3:
-        raise ValueError("slope fit needs at least 3 epsilon points")
+        raise UsageError("slope fit needs at least 3 epsilon points")
     for eps in eps_values:
         if eps <= 0 or math.exp(1.0 / eps) > 10**9:
             raise InfeasibleEpsilon(
@@ -242,8 +253,8 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
     """
     density = selector.analytic_density()
     if density is None:
-        raise ValueError("selector needs an exact analytic density for the bound")
-    probe_primes = [p for p in (2, 3, 5, 7, 11, 101, 1009) if _in_support(A, p)]
+        raise UsageError("selector needs an exact analytic density for the bound")
+    probe_primes = restrict(PROBE_PRIMES, support=A.support, exclude=A.ramified)
     require_size_bound(A, probe_primes)
     excess = A.max_parameter_excess(probe_primes)
     warnings = list(A.warnings)
@@ -251,7 +262,7 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
         warnings.append(f"parameters off the unit circle by {excess:.3g}")
 
     def weights(primes: np.ndarray) -> np.ndarray:
-        return np.array([abs(complex(A.coefficient(int(p)))) ** 2 for p in primes])
+        return np.abs(A.coefficient_array(primes)) ** 2
 
     selector_in_support = _restrict_to_support(A, selector)
     estimate = pole_order_estimate(weights, selector_in_support, eps_grid=eps_grid,
@@ -273,12 +284,6 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
             "general_degree_threshold": conjectural_density_threshold(n),
         },
     )
-
-
-def _in_support(rep: RepresentationData, p: int) -> bool:
-    if rep.support is not None and p not in rep.support:
-        return False
-    return p not in rep.ramified
 
 
 def _restrict_to_support(rep: RepresentationData, selector: PrimeSelector) -> PrimeSelector:
@@ -321,61 +326,81 @@ def z_ratio(A: RepresentationData, B: RepresentationData, selector: PrimeSelecto
 
     Direct path: product over p in S of
     eval(AxconjA) * eval(BxconjB) / (eval(AxconjB) * eval(BxconjA)).
-    Log path: exponential of the corresponding signed power-sum series.
+    Log path: exponential of the corresponding signed power-sum series; the
+    m-th power sum of X x conj(Y) at p is P_X(m) conj(P_Y(m)), where P_X(m)
+    sums the m-th powers of X's parameters.
     The two must agree to high precision; their combined (all product)
-    series is also checked for nonnegative log coefficients.
+    series is also checked for nonnegative log coefficients.  Each array
+    of the prime stream is computed over its primes and the s grid, and the
+    results are reduced in stream order.
     """
     if A.degree != B.degree:
         raise DegreeMismatch(f"degrees {A.degree} != {B.degree}")
     s_values = [float(s) for s in s_grid]
     if any(s <= 1.0 for s in s_values):
-        raise ValueError("ratio grid must have s > 1")
-    limit = scan_limit or 10**4
-    for rep in (A, B):
-        if rep.support_limit is not None:
-            limit = min(limit, rep.support_limit)
-    primes: list[int] = []
-    for seg in iter_prime_segments(limit):
-        mask = selector.mask(seg)
-        for p in (int(x) for x in seg[mask]):
-            if _in_support(A, p) and _in_support(B, p):
-                primes.append(p)
-
-    direct = []
-    logs = []
+        raise UsageError("ratio grid must have s > 1")
+    exponents = -np.array(s_values)
+    direct = np.ones(len(s_values), dtype=np.complex128)
+    log_sum = np.zeros(len(s_values), dtype=np.complex128)
     combined_min_coeff = 0.0
-    for s in s_values:
-        prod = 1.0 + 0.0j
-        log_sum = 0.0 + 0.0j
-        for p in primes:
-            fa = A.local_factor(p)
-            fb = B.local_factor(p)
-            aa = rankin_selberg_local(fa, fa)
-            bb = rankin_selberg_local(fb, fb)
-            ab = rankin_selberg_local(fa, fb)
-            ba = rankin_selberg_local(fb, fa)
-            prod *= (eval_local(aa, s) * eval_local(bb, s)
-                     / (eval_local(ab, s) * eval_local(ba, s)))
-            for m in range(1, m_cap + 1):
-                signed = (aa.power_sum(m) + bb.power_sum(m)
-                          - ab.power_sum(m) - ba.power_sum(m))
-                combined = (aa.power_sum(m) + bb.power_sum(m)
-                            + ab.power_sum(m) + ba.power_sum(m))
-                combined_min_coeff = min(combined_min_coeff, combined.real / m)
-                log_sum += signed / m * (p ** (-s * m))
-        direct.append(prod)
-        logs.append(np.exp(log_sum))
-    discrepancy = max((abs(d - l) for d, l in zip(direct, logs)), default=0.0)
+    primes_used = 0
+    for seg in _unramified_stream(_data_limit(scan_limit or 10**4, A, B), A, B, selector):
+        primes_used += len(seg)
+        sa, sb = A.satake_array(seg), B.satake_array(seg)
+        x = seg.astype(np.float64)[:, None] ** exponents  # p^-s, one row per prime
+        ratio = _quotient(_paired_poly(sa, sb, x) * _paired_poly(sb, sa, x),
+                          _paired_poly(sa, sa, x) * _paired_poly(sb, sb, x))
+        direct *= ratio.prod(axis=0)
+        power_a, power_b, x_m = sa.copy(), sb.copy(), x.copy()
+        for m in range(1, m_cap + 1):
+            pa, pb = power_a.sum(axis=1), power_b.sum(axis=1)
+            aa, bb = pa * pa.conj(), pb * pb.conj()
+            ab, ba = pa * pb.conj(), pb * pa.conj()
+            combined = aa + bb + ab + ba
+            combined_min_coeff = min(combined_min_coeff, float(combined.real.min()) / m)
+            log_sum += ((aa + bb - ab - ba)[:, None] / m * x_m).sum(axis=0)
+            power_a *= sa
+            power_b *= sb
+            x_m *= x
+    logs = np.exp(log_sum)
     return ZRatioReport(
         labels=(A.label, B.label),
         selector=selector.describe(),
         s_grid=tuple(s_values),
-        direct_values=tuple(float(d.real) for d in direct),
-        log_values=tuple(float(l.real) for l in logs),
-        max_discrepancy=float(discrepancy),
+        direct_values=tuple(direct.real.tolist()),
+        log_values=tuple(logs.real.tolist()),
+        max_discrepancy=float(np.abs(direct - logs).max(initial=0.0)),
         positive_type_combined=combined_min_coeff >= -1e-9,
-        primes_used=len(primes),
+        primes_used=primes_used,
     )
+
+
+def _paired_poly(sa: np.ndarray, sb: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """prod_ij (1 - a_i conj(b_j) x) for each prime (row) and s (column).
+
+    This is 1 / eval of the paired local factor A x conj(B) at x = p^-s;
+    raises PoleHit where a factor vanishes, as ``eval_local`` does.
+    """
+    params = (sa[:, :, None] * sb.conj()[:, None, :]).reshape(len(sa), -1)
+    factors = 1.0 - params[:, None, :] * x[:, :, None]
+    near = np.abs(factors) < 1e-12
+    if near.any():
+        raise PoleHit(int(np.argwhere(near)[0][2]))
+    return factors.prod(axis=2)
+
+
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den as num conj(den) / |den|^2 in real arithmetic.
+
+    Exactly 1 wherever num and den are equal, which keeps the ratio of
+    identical sources exactly 1 (numpy's complex division multiplies by a
+    rounded reciprocal instead).
+    """
+    norm = den.real * den.real + den.imag * den.imag
+    out = np.empty_like(num)
+    out.real = (num.real * den.real + num.imag * den.imag) / norm
+    out.imag = (num.imag * den.real - num.real * den.imag) / norm
+    return out
 
 
 # -- sparse-set summability --------------------------------------------------------------
@@ -580,19 +605,12 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
     checked = 0
     bad: list[int] = []
     samples: list[tuple[int, int, int]] = []
-    ram = F.ramified_primes() | K.ramified_primes()
-    for seg in iter_prime_segments(scan_limit):
-        for q in (int(x) for x in seg):
-            if q in ram:
-                continue
-            if F.residue_degree(q) != p:
-                continue
-            checked += 1
-            fk = K.residue_degree(q)
-            if fk != expected:
-                bad.append(q)
-            elif len(samples) < 5:
-                samples.append((q, p, fk))
+    for seg in prime_stream(scan_limit, exclude=F.ramified_primes() | K.ramified_primes()):
+        below = seg[F._degree_table[seg % F.modulus] == p]
+        checked += len(below)
+        lifted = K._degree_table[below % K.modulus] == expected
+        bad.extend(below[~lifted].tolist())
+        samples.extend((q, p, expected) for q in below[lifted][:5 - len(samples)].tolist())
     return TowerReport(subfield=F.label, field=K.label, p=p, m=m,
                        scan_limit=scan_limit, checked=checked,
                        counterexamples=tuple(bad), examples=tuple(samples))

@@ -1,50 +1,74 @@
 """Degree-n coefficient sources: eigenvalue files and synthetic parameter data.
 
+Every source answers for an array of primes at once: ``satake_array(primes)``
+gives the (len, degree) complex local parameters and ``coefficient_array``
+their normalized traces.  The one-prime methods ``satake``, ``coefficient``
+and ``local_factor`` are one-element views of the same arrays, so there is
+a single implementation of each source.
+
 A loaded weight-k eigenvalue file is renormalized so the two local
-parameters at a good prime p satisfy a + b = a_p / p^((k-1)/2) and ab = 1.
-Synthetic sources draw parameters from seed-determined angles, so any prime
-has data and runs are reproducible; seeding goes through strings, which
-hash stably across processes.
+parameters at a good prime p satisfy a + b = a_p / p^((k-1)/2) and ab = 1;
+lookups index the sorted prime column.  Synthetic sources are counter-based:
+each random quantity at p is drawn from the splitmix64 hash of (seed, domain
+tag, parameter index, p), so any prime has data, a prime's values do not
+depend on which other primes are asked for, and runs are reproducible across
+processes and platforms.  Seeds are reduced mod 2**64 first, so negative and
+large seeds are accepted.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
-import math
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .errors import DuplicatePrime, NonPrimeRow, NotTempered, ParseError
 from .euler import EulerProduct, LocalFactor, rankin_selberg_local
 from .selectors import AllPrimes, ExplicitList, PrimeSelector
 
+ArrayFn = Callable[[np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class RepresentationData:
-    """A degree-n source of local parameters, file-backed or synthetic."""
+    """A degree-n source of local parameters, file-backed or synthetic.
+
+    ``satake_fn`` maps an int64 prime array to its (len, degree) complex
+    parameters; ``coefficient_fn``, when given, maps it to the normalized
+    coefficients (otherwise they are the parameter sums).
+    """
 
     label: str
     degree: int
-    coefficient_fn: Callable[[int], float | complex] = field(compare=False)
-    satake_fn: Callable[[int], tuple[complex, ...]] = field(compare=False)
+    satake_fn: ArrayFn = field(compare=False)
+    coefficient_fn: ArrayFn | None = field(default=None, compare=False)
     ramified: frozenset[int] = frozenset()
     support: tuple[int, ...] | None = None  # explicit prime list, or None for all
     support_limit: int | None = None
     normalization: str = "unitary"
     warnings: tuple[str, ...] = ()
 
-    def coefficient(self, p: int) -> complex:
-        return self.coefficient_fn(int(p))
+    def satake_array(self, primes) -> np.ndarray:
+        return self.satake_fn(np.asarray(primes, dtype=np.int64))
+
+    def coefficient_array(self, primes) -> np.ndarray:
+        primes = np.asarray(primes, dtype=np.int64)
+        if self.coefficient_fn is None:
+            return self.satake_array(primes).sum(axis=1)
+        return self.coefficient_fn(primes)
+
+    def coefficient(self, p: int) -> float | complex:
+        return self.coefficient_array([p])[0].item()
 
     def satake(self, p: int) -> tuple[complex, ...]:
-        return self.satake_fn(int(p))
+        return tuple(self.satake_array([p])[0].tolist())
 
     def local_factor(self, p: int) -> LocalFactor:
-        return LocalFactor(q=int(p), alphas=self.satake(int(p)), degree=self.degree)
+        return LocalFactor(q=int(p), alphas=self.satake(p), degree=self.degree)
 
     def universe(self) -> PrimeSelector:
         if self.support is not None:
@@ -73,20 +97,32 @@ class RepresentationData:
 
     def max_parameter_excess(self, primes) -> float:
         """max over given primes of |a_i| measured against 1 (tempered = 0)."""
-        worst = 0.0
-        for p in primes:
-            for a in self.satake(int(p)):
-                worst = max(worst, abs(abs(a) - 1.0))
-        return worst
+        moduli = _moduli(self.satake_array(primes))
+        return float(np.abs(moduli - 1.0).max(initial=0.0))
 
 
-def _unitary_pair(lam: complex) -> tuple[complex, complex]:
-    """Roots of x^2 - lam x + 1; unit-circle conjugates when |lam| <= 2."""
+def _moduli(params: np.ndarray) -> np.ndarray:
+    # hypot, as abs() of a Python complex uses, so file-backed moduli keep their bits
+    return np.hypot(params.real, params.imag)
+
+
+def _unitary_pairs(lam: np.ndarray) -> np.ndarray:
+    """Roots (a, b) of x^2 - lam x + 1 per real lam, as (len, 2) complex.
+
+    For |lam| < 2 they are the conjugates (lam +- i sqrt(4 - lam^2)) / 2 on
+    the unit circle, otherwise the real pair (lam +- sqrt(lam^2 - 4)) / 2.
+    Only real arithmetic and a correctly rounded sqrt are used, so the bits
+    equal those of the complex formula (lam +- cmath.sqrt(lam^2 - 4)) / 2.
+    """
     disc = lam * lam - 4.0
-    root = cmath.sqrt(disc)
-    a = (lam + root) / 2.0
-    b = (lam - root) / 2.0
-    return a, b
+    root = np.sqrt(np.abs(disc))
+    inside = disc < 0.0
+    out = np.zeros((len(lam), 2), dtype=np.complex128)
+    out.real[:, 0] = np.where(inside, lam, lam + root) / 2.0
+    out.real[:, 1] = np.where(inside, lam, lam - root) / 2.0
+    out.imag[:, 0] = np.where(inside, root, 0.0) / 2.0
+    out.imag[:, 1] = np.where(inside, -root, 0.0) / 2.0
+    return out
 
 
 def load_hecke(path: str | Path, weight: int, label: str | None = None) -> RepresentationData:
@@ -128,19 +164,25 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
         if abs(a_p) > bound + 1e-9:
             warnings.append(f"size bound exceeded at p={p}: |{a_p}| > {bound:.6g}")
         coeffs[p] = a_p
-    support = tuple(sorted(coeffs))
     half = (weight - 1) / 2.0
+    support = tuple(coeffs)  # ascending: out-of-order rows were rejected
+    rows_p = np.array(support, dtype=np.int64)
+    # Python float pow, once per row: numpy's pow can differ in the last bit,
+    # and the file-backed report digests depend on these values
+    normalized = np.array([a_p / p**half for p, a_p in coeffs.items()], dtype=np.float64)
 
-    def normalized(p: int) -> float:
-        return coeffs[p] / p**half
-
-    def satake(p: int) -> tuple[complex, complex]:
-        return _unitary_pair(normalized(p))
+    def coefficient(primes: np.ndarray) -> np.ndarray:
+        rows = np.searchsorted(rows_p, primes)
+        found = rows < len(rows_p)
+        found[found] = rows_p[rows[found]] == primes[found]
+        if not found.all():
+            raise KeyError(f"{label}: no eigenvalue at p={int(primes[~found][0])}")
+        return normalized[rows]
 
     return RepresentationData(
         label=label, degree=2,
-        coefficient_fn=normalized,
-        satake_fn=satake,
+        satake_fn=lambda primes: _unitary_pairs(coefficient(primes)),
+        coefficient_fn=coefficient,
         support=support,
         support_limit=support[-1] if support else 0,
         normalization=f"a_p / p^({weight - 1}/2), parameter product 1",
@@ -148,26 +190,71 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
     )
 
 
+# splitmix64 (Steele, Lea and Flood, OOPSLA 2014) on uint64 arrays; numpy
+# integer arrays wrap silently on overflow, which is the arithmetic it needs
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+# domain tags: each hashed quantity has its own stream
+TEMPERED_ANGLE, TEMPERED_SIGN, PROFILE_ANGLE, PROFILE_RADIUS = 1, 2, 3, 4
+
+
+def _splitmix64(state: np.ndarray) -> np.ndarray:
+    z = state + _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def uniform_draws(seed: int, tag: int, count: int, primes) -> np.ndarray:
+    """(len(primes), count) doubles in [0, 1), column i hashed from (seed, tag, i, p).
+
+    The key for (seed, tag, i) chains splitmix64 over the three words; the
+    draw at p is splitmix64 of the state key + p * gamma (a splitmix64
+    sequence indexed by p), and its top 53 bits give the double.
+    """
+    primes = np.asarray(primes, dtype=np.int64).astype(np.uint64)
+    out = np.empty((len(primes), count), dtype=np.float64)
+    for i in range(count):
+        key = np.array([seed % 2**64], dtype=np.uint64)
+        for word in (tag, i):
+            key = _splitmix64(key ^ np.uint64(word))
+        bits = _splitmix64(key + primes * _GAMMA)
+        out[:, i] = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return out
+
+
+def tempered_angles(seed: int, primes, degree: int = 2) -> np.ndarray:
+    """(len(primes), degree // 2) angles in [0, pi) of a synthetic tempered source."""
+    return np.pi * uniform_draws(seed, TEMPERED_ANGLE, degree // 2, primes)
+
+
+def _conjugate_pairs(first: np.ndarray, second: np.ndarray, degree: int) -> np.ndarray:
+    """Interleave the columns (a_0, b_0, a_1, b_1, ...), leaving a last column of 1s."""
+    out = np.ones((len(first), degree), dtype=np.complex128)
+    out[:, 0:2 * first.shape[1]:2] = first
+    out[:, 1:2 * first.shape[1]:2] = second
+    return out
+
+
 def synthetic_tempered(seed: int, degree: int = 2, label: str | None = None) -> RepresentationData:
-    """Unit-circle parameters in conjugate pairs with seed-determined angles."""
+    """Unit-circle parameters in conjugate pairs with seed-determined angles.
 
-    def satake(p: int) -> tuple[complex, ...]:
-        out: list[complex] = []
-        for i in range(degree // 2):
-            theta = random.Random(f"tempered:{seed}:{i}:{p}").uniform(0.0, math.pi)
-            out.append(cmath.exp(1j * theta))
-            out.append(cmath.exp(-1j * theta))
+    An odd degree adds a parameter +-1 with a seed-determined sign.
+    """
+
+    def satake(primes: np.ndarray) -> np.ndarray:
+        unit = np.exp(1j * tempered_angles(seed, primes, degree))
+        out = _conjugate_pairs(unit, unit.conj(), degree)
         if degree % 2:
-            sign = random.Random(f"tempered-sign:{seed}:{p}").choice((1.0, -1.0))
-            out.append(complex(sign))
-        return tuple(out)
-
-    def coefficient(p: int) -> complex:
-        return sum(satake(p))
+            out[:, -1] = np.where(uniform_draws(seed, TEMPERED_SIGN, 1, primes)[:, 0] < 0.5,
+                                  1.0, -1.0)
+        return out
 
     return RepresentationData(
         label=label or f"synthetic-tempered(seed={seed})",
-        degree=degree, coefficient_fn=coefficient, satake_fn=satake,
+        degree=degree, satake_fn=satake,
         normalization="unit-circle conjugate pairs",
     )
 
@@ -176,40 +263,34 @@ def synthetic_with_profile(seed: int, profile, degree: int = 2,
                            label: str | None = None) -> RepresentationData:
     """Parameters with |a| up to q^delta for the given bound profile.
 
-    Pairs are (a, 1/conj(a)) so the parameter product stays 1 while the
-    modulus wanders inside the allowed window.
+    Pairs are (a, 1/conj(a)) with a = p^t e^(i theta), theta uniform in
+    [0, pi) and t uniform in [0, delta), so the parameter product stays 1
+    while the modulus wanders inside the allowed window; an odd degree adds
+    the parameter 1.
     """
     delta = float(profile.exponent)
 
-    def satake(p: int) -> tuple[complex, ...]:
-        out: list[complex] = []
-        for i in range(degree // 2):
-            rng = random.Random(f"profile:{seed}:{i}:{p}")
-            theta = rng.uniform(0.0, math.pi)
-            t = delta * rng.random()
-            radius = p**t
-            a = radius * cmath.exp(1j * theta)
-            out.append(a)
-            out.append(1.0 / a.conjugate())
-        if degree % 2:
-            out.append(complex(1.0))
-        return tuple(out)
-
-    def coefficient(p: int) -> complex:
-        return sum(satake(p))
+    def satake(primes: np.ndarray) -> np.ndarray:
+        pairs = degree // 2
+        unit = np.exp(1j * np.pi * uniform_draws(seed, PROFILE_ANGLE, pairs, primes))
+        radius = primes.astype(np.float64)[:, None] ** (
+            delta * uniform_draws(seed, PROFILE_RADIUS, pairs, primes))
+        return _conjugate_pairs(radius * unit, unit / radius, degree)
 
     return RepresentationData(
         label=label or f"synthetic-{profile.name}(seed={seed})",
-        degree=degree, coefficient_fn=coefficient, satake_fn=satake,
+        degree=degree, satake_fn=satake,
         normalization=f"|a| <= q^{profile.exponent}, parameter product 1",
     )
 
 
 def require_size_bound(rep: RepresentationData, primes) -> None:
     """Hard failure if any parameter breaks the square-root size wall."""
-    for p in primes:
-        p = int(p)
-        for a in rep.satake(p):
-            if abs(a) > p**0.5 + 1e-9:
-                raise NotTempered(
-                    f"{rep.label}: |parameter| = {abs(a):.6g} > sqrt({p}) at p={p}")
+    primes = np.asarray(primes, dtype=np.int64)
+    moduli = _moduli(rep.satake_array(primes))
+    over = moduli > np.sqrt(primes.astype(np.float64))[:, None] + 1e-9
+    if over.any():
+        row, col = np.argwhere(over)[0]
+        p = int(primes[row])
+        raise NotTempered(
+            f"{rep.label}: |parameter| = {moduli[row, col]:.6g} > sqrt({p}) at p={p}")

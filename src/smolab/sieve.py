@@ -17,6 +17,7 @@ import numpy as np
 from .errors import LimitExceeded
 
 SEGMENT_SPAN = 1 << 20
+STREAM_CHUNK = 1 << 12  # primes per array from prime_stream
 PRIME_LIMIT = 10**9
 
 R = TypeVar("R")
@@ -96,8 +97,39 @@ def prime_array(limit: int) -> np.ndarray:
 
 
 def prime_count(limit: int, workers: int | None = None) -> int:
-    return int(segment_reduce(limit, lambda seg: len(seg), workers=workers, initial=0,
-                              combine=lambda acc, x: acc + x))
+    return sum(segment_map(limit, len, workers=workers))
+
+
+def restrict(primes: np.ndarray, selector=None, support=None,
+             exclude: frozenset[int] = frozenset()) -> np.ndarray:
+    """The entries of ``primes`` that ``selector`` picks (all if None), that lie
+    in ``support`` (a sorted prime sequence, or None for no restriction) and
+    that are not in ``exclude``."""
+    primes = np.asarray(primes, dtype=np.int64)
+    if selector is not None:
+        primes = primes[selector.mask(primes)]
+    if support is not None:
+        primes = primes[np.isin(primes, np.asarray(support, dtype=np.int64))]
+    if exclude:
+        primes = primes[~np.isin(primes, np.array(sorted(exclude), dtype=np.int64))]
+    return primes
+
+
+def prime_stream(limit: int, selector=None, support=None,
+                 exclude: frozenset[int] = frozenset()) -> Iterator[np.ndarray]:
+    """The primes <= limit as ascending, nonempty int64 arrays: each sieve
+    segment cut down by ``restrict``, in slices of at most STREAM_CHUNK.
+
+    This is the one prime walk of the coefficient experiments and Euler
+    products: selection, data support and ramified primes are all masks.
+    The slices bound the per-prime temporaries of the array scans.
+    """
+    if support is not None:
+        support = np.asarray(support, dtype=np.int64)
+    for seg in iter_prime_segments(limit):
+        seg = restrict(seg, selector, support, exclude)
+        for start in range(0, len(seg), STREAM_CHUNK):
+            yield seg[start:start + STREAM_CHUNK]
 
 
 def segment_map(limit: int, fn: Callable[[np.ndarray], R],
@@ -117,16 +149,6 @@ def segment_map(limit: int, fn: Callable[[np.ndarray], R],
         return [job(b) for b in bounds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, bounds))
-
-
-def segment_reduce(limit: int, fn: Callable[[np.ndarray], R], *,
-                   initial, combine: Callable[[R, R], R],
-                   workers: int | None = None):
-    """Map over segments, then fold the per-segment results in fixed order."""
-    acc = initial
-    for part in segment_map(limit, fn, workers=workers):
-        acc = combine(acc, part)
-    return acc
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

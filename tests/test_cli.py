@@ -244,3 +244,38 @@ def test_nonpositive_congruence_modulus_is_a_typed_error():
     assert proc.returncode in (1, 2)
     assert "Traceback" not in proc.stderr
     assert re.search(r"^[a-z-]+: \S", proc.stderr, re.MULTILINE), proc.stderr
+
+
+BAD_ARGV = [
+    ("smo", "compare", "--data", "synthetic:x", "--data2", "synthetic:1"),
+    ("smo", "compare", "--data", "profile:XX", "--data2", "synthetic:1"),
+    ("smo", "compare", "--data", "profile:GJ:z", "--data2", "synthetic:1"),
+    ("smo", "zratio", "--data", "synthetic:1", "--data2", "synthetic:2", "--s", "1.0"),
+    ("density", "natural", "--selector", "all", "--x", "10,5"),
+    ("density", "dirichlet", "--selector", "all", "--s", "3"),
+    ("euler", "eval", "--q", "1", "--alphas", "1", "--s", "2"),
+    ("euler", "poleline", "--q", "4", "--alphas", "0"),
+    ("smo", "poleorder", "--selector", "all", "--eps", "1/8"),
+    ("euler", "positivity", "--data", os.devnull),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=[" ".join(a[:2]) + f"[{i}]"
+                                                for i, a in enumerate(BAD_ARGV)])
+def test_bad_values_are_typed_errors(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "smolab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    assert re.search(r"^[a-z-]+: \S", proc.stderr, re.MULTILINE), proc.stderr
+
+
+def test_malformed_satake_row_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "satake.csv"
+    bad.write_text("p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,x,1.0,0.0\n")
+    code, out, err = run(capsys, "euler", "positivity", "--data", str(bad))
+    assert code == 1
+    assert err.startswith("parse-error: bad Satake row")

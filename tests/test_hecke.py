@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from smolab.errors import DuplicatePrime, NonPrimeRow, NotTempered, ParseError
@@ -100,7 +101,8 @@ def test_require_size_bound():
     require_size_bound(rep, [2, 3, 5])  # fine: 1/4 < 1/2
     class Fat:
         label = "fat"
-        def satake(self, p):
-            return (complex(p), 1 / complex(p))
+        def satake_array(self, primes):
+            p = np.asarray(primes, dtype=complex)[:, None]
+            return np.hstack([p, 1 / p])
     with pytest.raises(NotTempered):
         require_size_bound(Fat(), [5])
