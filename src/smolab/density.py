@@ -114,11 +114,14 @@ def dirichlet_density_estimate(selector: PrimeSelector, s_grid, cutoff: int,
         norms = selector.norms(chosen)
         mult = selector.place_multiplicity(chosen).astype(np.float64)
         sums = one_sum(chosen, norms, mult)
-        floor_mask = chosen > SMALL_PRIME_FLOOR
-        sums_floored = one_sum(chosen[floor_mask], norms[floor_mask], mult[floor_mask])
         unram = ~np.isin(seg, excluded) if len(excluded) else np.ones(len(seg), dtype=bool)
         kept = seg[unram].astype(np.float64)
         ref = (kept[None, :] ** (-s_arr[:, None])).sum(axis=1)
+        if len(seg) and seg[0] > SMALL_PRIME_FLOOR:
+            # no prime at or below the floor: the floored sums are these sums
+            return sums, sums, ref, ref
+        floor_mask = chosen > SMALL_PRIME_FLOOR
+        sums_floored = one_sum(chosen[floor_mask], norms[floor_mask], mult[floor_mask])
         kept_f = kept[kept > SMALL_PRIME_FLOOR]
         ref_floored = (kept_f[None, :] ** (-s_arr[:, None])).sum(axis=1)
         return sums, sums_floored, ref, ref_floored

@@ -59,7 +59,12 @@ class LocalFactor:
 
 def eval_local(f: LocalFactor, s: complex) -> complex:
     """Evaluate the factor at s; raises PoleHit if q^s equals some parameter."""
-    qs = complex(f.q) ** (-complex(s))
+    try:
+        q = complex(f.q)
+    except OverflowError:
+        raise UsageError(f"norm q with {len(str(f.q))} digits is too large to evaluate "
+                         "in floating point") from None
+    qs = q ** (-complex(s))
     value = 1.0 + 0.0j
     for i, a in enumerate(f.alphas):
         d = 1.0 - a * qs

@@ -257,6 +257,7 @@ BAD_ARGV = [
     ("euler", "poleline", "--q", "4", "--alphas", "0"),
     ("smo", "poleorder", "--selector", "all", "--eps", "1/8"),
     ("euler", "positivity", "--data", os.devnull),
+    ("euler", "eval", "--q", str(10**399), "--alphas", "1", "--s", "2"),
 ]
 
 

@@ -1,9 +1,19 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smolab.errors import LimitExceeded
-from smolab.sieve import (is_prime, iter_prime_segments, prime_array,
-                          prime_count, primes_up_to, segment_map, simple_sieve)
+from smolab.sieve import (PRIME_LIMIT, SEGMENT_SPAN, _segment_bounds, _sieve_segment,
+                          is_prime, iter_prime_segments, prime_array, prime_count,
+                          primes_up_to, segment_map, simple_sieve)
+
+ORACLE_LIMIT = 3 * 10**6
+DENSE = simple_sieve(ORACLE_LIMIT)
+BASE = simple_sieve(math.isqrt(ORACLE_LIMIT) + 1)
 
 
 def test_small_stream():
@@ -52,3 +62,51 @@ def test_is_prime_64bit_cases():
     assert is_prime(2) and is_prime(3) and is_prime(10**9 + 7)
     assert not is_prime(1) and not is_prime(0) and not is_prime(561)  # Carmichael
     assert not is_prime(3215031751)  # strong pseudoprime to first four bases
+
+
+def test_primes_to_1e7_match_pinned_digest():
+    # digest taken from the earlier kernel, which struck every integer;
+    # ten segments, the last one partial
+    primes = prime_array(10**7)
+    assert primes.dtype == np.int64 and len(primes) == 664579
+    assert len(_segment_bounds(10**7)) == 10
+    digest = hashlib.sha256(primes.astype("<i8").tobytes()).hexdigest()
+    assert digest == "2ad296d1337aaafbb800643fa0cf7a36badb424747f4b9a112d353f8b6631993"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, ORACLE_LIMIT), st.integers(0, ORACLE_LIMIT))
+@example(0, 1)
+@example(0, 2)
+@example(0, 3)
+@example(0, 100)
+@example(1, 14)
+@example(2, 3)
+@example(2, 16)
+@example(3, 4)
+@example(3, 13)
+@example(4, 30)
+@example(12, 14)
+@example(13, 2000)
+@example(15015 * 2 - 7, 15015 * 2 + 9)   # across a pattern period
+@example(1000, 1000 + 15015)
+@example(1001, 1001 + 2 * 15015 - 1)
+@example(SEGMENT_SPAN + 2, 2 * SEGMENT_SPAN + 2)
+@example(SEGMENT_SPAN + 3, 2 * SEGMENT_SPAN + 3)
+@example(1, ORACLE_LIMIT)                 # wider than a segment
+def test_segment_matches_dense_oracle(a, b):
+    low, high = min(a, b), max(a, b)
+    got = _sieve_segment(low, high, BASE)
+    assert got.dtype == np.int64
+    expected = DENSE[np.searchsorted(DENSE, low):np.searchsorted(DENSE, high)]
+    assert np.array_equal(got, expected)
+
+
+def test_last_segment_below_cap_matches_is_prime():
+    low, high = _segment_bounds(PRIME_LIMIT)[-1]
+    assert high == PRIME_LIMIT + 1
+    seg = _sieve_segment(low, high, simple_sieve(math.isqrt(PRIME_LIMIT) + 1))
+    top = high - 4000
+    assert seg[seg >= top].tolist() == [n for n in range(top, high) if is_prime(n)]
+    # and the seam at the bottom of the segment
+    assert seg[seg < low + 2000].tolist() == [n for n in range(low, low + 2000) if is_prime(n)]
