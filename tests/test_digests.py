@@ -1,12 +1,14 @@
-"""Digest gate: file-backed reports keep their exact bytes across refactors.
+"""Digest gate: reports keep their exact bytes across refactors.
 
 Each digest is the sha256 of the canonical JSON of a report built from
 eigenvalue files (exact tau, a perturbed copy, a Satake-row CSV), pinned
-from the per-prime implementation the array paths replaced.  A change in
-any float's last bit changes the digest.
+from the per-prime implementation the array paths replaced, or of the
+stdout of one small CLI command per subcommand.  A change in any float's
+last bit changes the digest.
 """
 
 import hashlib
+import json
 import math
 import random
 
@@ -88,3 +90,91 @@ def test_cli_positivity_digest(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert _digest(out) == (
         "eb5334123455962d2b104106cf12a11d5058bfa1290b744c31110b9048500d30")
+
+
+CLI_INPUTS = {
+    "n4.txt": "N=4\nH=\n",
+    "n8.txt": "N=8\nH=\n",
+    "c7.txt": "N=7\nH=6\n",
+    "inner.txt": "N=5\nH=4\n",
+    "outer.txt": "N=5\nH=\n",
+    "satake.csv": ("p,q,a1_re,a1_im,a2_re,a2_im\n2,2,1.0,0.0,0.5,0.5\n"
+                   "3,3,-1.0,0.0,0.0,1.0\n5,5,1.0,0.0,1.0,0.0\n7,7,0.0,1.0,0.0,-1.0\n"),
+}
+
+# one small command per subcommand, then the two reports whose exact
+# fractions are integers ("1", not "1/1"), then CSV views: a grid report, a
+# second grid report and a flat report with nested values
+CLI_DIGESTS = [
+    ("charlab table cyclic(4)",
+     "a5824ff9b5be67200791727e52681f721fae11dac89830a73afe2c8ad0cb2807"),
+    ("charlab extremal q8_power_family(1) --degree 2",
+     "3c7a2f7acd99ae71652240452d5012e0607ac8a30c654605c069889b7f4ae4db"),
+    ("density natural --selector mod:4:1 --x 10000,100000",
+     "0d0c5f0099fa0588dc26be0a052bc3ca7b06969da3bb0bc5916cb729a6f9a929"),
+    ("density dirichlet --selector mod:8:1 --s 1.5,1.25 --cutoff 100000",
+     "078e5264b8fd06bbc8f299531fe5d0dedf2b7f2f80f44641b1876d9e4944e7a5"),
+    ("frobstats n8.txt --x 100000",
+     "b21d15038d8d2d77eae8ee03b3bb3e41bf38834996ad0f1e5b4001f597b561a5"),
+    ("euler eval --q 4 --alphas 2,0.5i --s 1,2+1i",
+     "c9578e45ed92dd74f047ed415a7ab04d6a05f5ab14d4e6b797e741844f218f55"),
+    ("euler poleline --q 4 --alphas 2,0.5",
+     "96bfa729b1ce406c1be88daaf7feaf8826f8d361ef0d7a52bbd5df04208ba8d9"),
+    ("euler rs --q 4 --alphas 2,1i --betas 0.5,-1",
+     "6efcc9d9bb1cd8df9a689969c375d772734d5b3ee802dadd5c0fb094c3c2e9fe"),
+    ("euler positivity --data satake.csv --max-index 1000",
+     "35cef9eecf3b4aba9721efe124551c0945a14b26622f5f0851d157dd85c6c749"),
+    ("euler probe --fieldspec n4.txt --degree 2 --delta 1/4 --sigma 0.8,0.7 --cutoffs 1e4,1e5",
+     "c3397cf7366a11f05dd4da64da95155282e374c67ef618f98703b2401bbac7a5"),
+    ("smo compare --data tau.csv --data2 synthetic:3 --x 2000",
+     "60d5314878e235373e29a9036154ae423b089cdca22e8dd61ba62fbd090232b4"),
+    ("smo poleorder --selector mod:4:1 --eps 1/4,1/5,1/6",
+     "54359ba5f5425854ea4f6c701379eff90ca481dbdf4ed55656c91f82b20e3c82"),
+    ("smo zratio --data tau.csv --data2 synthetic:2 --selector mod:8:1 --s 1.25,1.5",
+     "b3b273ec4acf745fc167013b21277f0a6903f87063b66271c347fef5e0cc7759"),
+    ("smo rajan --fieldspec c7.txt --degree 3 --n 2",
+     "4d7666a90387c06568a42b5bb307e18ec0d4f5feb5fd2dc6eb96db04859ae016"),
+    ("smo inert --fieldspec c7.txt --n 2 --profile LRS --delta 1/8",
+     "88159dd6b92536f1437e042e6e33d3a17ef5de8269598f0a5bb9cfc66a990d29"),
+    ("smo tower --subfield inner.txt --field outer.txt --x 10000",
+     "7e885c2cdeeec219971cf1043cdc862d5ecdfddd1ce52b8120ed7400e23604ea"),
+    ("smo tempered --data tau.csv --selector mod:8:1",
+     "edc8c503142901b35474b0dd1e1d65feddd93b629279a92a8fa6d0d826bb5e54"),
+    ("data gen-tau --limit 200 --out tau200.csv",
+     "0d63d8b923b1b44e991949e6d347be9af30d1191c6fdcb25a9f1fa5b21ef5170"),
+    ("smo tempered --data tau.csv --selector all",
+     "e94ed19672409f6fd63bbf9987c087981d73009faa5be838a4d509d51e2cff7f"),
+    ("smo rajan --fieldspec c7.txt --degree 1 --n 1",
+     "b1cc721e2fd43519f9583f74aab5adcd48a043c4c65bb8709b5cdfa12d4833a6"),
+    ("--format csv density natural --selector mod:4:1 --x 10000,100000",
+     "9bfeaa5fe39cde4d7ba5d2d310372ef61ca485de92b86c227255f491e85d7fe4"),
+    ("--format csv smo rajan --fieldspec c7.txt --degree 3 --n 2",
+     "88af13d4b65cbcba02d53bca1b825e7138119c78de674001ed9bf4e88dd3c9ab"),
+    ("--format csv smo inert --fieldspec c7.txt --n 2 --profile LRS --delta 1/8",
+     "3ec043436576e7025bca1503b101306d726cee9e7611419f181bb62a3f1ddd38"),
+]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    (root / "tau.csv").write_text(tau_csv_text(2000))
+    for name, text in CLI_INPUTS.items():
+        (root / name).write_text(text)
+    return root
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+@pytest.mark.parametrize("command,expected", CLI_DIGESTS, ids=[c for c, _ in CLI_DIGESTS])
+def test_cli_report_digest(command, expected, cli_dir, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.chdir(cli_dir)
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    if not command.startswith("--format csv"):
+        json.loads(out, parse_constant=_reject_constant)
+    assert _digest(out) == expected
