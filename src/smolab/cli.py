@@ -212,21 +212,15 @@ def _character_table_report(args) -> Report:
     G = _load_group(args.group)
     table = characters.character_table(G)
     part = table.partition
-    rows = []
-    for row in table.rows:
-        rows.append({
-            "degree": row.degree,
-            "values": [{"re": v.real, "im": v.imag} for v in row.values],
-        })
     return Report(
         experiment="charlab.table",
         inputs={"group": args.group, "order": G.order},
         payload={
             "label": G.label,
             "order": G.order,
-            "class_sizes": list(part.class_sizes),
-            "class_representatives": list(part.representatives),
-            "rows": rows,
+            "class_sizes": part.class_sizes,
+            "class_representatives": part.representatives,
+            "rows": [{"degree": row.degree, "values": row.values} for row in table.rows],
         },
         interpretation=(
             "each irreducible character is listed once per conjugacy class",
@@ -298,7 +292,7 @@ def _dispatch(args) -> Report | str:
             experiment=f"density.{args.subcommand}",
             inputs={"selector": args.selector, "grid": est.sample_points,
                     "cutoff": est.diagnostics.get("cutoff")},
-            payload=est.payload(),
+            payload=est,
             interpretation=(
                 "density of a prime set: counting ratio up to x, or norm-weighted "
                 "power sums against log(1/(s-1)) as s decreases to 1",
@@ -311,7 +305,7 @@ def _dispatch(args) -> Report | str:
         return Report(
             experiment="frobstats",
             inputs={"fieldspec": args.fieldspec, "x": args.x},
-            payload=stats.payload(),
+            payload=stats,
             interpretation=(
                 "unramified primes equidistribute over the classes of (Z/N)*/H",
             ),
@@ -365,7 +359,7 @@ def _dispatch_euler(args) -> Report:
             experiment="euler.rs",
             inputs={"q": args.q, "alphas": args.alphas, "betas": args.betas,
                     "conjugated": not args.no_conjugate},
-            payload={"alphas": list(paired.alphas), "degree": paired.degree,
+            payload={"alphas": paired.alphas, "degree": paired.degree,
                      "poleline": euler.first_pole_line(paired)},
             interpretation=("pairing multiplies parameters pairwise",),
         )
@@ -399,7 +393,7 @@ def _dispatch_euler(args) -> Report:
             experiment="euler.probe",
             inputs={"fieldspec": args.fieldspec, "degree": args.degree,
                     "delta": args.delta, "sigma": args.sigma, "cutoffs": args.cutoffs},
-            payload=probe.payload(),
+            payload=probe,
             interpretation=(
                 "products over degree-j primes with |a| <= q^delta converge "
                 "absolutely right of delta + 1/j",
@@ -416,7 +410,7 @@ def _dispatch_smo(args, workers) -> Report:
         return Report(
             experiment="smo.compare",
             inputs={"data": args.data, "data2": args.data2, "x": args.x},
-            payload=rep.payload(),
+            payload=rep,
             interpretation=(
                 "sources agreeing at almost all primes are expected to agree everywhere; "
                 "the report records where the scanned coefficients differ",
@@ -431,7 +425,7 @@ def _dispatch_smo(args, workers) -> Report:
         return Report(
             experiment="smo.poleorder",
             inputs={"selector": args.selector, "eps": args.eps},
-            payload=est.payload(),
+            payload=est,
             interpretation=(
                 "slope of truncated log sums against log(1/eps) approximates "
                 "the pole order weighted by the density of the prime set",
@@ -446,7 +440,7 @@ def _dispatch_smo(args, workers) -> Report:
             experiment="smo.zratio",
             inputs={"data": args.data, "data2": args.data2,
                     "selector": args.selector, "s": args.s},
-            payload=rep.payload(),
+            payload=rep,
             interpretation=(
                 "the four-way ratio is 1 off the selected set and detects "
                 "coincidence of the two sources through its growth",
@@ -459,7 +453,7 @@ def _dispatch_smo(args, workers) -> Report:
         return Report(
             experiment="smo.rajan",
             inputs={"fieldspec": args.fieldspec, "degree": args.degree, "n": args.n},
-            payload=rep.payload(),
+            payload=rep,
             interpretation=(
                 "summability of q^(-2/(n^2+1)) over the set decides the sparse-set "
                 "comparison route; degree-j norms give the exact exponent test 2j/(n^2+1) > 1",
@@ -474,7 +468,7 @@ def _dispatch_smo(args, workers) -> Report:
             experiment="smo.inert",
             inputs={"fieldspec": args.fieldspec, "n": args.n,
                     "profile": args.profile, "delta": args.delta},
-            payload=rep.payload(),
+            payload=rep,
             interpretation=(
                 "self-pairing products over inert primes of a degree-p cyclic field "
                 "have no poles right of 2*delta + 1/p",
@@ -487,7 +481,7 @@ def _dispatch_smo(args, workers) -> Report:
         return Report(
             experiment="smo.tower",
             inputs={"subfield": args.subfield, "field": args.field, "x": args.x},
-            payload=rep.payload(),
+            payload=rep,
             interpretation=(
                 "in a nested cyclic prime-power chain, degree-p primes of the "
                 "subfield acquire degree p^m upstairs",
@@ -500,7 +494,7 @@ def _dispatch_smo(args, workers) -> Report:
         return Report(
             experiment="smo.tempered",
             inputs={"data": args.data, "selector": args.selector},
-            payload=rep.payload(),
+            payload=rep,
             interpretation=(
                 "restricted self-pairing log growth is at most n^2 times the "
                 "density of the restriction set for unit-size parameters",

@@ -33,15 +33,6 @@ class DensityEstimate:
     extrapolated: float
     diagnostics: dict = field(default_factory=dict)
 
-    def payload(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "sample_points": list(self.sample_points),
-            "partial_values": list(self.partial_values),
-            "extrapolated": self.extrapolated,
-            "diagnostics": self.diagnostics,
-        }
-
 
 def natural_density_estimate(selector: PrimeSelector, x_grid,
                              workers: int | None = None) -> DensityEstimate:
@@ -177,10 +168,10 @@ class FrobeniusStatistics:
         return {
             "fieldspec": self.fieldspec_label,
             "cutoff": self.cutoff,
-            "class_labels": list(self.class_labels),
-            "counts": list(self.counts),
-            "fractions": list(self.fractions),
-            "first_hits": list(self.first_hits),
+            "class_labels": self.class_labels,
+            "counts": self.counts,
+            "fractions": self.fractions,
+            "first_hits": self.first_hits,
             "first_hit_bound": self.first_hit_bound,
             "total_unramified": self.total_unramified,
         }
@@ -231,10 +222,6 @@ class PrimeZetaScan:
     value: float
     deviation: float
     tail_bound: float
-
-    def payload(self) -> dict:
-        return {"s": self.s, "cutoff": self.cutoff, "value": self.value,
-                "deviation": self.deviation, "tail_bound": self.tail_bound}
 
 
 def prime_zeta(s: float, cutoff: int, workers: int | None = None) -> PrimeZetaScan:

@@ -99,15 +99,6 @@ class RankinSelbergCoefficient:
     unconjugated: complex  # sum_ij a_i a_j = (sum_i a_i)^2
     primary: complex
 
-    def payload(self) -> dict:
-        return {"conjugated": _c2d(self.conjugated),
-                "unconjugated": _c2d(self.unconjugated),
-                "primary": _c2d(self.primary)}
-
-
-def _c2d(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
 
 def rs_leading_coefficient(f: LocalFactor, conjugated: bool = True) -> RankinSelbergCoefficient:
     if f.k < 1:
@@ -225,8 +216,8 @@ class LandauReport:
     cutoff: int
 
     def payload(self) -> dict:
-        return {"sigmas": list(self.sigmas), "log_values": list(self.log_values),
-                "values": list(self.values), "cutoff": self.cutoff,
+        return {"sigmas": self.sigmas, "log_values": self.log_values,
+                "values": self.values, "cutoff": self.cutoff,
                 "nonvanishing": all(v >= 1.0 for v in self.values)}
 
 
@@ -271,17 +262,6 @@ class ConvergenceProbe:
     delta: float
     norm_exponent: int | None
     analytic_abscissa: float | None
-
-    def payload(self) -> dict:
-        return {
-            "sigmas": list(self.sigmas),
-            "cutoffs": list(self.cutoffs),
-            "partial_sums": {str(s): list(v) for s, v in self.partial_sums.items()},
-            "classifications": {str(s): v for s, v in self.classifications.items()},
-            "delta": self.delta,
-            "norm_exponent": self.norm_exponent,
-            "analytic_abscissa": self.analytic_abscissa,
-        }
 
 
 def convergence_probe(selector: PrimeSelector, delta: float, sigmas,
@@ -366,7 +346,7 @@ class GRCBoundProfile:
     exponent: Fraction
 
     def payload(self) -> dict:
-        return {"name": self.name, "exponent": str(self.exponent),
+        return {"name": self.name, "exponent": self.exponent,
                 "exponent_float": float(self.exponent)}
 
 

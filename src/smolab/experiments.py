@@ -15,7 +15,6 @@ from functools import reduce
 
 import numpy as np
 
-from .density import natural_density_estimate
 from .errors import (DegreeMismatch, InfeasibleEpsilon, NotNested,
                      NotPrimeDegree, PoleHit, UsageError)
 # log_expansion and prime_array are not called here; perfbench/tracer.py wraps
@@ -25,8 +24,8 @@ from .euler import (GRCBoundProfile, ConvergenceProbe, convergence_probe,
 from .fields import FieldSpec
 from .hecke import RepresentationData, require_size_bound
 from .selectors import DegreeSelector, ExplicitList, PrimeSelector
-from .sieve import (iter_prime_segments, prime_array, prime_stream, restrict,
-                    segment_map)
+from .sieve import (is_prime, iter_prime_segments, prime_array, prime_stream,
+                    restrict, segment_map)
 
 COEFF_EQ_TOL = 1e-9
 PROBE_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
@@ -58,14 +57,14 @@ class AgreementReport:
 
     def payload(self) -> dict:
         return {
-            "labels": list(self.labels),
+            "labels": self.labels,
             "scan_limit": self.scan_limit,
             "compared": self.compared,
             "disagreements": len(self.disagreement_primes),
-            "disagreement_primes": list(self.disagreement_primes[:200]),
+            "disagreement_primes": self.disagreement_primes[:200],
             "first_disagreement": self.first_disagreement,
             "disagreement_density": self.disagreement_density,
-            "annotations": {k: str(v) for k, v in self.annotations.items()},
+            "annotations": self.annotations,
         }
 
 
@@ -127,17 +126,6 @@ class PoleOrderEstimate:
     slope_interval: tuple[float, float]
     data_limited: bool
     diagnostics: dict = field(default_factory=dict)
-
-    def payload(self) -> dict:
-        return {
-            "eps_grid": list(self.eps_grid),
-            "cutoffs": list(self.cutoffs),
-            "values": list(self.values),
-            "slope": self.slope,
-            "slope_interval": list(self.slope_interval),
-            "data_limited": self.data_limited,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _coupled_cutoff(eps: float) -> int:
@@ -230,14 +218,14 @@ class TemperedBoundReport:
         return {
             "label": self.label,
             "selector": self.selector,
-            "density": str(self.density),
+            "density": self.density,
             "bound": self.bound,
             "slope": self.estimate.slope,
             "passed": self.passed,
             "tempered_excess": self.tempered_excess,
-            "warnings": list(self.warnings),
-            "annotations": {k: str(v) for k, v in self.annotations.items()},
-            "estimate": self.estimate.payload(),
+            "warnings": self.warnings,
+            "annotations": self.annotations,
+            "estimate": self.estimate,
         }
 
 
@@ -306,18 +294,6 @@ class ZRatioReport:
     max_discrepancy: float
     positive_type_combined: bool
     primes_used: int
-
-    def payload(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "selector": self.selector,
-            "s_grid": list(self.s_grid),
-            "direct_values": list(self.direct_values),
-            "log_values": list(self.log_values),
-            "max_discrepancy": self.max_discrepancy,
-            "positive_type_combined": self.positive_type_combined,
-            "primes_used": self.primes_used,
-        }
 
 
 def z_ratio(A: RepresentationData, B: RepresentationData, selector: PrimeSelector,
@@ -415,16 +391,6 @@ class SummabilityReport:
     partial_sums: tuple[float, ...]
     selector: str
 
-    def payload(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "exponent": str(self.exponent) if self.exponent is not None else None,
-            "test_exponent": str(self.test_exponent) if self.test_exponent else None,
-            "cutoffs": list(self.cutoffs),
-            "partial_sums": list(self.partial_sums),
-            "selector": self.selector,
-        }
-
 
 def rajan_criterion(selector: PrimeSelector, n: int,
                     cutoffs=(10**4, 10**5, 10**6, 10**7)) -> SummabilityReport:
@@ -487,16 +453,16 @@ class InertExperimentReport:
             "fieldspec": self.fieldspec,
             "n": self.n,
             "p": self.p,
-            "profile": self.profile.payload(),
-            "pair_bound": str(self.pair_bound),
+            "profile": self.profile,
+            "pair_bound": self.pair_bound,
             "pair_bound_float": float(self.pair_bound),
             "sufficient": self.pair_bound_clears_one,
-            "variant_delta": str(self.variant_delta) if self.variant_delta is not None else None,
-            "variant_bound": str(self.variant_bound) if self.variant_bound is not None else None,
+            "variant_delta": self.variant_delta,
+            "variant_bound": self.variant_bound,
             "variant_bound_float": (float(self.variant_bound)
                                     if self.variant_bound is not None else None),
             "variant_sufficient": self.variant_clears_half,
-            "probe": self.probe.payload(),
+            "probe": self.probe,
         }
 
 
@@ -514,7 +480,7 @@ def inert_experiment(fs: FieldSpec, n: int, profile: GRCBoundProfile,
     the worst-case probe on the actual inert selector as corroboration.
     """
     p = fs.degree
-    if not _is_prime_int(p):
+    if not is_prime(p):
         raise NotPrimeDegree(f"field degree {p} is not prime")
     delta = profile.exponent
     pair_bound = 2 * delta + Fraction(1, p)
@@ -541,11 +507,6 @@ def inert_experiment(fs: FieldSpec, n: int, profile: GRCBoundProfile,
     )
 
 
-def _is_prime_int(n: int) -> bool:
-    from .sieve import is_prime
-    return is_prime(n)
-
-
 # -- tower residue degrees ---------------------------------------------------------------------
 
 
@@ -568,8 +529,8 @@ class TowerReport:
             "m": self.m,
             "scan_limit": self.scan_limit,
             "checked": self.checked,
-            "counterexamples": list(self.counterexamples[:50]),
-            "examples": [list(e) for e in self.examples],
+            "counterexamples": self.counterexamples[:50],
+            "examples": self.examples,
         }
 
 
@@ -587,7 +548,7 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
     if not HK <= HF:
         raise NotNested(f"{K.label} does not contain {F.label}")
     p = F.degree
-    if not _is_prime_int(p):
+    if not is_prime(p):
         raise NotPrimeDegree(f"subfield degree {p} is not prime")
     step = K.degree // F.degree
     if F.degree * step != K.degree or step < 1:

@@ -3,6 +3,17 @@
 Reports round-trip losslessly through JSON and serialize to identical bytes
 for identical inputs: keys are sorted, floats use repr, and the timestamp
 comes from SOURCE_DATE_EPOCH (default 0) rather than the wall clock.
+
+``_jsonable`` is the one serializer, applied once to the whole document:
+
+- a dataclass becomes ``{field name: value}``, unless it defines a
+  ``payload()`` method, whose dict is used instead (for renamed, derived
+  or truncated keys);
+- a ``Fraction`` becomes ``str(value)``: ``"7/8"``, and ``"1"`` for 1;
+- a complex number becomes ``{"re": real, "im": imag}``;
+- NaN and infinities, numpy scalars included, become the strings
+  ``"nan"``, ``"inf"`` and ``"-inf"``, so the output is valid JSON;
+- dict keys become ``str(k)``; tuples become lists.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -28,15 +39,20 @@ def _timestamp() -> str:
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return str(value)
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if is_dataclass(value):
+        payload = getattr(value, "payload", None)
+        if callable(payload):
+            return _jsonable(payload())
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if hasattr(value, "item") and callable(value.item):  # numpy scalars
-        return value.item()
+        value = value.item()
     if isinstance(value, float) and value != value:  # NaN is not valid JSON
         return "nan"
     if isinstance(value, float) and value in (float("inf"), float("-inf")):
@@ -44,7 +60,7 @@ def _jsonable(value):
     return value
 
 
-def canonical_json(payload: dict) -> str:
+def canonical_json(payload) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
@@ -56,7 +72,7 @@ def digest_inputs(inputs: dict) -> str:
 class Report:
     experiment: str
     inputs: dict
-    payload: dict
+    payload: object  # a dict or a report dataclass
     interpretation: tuple[str, ...] = ()
     timestamp: str = field(default_factory=_timestamp)
 
@@ -64,24 +80,21 @@ class Report:
     def inputs_digest(self) -> str:
         return digest_inputs(self.inputs)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return canonical_json({
             "experiment": self.experiment,
             "timestamp": self.timestamp,
-            "inputs": _jsonable(self.inputs),
+            "inputs": self.inputs,
             "inputs_digest": self.inputs_digest,
-            "results": _jsonable(self.payload),
-            "interpretation": list(self.interpretation),
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+            "results": self.payload,
+            "interpretation": self.interpretation,
+        })
 
     def to_csv(self) -> str:
         """Tabular view: grid-like payloads become one row per grid point."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        rows = _tabulate(self.payload)
+        rows = _tabulate(_jsonable(self.payload))
         writer.writerow(["experiment", self.experiment])
         writer.writerow(["inputs_digest", self.inputs_digest])
         for row in rows:
@@ -99,8 +112,9 @@ _GRID_KEYS = (
 
 
 def _tabulate(payload: dict) -> list[list]:
+    """Rows of an already serialized payload."""
     for keys in _GRID_KEYS:
-        if all(k in payload and isinstance(payload[k], (list, tuple)) for k in keys):
+        if all(k in payload and isinstance(payload[k], list) for k in keys):
             cols = [payload[k] for k in keys]
             if len({len(c) for c in cols}) == 1:
                 out = [list(keys)]
@@ -110,10 +124,9 @@ def _tabulate(payload: dict) -> list[list]:
     out = []
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, (dict, list, tuple)):
-            out.append([key, json.dumps(_jsonable(value), sort_keys=True)])
-        else:
-            out.append([key, _jsonable(value)])
+        if isinstance(value, (dict, list)):
+            value = json.dumps(value, sort_keys=True)
+        out.append([key, value])
     return out
 
 

@@ -317,33 +317,33 @@ def _report_bundle(workers: int) -> str:
         if found:
             tables[name]["extremal2"] = [str(found.fraction), list(found.pair)]
     bundle["characters"] = tables
-    bundle["prime_zeta"] = [prime_zeta(s, 10**6, workers=workers).payload()
+    bundle["prime_zeta"] = [prime_zeta(s, 10**6, workers=workers)
                             for s in (1.5, 1.0625)]
     bundle["natural"] = natural_density_estimate(
-        CongruenceSelector(4, frozenset({1})), [10**6], workers=workers).payload()
+        CongruenceSelector(4, frozenset({1})), [10**6], workers=workers)
     bundle["dirichlet"] = dirichlet_density_estimate(
-        mod8, [1.5, 1.25], 10**6, workers=workers).payload()
+        mod8, [1.5, 1.25], 10**6, workers=workers)
     bundle["frobenius"] = frobenius_statistics(FieldSpec(8), 10**6,
-                                               workers=workers).payload()
+                                               workers=workers)
     bundle["probe"] = convergence_probe(DegreeSelector(quad, 2), 0.25,
-                                        [0.80, 0.70], [10**5, 10**6]).payload()
+                                        [0.80, 0.70], [10**5, 10**6])
     product = tau.self_rankin_selberg()
     ok, first = positive_type_check(product, AllPrimes(), 10**5)
     bundle["positivity"] = {"ok": ok, "first": first}
     bundle["landau"] = landau_region_check(product, AllPrimes(), [1.5, 2.0],
-                                           10**5).payload()
+                                           10**5)
     bundle["poleorder"] = pole_order_estimate(
         ONES, AllPrimes(), eps_grid=(Fraction(1, 10), Fraction(1, 9), Fraction(1, 8)),
-        workers=workers).payload()
-    bundle["tempered"] = tempered_bound_check(tau, mod8, workers=workers).payload()
-    bundle["zratio"] = z_ratio(tau, synthetic, mod8, [1.25, 1.5]).payload()
+        workers=workers)
+    bundle["tempered"] = tempered_bound_check(tau, mod8, workers=workers)
+    bundle["zratio"] = z_ratio(tau, synthetic, mod8, [1.25, 1.5])
     bundle["rajan"] = rajan_criterion(DegreeSelector(cubic, 3), 2,
-                                      cutoffs=(10**4, 10**5, 10**6)).payload()
+                                      cutoffs=(10**4, 10**5, 10**6))
     bundle["inert"] = inert_experiment(cubic, 2, grc_profile("LRS", 2),
-                                       probe_cutoffs=(10**4, 10**5)).payload()
+                                       probe_cutoffs=(10**4, 10**5))
     bundle["tower"] = tower_degree_check(FieldSpec(5, (4,)), FieldSpec(5),
-                                         10**4).payload()
-    bundle["compare"] = compare_local(tau, synthetic, 2000).payload()
+                                         10**4)
+    bundle["compare"] = compare_local(tau, synthetic, 2000)
     return canonical_json(bundle)
 
 

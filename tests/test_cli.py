@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from smolab.cli import main
-from smolab.report import Report, canonical_json, emit
+from smolab.report import Report, _jsonable, canonical_json, emit
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -208,6 +208,33 @@ def test_report_json_roundtrip():
     assert doc["results"]["z"] == {"re": 1.0, "im": -2.0}
     again = json.loads(canonical_json(doc))
     assert again == doc
+
+
+def test_fractions_render_as_str():
+    assert _jsonable(Fraction(1)) == "1"
+    assert _jsonable(Fraction(7, 8)) == "7/8"
+
+
+def test_dataclasses_render_by_field_or_payload():
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class Inner:
+        z: complex
+        keys: dict
+
+    @dataclass(frozen=True)
+    class Renamed:
+        inner: Inner
+        items: tuple
+
+        def payload(self):
+            return {"nested": self.inner, "first": self.items[:1]}
+
+    value = Renamed(Inner(1 - 2j, {0.5: Fraction(3, 1)}), (1, 2))
+    assert _jsonable(value) == {"nested": {"z": {"re": 1.0, "im": -2.0},
+                                           "keys": {"0.5": "3"}},
+                                "first": [1]}
 
 
 def test_report_digest_stable():

@@ -12,6 +12,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from smolab.cli import main
@@ -46,26 +47,26 @@ def perturbed_rep():
 
 def test_compare_local_digest(tau_rep, perturbed_rep):
     report = compare_local(tau_rep, perturbed_rep, 500)
-    assert _digest(canonical_json(report.payload())) == (
+    assert _digest(canonical_json(report)) == (
         "e7f17bb2fd07e5f2cb45b3da1d04ba3383da441731290a84bf934f4a4255f3e0")
 
 
 def test_z_ratio_digest(tau_rep):
     report = z_ratio(tau_rep, tau_rep, MOD8, [1.25, 1.5])
-    assert _digest(canonical_json(report.payload())) == (
+    assert _digest(canonical_json(report)) == (
         "2dd161a276419d57cae7b6d07fe4b671a656218f600a4c89d9d8e548297b0b3c")
 
 
 def test_tempered_bound_digest(tau_rep):
     report = tempered_bound_check(tau_rep, MOD8)
-    assert _digest(canonical_json(report.payload())) == (
+    assert _digest(canonical_json(report)) == (
         "1d96a33e313ed684064b6ffb99ec1f5ff963aed1984a22166842dc21d4ffbc7a")
 
 
 def test_tower_degree_digest():
     report = tower_degree_check(FieldSpec(5, (4,), label="inner"),
                                 FieldSpec(5, label="outer"), 10**4)
-    assert _digest(canonical_json(report.payload())) == (
+    assert _digest(canonical_json(report)) == (
         "60e945ec1171d230ed593e11f18456f6a19fbb3d1349321225017252387b0919")
 
 
@@ -178,3 +179,10 @@ def test_cli_report_digest(command, expected, cli_dir, monkeypatch, capsys):
     if not command.startswith("--format csv"):
         json.loads(out, parse_constant=_reject_constant)
     assert _digest(out) == expected
+
+
+def test_numpy_non_finite_floats_are_strings():
+    text = canonical_json([np.float64("nan"), np.float64("inf"), np.float64("-inf"),
+                           complex(float("nan"), float("inf"))])
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert doc == ["nan", "inf", "-inf", {"re": "nan", "im": "inf"}]
