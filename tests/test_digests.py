@@ -2,8 +2,9 @@
 
 Each digest is the sha256 of the canonical JSON of a report built from
 eigenvalue files (exact tau, a perturbed copy, a Satake-row CSV), pinned
-from the per-prime implementation the array paths replaced, or of the
-stdout of one small CLI command per subcommand.  A change in any float's
+from the per-prime implementation the array paths replaced, of the
+stdout of one small CLI command per subcommand, or of the character
+tables of the bundled catalog and four larger groups.  A change in any float's
 last bit changes the digest.
 """
 
@@ -15,10 +16,12 @@ import random
 import numpy as np
 import pytest
 
+from smolab.characters import character_table
 from smolab.cli import main
 from smolab.experiments import (compare_local, tempered_bound_check,
                                 tower_degree_check, z_ratio)
 from smolab.fields import FieldSpec
+from smolab.groups import BUNDLED_CATALOG, catalog
 from smolab.hecke import parse_hecke_text
 from smolab.report import canonical_json
 from smolab.selectors import CongruenceSelector
@@ -68,6 +71,18 @@ def test_tower_degree_digest():
                                 FieldSpec(5, label="outer"), 10**4)
     assert _digest(canonical_json(report)) == (
         "60e945ec1171d230ed593e11f18456f6a19fbb3d1349321225017252387b0919")
+
+
+TABLE_GROUPS = BUNDLED_CATALOG + ("cyclic(120)", "symmetric(6)", "dihedral(60)",
+                                  "q8_power_family(3)")
+
+
+def test_character_tables_digest():
+    tables = [(expr, [(row.degree, row.values, row.integer_values)
+                      for row in character_table(catalog(expr)).rows])
+              for expr in TABLE_GROUPS]
+    assert _digest(canonical_json(tables)) == (
+        "7729139a1c0fb68f9a1405ffcc2d3f4075b035e93b89badd97bc2bb00862a268")
 
 
 def _self_pairing_csv(limit: int) -> str:
