@@ -1,11 +1,20 @@
 """Ordinary character tables and the same-degree distinguishing bound.
 
-Tables are computed by the class-algebra eigenvector method: the integer
-structure constants of the class sums are assembled exactly, a seeded random
-integer combination of the class matrices is diagonalized in double
-precision, and the common eigenvectors are normalized through the
-orthogonality relations.  Values within 1e-7 of a Gaussian rational with
-denominator <= |G| are snapped to the exact grid point.
+Tables are computed by the class-algebra eigenvector method.  The integer
+structure constants of the class sums are held as one cell index per
+(element, class) pair; each attempt sums a seeded random integer combination
+of the class matrices in one exact ``bincount``, diagonalizes it in double
+precision, and normalizes the common eigenvectors through the orthogonality
+relations.
+
+Character values are algebraic integers, and so are their complex
+conjugates.  If the real part a of a value chi is rational, then
+2a = chi + conj(chi) is a rational algebraic integer, that is an integer.
+If the imaginary part b is rational, then (chi - conj(chi))^2 = -4b^2 is
+one too, so the rational number 2b has an integer square and is an integer.
+A rational real or imaginary part therefore lies in (1/2)Z.  Parts within
+SNAP_TOL of (1/2)Z are snapped to it; every other part, such as
+(-1 + sqrt 5)/2, is left as computed.
 """
 
 from __future__ import annotations
@@ -71,51 +80,57 @@ def distinguishing_threshold(n: int) -> Fraction:
     return 1 - Fraction(1, 2 * n * n)
 
 
-def _structure_constants(G: FiniteGroup) -> tuple[np.ndarray, ConjugacyClassPartition]:
+def _class_cells(G: FiniteGroup) -> tuple[np.ndarray, ConjugacyClassPartition]:
+    """Cell of every (x, k) in the class matrices, as an (|G|, r) index array.
+
+    Class matrix i has entry (j, k) = #{x in C_i : x^{-1} * rep_k in C_j},
+    the exact structure constant #{(x, y) in C_i x C_j : x*y = rep_k}.  Pair
+    (x, k) counts in cell j*r + k of the matrix of class_of[x].
+    """
     part = G.conjugacy_classes()
     r = part.num_classes
-    members: list[list[int]] = [[] for _ in range(r)]
-    for x, c in enumerate(part.class_of):
-        members[c].append(x)
-    T = G.table
-    inv = G._inverses
     class_of = np.array(part.class_of)
     reps = np.array(part.representatives, dtype=np.intp)
-    # mats[i, j, k] = #{(x, y) in C_i x C_j : x*y = rep_k}, exact integers;
-    # counted as #{x in C_i : x^{-1} * rep_k in C_j}
-    mats = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for x in members[i]:
-            j_of_k = class_of[T[int(inv[x]), reps]]
-            for k in range(r):
-                mats[i, int(j_of_k[k]), k] += 1
-    return mats, part
+    return class_of[G.table[np.ix_(G._inverses, reps)]] * r + np.arange(r), part
 
 
-def _snap_value(z: complex, max_denominator: int) -> complex:
-    re = Fraction(z.real).limit_denominator(max_denominator)
-    im = Fraction(z.imag).limit_denominator(max_denominator)
-    nr = float(re) if abs(z.real - re) <= SNAP_TOL else z.real
-    ni = float(im) if abs(z.imag - im) <= SNAP_TOL else z.imag
-    return complex(nr, ni)
+def _class_matrix(cells: np.ndarray, class_of: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] * (class matrix i) in one bincount.
+
+    Every entry is an integer of at most max(coeffs) * |G| < 2**53, so the
+    float sum is exact in any order.
+    """
+    r = len(coeffs)
+    weights = np.broadcast_to(coeffs[class_of][:, None], cells.shape)
+    return np.bincount(cells.ravel(), weights=weights.ravel(), minlength=r * r).reshape(r, r)
 
 
-def _try_table(G: FiniteGroup, mats: np.ndarray, part: ConjugacyClassPartition,
+def _attempt_coeffs(order: int, r: int, attempt: int) -> np.ndarray:
+    rng = random.Random(f"class-algebra:{order}:{r}:{attempt}")
+    return np.array([rng.randrange(1, 1000) for _ in range(r)], dtype=float)
+
+
+def _snap_half_integers(x: np.ndarray) -> np.ndarray:
+    """Each entry within SNAP_TOL of (1/2)Z, replaced by that point; -0.0 becomes 0.0."""
+    h = np.round(2 * x) / 2 + 0.0
+    return np.where(np.abs(x - h) <= SNAP_TOL, h, x)
+
+
+def _try_table(G: FiniteGroup, cells: np.ndarray, part: ConjugacyClassPartition,
                attempt: int) -> CharacterTable | None:
     r = part.num_classes
     order = G.order
     sizes = np.array(part.class_sizes, dtype=float)
-    rng = random.Random(f"class-algebra:{order}:{r}:{attempt}")
-    coeffs = np.array([rng.randrange(1, 1000) for _ in range(r)], dtype=float)
-    M = np.tensordot(coeffs, mats.astype(float), axes=(0, 0))
+    coeffs = _attempt_coeffs(order, r, attempt)
+    M = _class_matrix(cells, np.array(part.class_of), coeffs)
     eigvals, eigvecs = np.linalg.eig(M)
     scale = max(1.0, float(np.max(np.abs(eigvals))))
+    gaps = np.abs(eigvals[:, None] - eigvals[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if np.any(gaps <= EIG_SEPARATION_TOL * scale):
+        return None  # coincident eigenvalues: combination failed to split
     order_idx = np.lexsort((eigvals.imag, eigvals.real))
-    eigvals = eigvals[order_idx]
     eigvecs = eigvecs[:, order_idx]
-    for a, b in combinations(range(r), 2):
-        if abs(eigvals[a] - eigvals[b]) <= EIG_SEPARATION_TOL * scale:
-            return None  # coincident eigenvalues: combination failed to split
 
     rows: list[Character] = []
     sum_sq = 0
@@ -130,19 +145,19 @@ def _try_table(G: FiniteGroup, mats: np.ndarray, part: ConjugacyClassPartition,
         if degree < 1 or abs(deg_f - degree) > 1e-6:
             return None
         sum_sq += degree * degree
-        values = omega * degree / sizes
-        snapped = tuple(_snap_value(complex(z), order) for z in values)
-        if abs(snapped[0] - degree) > VALUE_EQ_TOL:
+        raw = omega * degree / sizes
+        values = np.empty(r, dtype=complex)
+        # part by part: a + 1j * b would turn an imaginary -0.0 into +0.0
+        values.real = _snap_half_integers(raw.real)
+        values.imag = _snap_half_integers(raw.imag)
+        if abs(values[0] - degree) > VALUE_EQ_TOL or np.any(np.abs(values) > degree + 1e-6):
             return None
-        if any(abs(z) > degree + 1e-6 for z in snapped):
-            return None
-        ints: tuple[int, ...] | None = tuple(int(round(z.real)) for z in snapped)
-        for z, iz in zip(snapped, ints):
-            if abs(z.imag) > VALUE_EQ_TOL or abs(z.real - iz) > VALUE_EQ_TOL:
-                ints = None
-                break
-        rows.append(Character(degree=degree, values=snapped, partition=part,
-                              group_label=G.label, integer_values=ints))
+        ints = np.round(values.real)
+        integral = bool(np.all(np.abs(values.imag) <= VALUE_EQ_TOL)
+                        and np.all(np.abs(values.real - ints) <= VALUE_EQ_TOL))
+        rows.append(Character(degree=degree, values=tuple(values.tolist()), partition=part,
+                              group_label=G.label,
+                              integer_values=tuple(map(int, ints)) if integral else None))
     if sum_sq != order:
         return None
     rows.sort(key=Character.sort_key)
@@ -166,9 +181,9 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     cached = G._cache.get("character_table")
     if cached is not None:
         return cached
-    mats, part = _structure_constants(G)
+    cells, part = _class_cells(G)
     for attempt in range(_MAX_ATTEMPTS):
-        table = _try_table(G, mats, part, attempt)
+        table = _try_table(G, cells, part, attempt)
         if table is not None:
             G._cache["character_table"] = table
             return table

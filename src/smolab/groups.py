@@ -4,6 +4,14 @@ Elements are numbered 0..order-1 by breadth-first closure from the identity,
 taking generators in the order given.  Permutations compose left-to-right:
 ``(a * b)(x) == b[a[x]]``, so the stored table satisfies T[i, j] = index of
 perm_i * perm_j.  Everything is immutable after construction.
+
+The closure runs a level at a time on integer arrays: one fancy-index
+expression forms every product x * g of the current level, row by row in
+(parent, generator) order, and the rows not seen before, in that order,
+become the next level.  This numbers the elements exactly as a one-element
+queue would.  The products give the generator columns of the table, and each
+remaining column j = parent(j) * g is filled a level at a time from
+i * j = (i * parent(j)) * g.
 """
 
 from __future__ import annotations
@@ -66,11 +74,6 @@ def _as_tuple(mapping: dict[int, int], degree: int) -> tuple[int, ...]:
     for a, b in mapping.items():
         images[a - 1] = b - 1
     return tuple(images)
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # apply a, then b
-    return tuple(b[x] for x in a)
 
 
 def perm_to_cycles(perm: tuple[int, ...]) -> str:
@@ -203,46 +206,53 @@ def build_group(generators: Sequence[str] | Sequence[dict[int, int]],
         if perm != identity and perm not in gen_perms:
             gen_perms.append(perm)
 
-    # breadth-first closure from the identity, generator order as given
-    elems: list[tuple[int, ...]] = [identity]
-    index: dict[tuple[int, ...], int] = {identity: 0}
-    parent: list[tuple[int, int]] = [(-1, -1)]  # (parent element, generator no.)
-    head = 0
-    while head < len(elems):
-        x = elems[head]
-        for gi, g in enumerate(gen_perms):
-            y = _compose(x, g)
-            if y not in index:
-                if len(elems) >= limit:
+    # level-wise breadth-first closure from the identity: row c of a level's
+    # candidates is perm_(start + c // ngens) * gen_(c % ngens), so new elements
+    # are numbered in (parent, generator) order
+    ngens = len(gen_perms)
+    gens = np.array(gen_perms, dtype=np.intp).reshape(ngens, degree)
+    level = np.arange(degree, dtype=np.intp)[None, :]
+    index = {level.tobytes(): 0}
+    levels = [level]
+    words: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, generator nos.) per level
+    right: list[np.ndarray] = []  # right[x, g] = index of perm_x * gen_g
+    start = 0
+    while ngens and len(level):
+        cand = np.ascontiguousarray(gens[:, level].transpose(1, 0, 2)).reshape(-1, degree)
+        col = np.empty(len(cand), dtype=np.intp)
+        fresh: list[int] = []
+        for c, key in enumerate(cand.view(f"V{cand.itemsize * degree}").ravel().tolist()):
+            j = index.get(key)
+            if j is None:
+                if len(index) >= limit:
                     raise ClosureExceedsLimit(
                         f"closure exceeds limit {limit} (generators {list(generators)!r})")
-                index[y] = len(elems)
-                elems.append(y)
-                parent.append((head, gi))
-        head += 1
+                j = index[key] = len(index)
+                fresh.append(c)
+            col[c] = j
+        right.append(col.reshape(-1, ngens))
+        fresh_at = np.array(fresh, dtype=np.intp)
+        words.append((start + fresh_at // ngens, fresh_at % ngens))
+        start += len(level)
+        level = cand[fresh_at]
+        levels.append(level)
 
-    order = len(elems)
-    gen_indices = [index[g] for g in gen_perms]
+    order = len(index)
     dtype = np.int16 if order < 2**15 else np.int32
     table = np.zeros((order, order), dtype=dtype)
     table[:, 0] = np.arange(order, dtype=dtype)
-    # fill generator columns by direct composition, then every other column
-    # via its BFS word: j = parent(j) * g  =>  i*j = (i*parent(j)) * g
-    for g_elem, g_perm in zip(gen_indices, gen_perms):
-        col = [index[_compose(x, g_perm)] for x in elems]
-        table[:, g_elem] = np.array(col, dtype=dtype)
-    for j in range(1, order):
-        p, gi = parent[j]
-        if p == -1:
-            continue  # generator column, already filled
-        g_elem = gen_indices[gi]
-        table[:, j] = table[table[:, p], g_elem]
-    # generator elements reached at BFS depth 1 have parent (0, gi): their
-    # columns coincide with the direct fill above.
+    # every other column from its BFS word, a level at a time:
+    # j = parent(j) * g  =>  i*j = (i*parent(j)) * g
+    right_mul = np.concatenate(right) if right else None
+    done = 1
+    for parents, gen_nos in words:
+        table[:, done:done + len(parents)] = right_mul[table[:, parents], gen_nos]
+        done += len(parents)
 
     gen_strings = tuple(perm_to_cycles(p) for p in gen_perms)
     name = label or ("<" + ", ".join(gen_strings) + ">" if gen_strings else "trivial")
-    return FiniteGroup(order=order, table=table, perms=tuple(elems),
+    perms = tuple(map(tuple, np.concatenate(levels).tolist()))
+    return FiniteGroup(order=order, table=table, perms=perms,
                        generators=gen_strings, label=name)
 
 
@@ -250,24 +260,23 @@ def _conjugacy_classes(G: FiniteGroup) -> ConjugacyClassPartition:
     T = G.table
     inv = G._inverses
     n = G.order
-    assigned = [-1] * n
-    classes: list[list[int]] = []
+    every = np.arange(n)
+    assigned = np.full(n, -1)
+    classes: list[np.ndarray] = []
     for x in range(n):
         if assigned[x] != -1:
             continue
-        orbit = sorted({int(T[T[inv[g], x], g]) for g in range(n)})
-        for y in orbit:
-            assigned[y] = len(classes)
+        orbit = np.unique(T[T[inv, x], every])  # g^-1 x g over all g, sorted
+        assigned[orbit] = len(classes)
         classes.append(orbit)
-    classes.sort(key=lambda c: (len(c), c[0]))
-    class_of = [0] * n
+    classes.sort(key=lambda c: (len(c), int(c[0])))
+    class_of = np.empty(n, dtype=np.intp)
     for ci, members in enumerate(classes):
-        for y in members:
-            class_of[y] = ci
+        class_of[members] = ci
     return ConjugacyClassPartition(
-        class_of=tuple(class_of),
+        class_of=tuple(class_of.tolist()),
         class_sizes=tuple(len(c) for c in classes),
-        representatives=tuple(c[0] for c in classes),
+        representatives=tuple(int(c[0]) for c in classes),
     )
 
 
@@ -404,8 +413,8 @@ def q8_power_family(m: int) -> FiniteGroup:
     for _ in range(m - 1):
         G = direct_product(G, q8)
     if m > 1:
-        minus_one = _compose(_as_tuple(parse_permutation(Q8_GENERATORS[0]), 8),
-                             _as_tuple(parse_permutation(Q8_GENERATORS[0]), 8))
+        i_perm = _as_tuple(parse_permutation(Q8_GENERATORS[0]), 8)
+        minus_one = tuple(i_perm[x] for x in i_perm)  # i * i
         z_indices = []
         for i in range(m):
             block = tuple(range(8 * i)) + tuple(x + 8 * i for x in minus_one) \
@@ -452,39 +461,81 @@ def _split_top_level(args: str) -> list[str]:
     return parts
 
 
-def catalog(expr: str) -> FiniteGroup:
-    """Build a named group from an expression like ``direct_product(quaternion8,cyclic(2))``."""
+# catalog entry -> number of arguments
+_ARITY = {"cyclic": 1, "dihedral": 1, "symmetric": 1, "quaternion8": 0, "q8_power_family": 1,
+          "direct_product": 2, "central_product_mod_diagonal_center": 2}
+
+
+def _parse_catalog(expr: str) -> tuple[str, list]:
+    """Entry name and arguments: an int for one-argument entries, else sub-expressions."""
     match = _CATALOG_RE.match(expr)
     if not match:
         raise UnknownCatalogEntry(f"cannot parse catalog expression {expr!r}")
     name = match.group(1).lower()
-    raw_args = _split_top_level(match.group(2)) if match.group(2) else []
-
-    def int_arg(i: int) -> int:
+    args = _split_top_level(match.group(2)) if match.group(2) else []
+    if name not in _ARITY:
+        raise UnknownCatalogEntry(f"unknown catalog entry {name!r}")
+    if len(args) != _ARITY[name]:
+        raise UnknownCatalogEntry(
+            f"{name} takes {_ARITY[name]} argument(s), got {len(args)} in {expr!r}")
+    if _ARITY[name] == 1:
         try:
-            return int(raw_args[i])
-        except (IndexError, ValueError):
-            raise UnknownCatalogEntry(f"{name} needs integer argument #{i + 1} in {expr!r}")
+            return name, [int(args[0])]
+        except ValueError:
+            raise UnknownCatalogEntry(f"{name} needs an integer argument in {expr!r}")
+    return name, args
 
+
+def _checked_order(expr: str) -> int:
+    """Order of a catalog group, from its expression alone.
+
+    Raises ClosureExceedsLimit when the group, or the direct product that a
+    two-factor entry builds first, is larger than ORDER_LIMIT.  Arguments the
+    constructors reject pass here and fail when built.
+    """
+    name, args = _parse_catalog(expr)
     if name == "cyclic":
-        return cyclic(int_arg(0))
+        order = args[0]
+    elif name == "dihedral":
+        order = 2 * args[0]
+    elif name == "symmetric":
+        order = 1
+        for k in range(2, args[0] + 1):  # stop once over the limit: no large factorial
+            order *= k
+            if order > ORDER_LIMIT:
+                break
+    elif name == "quaternion8":
+        order = 8
+    elif name == "q8_power_family":
+        # 2^(2m+2); capping m at the limit's bit length keeps the result over it
+        order = 4 ** (min(args[0], ORDER_LIMIT.bit_length()) + 1) if args[0] >= 1 else 1
+    else:
+        order = _checked_order(args[0]) * _checked_order(args[1])
+    if order > ORDER_LIMIT:
+        raise ClosureExceedsLimit(f"{expr} would build a group of order above {ORDER_LIMIT}")
+    return order // 2 if name == "central_product_mod_diagonal_center" else order
+
+
+def catalog(expr: str) -> FiniteGroup:
+    """Build a named group from an expression like ``direct_product(quaternion8,cyclic(2))``.
+
+    The order is checked against ORDER_LIMIT before any permutation is built.
+    """
+    _checked_order(expr)
+    name, args = _parse_catalog(expr)
+    if name == "cyclic":
+        return cyclic(args[0])
     if name == "dihedral":
-        return dihedral(int_arg(0))
+        return dihedral(args[0])
     if name == "symmetric":
-        return symmetric(int_arg(0))
+        return symmetric(args[0])
     if name == "quaternion8":
         return quaternion8()
     if name == "q8_power_family":
-        return q8_power_family(int_arg(0))
+        return q8_power_family(args[0])
     if name == "direct_product":
-        if len(raw_args) != 2:
-            raise UnknownCatalogEntry(f"direct_product needs two arguments in {expr!r}")
-        return direct_product(catalog(raw_args[0]), catalog(raw_args[1]))
-    if name == "central_product_mod_diagonal_center":
-        if len(raw_args) != 2:
-            raise UnknownCatalogEntry(f"central product needs two arguments in {expr!r}")
-        return central_product_mod_diagonal_center(catalog(raw_args[0]), catalog(raw_args[1]))
-    raise UnknownCatalogEntry(f"unknown catalog entry {name!r}")
+        return direct_product(catalog(args[0]), catalog(args[1]))
+    return central_product_mod_diagonal_center(catalog(args[0]), catalog(args[1]))
 
 
 BUNDLED_CATALOG: tuple[str, ...] = (

@@ -1,14 +1,21 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from smolab.characters import (Verdict, agreement_fraction, character_table,
+from smolab.characters import (_MAX_ATTEMPTS, Verdict, _attempt_coeffs, _class_cells,
+                               _class_matrix, _orthogonality_ok, _snap_half_integers,
+                               agreement_fraction, character_table,
                                distinguishing_threshold, extremal_search,
                                inner_product, lemma_check)
 from smolab.errors import ClassMismatch, DegreeMismatch
-from smolab.groups import build_group, bundled_catalog, catalog
+from smolab.groups import BUNDLED_CATALOG, build_group, bundled_catalog, catalog
+
+# the groups of the character-tables benchmark workload
+WORKLOAD_GROUPS = ("q8_power_family(3)", "direct_product(q8_power_family(2),dihedral(5))",
+                   "cyclic(120)", "symmetric(6)")
 
 
 def expand_to_elements(chi, G):
@@ -183,3 +190,56 @@ def test_complex_values_snap_to_gaussian_grid():
     table = character_table(catalog("cyclic(4)"))
     values = {v for row in table.rows for v in row.values}
     assert 1j in values and -1j in values
+
+
+def test_golden_ratio_values_stay_unsnapped():
+    table = character_table(catalog("dihedral(5)"))
+    values = [v for row in table.rows for v in row.values]
+    # 1e-9 from the irrational value: neither snapped nor pulled onto a fraction
+    for target in ((-1 + math.sqrt(5)) / 2, (-1 - math.sqrt(5)) / 2):
+        assert any(abs(v.real - target) < 1e-9 for v in values)
+
+
+def test_snap_only_to_half_integers():
+    third = 1 / 3 + 5e-9  # within SNAP_TOL of 1/3, which is not in (1/2)Z
+    assert _snap_half_integers(np.array([third]))[0] == third
+    snapped = _snap_half_integers(np.array([-0.5 + 1e-9, -0.5 - 1e-9, 2.5 + 3e-8, 0.7]))
+    assert snapped.tolist() == [-0.5, -0.5, 2.5, 0.7]
+
+
+def test_snap_zero_is_positive_zero():
+    snapped = _snap_half_integers(np.array([0.0, -0.0, 1e-9, -1e-9]))
+    assert [math.copysign(1.0, z) for z in snapped] == [1.0] * 4
+    assert snapped.tolist() == [0.0] * 4
+
+
+def structure_constants_reference(G):
+    """The dense (r, r, r) structure-constant tensor, counted element by element."""
+    part = G.conjugacy_classes()
+    r = part.num_classes
+    inv = G._inverses
+    class_of = np.array(part.class_of)
+    reps = np.array(part.representatives, dtype=np.intp)
+    mats = np.zeros((r, r, r), dtype=np.int64)
+    for x in range(G.order):
+        j_of_k = class_of[G.table[int(inv[x]), reps]]
+        for k in range(r):
+            mats[part.class_of[x], int(j_of_k[k]), k] += 1
+    return mats
+
+
+@pytest.mark.parametrize("expr", BUNDLED_CATALOG + WORKLOAD_GROUPS)
+def test_class_matrix_matches_tensordot(expr):
+    G = catalog(expr)
+    mats = structure_constants_reference(G).astype(float)
+    cells, part = _class_cells(G)
+    class_of = np.array(part.class_of)
+    for attempt in range(_MAX_ATTEMPTS):
+        coeffs = _attempt_coeffs(G.order, part.num_classes, attempt)
+        M = _class_matrix(cells, class_of, coeffs)
+        assert M.tobytes() == np.tensordot(coeffs, mats, axes=(0, 0)).tobytes()
+
+
+@pytest.mark.parametrize("expr", BUNDLED_CATALOG)
+def test_bundled_tables_are_orthogonal(expr):
+    assert _orthogonality_ok(character_table(catalog(expr)))

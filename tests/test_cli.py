@@ -285,6 +285,10 @@ BAD_ARGV = [
     ("smo", "poleorder", "--selector", "all", "--eps", "1/8"),
     ("euler", "positivity", "--data", os.devnull),
     ("euler", "eval", "--q", str(10**399), "--alphas", "1", "--s", "2"),
+    ("charlab", "table", "direct_product(cyclic(50),cyclic(50))"),
+    ("charlab", "table", "cyclic(2000000)"),
+    ("charlab", "table", "q8_power_family(5)"),
+    ("charlab", "table", "cyclic(2,3)"),
 ]
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smolab.errors import (ClosureExceedsLimit, InvalidPermutation,
                            UnknownCatalogEntry)
-from smolab.groups import (BUNDLED_CATALOG, build_group, bundled_catalog,
+from smolab.groups import (BUNDLED_CATALOG, _conjugacy_classes, build_group, bundled_catalog,
                            catalog, central_product_mod_diagonal_center,
                            cyclic, dihedral, direct_product, parse_group_file,
                            parse_permutation, perm_to_cycles, q8_power_family,
@@ -28,6 +30,58 @@ def brute_closure(gen_maps, cap=10000):
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+def tuple_bfs_reference(gen_maps, limit):
+    """One-element-queue closure over permutation tuples, filling the table
+    column by column: the numbering and table the level-wise closure must match.
+    Returns (perms, table), or None when the closure passes ``limit``."""
+    degree = max((max(m) for m in gen_maps if m), default=0)
+    identity = tuple(range(degree))
+    gen_perms = []
+    for m in gen_maps:
+        perm = tuple(m.get(i, i) - 1 for i in range(1, degree + 1))
+        if perm != identity and perm not in gen_perms:
+            gen_perms.append(perm)
+    elems, index, parent = [identity], {identity: 0}, [(-1, -1)]
+    head = 0
+    while head < len(elems):
+        for gi, g in enumerate(gen_perms):
+            y = tuple(g[x] for x in elems[head])
+            if y not in index:
+                if len(elems) >= limit:
+                    return None
+                index[y] = len(elems)
+                elems.append(y)
+                parent.append((head, gi))
+        head += 1
+    order = len(elems)
+    table = np.zeros((order, order), dtype=np.int64)
+    table[:, 0] = np.arange(order)
+    gen_elems = [index[g] for g in gen_perms]
+    for g_elem, g in zip(gen_elems, gen_perms):
+        table[:, g_elem] = [index[tuple(g[x] for x in e)] for e in elems]
+    for j in range(1, order):
+        p, gi = parent[j]
+        if p > 0:
+            table[:, j] = table[table[:, p], gen_elems[gi]]
+    return tuple(elems), table
+
+
+def set_classes_reference(G):
+    """Conjugacy classes as sets of G.mul conjugates, ordered by (size, least element)."""
+    classes, remaining = [], set(range(G.order))
+    while remaining:
+        x = min(remaining)
+        orbit = {G.mul(G.mul(G.inverse(g), x), g) for g in range(G.order)}
+        classes.append(sorted(orbit))
+        remaining -= orbit
+    classes.sort(key=lambda c: (len(c), c[0]))
+    class_of = [0] * G.order
+    for ci, members in enumerate(classes):
+        for y in members:
+            class_of[y] = ci
+    return tuple(class_of), tuple(map(len, classes)), tuple(c[0] for c in classes)
 
 
 def brute_class_sizes(G):
@@ -185,3 +239,64 @@ def test_group_file_parsing():
 def test_validate_large_group_sampled():
     G = cyclic(500)  # order above the exhaustive threshold
     G.validate(sample_triples=2000)
+
+
+@st.composite
+def generator_maps(draw):
+    n = draw(st.integers(1, 8))
+    perms = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return [{i + 1: p[i] + 1 for i in range(n)} for p in perms]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_maps(), st.sampled_from([24, 500, 2000]))
+def test_closure_matches_tuple_bfs(gen_maps, limit):
+    reference = tuple_bfs_reference(gen_maps, limit)
+    if reference is None:
+        with pytest.raises(ClosureExceedsLimit):
+            build_group(gen_maps, limit=limit)
+        return
+    G = build_group(gen_maps, limit=limit)
+    perms, table = reference
+    assert G.perms == perms
+    assert np.array_equal(G.table, table)
+    degree = len(perms[0])
+    gens = []
+    for m in gen_maps:
+        perm = tuple(m.get(i, i) - 1 for i in range(1, degree + 1))
+        if perm != perms[0] and perm not in gens:
+            gens.append(perm)
+    assert G.generators == tuple(perm_to_cycles(g) for g in gens)
+
+
+@pytest.mark.parametrize("expr", BUNDLED_CATALOG + ("symmetric(5)", "dihedral(60)",
+                                                   "q8_power_family(3)"))
+def test_conjugacy_classes_match_set_reference(expr):
+    G = catalog(expr)
+    part = _conjugacy_classes(G)
+    assert (part.class_of, part.class_sizes, part.representatives) == set_classes_reference(G)
+
+
+@pytest.mark.parametrize("expr,error", [
+    ("direct_product(cyclic(50),cyclic(50))", ClosureExceedsLimit),
+    ("central_product_mod_diagonal_center(q8_power_family(2),q8_power_family(2))",
+     ClosureExceedsLimit),
+    ("cyclic(2000000)", ClosureExceedsLimit),
+    ("dihedral(1001)", ClosureExceedsLimit),
+    ("symmetric(1000000000)", ClosureExceedsLimit),
+    ("q8_power_family(5)", ClosureExceedsLimit),
+    ("q8_power_family(10000000000)", ClosureExceedsLimit),
+    ("cyclic(2,3)", UnknownCatalogEntry),
+    ("quaternion8(2)", UnknownCatalogEntry),
+    ("direct_product(cyclic(2))", UnknownCatalogEntry),
+])
+def test_catalog_rejects_before_building(expr, error):
+    with pytest.raises(error):
+        catalog(expr)
+
+
+def test_catalog_builds_up_to_the_limit():
+    assert catalog("cyclic(2000)").order == 2000
+    assert catalog("dihedral(1000)").order == 2000
+    assert catalog("symmetric(6)").order == 720
+    assert catalog("q8_power_family(4)").order == 1024
