@@ -35,7 +35,7 @@ def brute_closure(gen_maps, cap=10000):
 def tuple_bfs_reference(gen_maps, limit):
     """One-element-queue closure over permutation tuples, filling the table
     column by column: the numbering and table the level-wise closure must match.
-    Returns (perms, table), or None when the closure passes ``limit``."""
+    Returns (perms, table, generator perms), or None past ``limit``."""
     degree = max((max(m) for m in gen_maps if m), default=0)
     identity = tuple(range(degree))
     gen_perms = []
@@ -65,7 +65,7 @@ def tuple_bfs_reference(gen_maps, limit):
         p, gi = parent[j]
         if p > 0:
             table[:, j] = table[table[:, p], gen_elems[gi]]
-    return tuple(elems), table
+    return tuple(elems), table, gen_perms
 
 
 def set_classes_reference(G):
@@ -257,16 +257,10 @@ def test_closure_matches_tuple_bfs(gen_maps, limit):
             build_group(gen_maps, limit=limit)
         return
     G = build_group(gen_maps, limit=limit)
-    perms, table = reference
+    perms, table, gen_perms = reference
     assert G.perms == perms
     assert np.array_equal(G.table, table)
-    degree = len(perms[0])
-    gens = []
-    for m in gen_maps:
-        perm = tuple(m.get(i, i) - 1 for i in range(1, degree + 1))
-        if perm != perms[0] and perm not in gens:
-            gens.append(perm)
-    assert G.generators == tuple(perm_to_cycles(g) for g in gens)
+    assert G.generators == tuple(perm_to_cycles(g) for g in gen_perms)
 
 
 @pytest.mark.parametrize("expr", BUNDLED_CATALOG + ("symmetric(5)", "dihedral(60)",
