@@ -15,12 +15,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import characters, density, euler, experiments, groups
-from .errors import ParseError, SmolabError, UsageError
+from .errors import NonPrimeRow, ParseError, SmolabError, UsageError
 from .fields import parse_fieldspec
 from .hecke import load_hecke, synthetic_tempered, synthetic_with_profile
 from .report import Report, emit
-from .selectors import parse_selector
+from .selectors import ExplicitList, parse_selector
+from .sieve import is_prime
 from .tau import write_tau_csv
 
 
@@ -90,24 +93,72 @@ def _load_rep(spec: str, weight: int, seed: int):
     return load_hecke(spec, weight=weight)
 
 
-def _load_satake_csv(path: str) -> list[euler.LocalFactor]:
-    """Rows (p, q, alpha_re_1, alpha_im_1, ...) -> one local factor per row."""
-    factors = []
+def _norm_exponent(p: int, q: int) -> int | None:
+    """f with q == p**f exactly, or None when q is not a power of p."""
+    f = 0
+    while q % p == 0:
+        q //= p
+        f += 1
+    return f if q == 1 and f else None
+
+
+def _load_satake_csv(path: str) -> euler.EulerProduct:
+    """Rows (p, q, alpha_re_1, alpha_im_1, ...): one place of norm q = p**f per row.
+
+    A prime may have several rows, one per place.  Places without parameters
+    (factor 1) or of norm above LOG_INDEX_LIMIT, which no allowed expansion
+    reaches, are left out.
+    """
+    primes, exponents, alphas = [], [], []
+    seen = False
     with open(path, newline="") as handle:
         for row in csv.reader(handle):
             if not row or row[0].strip().lower() in ("p", "#"):
                 continue
+            seen = True
             try:
-                q = int(row[1])
-                pairs = row[2:]
-                alphas = tuple(complex(float(pairs[i]), float(pairs[i + 1]))
-                               for i in range(0, len(pairs) - 1, 2))
+                p, q = int(row[0]), int(row[1])
+                parts = [float(x) for x in row[2:]]
             except (IndexError, ValueError):
                 raise ParseError(f"bad Satake row {row!r} in {path}")
-            factors.append(euler.LocalFactor(q=q, alphas=alphas, degree=max(1, len(alphas))))
-    if not factors:
+            if len(parts) % 2:
+                raise ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")
+            if q < 2:
+                raise UsageError(f"norm must be >= 2, got {q}")
+            if not is_prime(p):
+                raise NonPrimeRow(f"row prime {p} in {path} is not prime")
+            f = _norm_exponent(p, q)
+            if f is None:
+                raise ParseError(f"bad Satake row {row!r} in {path}: {q} is not a power of {p}")
+            row_alphas = [complex(re, im) for re, im in zip(parts[0::2], parts[1::2])]
+            if any(a == 0 for a in row_alphas):
+                raise UsageError("local parameters must be nonzero")
+            if row_alphas and q <= euler.LOG_INDEX_LIMIT:
+                primes.append(p)
+                exponents.append(f)
+                alphas.append(row_alphas)
+    if not seen:
         raise ParseError(f"no Satake rows in {path}")
-    return factors
+    # one (prime, place) cell per row: rows grouped by p, places kept in file order
+    ps = np.array(primes, dtype=np.int64)
+    order = np.argsort(ps, kind="stable")
+    ps = ps[order]
+    support, first, at, counts = np.unique(ps, return_index=True, return_inverse=True,
+                                           return_counts=True)
+    slot = np.arange(len(ps)) - first[at]
+    k = max(map(len, alphas), default=0)
+    exps = np.zeros((len(support), counts.max(initial=0)), dtype=np.int64)
+    params = np.zeros(exps.shape + (k,), dtype=np.complex128)
+    exps[at, slot] = np.array(exponents, dtype=np.int64)[order]
+    padded = np.array([a + [0j] * (k - len(a)) for a in alphas], dtype=np.complex128)
+    params[at, slot] = padded.reshape(len(ps), k)[order]
+
+    def places(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.searchsorted(support, query)
+        return exps[rows], params[rows]
+
+    return euler.EulerProduct(places=places, universe=ExplicitList(tuple(support.tolist())),
+                              support_limit=int(support.max(initial=0)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,15 +415,8 @@ def _dispatch_euler(args) -> Report:
             interpretation=("pairing multiplies parameters pairwise",),
         )
     if args.subcommand == "positivity":
-        factors = _load_satake_csv(args.data)
-        by_prime = {f.q: f for f in factors}
-        from .selectors import ExplicitList
-        universe = ExplicitList(tuple(sorted(by_prime)))
-        product = euler.EulerProduct(
-            degree=max(f.degree for f in factors),
-            factor_source=lambda p: by_prime[p],
-            universe=universe, label=args.data)
-        ok, first_bad = euler.positive_type_check(product, universe, args.max_index)
+        product = _load_satake_csv(args.data)
+        ok, first_bad = euler.positive_type_check(product, product.universe, args.max_index)
         return Report(
             experiment="euler.positivity",
             inputs={"data": args.data, "max_index": args.max_index},
@@ -417,7 +461,6 @@ def _dispatch_smo(args, workers) -> Report:
             ),
         )
     if args.subcommand == "poleorder":
-        import numpy as np
         selector = parse_selector(args.selector)
         eps = tuple(_parse_fraction(t) for t in args.eps.split(",")) if args.eps else None
         est = experiments.pole_order_estimate(lambda ps: np.ones(len(ps)), selector,

@@ -1,19 +1,26 @@
-"""Local Euler factors from Satake-type parameters and their finite products.
+"""Local Euler factors and their truncated products over arrays of primes.
 
 A local factor at norm q with parameters (a_1, ..., a_k) is the function
-prod_i (1 - a_i q^-s)^-1.  Its poles lie on vertical lines, the rightmost at
-Re(s) = max_i log|a_i| / log q.  Products over prime selectors are handled
-strictly at truncation level: log-expansions are indexed by exact integer
-prime powers and every report carries its cutoff.
+prod_i (1 - a_i q^-s)^-1; its poles lie on vertical lines, the rightmost at
+Re(s) = max_i log|a_i| / log q.
+
+An ``EulerProduct`` is a universe of primes, the ramified primes it leaves
+out, and a place source: ``places(primes)`` maps an int64 prime array to the
+(len, g) int norm exponents f of the places above each p (norm p**f, 0 for
+no place) and their (len, g, k) complex parameters, zero-padded.
+``log_expansion`` walks the primes once through ``prime_stream``, masks each
+array with the selector and forms the power sums of every place by repeated
+multiplication while q**m stays within the cutoff.  Coefficients are indexed
+by exact integer prime powers, in ascending index and aligned value arrays,
+and every report carries its cutoff.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -113,99 +120,96 @@ def rs_leading_coefficient(f: LocalFactor, conjugated: bool = True) -> RankinSel
 
 # -- global (truncated) products -------------------------------------------------
 
-FactorSource = Callable[[int], "LocalFactor | tuple[LocalFactor, ...]"]
-
-
 @dataclass(frozen=True)
 class EulerProduct:
-    """A pure map from primes to local factors over a universe of primes."""
+    """Place arrays over a universe of primes; see the module docstring."""
 
-    degree: int
-    factor_source: FactorSource = field(compare=False)
+    places: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(compare=False)
     universe: PrimeSelector
     ramified: frozenset[int] = frozenset()
-    label: str = ""
     support_limit: int | None = None  # largest prime with data, if finite
 
-    def factors_at(self, p: int) -> tuple[LocalFactor, ...]:
-        got = self.factor_source(int(p))
-        return got if isinstance(got, tuple) else (got,)
-
-    def primes(self, max_prime: int) -> Iterable[int]:
-        limit = max_prime
+    def segments(self, max_prime: int) -> Iterator[np.ndarray]:
         if self.support_limit is not None:
-            limit = min(limit, self.support_limit)
-        for seg in prime_stream(limit, self.universe, exclude=self.ramified):
-            yield from seg.tolist()
+            max_prime = min(max_prime, self.support_limit)
+        return prime_stream(max_prime, self.universe, exclude=self.ramified)
 
 
 def zeta_product() -> EulerProduct:
-    """Model with a single parameter 1 at every prime (the zeta shape)."""
-    from .selectors import AllPrimes
-    return EulerProduct(degree=1,
-                        factor_source=lambda p: LocalFactor(q=p, alphas=(1.0,), degree=1),
-                        universe=AllPrimes(), label="zeta-model")
+    """Model with a single parameter 1 at every prime: the Dedekind zeta of Q."""
+    from .fields import FieldSpec
+    return dedekind_product(FieldSpec(1))
 
 
 def dedekind_product(fs) -> EulerProduct:
-    """Abelian-field zeta model: one degree-1 factor of norm p^f per place."""
+    """Abelian-field zeta model: g = degree / f places of norm p^f, parameter 1."""
     from .selectors import AllPrimes
 
-    def source(p: int):
-        f, g = fs.places(p)
-        return tuple(LocalFactor(q=p**f, alphas=(1.0,), degree=1) for _ in range(g))
+    def places(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f = fs._degree_table[primes % fs.modulus][:, None]  # 0 at ramified primes
+        g = fs.degree // np.maximum(f, 1)
+        exponents = np.where(np.arange(fs.degree) < g, f, 0)
+        return exponents, np.ones((len(primes), fs.degree, 1), dtype=np.complex128)
 
-    return EulerProduct(degree=fs.degree, factor_source=source, universe=AllPrimes(),
-                        ramified=fs.ramified_primes(), label=f"dedekind({fs.label})")
+    return EulerProduct(places=places, universe=AllPrimes(), ramified=fs.ramified_primes())
 
 
 @dataclass(frozen=True)
 class LogExpansion:
-    """Coefficients of the log of a truncated product, keyed by prime power."""
+    """Coefficients of the log of a truncated product at ascending prime powers."""
 
     cutoff: int
-    coefficients: dict[int, complex]
-
-    def real_items(self) -> list[tuple[int, float, float]]:
-        return [(m, z.real, z.imag) for m, z in sorted(self.coefficients.items())]
+    indices: np.ndarray       # ascending int64 prime powers <= cutoff
+    coefficients: np.ndarray  # complex128, aligned with indices
 
     def dirichlet_value(self, sigma: float) -> float:
-        return float(sum(z.real * m ** (-sigma) for m, z in self.coefficients.items()))
+        return float(np.sum(self.coefficients.real * self.indices ** -sigma))
 
 
 def log_expansion(ep: EulerProduct, selector: PrimeSelector, max_index: int) -> LogExpansion:
     """Exact prime-power coefficients of log of the selected partial product.
 
-    The coefficient at q**m is (sum_i a_i**m) / m for each local factor of
-    norm q; contributions from different places at the same integer add.
+    The coefficient at q**m is (sum_i a_i**m) / m for each place of norm q,
+    the power sums taken by repeated multiplication.  Places at one prime
+    can reach the same integer (p**(1*2) = p**(2*1)); their terms add.
     """
     if max_index > LOG_INDEX_LIMIT:
         raise LimitExceeded(f"log-expansion index capped at {LOG_INDEX_LIMIT}")
-    coeffs: dict[int, complex] = {}
-    for p in ep.primes(max_index):
-        if not selector.contains(p):
-            continue
-        for f in ep.factors_at(p):
-            if f.k == 0:
-                continue
-            power = f.q
-            m = 1
-            while power <= max_index:
-                coeffs[power] = coeffs.get(power, 0j) + f.power_sum(m) / m
-                m += 1
-                power *= f.q
-    return LogExpansion(cutoff=max_index, coefficients=coeffs)
+    indices, terms = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.complex128)]
+    for primes in ep.segments(max_index):
+        primes = primes[selector.mask(primes)]
+        exponents, params = ep.places(primes)
+        row, col = np.nonzero(exponents)
+        p, f = primes[row], exponents[row, col]
+        # norms p**f capped at max_index + 1: an f log p clearly above the cap is
+        # capped before the exact power is taken, so int64 cannot overflow
+        over = f * np.log(p) > math.log(max_index + 1) + 1.0
+        q = np.where(over, max_index + 1, np.power(p, np.where(over, 1, f)))
+        live = q <= max_index
+        q, alphas = q[live], params[row[live], col[live]]
+        power, powers, m = q, alphas, 1
+        while len(q):
+            indices.append(power)
+            terms.append(powers.sum(axis=1) / m)
+            power, powers, m = power * q, powers * alphas, m + 1
+            live = power <= max_index
+            q, alphas, power, powers = q[live], alphas[live], power[live], powers[live]
+    index, at = np.unique(np.concatenate(indices), return_inverse=True)
+    coefficients = np.zeros(len(index), dtype=np.complex128)
+    np.add.at(coefficients, at, np.concatenate(terms))
+    return LogExpansion(cutoff=max_index, indices=index, coefficients=coefficients)
+
+
+def _first_violation(le: LogExpansion) -> tuple[bool, int | None]:
+    z = le.coefficients
+    bad = le.indices[(z.real < -POSITIVITY_TOL) | (np.abs(z.imag) > POSITIVITY_TOL)]
+    return (False, int(bad[0])) if len(bad) else (True, None)
 
 
 def positive_type_check(ep: EulerProduct, selector: PrimeSelector,
                         max_index: int) -> tuple[bool, int | None]:
     """True iff every log coefficient is >= -1e-9 (and essentially real)."""
-    le = log_expansion(ep, selector, max_index)
-    for m in sorted(le.coefficients):
-        z = le.coefficients[m]
-        if z.real < -POSITIVITY_TOL or abs(z.imag) > POSITIVITY_TOL:
-            return False, m
-    return True, None
+    return _first_violation(log_expansion(ep, selector, max_index))
 
 
 @dataclass(frozen=True)
@@ -228,10 +232,10 @@ def landau_region_check(ep: EulerProduct, selector: PrimeSelector,
     Nonnegative log coefficients force exp(sum c_m m^-sigma) >= 1, which is
     the truncation-level certificate that no zero can occur there.
     """
-    ok, first_bad = positive_type_check(ep, selector, max_index)
+    le = log_expansion(ep, selector, max_index)
+    ok, first_bad = _first_violation(le)
     if not ok:
         raise NotPositiveType(f"log coefficient at index {first_bad} is negative")
-    le = log_expansion(ep, selector, max_index)
     logs = tuple(le.dirichlet_value(float(s)) for s in sigmas)
     return LandauReport(sigmas=tuple(float(s) for s in sigmas),
                         log_values=logs,
@@ -282,7 +286,6 @@ def convergence_probe(selector: PrimeSelector, delta: float, sigmas,
     if not cuts:
         raise UsageError("need at least one cutoff")
     max_p = selector.max_prime_for_norm(cuts[-1])
-    partials: dict[float, list[float]] = {s: [] for s in sig}
     # accumulate per sigma in ascending cutoff order, one sieve pass
     running = {s: 0.0 for s in sig}
     cut_idx = {s: 0 for s in sig}

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DuplicatePrime, NonPrimeRow, NotTempered, ParseError
-from .euler import EulerProduct, LocalFactor, rankin_selberg_local
+from .euler import EulerProduct, LocalFactor
 from .selectors import AllPrimes, ExplicitList, PrimeSelector
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
@@ -75,24 +75,16 @@ class RepresentationData:
             return ExplicitList(self.support)
         return AllPrimes()
 
-    def euler_product(self, label_suffix: str = "") -> EulerProduct:
-        return EulerProduct(degree=self.degree,
-                            factor_source=self.local_factor,
-                            universe=self.universe(),
-                            ramified=self.ramified,
-                            label=self.label + label_suffix,
-                            support_limit=self.support_limit)
-
     def self_rankin_selberg(self, conjugate: bool = True) -> EulerProduct:
-        """Pairing of the source with itself: parameters {a_i c(a_j)} at each p."""
+        """Pairing of the source with itself: one place per p, parameters {a_i c(a_j)}."""
 
-        def source(p: int) -> LocalFactor:
-            f = self.local_factor(p)
-            return rankin_selberg_local(f, f, conjugate_second=conjugate)
+        def places(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            a = self.satake_array(primes)
+            # a_i-major, as in rankin_selberg_local
+            pairs = a[:, :, None] * (a.conj() if conjugate else a)[:, None, :]
+            return np.ones((len(primes), 1), dtype=np.int64), pairs.reshape(len(primes), 1, -1)
 
-        return EulerProduct(degree=self.degree**2, factor_source=source,
-                            universe=self.universe(), ramified=self.ramified,
-                            label=f"{self.label} x conj({self.label})",
+        return EulerProduct(places=places, universe=self.universe(), ramified=self.ramified,
                             support_limit=self.support_limit)
 
     def max_parameter_excess(self, primes) -> float:

@@ -307,7 +307,36 @@ def test_bad_values_are_typed_errors(argv):
 
 def test_malformed_satake_row_is_a_parse_error(capsys, tmp_path):
     bad = tmp_path / "satake.csv"
-    bad.write_text("p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,x,1.0,0.0\n")
-    code, out, err = run(capsys, "euler", "positivity", "--data", str(bad))
-    assert code == 1
-    assert err.startswith("parse-error: bad Satake row")
+    for row in ("3,x,1.0,0.0", "x,3,1.0,0.0", "3,3,1.0,0.0,-5.0", "2,6,1.0,0.0",
+                "3,27,1.0", f"2,{10**399},1.0,0.0"):
+        bad.write_text(f"p,q,a1_re,a1_im\n2,2,1.0,0.0\n{row}\n")
+        code, out, err = run(capsys, "euler", "positivity", "--data", str(bad))
+        assert code == 1
+        assert err.startswith("parse-error: bad Satake row")
+
+
+def test_satake_rows_are_places_keyed_by_prime(capsys, tmp_path):
+    data = tmp_path / "satake.csv"
+    # an inert place at 2 (norm 4, parameter -1) has coefficient -1 at 4
+    data.write_text("p,q,a1_re,a1_im\n2,4,-1.0,0.0\n3,3,1.0,0.0\n")
+    code, out, _ = run(capsys, "euler", "positivity", "--data", str(data))
+    assert code == 0
+    assert json.loads(out)["results"] == {"positive_type": False, "first_violation": 4}
+    # two places at 3 with parameters +1 and -1: 0 at 3, 1 at 9, 0 at 27, ...
+    data.write_text("p,q,a1_re,a1_im\n3,3,1.0,0.0\n5,5,1.0,0.0\n3,3,-1.0,0.0\n")
+    code, out, _ = run(capsys, "euler", "positivity", "--data", str(data))
+    assert code == 0
+    assert json.loads(out)["results"] == {"positive_type": True, "first_violation": None}
+
+
+def test_satake_row_checks(capsys, tmp_path):
+    data = tmp_path / "satake.csv"
+    for row, error in (("4,4,1.0,0.0", "non-prime-row: "), ("1,1,1.0,0.0", "usage-error: "),
+                       ("3,3,0.0,0.0", "usage-error: ")):
+        data.write_text(f"p,q,a1_re,a1_im\n{row}\n")
+        code, out, err = run(capsys, "euler", "positivity", "--data", str(data))
+        assert code == 1 and err.startswith(error), (row, err)
+    # a place of norm 2**1328 lies beyond every allowed index and is left out
+    data.write_text(f"p,q,a1_re,a1_im\n2,{2**1328},-1.0,0.0\n3,9,1.0,0.0\n")
+    code, out, _ = run(capsys, "euler", "positivity", "--data", str(data))
+    assert code == 0 and json.loads(out)["results"]["positive_type"] is True

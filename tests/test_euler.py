@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smolab import euler
 from smolab.errors import (NormMismatch, NotPositiveType, PoleHit,
                            UnknownProfile)
 from smolab.euler import (EulerProduct, LocalFactor, convergence_probe,
@@ -16,7 +17,10 @@ from smolab.euler import (EulerProduct, LocalFactor, convergence_probe,
                           positive_type_check, rankin_selberg_local,
                           rs_leading_coefficient, zeta_product)
 from smolab.fields import FieldSpec
-from smolab.selectors import AllPrimes, DegreeSelector, NoPrimes
+from smolab.hecke import parse_hecke_text, synthetic_tempered, synthetic_with_profile
+from smolab.selectors import AllPrimes, CongruenceSelector, DegreeSelector, NoPrimes
+from smolab.sieve import simple_sieve
+from smolab.tau import tau_csv_text
 
 UNIT = st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False)
 NONZERO = st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
@@ -118,30 +122,45 @@ def test_conjugated_coefficient_is_modulus_squared(thetas):
     assert abs(coeff.conjugated) <= len(alphas) ** 2 + 1e-9
 
 
+def by_index(le) -> dict[int, complex]:
+    """A log expansion's coefficients keyed by their prime-power index."""
+    return dict(zip(le.indices.tolist(), le.coefficients.tolist()))
+
+
+def constant_places(alphas):
+    """Place source with one place of norm p and the given parameters at every p."""
+    params = np.array(alphas, dtype=np.complex128)
+
+    def places(primes):
+        return (np.ones((len(primes), 1), dtype=np.int64),
+                np.broadcast_to(params, (len(primes), 1, len(params))))
+
+    return places
+
+
 def test_zeta_log_expansion_coefficients():
-    le = log_expansion(zeta_product(), AllPrimes(), 50)
-    assert le.coefficients[2] == 1
-    assert le.coefficients[4] == pytest.approx(0.5)
-    assert le.coefficients[8] == pytest.approx(1 / 3)
-    assert le.coefficients[27] == pytest.approx(1 / 3)
-    assert 6 not in le.coefficients  # supported on prime powers only
+    coefficients = by_index(log_expansion(zeta_product(), AllPrimes(), 50))
+    assert coefficients[2] == 1
+    assert coefficients[4] == pytest.approx(0.5)
+    assert coefficients[8] == pytest.approx(1 / 3)
+    assert coefficients[27] == pytest.approx(1 / 3)
+    assert 6 not in coefficients  # supported on prime powers only
 
 
 def test_empty_selector_gives_empty_expansion():
-    le = log_expansion(zeta_product(), NoPrimes(), 1000)
-    assert le.coefficients == {}
+    coefficients = by_index(log_expansion(zeta_product(), NoPrimes(), 1000))
+    assert coefficients == {}
 
 
 def test_self_pairing_coefficients_are_power_sum_squares():
     a = cmath.exp(0.3j)
     factor = LocalFactor(q=2, alphas=(a, a.conjugate()), degree=2)
     paired = rankin_selberg_local(factor, factor)
-    product = EulerProduct(degree=4, factor_source=lambda p: paired,
-                           universe=AllPrimes(), label="one-prime",
-                           support_limit=2)
-    le = log_expansion(product, AllPrimes(), 2**10)
+    product = EulerProduct(places=constant_places(paired.alphas),
+                           universe=AllPrimes(), support_limit=2)
+    coefficients = by_index(log_expansion(product, AllPrimes(), 2**10))
     for m in range(1, 10):
-        coeff = le.coefficients[2**m]
+        coeff = coefficients[2**m]
         expected = abs(a**m + a.conjugate() ** m) ** 2 / m
         assert coeff.real == pytest.approx(expected, abs=1e-12)
         assert coeff.real >= -1e-9
@@ -150,9 +169,7 @@ def test_self_pairing_coefficients_are_power_sum_squares():
 def test_positive_type_examples():
     assert positive_type_check(zeta_product(), AllPrimes(), 10**4) == (True, None)
     assert positive_type_check(dedekind_product(FieldSpec(4)), AllPrimes(), 10**4)[0]
-    bad = EulerProduct(degree=1,
-                       factor_source=lambda p: LocalFactor(q=p, alphas=(-1.0,), degree=1),
-                       universe=AllPrimes(), label="sign-flip")
+    bad = EulerProduct(places=constant_places((-1.0,)), universe=AllPrimes())
     ok, first = positive_type_check(bad, AllPrimes(), 100)
     assert not ok and first == 2
 
@@ -160,11 +177,129 @@ def test_positive_type_examples():
 def test_landau_region_check():
     report = landau_region_check(zeta_product(), AllPrimes(), [2.0, 1.5], 10**4)
     assert all(v >= 1.0 for v in report.values)
-    bad = EulerProduct(degree=1,
-                       factor_source=lambda p: LocalFactor(q=p, alphas=(-1.0,), degree=1),
-                       universe=AllPrimes(), label="sign-flip")
+    bad = EulerProduct(places=constant_places((-1.0,)), universe=AllPrimes())
     with pytest.raises(NotPositiveType):
         landau_region_check(bad, AllPrimes(), [2.0], 100)
+
+
+def test_landau_region_check_expands_once(monkeypatch):
+    calls = []
+    expand = euler.log_expansion
+    monkeypatch.setattr(euler, "log_expansion", lambda *args: calls.append(args) or expand(*args))
+    landau_region_check(zeta_product(), AllPrimes(), [2.0], 1000)
+    assert len(calls) == 1
+
+
+# -- the array expansion against the per-prime walk it replaced --------------------------
+
+REFERENCE_INDEX = 10**5
+
+
+def reference_log_expansion(factors_at, primes, max_index) -> dict[int, complex]:
+    """One LocalFactor walk per prime, power sums added into a dict by index."""
+    coefficients = {}
+    for p in primes:
+        for f in factors_at(p):
+            power, m = f.q, 1
+            while power <= max_index:
+                coefficients[power] = coefficients.get(power, 0j) + f.power_sum(m) / m
+                m += 1
+                power *= f.q
+    return coefficients
+
+
+def self_pairing_factors(rep):
+    def factors_at(p):
+        local = LocalFactor(q=p, alphas=rep.satake(p), degree=rep.degree)
+        return (rankin_selberg_local(local, local),)
+    return factors_at
+
+
+def dedekind_factors(fs):
+    def factors_at(p):
+        f, g = fs.places(p)
+        return tuple(LocalFactor(q=p**f, alphas=(1.0,), degree=1) for _ in range(g))
+    return factors_at
+
+
+MIXED = ((0.5 + 1j, -1.0), (2.0j, 0.0))  # a place of norm p and one of norm p^2
+
+
+def mixed_places(primes):
+    n = len(primes)
+    return (np.tile([1, 2], (n, 1)),
+            np.broadcast_to(np.array(MIXED, dtype=np.complex128), (n, 2, 2)))
+
+
+def mixed_factors(p):
+    return (LocalFactor(q=p, alphas=MIXED[0], degree=2),
+            LocalFactor(q=p * p, alphas=MIXED[1][:1], degree=1))
+
+
+def reference_case(name):
+    if name == "zeta":
+        return zeta_product(), dedekind_factors(FieldSpec(1)), AllPrimes()
+    if name == "dedekind-8":
+        return dedekind_product(FieldSpec(8)), dedekind_factors(FieldSpec(8)), AllPrimes()
+    if name == "dedekind-7-cubic":
+        fs = FieldSpec(7, (6,))
+        return (dedekind_product(fs), dedekind_factors(fs),
+                CongruenceSelector(7, frozenset({1, 2, 3})))
+    if name == "tau":
+        tau = parse_hecke_text(tau_csv_text(2000), weight=12, label="tau")
+        return tau.self_rankin_selberg(), self_pairing_factors(tau), AllPrimes()
+    if name in ("synthetic", "profile"):
+        # |a| up to p^(7/64): off the unit circle conjugation is not a relabelling,
+        # and the coefficients stay small enough for the absolute bound
+        rep = synthetic_tempered(1) if name == "synthetic" else synthetic_with_profile(
+            2, grc_profile("KSa-BB"))
+        return rep.self_rankin_selberg(), self_pairing_factors(rep), AllPrimes()
+    return EulerProduct(places=mixed_places, universe=AllPrimes()), mixed_factors, AllPrimes()
+
+
+@pytest.mark.parametrize("name", ["zeta", "dedekind-8", "dedekind-7-cubic", "tau",
+                                  "synthetic", "profile", "mixed"])
+def test_log_expansion_matches_per_prime_reference(name):
+    product, factors_at, selector = reference_case(name)
+    limit = min(REFERENCE_INDEX, product.support_limit or REFERENCE_INDEX)
+    primes = [p for p in simple_sieve(limit).tolist()
+              if p not in product.ramified and selector.contains(p)]
+    expected = reference_log_expansion(factors_at, primes, REFERENCE_INDEX)
+    got = by_index(log_expansion(product, selector, REFERENCE_INDEX))
+    assert list(got) == sorted(expected)
+    assert max(abs(got[n] - expected[n]) for n in expected) <= 1e-12
+
+
+def test_dedekind_coefficients_of_q_i_are_character_sums():
+    # log zeta_K = sum over places: (1 + chi_-4(p)^m) / m at p^m for odd p
+    got = by_index(log_expansion(dedekind_product(FieldSpec(4)), AllPrimes(), REFERENCE_INDEX))
+    expected = {}
+    for p in simple_sieve(REFERENCE_INDEX).tolist()[1:]:
+        chi = 1 if p % 4 == 1 else -1
+        m = 1
+        while p**m <= REFERENCE_INDEX:
+            expected[p**m] = (1 + chi**m) / m
+            m += 1
+    assert set(got) <= set(expected)
+    assert all(abs(got.get(n, 0) - value) <= 1e-12 for n, value in expected.items())
+
+
+def test_large_norm_exponents_do_not_overflow():
+    def places(primes):
+        n = len(primes)
+        return np.tile([1, 40, 70], (n, 1)), np.ones((n, 3, 1), dtype=np.complex128)
+
+    product = EulerProduct(places=places, universe=AllPrimes())
+    got = by_index(log_expansion(product, AllPrimes(), 10**6))
+    assert got == by_index(log_expansion(zeta_product(), AllPrimes(), 10**6))
+
+
+@pytest.mark.parametrize("rep", [synthetic_tempered(3, degree=2), synthetic_tempered(4, degree=3),
+                                 synthetic_with_profile(5, grc_profile("JS")),
+                                 synthetic_with_profile(6, grc_profile("KSh"), degree=3)],
+                         ids=lambda rep: rep.label)
+def test_synthetic_self_pairings_are_positive_type(rep):
+    assert positive_type_check(rep.self_rankin_selberg(), AllPrimes(), 10**6) == (True, None)
 
 
 def test_abscissa_arithmetic():

@@ -64,6 +64,22 @@ def test_is_prime_64bit_cases():
     assert not is_prime(3215031751)  # strong pseudoprime to first four bases
 
 
+def test_is_prime_matches_dense_sieve_below_1e6():
+    flags = np.zeros(10**6, dtype=bool)
+    flags[simple_sieve(10**6 - 1)] = True
+    assert [is_prime(n) for n in range(10**6)] == flags.tolist()
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to base 2, and 3215031751 = 151 * 751 * 28351, the least
+    # to bases 2, 3, 5 and 7, where the witness set switches to all twelve primes
+    for n in (2047, 3277, 4033, 4681, 8321, 3215031751):
+        assert not is_prime(n), n
+    assert 151 * 751 * 28351 == 3215031751
+    # the next prime, by trial division; a Mersenne prime; 2**61 + 1 = 3 * 768614336404564651
+    assert is_prime(3215031767) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+
 def test_primes_to_1e7_match_pinned_digest():
     # digest taken from the earlier kernel, which struck every integer;
     # ten segments, the last one partial

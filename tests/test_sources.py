@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smolab.euler import (EulerProduct, LocalFactor, eval_local, grc_profile,
-                          rankin_selberg_local)
+from smolab.euler import (EulerProduct, eval_local, grc_profile,
+                          rankin_selberg_local, zeta_product)
 from smolab.experiments import COEFF_EQ_TOL, compare_local, z_ratio
 from smolab.hecke import (parse_hecke_text, synthetic_tempered,
                           synthetic_with_profile, tempered_angles)
@@ -194,11 +194,11 @@ def test_prime_stream_slices_cover_every_prime():
 
 
 def test_euler_product_primes_follow_universe_and_ramified():
-    ep = EulerProduct(degree=1, factor_source=lambda p: LocalFactor(q=p, alphas=(1.0,), degree=1),
+    ep = EulerProduct(places=zeta_product().places,
                       universe=CongruenceSelector(4, frozenset({1})),
                       ramified=frozenset({5, 13}), support_limit=1000)
     expected = [p for p in simple_sieve(1000).tolist() if p % 4 == 1 and p not in (5, 13)]
-    assert list(ep.primes(10**4)) == expected
+    assert np.concatenate(list(ep.segments(10**4))).tolist() == expected
 
 
 # -- scans against scalar reference loops ---------------------------------------------------
