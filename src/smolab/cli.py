@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -62,12 +61,11 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _load_group(path: str) -> groups.FiniteGroup:
-    if "(" not in path and not Path(path).exists():
-        return groups.catalog(path)
-    text = Path(path).read_text() if Path(path).exists() else None
-    if text is None:
-        return groups.catalog(path)
-    return groups.build_group(groups.parse_group_file(text), label=Path(path).stem)
+    """An existing path is a group file; anything else a catalog expression."""
+    file = Path(path)
+    if file.exists():
+        return groups.build_group(groups.parse_group_file(file.read_text()), label=file.stem)
+    return groups.catalog(path)
 
 
 def _parse_seed(text: str, spec: str) -> int:
@@ -549,8 +547,6 @@ def _dispatch_smo(args, workers) -> Report:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is not None:
-        os.environ["SMOLAB_WORKERS"] = str(args.workers)
     try:
         result = _dispatch(args)
         if isinstance(result, str):  # pre-rendered CSV

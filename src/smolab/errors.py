@@ -60,10 +60,6 @@ class Ramified(SmolabError):
     code = "ramified-prime"
 
 
-class UndecidableSelector(SmolabError):
-    code = "undecidable-selector"
-
-
 # -- local factors / Euler products ------------------------------------------
 
 class PoleHit(SmolabError):

@@ -103,12 +103,6 @@ class FieldSpec:
     def coset_representatives(self) -> tuple[int, ...]:
         return self._coset_table[1]
 
-    def coset_index(self, p: int) -> int:
-        idx = int(self._coset_table[0][p % self.modulus]) if self.modulus > 1 else 0
-        if idx < 0:
-            raise Ramified(f"prime {p} divides modulus {self.modulus}")
-        return idx
-
     def residue_degree(self, p: int) -> int:
         if self.modulus == 1:
             return 1

@@ -1,16 +1,27 @@
 """Finite groups as permutation closures with explicit multiplication tables.
 
-Elements are numbered 0..order-1 by breadth-first closure from the identity,
-taking generators in the order given.  Permutations compose left-to-right:
+A permutation is one 0-based int16 row of images of the points
+0..degree-1, from the parse boundary in ``build_group`` to the stored
+``FiniteGroup.perms`` array, whose row i is element i; cycle strings appear
+only in ``FiniteGroup.generators``, for display.  Points are capped at
+POINT_LIMIT, the largest int16.  Permutations compose left-to-right:
 ``(a * b)(x) == b[a[x]]``, so the stored table satisfies T[i, j] = index of
 perm_i * perm_j.  Everything is immutable after construction.
 
-The closure runs a level at a time on integer arrays: one fancy-index
-expression forms every product x * g of the current level, row by row in
-(parent, generator) order, and the rows not seen before, in that order,
-become the next level.  This numbers the elements exactly as a one-element
-queue would.  The products give the generator columns of the table, and each
-remaining column j = parent(j) * g is filled a level at a time from
+Elements are numbered 0..order-1 by breadth-first closure from the identity,
+taking the generators in the order given, with the identity and repeated
+rows dropped: generator k is element k + 1.  The numbering depends only on
+the abstract group and that ordered generator list, not on the points the
+permutations act on, so the derived constructions (direct and central
+products, central quotients) close generator rows read off their factors'
+arrays and tables, and every table and class partition stays the same.
+
+The closure runs a level at a time: one fancy-index expression forms every
+product x * g of the current level, row by row in (parent, generator)
+order, and the rows not seen before, in that order, become the next level.
+This numbers the elements exactly as a one-element queue would.  The
+products give the generator columns of the table, and each remaining
+column j = parent(j) * g is filled a level at a time from
 i * j = (i * parent(j)) * g.
 """
 
@@ -26,6 +37,7 @@ import numpy as np
 from .errors import ClosureExceedsLimit, InvalidPermutation, UnknownCatalogEntry
 
 ORDER_LIMIT = 2000
+POINT_LIMIT = 2**15 - 1  # points are int16 images, 0-based
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -33,8 +45,8 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_permutation(text: str) -> dict[int, int]:
     """Parse cycle notation like ``(1 2 3)(4 5)`` into a 1-based point map.
 
-    Points may be separated by spaces or commas.  ``()`` and the empty string
-    denote the identity.
+    Points may be separated by spaces or commas and lie in 1..POINT_LIMIT.
+    ``()`` and the empty string denote the identity.
     """
     stripped = text.strip()
     if stripped in ("", "()"):
@@ -51,9 +63,14 @@ def parse_permutation(text: str) -> dict[int, int]:
         for token in re.split(r"[\s,]+", cycle_text.strip()):
             if not token:
                 continue
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise InvalidPermutation(f"non-integer point {token!r} in {text!r}")
-            points.append(int(token))
+            digits = token.lstrip("0") or "0"
+            # the digit count first: int() of a long token is slow, or refused
+            if len(digits) > len(str(POINT_LIMIT)) or int(digits) > POINT_LIMIT:
+                shown = digits if len(digits) <= 20 else f"{digits[:8]}...({len(digits)} digits)"
+                raise InvalidPermutation(f"point {shown} is above {POINT_LIMIT}")
+            points.append(int(digits))
         if not points:
             continue
         if any(p < 1 for p in points):
@@ -68,16 +85,8 @@ def parse_permutation(text: str) -> dict[int, int]:
     return mapping
 
 
-def _as_tuple(mapping: dict[int, int], degree: int) -> tuple[int, ...]:
-    # 0-based image tuple on points 0..degree-1
-    images = list(range(degree))
-    for a, b in mapping.items():
-        images[a - 1] = b - 1
-    return tuple(images)
-
-
-def perm_to_cycles(perm: tuple[int, ...]) -> str:
-    """Render a 0-based image tuple back to 1-based cycle notation."""
+def perm_to_cycles(perm: Sequence[int]) -> str:
+    """Render a 0-based image row back to 1-based cycle notation."""
     seen = [False] * len(perm)
     out = []
     for start in range(len(perm)):
@@ -118,7 +127,7 @@ class FiniteGroup:
 
     order: int
     table: np.ndarray
-    perms: tuple[tuple[int, ...], ...]
+    perms: np.ndarray  # (order, degree) int16; row i is element i
     generators: tuple[str, ...]
     label: str
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -145,15 +154,8 @@ class FiniteGroup:
         return part
 
     def center(self) -> list[int]:
-        return [z for z in range(self.order)
-                if bool(np.array_equal(self.table[z, :], self.table[:, z]))]
-
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            n += 1
-        return n
+        T = self.table
+        return np.flatnonzero((T == T.T).all(axis=1)).tolist()
 
     def validate(self, sample_triples: int = 100_000, seed: int = 0) -> None:
         """Check identity, inverses and associativity.
@@ -190,28 +192,50 @@ class FiniteGroup:
 def build_group(generators: Sequence[str] | Sequence[dict[int, int]],
                 limit: int = ORDER_LIMIT,
                 label: str | None = None) -> FiniteGroup:
-    """Close a set of permutations (cycle notation) into a FiniteGroup.
+    """Close a set of permutations (cycle notation or 1-based point maps) into a FiniteGroup.
 
     Raises ClosureExceedsLimit if the closure grows past ``limit`` and
-    InvalidPermutation on malformed cycles.
+    InvalidPermutation on malformed cycles, points outside 1..POINT_LIMIT or
+    maps that are not bijections.
     """
-    maps = [parse_permutation(g) if isinstance(g, str) else dict(g) for g in generators]
+    maps = [parse_permutation(g) if isinstance(g, str) else g for g in generators]
+    if any(not 1 <= p <= POINT_LIMIT for m in maps for p in (*m, *m.values())):
+        raise InvalidPermutation(f"points must lie in 1..{POINT_LIMIT}")
     degree = max((max(m) for m in maps if m), default=0)
-    gen_perms: list[tuple[int, ...]] = []
-    identity = tuple(range(degree))
-    for m in maps:
-        perm = _as_tuple(m, degree)
-        if sorted(perm) != list(range(degree)):
-            raise InvalidPermutation("mapping is not a bijection")
-        if perm != identity and perm not in gen_perms:
-            gen_perms.append(perm)
+    rows = np.tile(np.arange(degree, dtype=np.int16), (len(maps), 1))
+    for row, m in zip(rows, maps):
+        row[np.fromiter(m, np.intp, len(m)) - 1] = np.fromiter(m.values(), np.intp, len(m)) - 1
+    if (np.sort(rows, axis=1) != np.arange(degree)).any():
+        raise InvalidPermutation("mapping is not a bijection")
+    return _close(rows, limit, label)
+
+
+def _close(gen_rows: np.ndarray, limit: int, label: str | None) -> FiniteGroup:
+    """Close ``(n, degree)`` integer generator rows into a FiniteGroup.
+
+    The identity and repeated rows are dropped first, so generator k of the
+    result, ``generators[k]``, is element k + 1, the row ``perms[1 + k]``:
+    the derived constructions read their factors' generators from there.
+    """
+    degree = gen_rows.shape[1]
+    if degree > POINT_LIMIT:
+        raise InvalidPermutation(f"{degree} points, above {POINT_LIMIT}")
+    gen_rows = np.ascontiguousarray(gen_rows, dtype=np.int16)
+    identity = np.arange(degree, dtype=np.int16)
+    seen = {identity.tobytes()}
+    kept = []
+    for k, row in enumerate(gen_rows):
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            kept.append(k)
+    gens = gen_rows[kept]
+    gen_strings = tuple(perm_to_cycles(row) for row in gens.tolist())
 
     # level-wise breadth-first closure from the identity: row c of a level's
     # candidates is perm_(start + c // ngens) * gen_(c % ngens), so new elements
     # are numbered in (parent, generator) order
-    ngens = len(gen_perms)
-    gens = np.array(gen_perms, dtype=np.intp).reshape(ngens, degree)
-    level = np.arange(degree, dtype=np.intp)[None, :]
+    ngens = len(gens)
+    level = identity[None, :]
     index = {level.tobytes(): 0}
     levels = [level]
     words: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, generator nos.) per level
@@ -226,7 +250,7 @@ def build_group(generators: Sequence[str] | Sequence[dict[int, int]],
             if j is None:
                 if len(index) >= limit:
                     raise ClosureExceedsLimit(
-                        f"closure exceeds limit {limit} (generators {list(generators)!r})")
+                        f"closure exceeds limit {limit} (generators {list(gen_strings)!r})")
                 j = index[key] = len(index)
                 fresh.append(c)
             col[c] = j
@@ -249,10 +273,8 @@ def build_group(generators: Sequence[str] | Sequence[dict[int, int]],
         table[:, done:done + len(parents)] = right_mul[table[:, parents], gen_nos]
         done += len(parents)
 
-    gen_strings = tuple(perm_to_cycles(p) for p in gen_perms)
     name = label or ("<" + ", ".join(gen_strings) + ">" if gen_strings else "trivial")
-    perms = tuple(map(tuple, np.concatenate(levels).tolist()))
-    return FiniteGroup(order=order, table=table, perms=perms,
+    return FiniteGroup(order=order, table=table, perms=np.concatenate(levels),
                        generators=gen_strings, label=name)
 
 
@@ -288,16 +310,18 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassPartition:
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, label: str | None = None) -> FiniteGroup:
-    """Direct product, realized on the disjoint union of the two point sets."""
-    da = len(A.perms[0]) if A.order > 1 else 0
-    gens: list[dict[int, int]] = []
-    for g in A.generators:
-        gens.append(parse_permutation(g))
-    for g in B.generators:
-        shifted = {a + da: b + da for a, b in parse_permutation(g).items()}
-        gens.append(shifted)
+    """Direct product, realized on the disjoint union of the two point sets.
+
+    Its generators are A's, then B's moved past A's points.
+    """
+    ka, kb = len(A.generators), len(B.generators)
+    da, db = A.perms.shape[1], B.perms.shape[1]
+    rows = np.tile(np.arange(da + db), (ka + kb, 1))
+    rows[:ka, :da] = A.perms[1:1 + ka]
+    rows[ka:, da:] = B.perms[1:1 + kb]
+    rows[ka:, da:] += da
     name = label or f"{A.label} x {B.label}"
-    G = build_group(gens, limit=max(ORDER_LIMIT, A.order * B.order), label=name)
+    G = _close(rows, max(ORDER_LIMIT, A.order * B.order), name)
     if G.order != A.order * B.order:
         raise AssertionError("direct product closure has wrong order")
     return G
@@ -305,35 +329,22 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, label: str | None = None) -> 
 
 def quotient_by_central(G: FiniteGroup, central: Iterable[int],
                         label: str | None = None) -> FiniteGroup:
-    """Quotient by a central subgroup, rebuilt from its action on cosets.
+    """Quotient by a central subgroup Z, closed from the generators' action on cosets.
 
-    The coset space carries the right-translation action of the generators;
-    closing those permutations yields the quotient with canonical numbering.
+    Each coset xZ is numbered by its least element, in increasing order, and
+    generator k, element k + 1, acts on the cosets by right multiplication.
     """
-    Z = sorted(set(central) | {0})
     T = G.table
-    for z in Z:
-        if not np.array_equal(T[z, :], T[:, z]):
-            raise UnknownCatalogEntry(f"element {z} is not central")
-        if T[z, z] not in (0, *Z) or any(int(T[z, w]) not in Z for w in Z):
-            raise UnknownCatalogEntry("central set is not a subgroup")
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for x in range(G.order):
-        if coset_of[x] != -1:
-            continue
-        ci = len(reps)
-        reps.append(x)
-        for z in Z:
-            coset_of[int(T[x, z])] = ci
-    gens = []
-    for g_str in G.generators:
-        g_perm = parse_permutation(g_str)
-        g_elem = G.perms.index(_as_tuple(g_perm, len(G.perms[0])))
-        image = {ci + 1: coset_of[int(T[rep, g_elem])] + 1 for ci, rep in enumerate(reps)}
-        gens.append(image)
+    Z = np.union1d(np.fromiter(central, np.intp), [0])
+    noncentral = np.setdiff1d(Z, G.center())
+    if len(noncentral):
+        raise UnknownCatalogEntry(f"element {noncentral[0]} is not central")
+    if not np.isin(T[np.ix_(Z, Z)], Z).all():
+        raise UnknownCatalogEntry("central set is not a subgroup")
+    reps, coset_of = np.unique(T[:, Z].min(axis=1), return_inverse=True)
+    images = coset_of[T[reps, 1:len(G.generators) + 1]]  # (coset, generator)
     name = label or f"{G.label} / Z{len(Z)}"
-    Q = build_group(gens, limit=max(ORDER_LIMIT, G.order), label=name)
+    Q = _close(images.T, max(ORDER_LIMIT, G.order), name)
     if Q.order != G.order // len(Z):
         raise AssertionError("central quotient has wrong order")
     return Q
@@ -353,13 +364,10 @@ def central_product_mod_diagonal_center(A: FiniteGroup, B: FiniteGroup,
     zA = _unique_central_involution(A)
     zB = _unique_central_involution(B)
     P = direct_product(A, B)
-    da = len(A.perms[0]) if A.order > 1 else 0
-    za_perm = A.perms[zA]
-    zb_perm = B.perms[zB] if B.order > 1 else ()
-    joint = tuple(za_perm) + tuple(x + da for x in zb_perm)
-    z_elem = P.perms.index(joint)
+    joint = np.concatenate([A.perms[zA], B.perms[zB] + A.perms.shape[1]])
+    z = int(np.flatnonzero((P.perms == joint).all(axis=1))[0])
     name = label or f"{A.label} o {B.label}"
-    return quotient_by_central(P, [z_elem], label=name)
+    return quotient_by_central(P, [z], label=name)
 
 
 # -- named catalog --------------------------------------------------------------
@@ -401,43 +409,19 @@ def quaternion8() -> FiniteGroup:
 def q8_power_family(m: int) -> FiniteGroup:
     """Central product of m quaternion factors, times an extra C2.
 
-    The m-fold direct power is reduced modulo the subgroup identifying the
-    central involutions of consecutive factors; the result has order
-    2^(2m+2) and carries a pair of degree-2^m irreducibles whose agreement
-    set is as large as the distinguishing bound allows.
+    The factors are joined one at a time, each step identifying the central
+    involution of the product so far with that of the next Q8, so no group
+    larger than the result is built.  The result has order 2^(2m+2) and
+    carries a pair of degree-2^m irreducibles whose agreement set is as large
+    as the distinguishing bound allows.
     """
     if m < 1:
         raise UnknownCatalogEntry("q8_power_family(m) needs m >= 1")
     q8 = quaternion8()
     G = q8
     for _ in range(m - 1):
-        G = direct_product(G, q8)
-    if m > 1:
-        i_perm = _as_tuple(parse_permutation(Q8_GENERATORS[0]), 8)
-        minus_one = tuple(i_perm[x] for x in i_perm)  # i * i
-        z_indices = []
-        for i in range(m):
-            block = tuple(range(8 * i)) + tuple(x + 8 * i for x in minus_one) \
-                + tuple(range(8 * (i + 1), 8 * m))
-            z_indices.append(G.perms.index(block))
-        kernel_gens = [G.mul(z_indices[i], z_indices[i + 1]) for i in range(m - 1)]
-        kernel = _subgroup_closure(G, kernel_gens)
-        G = quotient_by_central(G, kernel, label=f"Q8^{m} central product")
+        G = central_product_mod_diagonal_center(G, q8)
     return direct_product(G, cyclic(2), label=f"q8_power_family({m})")
-
-
-def _subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
-    members = {0}
-    frontier = [0]
-    gen_list = [g for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_list:
-            y = G.mul(x, g)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return sorted(members)
 
 
 _CATALOG_RE = re.compile(r"^\s*([a-z0-9_]+)\s*(?:\((.*)\))?\s*$", re.IGNORECASE)

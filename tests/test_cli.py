@@ -340,3 +340,25 @@ def test_satake_row_checks(capsys, tmp_path):
     data.write_text(f"p,q,a1_re,a1_im\n2,{2**1328},-1.0,0.0\n3,9,1.0,0.0\n")
     code, out, _ = run(capsys, "euler", "positivity", "--data", str(data))
     assert code == 0 and json.loads(out)["results"]["positive_type"] is True
+
+
+@pytest.mark.parametrize("point", ["32768", "9" * 5000], ids=["32768", "5000-digits"])
+def test_group_file_point_above_int16_is_a_typed_error(tmp_path, point):
+    group = tmp_path / "big.txt"
+    group.write_text(f"(1 {point})\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "smolab.cli", "charlab", "table", str(group)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("invalid-permutation: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_workers_flag_leaves_the_environment_alone(capsys, monkeypatch):
+    monkeypatch.delenv("SMOLAB_WORKERS", raising=False)
+    code, out, _ = run(capsys, "--workers", "4", "density", "natural",
+                       "--selector", "all", "--x", "1e3")
+    assert code == 0 and out
+    assert "SMOLAB_WORKERS" not in os.environ

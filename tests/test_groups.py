@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smolab import groups
 from smolab.errors import (ClosureExceedsLimit, InvalidPermutation,
                            UnknownCatalogEntry)
-from smolab.groups import (BUNDLED_CATALOG, _conjugacy_classes, build_group, bundled_catalog,
-                           catalog, central_product_mod_diagonal_center,
-                           cyclic, dihedral, direct_product, parse_group_file,
-                           parse_permutation, perm_to_cycles, q8_power_family,
-                           quaternion8, quotient_by_central, symmetric)
+from smolab.groups import (BUNDLED_CATALOG, POINT_LIMIT, Q8_GENERATORS, _conjugacy_classes,
+                           build_group, bundled_catalog, catalog,
+                           central_product_mod_diagonal_center, cyclic, dihedral,
+                           direct_product, parse_group_file, parse_permutation,
+                           perm_to_cycles, q8_power_family, quaternion8,
+                           quotient_by_central, symmetric)
 
 
 def brute_closure(gen_maps, cap=10000):
@@ -96,6 +98,73 @@ def brute_class_sizes(G):
     return sorted(sizes)
 
 
+def _as_tuple(mapping, degree):
+    images = list(range(degree))
+    for a, b in mapping.items():
+        images[a - 1] = b - 1
+    return tuple(images)
+
+
+def subgroup_closure_reference(G, gens):
+    """Elements of the subgroup generated by ``gens``, by a set-based search."""
+    members, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = G.mul(x, g)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return sorted(members)
+
+
+def string_direct_product_reference(A, B, label=None):
+    """Direct product closed from re-parsed cycle strings, the second factor's
+    points shifted past the first's."""
+    da = A.perms.shape[1] if A.order > 1 else 0
+    gens = [parse_permutation(g) for g in A.generators]
+    gens += [{a + da: b + da for a, b in parse_permutation(g).items()} for g in B.generators]
+    return build_group(gens, limit=max(2000, A.order * B.order),
+                       label=label or f"{A.label} x {B.label}")
+
+
+def coset_loop_quotient_reference(G, central, label=None):
+    """Central quotient by a Python coset loop: each coset numbered by its least
+    element, and generator images found by scanning the element list."""
+    Z = sorted(set(central) | {0})
+    T = G.table
+    coset_of, reps = [-1] * G.order, []
+    for x in range(G.order):
+        if coset_of[x] == -1:
+            for z in Z:
+                coset_of[int(T[x, z])] = len(reps)
+            reps.append(x)
+    perms = list(map(tuple, G.perms.tolist()))
+    gens = []
+    for g in G.generators:
+        g_elem = perms.index(_as_tuple(parse_permutation(g), G.perms.shape[1]))
+        gens.append({ci + 1: coset_of[int(T[rep, g_elem])] + 1 for ci, rep in enumerate(reps)})
+    return build_group(gens, limit=max(2000, G.order), label=label)
+
+
+def direct_power_q8_family_reference(m):
+    """q8_power_family through the full direct power Q8^m, reduced modulo the
+    subgroup identifying consecutive central involutions, times C2."""
+    q8 = quaternion8()
+    G = q8
+    for _ in range(m - 1):
+        G = string_direct_product_reference(G, q8)
+    if m > 1:
+        i_perm = _as_tuple(parse_permutation(Q8_GENERATORS[0]), 8)
+        minus_one = tuple(i_perm[x] for x in i_perm)
+        perms = list(map(tuple, G.perms.tolist()))
+        z = [perms.index(tuple(range(8 * i)) + tuple(x + 8 * i for x in minus_one)
+                         + tuple(range(8 * (i + 1), 8 * m))) for i in range(m)]
+        kernel = subgroup_closure_reference(G, [G.mul(z[i], z[i + 1]) for i in range(m - 1)])
+        G = coset_loop_quotient_reference(G, kernel)
+    return string_direct_product_reference(G, cyclic(2))
+
+
 def test_parse_cycles():
     assert parse_permutation("(1 2 3)(4 5)") == {1: 2, 2: 3, 3: 1, 4: 5, 5: 4}
     assert parse_permutation("(1,2)") == {1: 2, 2: 1}
@@ -103,7 +172,8 @@ def test_parse_cycles():
     assert parse_permutation("") == {}
 
 
-@pytest.mark.parametrize("bad", ["(1 2", "1 2)", "(1 2)(2 3)", "(1 1)", "(a b)", "(0 1)"])
+@pytest.mark.parametrize("bad", ["(1 2", "1 2)", "(1 2)(2 3)", "(1 1)", "(a b)", "(0 1)",
+                                 "(1 \u00b2)"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(InvalidPermutation):
         parse_permutation(bad)
@@ -156,7 +226,7 @@ def test_table_matches_direct_composition():
     for i in range(G.order):
         for j in range(G.order):
             composed = tuple(G.perms[j][x] for x in G.perms[i])
-            assert G.perms[G.mul(i, j)] == composed
+            assert tuple(G.perms[G.mul(i, j)]) == composed
 
 
 def test_conjugacy_class_invariants():
@@ -198,6 +268,81 @@ def test_central_product_requires_unique_involution():
     # the Klein four group has three central involutions: ambiguous
     with pytest.raises(UnknownCatalogEntry):
         central_product_mod_diagonal_center(direct_product(cyclic(2), cyclic(2)), quaternion8())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_q8_power_family_matches_direct_power_reference(m):
+    G = q8_power_family(m)
+    R = direct_power_q8_family_reference(m)
+    assert G.table.dtype == R.table.dtype
+    assert G.table.tobytes() == R.table.tobytes()
+    assert G.conjugacy_classes() == R.conjugacy_classes()
+
+
+def test_quotient_by_central_matches_coset_loop():
+    q8 = quaternion8()
+    cases = [(q8, [next(z for z in q8.center() if z != 0)])]
+    # product steps of central products, by the diagonal central involution
+    for A, B in [("quaternion8", "quaternion8"), ("quaternion8", "dihedral(4)"),
+                 ("dihedral(4)", "dihedral(4)")]:
+        A, B = catalog(A), catalog(B)
+        P = direct_product(A, B)
+        (zA,), (zB,) = ([z for z in X.center() if z and X.mul(z, z) == 0] for X in (A, B))
+        shifted = tuple(x + A.perms.shape[1] for x in B.perms[zB].tolist())
+        perms = list(map(tuple, P.perms.tolist()))
+        cases.append((P, [perms.index(tuple(A.perms[zA].tolist()) + shifted)]))
+    for G, central in cases:
+        Q = quotient_by_central(G, central, label="Q")
+        R = coset_loop_quotient_reference(G, central, label="Q")
+        assert np.array_equal(Q.perms, R.perms)
+        assert Q.table.tobytes() == R.table.tobytes()
+        assert Q.generators == R.generators
+
+
+@pytest.mark.parametrize("expr", BUNDLED_CATALOG)
+def test_center_matches_row_column_comparison(expr):
+    G = catalog(expr)
+    T = G.table
+    assert G.center() == [z for z in range(G.order) if np.array_equal(T[z, :], T[:, z])]
+
+
+def test_q8_power_family_builds_no_group_above_the_result(monkeypatch):
+    orders = []
+    close = groups._close
+
+    def recording_close(*args, **kwargs):
+        G = close(*args, **kwargs)
+        orders.append(G.order)
+        return G
+
+    monkeypatch.setattr(groups, "_close", recording_close)
+    assert catalog("q8_power_family(4)").order == 1024
+    assert orders and max(orders) <= 1024
+
+
+def test_generators_are_the_first_elements():
+    for G in bundled_catalog().values():
+        for k, g in enumerate(G.generators):
+            assert perm_to_cycles(G.perms[k + 1].tolist()) == g
+
+
+@pytest.mark.parametrize("text", ["(1 32768)", "(1 " + "9" * 5000 + ")",
+                                  "(1 " + "0" * 5000 + "32768)"])
+def test_points_above_the_int16_limit_are_rejected(text):
+    with pytest.raises(InvalidPermutation):
+        build_group([text])
+    with pytest.raises(InvalidPermutation):
+        build_group([{1: 2, 2: 1, 3: 3, POINT_LIMIT + 1: POINT_LIMIT + 1}])
+
+
+def test_points_up_to_the_int16_limit_are_kept():
+    G = build_group([f"(1 {POINT_LIMIT})", "(00002 0003)"])
+    assert G.order == 4
+    assert G.perms.dtype == np.int16 and G.perms.shape == (4, POINT_LIMIT)
+    assert G.generators == (f"(1 {POINT_LIMIT})", "(2 3)")
+    wide = build_group([f"(1 {POINT_LIMIT // 2 + 1})"])
+    with pytest.raises(InvalidPermutation):
+        direct_product(wide, wide)
 
 
 def test_q8_power_family_orders():
@@ -258,7 +403,7 @@ def test_closure_matches_tuple_bfs(gen_maps, limit):
         return
     G = build_group(gen_maps, limit=limit)
     perms, table, gen_perms = reference
-    assert G.perms == perms
+    assert tuple(map(tuple, G.perms.tolist())) == perms
     assert np.array_equal(G.table, table)
     assert G.generators == tuple(perm_to_cycles(g) for g in gen_perms)
 
