@@ -51,10 +51,6 @@ class Character:
     def is_integral(self) -> bool:
         return self.integer_values is not None
 
-    def sort_key(self):
-        # descending value order puts the trivial character first per degree
-        return (self.degree, tuple((-v.real, -v.imag) for v in self.values))
-
 
 @dataclass(frozen=True)
 class CharacterTable:
@@ -160,8 +156,14 @@ def _try_table(G: FiniteGroup, cells: np.ndarray, part: ConjugacyClassPartition,
                               integer_values=tuple(map(int, ints)) if integral else None))
     if sum_sq != order:
         return None
-    rows.sort(key=Character.sort_key)
-    table = CharacterTable(group=G, partition=part, rows=tuple(rows))
+    # by degree, then by descending (real, imag) value pairs class by class,
+    # which puts the trivial character first; lexsort's last key is primary
+    vals = np.array([row.values for row in rows])
+    keys = np.empty((2 * r, r))
+    keys[0::2] = -vals.real.T
+    keys[1::2] = -vals.imag.T
+    ranked = np.lexsort(np.vstack([keys[::-1], [[row.degree for row in rows]]]))
+    table = CharacterTable(group=G, partition=part, rows=tuple(rows[i] for i in ranked))
     if not _orthogonality_ok(table):
         return None
     return table

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import characters, density, euler, experiments, groups
-from .errors import NonPrimeRow, ParseError, SmolabError, UsageError
+from .errors import IoError, NonPrimeRow, ParseError, SmolabError, UsageError
 from .fields import parse_fieldspec
 from .hecke import load_hecke, synthetic_tempered, synthetic_with_profile
 from .report import Report, emit
@@ -49,7 +49,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(float(t)) for t in text.split(",") if t.strip())
-    except ValueError:
+    except (ValueError, OverflowError):
         raise UsageError(f"cannot parse integer list {text!r}")
 
 
@@ -61,10 +61,16 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _load_group(path: str) -> groups.FiniteGroup:
-    """An existing path is a group file; anything else a catalog expression."""
+    """An existing path is a group file; anything else a catalog expression.
+
+    No catalog expression contains "/" or ".", so an argument with either
+    that names no file is a missing group file.
+    """
     file = Path(path)
     if file.exists():
         return groups.build_group(groups.parse_group_file(file.read_text()), label=file.stem)
+    if "/" in path or "." in path:
+        raise IoError(f"no such group file {path!r}")
     return groups.catalog(path)
 
 
@@ -369,7 +375,7 @@ def _dispatch(args) -> Report | str:
         return Report(
             experiment="data.gen-tau",
             inputs={"limit": args.limit},
-            payload={"path": str(path), "rows": sum(1 for _ in open(path)) - 1},
+            payload={"path": str(path), "rows": len(path.read_text().splitlines()) - 1},
             interpretation=("exact integer eigenvalue file for the weight-12 cusp form",),
         )
     raise UsageError(f"unhandled command {args.command}")

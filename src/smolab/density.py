@@ -38,6 +38,8 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
                              workers: int | None = None) -> DensityEstimate:
     """Counting ratios #{p in S, p <= x} / #{p <= x unramified} on a grid."""
     grid = [int(x) for x in x_grid]
+    if not grid:
+        raise UsageError("need at least one x cutoff")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError("x grid must be strictly ascending")
     if grid[-1] > PRIME_LIMIT:

@@ -4,16 +4,25 @@ Reports round-trip losslessly through JSON and serialize to identical bytes
 for identical inputs: keys are sorted, floats use repr, and the timestamp
 comes from SOURCE_DATE_EPOCH (default 0) rather than the wall clock.
 
-``_jsonable`` is the one serializer, applied once to the whole document:
+``canonical_json`` renders a whole document in one recursive walk that
+appends text chunks to a list.  Its bytes are those of
+``json.dumps(..., sort_keys=True, indent=2)`` plus a final newline, under
+these type rules:
 
-- a dataclass becomes ``{field name: value}``, unless it defines a
-  ``payload()`` method, whose dict is used instead (for renamed, derived
-  or truncated keys);
+- strings and dict keys are escaped by ``encode_basestring_ascii``, the
+  function ``json.dumps`` uses;
+- ``None``, ``True`` and ``False`` become ``null``, ``true`` and ``false``;
+  other ints use ``int.__repr__`` and floats ``float.__repr__``;
+- NaN and infinities become the strings ``"nan"``, ``"inf"`` and ``"-inf"``,
+  so the output is valid JSON;
+- a complex number becomes ``{"im": imag, "re": real}``;
 - a ``Fraction`` becomes ``str(value)``: ``"7/8"``, and ``"1"`` for 1;
-- a complex number becomes ``{"re": real, "im": imag}``;
-- NaN and infinities, numpy scalars included, become the strings
-  ``"nan"``, ``"inf"`` and ``"-inf"``, so the output is valid JSON;
-- dict keys become ``str(k)``; tuples become lists.
+- dict keys become ``str(k)``, the last of colliding keys winning, and are
+  written sorted; tuples become lists;
+- a dataclass is rendered through its ``payload()`` method if it has one
+  (for renamed, derived or truncated keys), and by field otherwise;
+- a numpy scalar is rendered through ``.item()``;
+- any other type raises ``TypeError``, as in ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -27,9 +36,13 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import IoError
+
+# NaN and infinities are not valid JSON
+_NON_FINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
 def _timestamp() -> str:
@@ -37,31 +50,84 @@ def _timestamp() -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, complex):
-        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if is_dataclass(value):
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _encode(value, pad: str, out: list) -> None:
+    """Append the text of value, its nested lines indented past pad, to out."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is float:
+        out.append(_float(value))
+    elif isinstance(value, complex):
+        inner = pad + "  "
+        out.append(f'{{\n{inner}"im": {_float(value.imag)},\n'
+                   f'{inner}"re": {_float(value.real)}\n{pad}}}')
+    elif isinstance(value, Fraction):
+        out.append(_quote(str(value)))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in value.items()}
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(items):
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _encode(items[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(type(v) is int for v in value):
+            out.append("[\n" + inner + (",\n" + inner).join(map(int.__repr__, value))
+                       + "\n" + pad + "]")
+            return
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            _encode(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif is_dataclass(value):
         payload = getattr(value, "payload", None)
         if callable(payload):
-            return _jsonable(payload())
-        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
-    if hasattr(value, "item") and callable(value.item):  # numpy scalars
-        value = value.item()
-    if isinstance(value, float) and value != value:  # NaN is not valid JSON
-        return "nan"
-    if isinstance(value, float) and value in (float("inf"), float("-inf")):
-        return "inf" if value > 0 else "-inf"
-    return value
+            _encode(payload(), pad, out)
+        else:
+            _encode({f.name: getattr(value, f.name) for f in fields(value)}, pad, out)
+    elif callable(getattr(value, "item", None)):  # numpy scalars
+        _encode(value.item(), pad, out)
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _encode(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def digest_inputs(inputs: dict) -> str:
@@ -94,7 +160,7 @@ class Report:
         """Tabular view: grid-like payloads become one row per grid point."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        rows = _tabulate(_jsonable(self.payload))
+        rows = _tabulate(json.loads(canonical_json(self.payload)))
         writer.writerow(["experiment", self.experiment])
         writer.writerow(["inputs_digest", self.inputs_digest])
         for row in rows:

@@ -243,3 +243,11 @@ def test_class_matrix_matches_tensordot(expr):
 @pytest.mark.parametrize("expr", BUNDLED_CATALOG)
 def test_bundled_tables_are_orthogonal(expr):
     assert _orthogonality_ok(character_table(catalog(expr)))
+
+
+@pytest.mark.parametrize("expr", BUNDLED_CATALOG + WORKLOAD_GROUPS)
+def test_rows_follow_degree_then_descending_values(expr):
+    rows = character_table(catalog(expr)).rows
+    key = lambda row: (row.degree, tuple((-v.real, -v.imag) for v in row.values))
+    assert list(rows) == sorted(rows, key=key)
+    assert all(v == 1 for v in rows[0].values)

@@ -4,13 +4,17 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smolab.cli import main
-from smolab.report import Report, _jsonable, canonical_json, emit
+from smolab.report import Report, canonical_json, emit
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -211,13 +215,11 @@ def test_report_json_roundtrip():
 
 
 def test_fractions_render_as_str():
-    assert _jsonable(Fraction(1)) == "1"
-    assert _jsonable(Fraction(7, 8)) == "7/8"
+    assert json.loads(canonical_json(Fraction(1))) == "1"
+    assert json.loads(canonical_json(Fraction(7, 8))) == "7/8"
 
 
 def test_dataclasses_render_by_field_or_payload():
-    from dataclasses import dataclass
-
     @dataclass(frozen=True)
     class Inner:
         z: complex
@@ -232,9 +234,100 @@ def test_dataclasses_render_by_field_or_payload():
             return {"nested": self.inner, "first": self.items[:1]}
 
     value = Renamed(Inner(1 - 2j, {0.5: Fraction(3, 1)}), (1, 2))
-    assert _jsonable(value) == {"nested": {"z": {"re": 1.0, "im": -2.0},
-                                           "keys": {"0.5": "3"}},
-                                "first": [1]}
+    assert json.loads(canonical_json(value)) == {"nested": {"z": {"re": 1.0, "im": -2.0},
+                                                         "keys": {"0.5": "3"}},
+                                              "first": [1]}
+
+
+def _jsonable(value):
+    """The former two-pass serializer, kept as the reference for canonical_json."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, complex):
+        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if is_dataclass(value):
+        payload = getattr(value, "payload", None)
+        if callable(payload):
+            return _jsonable(payload())
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "item") and callable(value.item):  # numpy scalars
+        value = value.item()
+    if isinstance(value, float) and value != value:
+        return "nan"
+    if isinstance(value, float) and value in (float("inf"), float("-inf")):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _reference_json(value) -> str:
+    return json.dumps(_jsonable(value), sort_keys=True, indent=2) + "\n"
+
+
+@dataclass(frozen=True)
+class _ByField:
+    first: object
+    second: object
+
+
+@dataclass(frozen=True)
+class _ByPayload:
+    inner: object
+
+    def payload(self):
+        return {"renamed": self.inner, "count": 1}
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**70, 2**70),
+    _floats, st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(), st.text(alphabet='"\\/\x00\x01\x1f\x7f\u00e9\u2028\U0001f600 a'),
+    st.fractions(), st.complex_numbers(allow_nan=True, allow_infinity=True),
+    _floats.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
+)
+# small key pools so that 1 and "1", True and "True" or None and "None" collide
+_keys = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(str), st.text(max_size=3),
+                  st.sampled_from([0.5, -0.0, float("nan"), True, False, None,
+                                   "0.5", "True", "None", "nan"]))
+_values = st.recursive(_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(children, max_size=5).map(tuple),
+    st.lists(st.integers(), max_size=6),
+    st.dictionaries(_keys, children, max_size=5),
+    st.builds(_ByField, children, children),
+    st.builds(_ByPayload, children),
+), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_canonical_json_matches_reference_encoder(value):
+    assert canonical_json(value) == _reference_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "int", "1": "str"}, {"1": "str", 1: "int"}, [1, True], [True, 1], [0, -1, 2**80],
+    [], {}, (), [[], {}, ()], -0.0, np.float64(-0.0), complex(-0.0, float("nan")),
+    np.complex128(complex(1.5, float("-inf"))), "\"\\\n\x00\u00e9\U0001f600",
+    {None: 1, True: 2, 0.5: 3, "None": 4}, _ByField(np.int64(-7), [np.bool_(True)]),
+    _ByPayload({"z": Fraction(-3, 4)}),
+], ids=repr)
+def test_canonical_json_reference_cases(value):
+    assert canonical_json(value) == _reference_json(value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, _ByField(1, {3})])
+def test_unserializable_types_raise_like_json_dumps(value):
+    with pytest.raises(TypeError):
+        _reference_json(value)
+    with pytest.raises(TypeError):
+        canonical_json(value)
 
 
 def test_report_digest_stable():
@@ -289,16 +382,21 @@ BAD_ARGV = [
     ("charlab", "table", "cyclic(2000000)"),
     ("charlab", "table", "q8_power_family(5)"),
     ("charlab", "table", "cyclic(2,3)"),
+    ("density", "natural", "--selector", "mod:4:1", "--x", ""),
+    ("density", "natural", "--selector", "mod:4:1", "--x", "1e400"),
+    ("euler", "probe", "--fieldspec", "field.txt", "--degree", "2", "--delta", "1/4",
+     "--sigma", "0.8", "--cutoffs", "1e400"),
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_ARGV, ids=[" ".join(a[:2]) + f"[{i}]"
                                                 for i, a in enumerate(BAD_ARGV)])
-def test_bad_values_are_typed_errors(argv):
+def test_bad_values_are_typed_errors(argv, tmp_path):
+    (tmp_path / "field.txt").write_text("N=4\nH=\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "smolab.cli", *argv],
+    proc = subprocess.run([sys.executable, "-m", "smolab.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode in (1, 2)
     assert "Traceback" not in proc.stderr
@@ -353,6 +451,18 @@ def test_group_file_point_above_int16_is_a_typed_error(tmp_path, point):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("invalid-permutation: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_missing_group_file_is_an_io_error(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "smolab.cli", "charlab", "table",
+                           "groups/missing.txt"], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("io-error: "), proc.stderr
     assert "Traceback" not in proc.stderr
 
 
