@@ -6,6 +6,21 @@ flags, tail bounds, normalized ratios).  The Dirichlet partials divide by
 log(1/(s-1)); because that comparison is only faithful when the cutoff
 grows like exp(4/(s-1)), the headline ``extrapolated`` value is instead the
 truncation-consistent ratio against the full prime sum at the same cutoff.
+
+Natural-density counts and Frobenius class counts are exact integers that
+depend only on p mod q, for q the selector's or the field's modulus.  When
+``sieve.residue_counts_pay`` accepts x and q, they are read off
+``sieve.residue_prime_counts`` instead of a sieve walk: at 1e8 the mod-4
+selector takes 0.04 s per grid point, N = 11 0.06 s and the compound q = 56
+selector 0.09 s, against 0.36 s for the sieve.  The model turns away every
+cutoff below about 1e6 and every phi(q) above 168, and it reads only the
+modulus before it accepts one, so a huge compound modulus is never lifted
+to its residue set.  ``frobstats`` then takes ``first_hits`` from sieve
+segments in order until every nonempty class has its least prime, one
+segment for N = 11.  Every other case walks ``segment_map``, and so do the
+Dirichlet sums and ``prime_zeta``, whose float sums a recurrence would
+regroup.  Both paths give the same integers, so the report bytes are the
+same.
 """
 
 from __future__ import annotations
@@ -17,7 +32,8 @@ import numpy as np
 
 from .errors import LimitExceeded, UsageError
 from .selectors import PrimeSelector
-from .sieve import PRIME_LIMIT, segment_map
+from .sieve import (PRIME_LIMIT, iter_prime_segments, residue_counts_pay,
+                    residue_prime_counts, segment_map)
 
 RECOMMENDED_CUTOFF_RATE = 4.0
 # density is insensitive to finite prime sets; the normalized ratio drops
@@ -44,6 +60,41 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
         raise UsageError("x grid must be strictly ascending")
     if grid[-1] > PRIME_LIMIT:
         raise LimitExceeded(f"natural density cutoff capped at {PRIME_LIMIT}")
+    modulus = selector.congruence_modulus()
+    if modulus is not None and residue_counts_pay(grid, modulus):
+        sel_tot, un_tot = _natural_counts_by_residue(selector, grid)
+    else:
+        sel_tot, un_tot = _natural_counts_by_segment(selector, grid, workers)
+    ratios = tuple(float(s) / u if u else 0.0 for s, u in zip(sel_tot, un_tot))
+    return DensityEstimate(
+        estimand="natural",
+        sample_points=tuple(float(x) for x in grid),
+        partial_values=ratios,
+        extrapolated=ratios[-1],
+        diagnostics={
+            "selected_counts": [int(v) for v in sel_tot],
+            "reference_counts": [int(v) for v in un_tot],
+            "selector": selector.describe(),
+        },
+    )
+
+
+def _natural_counts_by_residue(selector: PrimeSelector, grid: list[int]):
+    """Selected and unramified prime counts at each grid point from the prime
+    counts per residue class of the selector's congruence description."""
+    modulus, residues = selector.as_congruence()
+    chosen = np.array(sorted(residues), dtype=np.int64)
+    excluded = np.array(sorted(selector.excluded), dtype=np.int64)
+    sel_tot = np.zeros(len(grid), dtype=np.int64)
+    un_tot = np.zeros(len(grid), dtype=np.int64)
+    for i, x in enumerate(grid):
+        counts = residue_prime_counts(x, modulus)
+        sel_tot[i] = counts[chosen].sum()
+        un_tot[i] = counts.sum() - np.count_nonzero(excluded <= x)
+    return sel_tot, un_tot
+
+
+def _natural_counts_by_segment(selector: PrimeSelector, grid: list[int], workers: int | None):
     excluded = np.array(sorted(selector.excluded), dtype=np.int64)
     bounds = np.array(grid, dtype=np.int64)
 
@@ -62,18 +113,7 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
     for sel_part, un_part in segment_map(grid[-1], per_segment, workers=workers):
         sel_tot += sel_part
         un_tot += un_part
-    ratios = tuple(float(s) / u if u else 0.0 for s, u in zip(sel_tot, un_tot))
-    return DensityEstimate(
-        estimand="natural",
-        sample_points=tuple(float(x) for x in grid),
-        partial_values=ratios,
-        extrapolated=ratios[-1],
-        diagnostics={
-            "selected_counts": [int(v) for v in sel_tot],
-            "reference_counts": [int(v) for v in un_tot],
-            "selector": selector.describe(),
-        },
-    )
+    return sel_tot, un_tot
 
 
 def dirichlet_density_estimate(selector: PrimeSelector, s_grid, cutoff: int,
@@ -186,7 +226,40 @@ def frobenius_statistics(fs, cutoff: int, workers: int | None = None) -> Frobeni
     coset_table, reps = fs._coset_table
     num_classes = len(reps)
     N = fs.modulus
+    if residue_counts_pay((cutoff,), N):
+        counts = np.zeros(num_classes, dtype=np.int64)
+        unit = coset_table >= 0
+        np.add.at(counts, coset_table[unit], residue_prime_counts(cutoff, N)[unit])
+        first_hits = _first_hits(coset_table, cutoff, counts > 0)
+    else:
+        counts, first_hits = _frobenius_by_segment(coset_table, num_classes, N, cutoff, workers)
+    total = int(counts.sum())
+    return FrobeniusStatistics(
+        fieldspec_label=fs.label,
+        cutoff=int(cutoff),
+        class_labels=tuple(int(r) for r in reps),
+        counts=tuple(int(c) for c in counts),
+        fractions=tuple(float(c) / total if total else 0.0 for c in counts),
+        first_hits=tuple(int(f) for f in first_hits),
+        total_unramified=total,
+    )
 
+
+def _first_hits(coset_table: np.ndarray, cutoff: int, nonempty: np.ndarray) -> np.ndarray:
+    """The least prime of each class, -1 for an empty one, from a prefix of
+    sieve segments that grows until every nonempty class has its hit."""
+    first = np.full(len(nonempty), -1, dtype=np.int64)
+    for seg in iter_prime_segments(cutoff):
+        classes, at = np.unique(coset_table[seg % len(coset_table)], return_index=True)
+        new = classes >= 0
+        new[new] = first[classes[new]] < 0
+        first[classes[new]] = seg[at[new]]
+        if np.array_equal(first >= 0, nonempty):
+            break
+    return first
+
+
+def _frobenius_by_segment(coset_table, num_classes, N, cutoff, workers):
     def per_segment(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = coset_table[seg % N] if N > 1 else np.zeros(len(seg), dtype=np.int64)
         keep = idx >= 0
@@ -205,16 +278,7 @@ def frobenius_statistics(fs, cutoff: int, workers: int | None = None) -> Frobeni
         counts += part_counts
         fill = (first_hits == -1) & (part_first != -1)
         first_hits[fill] = part_first[fill]
-    total = int(counts.sum())
-    return FrobeniusStatistics(
-        fieldspec_label=fs.label,
-        cutoff=int(cutoff),
-        class_labels=tuple(int(r) for r in reps),
-        counts=tuple(int(c) for c in counts),
-        fractions=tuple(float(c) / total if total else 0.0 for c in counts),
-        first_hits=tuple(int(f) for f in first_hits),
-        total_unramified=total,
-    )
+    return counts, first_hits
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, Ramified
+from .errors import LimitExceeded, ParseError, Ramified
+
+# The unit list and the coset table are Python loops over (Z/N)*, and the
+# coset table is an int64 array of N entries.  At N = 1,000,003 they took
+# 0.32 s and 1.8 s; at N = 10,000,019 they took 3.1 s and 17 s (2-vCPU x86-64
+# VM).  At N = 1e11 the table alone would take 745 GiB.
+MODULUS_LIMIT = 10**6
 
 
 def _unit_residues(N: int) -> list[int]:
@@ -49,6 +55,8 @@ class FieldSpec:
     def __post_init__(self):
         if self.modulus < 1:
             raise ParseError("modulus must be positive")
+        if self.modulus > MODULUS_LIMIT:
+            raise LimitExceeded(f"field modulus capped at {MODULUS_LIMIT}, got {self.modulus}")
         if not self.label:
             gens = ",".join(str(g) for g in self.subgroup_generators) or "1"
             object.__setattr__(self, "label", f"N={self.modulus};H=<{gens}>")

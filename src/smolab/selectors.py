@@ -15,8 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import LimitExceeded, ParseError
 from .fields import FieldSpec
+from .sieve import PRIME_LIMIT
+
+# ``mask`` indexes a table of ``modulus`` bytes on every call: at 1e9 it is
+# lazily zeroed and costs 0.7 ms per sieve segment, while 1e12 bytes cannot be
+# allocated at all.  Every prime a scan reaches lies below PRIME_LIMIT, so a
+# larger modulus would only pick the listed residues themselves.
+MODULUS_LIMIT = PRIME_LIMIT
 
 
 class PrimeSelector:
@@ -43,8 +50,18 @@ class PrimeSelector:
         j = self.norm_exponent or 1
         return int(math.floor(norm_cutoff ** (1.0 / j) + 1e-9))
 
+    def congruence_modulus(self) -> int | None:
+        """The modulus of ``as_congruence()``, found without lifting any
+        residue set, or None when there is no congruence description."""
+        return None
+
     def as_congruence(self) -> tuple[int, frozenset[int]] | None:
-        """(modulus, residue set) description if one exists, else None."""
+        """(modulus, residue set) description if one exists, else None.
+
+        ``mask`` picks exactly the primes whose residue lies in the set, and
+        no prime in ``excluded``; the residue counts of the density
+        estimators rely on this.
+        """
         return None
 
     def analytic_density(self) -> Fraction | None:
@@ -68,6 +85,9 @@ class AllPrimes(PrimeSelector):
     def mask(self, primes: np.ndarray) -> np.ndarray:
         return np.ones(len(primes), dtype=bool)
 
+    def congruence_modulus(self):
+        return 1
+
     def as_congruence(self):
         return (1, frozenset({0}))
 
@@ -79,6 +99,9 @@ class AllPrimes(PrimeSelector):
 class NoPrimes(PrimeSelector):
     def mask(self, primes: np.ndarray) -> np.ndarray:
         return np.zeros(len(primes), dtype=bool)
+
+    def congruence_modulus(self):
+        return 1
 
     def as_congruence(self):
         return (1, frozenset())
@@ -97,6 +120,8 @@ class CongruenceSelector(PrimeSelector):
     def __post_init__(self):
         if self.modulus < 1:
             raise ParseError(f"congruence modulus {self.modulus} must be a positive integer")
+        if self.modulus > MODULUS_LIMIT:
+            raise LimitExceeded(f"congruence modulus capped at {MODULUS_LIMIT}, got {self.modulus}")
         units = {r % self.modulus for r in self.residues
                  if math.gcd(r, self.modulus) == 1}
         object.__setattr__(self, "residues", frozenset(units))
@@ -107,6 +132,9 @@ class CongruenceSelector(PrimeSelector):
         for r in self.residues:
             allowed[r] = True
         return allowed[primes % self.modulus]
+
+    def congruence_modulus(self):
+        return self.modulus
 
     def as_congruence(self):
         return (self.modulus, self.residues)
@@ -139,6 +167,9 @@ class DegreeSelector(PrimeSelector):
 
     def place_multiplicity(self, primes: np.ndarray) -> np.ndarray:
         return np.full(len(primes), self.fieldspec.degree // self.j, dtype=np.int64)
+
+    def congruence_modulus(self):
+        return self.fieldspec.modulus
 
     def as_congruence(self):
         return (self.fieldspec.modulus, self.fieldspec.residues_with_degree(self.j))
@@ -191,6 +222,11 @@ def _lift_congruence(cong: tuple[int, frozenset[int]], modulus: int) -> frozense
                      if math.gcd(r, modulus) == 1 and (r % N) in residues)
 
 
+def _combined_modulus(a: PrimeSelector, b: PrimeSelector) -> int | None:
+    qa, qb = a.congruence_modulus(), b.congruence_modulus()
+    return None if qa is None or qb is None else math.lcm(qa, qb)
+
+
 def _combine(a: PrimeSelector, b: PrimeSelector, op) -> tuple[int, frozenset[int]] | None:
     ca, cb = a.as_congruence(), b.as_congruence()
     if ca is None or cb is None:
@@ -211,6 +247,9 @@ class Complement(PrimeSelector):
         for p in self.inner.excluded:
             keep &= primes != p
         return keep
+
+    def congruence_modulus(self):
+        return self.inner.congruence_modulus()
 
     def as_congruence(self):
         c = self.inner.as_congruence()
@@ -242,6 +281,9 @@ class Intersection(PrimeSelector):
             keep &= primes != p
         return keep
 
+    def congruence_modulus(self):
+        return _combined_modulus(self.left, self.right)
+
     def as_congruence(self):
         return _combine(self.left, self.right, frozenset.intersection)
 
@@ -266,6 +308,9 @@ class Union(PrimeSelector):
         for p in self.excluded:
             keep &= primes != p
         return keep
+
+    def congruence_modulus(self):
+        return _combined_modulus(self.left, self.right)
 
     def as_congruence(self):
         return _combine(self.left, self.right, frozenset.union)

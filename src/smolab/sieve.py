@@ -13,6 +13,15 @@ primes is Python and holds the GIL.  On a 2-vCPU x86-64 VM (Python 3.11.7,
 numpy 2.4.6), ``prime_count(10**8)`` took 0.19-0.25 s at one worker and
 0.22-0.24 s at two (four medians of five runs each), and
 ``prime_count(10**9)`` 3.0-4.3 s at one and 3.0-3.7 s at two (single runs).
+
+Counts of primes by residue class need no sieve walk.  ``residue_prime_counts``
+runs Lucy's recurrence on the about 2 sqrt(x) values x // n, in about
+phi(q) x^(3/4) / log x cell updates (Lagarias, Miller and Odlyzko, Math.
+Comp. 1985; Deleglise and Rivat, Math. Comp. 1996).  ``density natural`` and
+``frobstats`` count this way whenever ``residue_counts_pay`` predicts it
+cheaper than the sieve; its cost model and measurements are in its
+docstring.  At 1e8 it took 0.04 s for q = 4, 0.06 s for q = 11 and 0.09 s
+for q = 56, against 0.36 s for the sieve path.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .errors import LimitExceeded
+from .errors import LimitExceeded, UsageError
 
 SEGMENT_SPAN = 1 << 20
 STREAM_CHUNK = 1 << 12  # primes per array from prime_stream
@@ -193,6 +202,89 @@ def segment_map(limit: int, fn: Callable[[np.ndarray], R],
         return [job(b) for b in bounds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, bounds))
+
+
+_BLOCK_CELLS = 1 << 16  # state cells updated per numpy call in residue_prime_counts
+RECURRENCE_MODULUS_LIMIT = 10**4
+RECURRENCE_STATE_BYTES = 1 << 24
+
+
+def residue_prime_counts(x: int, q: int) -> np.ndarray:
+    """Exact int64 counts of the primes p <= x in every residue class mod q.
+
+    Lucy's recurrence on the values v = x // n: a row per unit residue a
+    holds, at each v, the integers in [2, v] congruent to a with no prime
+    factor below p.  Each prime p <= sqrt(x) not dividing q removes the
+    multiples of p in one update, reading the row of a * p^-1 at v // p.
+    The primes dividing q lie in no unit row and are added back at the end.
+    """
+    _check_limit(x)
+    if q < 1:
+        raise UsageError(f"modulus {q} must be a positive integer")
+    counts = np.zeros(q, dtype=np.int64)
+    if x < 2:
+        return counts
+    r = math.isqrt(x)
+    n_small = x // r - 1  # the values 1..n_small, then x // r, ..., x // 1
+    values = np.concatenate((x // np.arange(1, r + 1, dtype=np.int64),
+                             np.arange(n_small, 0, -1, dtype=np.int64)))
+    m = len(values)
+    units = np.array([a for a in range(q) if math.gcd(a, q) == 1], dtype=np.int64)
+    row_of = np.full(q, -1, dtype=np.int64)
+    row_of[units] = np.arange(len(units))
+    # int32 is exact below 2**31 > PRIME_LIMIT; filled a row at a time
+    state = np.empty((len(units), m), dtype=np.int32)
+    for i, a in enumerate(units.tolist()):
+        state[i] = (values - (a or q)) // q + 1
+    state[row_of[1 % q]] -= 1  # the integer 1
+    width = max(1, _BLOCK_CELLS // len(units))
+    for p in simple_sieve(r).tolist():
+        if q % p == 0:
+            continue
+        k = min(r, x // (p * p)) + max(0, n_small - p * p + 1)  # values >= p*p
+        w = values[:k] // p
+        src = np.where(w > n_small, x // w - 1, m - w)  # column of each v // p
+        low = state[:, m - (p - 1) if p - 1 <= n_small else x // (p - 1) - 1]
+        perm = row_of[units * pow(p, -1, q) % q]
+        # ascending columns are descending values and every read is at a
+        # smaller value, so each block reads columns no earlier block wrote
+        for start in range(0, k, width):
+            end = min(k, start + width)
+            block = np.take(state, src[start:end], axis=1)
+            block -= low[:, None]
+            state[:, start:end] -= block[perm]
+    counts[units] = state[:, 0]
+    for p in simple_sieve(min(q, x)).tolist():
+        if q % p == 0:
+            counts[p % q] += 1
+    return counts
+
+
+def residue_counts_pay(xs, q: int) -> bool:
+    """Whether ``residue_prime_counts(x, q)`` at every x >= 2 of ``xs`` is
+    predicted to beat one sieve up to max(xs), within a bounded state.
+
+    The model is fitted to medians taken on a 2-vCPU x86-64 VM (Python
+    3.11.7, numpy 2.4.6); it predicts every measured time for 1e6 <= x <= 1e9
+    and phi(q) <= 192 within 27%.  In seconds, the sieve costs 3.5e-9 x
+    (0.36 s at 1e8), and the recurrence 4.9e-5 sqrt(x)/log x for its numpy
+    calls, one set per prime up to sqrt(x), plus 4.0e-8 phi(q) x^(3/4)/log x
+    for its cell updates (at 1e8: 0.04 s for q = 4, 0.06 s for q = 11, 0.09 s
+    for q = 56, 0.27 s for q = 420).  The int32 state of phi(q) rows of about
+    2 sqrt(x) cells may take at most RECURRENCE_STATE_BYTES.  Below about
+    x = 1.07e6 the sieve is predicted to win for every q, and no x up to
+    PRIME_LIMIT admits phi(q) > 168.  The modulus is checked first, so a
+    large one costs neither phi(q) nor a residue lift: every q above
+    RECURRENCE_MODULUS_LIMIT has phi(q) >= 2304.
+    """
+    xs = [x for x in xs if x >= 2]
+    if q > RECURRENCE_MODULUS_LIMIT or not xs:
+        return False
+    phi = sum(1 for a in range(q) if math.gcd(a, q) == 1)
+    if 8 * phi * math.isqrt(max(xs)) > RECURRENCE_STATE_BYTES:
+        return False
+    seconds = sum((4.9e-5 * math.sqrt(x) + 4.0e-8 * phi * x**0.75) / math.log(x) for x in xs)
+    return seconds <= 3.5e-9 * max(xs)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -41,25 +41,6 @@ from .sieve import prime_array
 TAU_LIMIT = 10**5
 
 
-def eta_block_coefficients(order: int) -> list[int]:
-    """Coefficients of prod_{n>=1} (1 - q^n) up to q^order (pentagonal numbers)."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    k = 1
-    while True:
-        p1 = k * (3 * k - 1) // 2
-        p2 = k * (3 * k + 1) // 2
-        if p1 > order and p2 > order:
-            break
-        sign = -1 if k % 2 else 1
-        if p1 <= order:
-            coeffs[p1] = sign
-        if p2 <= order:
-            coeffs[p2] = sign
-        k += 1
-    return coeffs
-
-
 def eta_cubed_coefficients(order: int) -> list[int]:
     """Coefficients of prod_{n>=1} (1 - q^n)^3 up to q^order (Jacobi's identity)."""
     coeffs = [0] * (order + 1)

@@ -386,6 +386,8 @@ BAD_ARGV = [
     ("density", "natural", "--selector", "mod:4:1", "--x", "1e400"),
     ("euler", "probe", "--fieldspec", "field.txt", "--degree", "2", "--delta", "1/4",
      "--sigma", "0.8", "--cutoffs", "1e400"),
+    ("density", "natural", "--selector", "mod:1000000000000:1", "--x", "100"),
+    ("frobstats", "bigfield.txt", "--x", "100"),
 ]
 
 
@@ -393,6 +395,7 @@ BAD_ARGV = [
                                                 for i, a in enumerate(BAD_ARGV)])
 def test_bad_values_are_typed_errors(argv, tmp_path):
     (tmp_path / "field.txt").write_text("N=4\nH=\n")
+    (tmp_path / "bigfield.txt").write_text("N=100000000000\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -401,6 +404,17 @@ def test_bad_values_are_typed_errors(argv, tmp_path):
     assert proc.returncode in (1, 2)
     assert "Traceback" not in proc.stderr
     assert re.search(r"^[a-z-]+: \S", proc.stderr, re.MULTILINE), proc.stderr
+
+
+def test_huge_moduli_are_refused_before_allocation(capsys, tmp_path):
+    # a modulus-sized selector table or (Z/N)* loop would end in a MemoryError
+    code, _, err = run(capsys, "density", "natural", "--selector", "mod:1000000000000:1",
+                       "--x", "100")
+    assert code == 1 and err.startswith("limit-exceeded: congruence modulus capped"), err
+    spec = tmp_path / "bigfield.txt"
+    spec.write_text("N=100000000000\n")
+    code, _, err = run(capsys, "frobstats", str(spec), "--x", "100")
+    assert code == 1 and err.startswith("limit-exceeded: field modulus capped"), err
 
 
 def test_malformed_satake_row_is_a_parse_error(capsys, tmp_path):

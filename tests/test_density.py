@@ -1,15 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import smolab.density
+from smolab.cli import main
 from smolab.density import (dirichlet_density_estimate, frobenius_statistics,
                             natural_density_estimate, prime_zeta)
 from smolab.errors import LimitExceeded
 from smolab.fields import FieldSpec
+from smolab.report import canonical_json
 from smolab.selectors import (AllPrimes, Complement, CongruenceSelector,
-                              DegreeSelector, NoPrimes)
-from smolab.sieve import simple_sieve
+                              DegreeSelector, Intersection, NoPrimes, Union)
+from smolab.sieve import iter_prime_segments, segment_map, simple_sieve
 
 
 def test_natural_density_all_is_one():
@@ -129,3 +133,145 @@ def test_worker_independence_of_estimates():
     many = dirichlet_density_estimate(sel, [1.5, 1.25], 10**6, workers=8)
     assert one.partial_values == many.partial_values
     assert one.extrapolated == many.extrapolated
+
+
+# -- counting by residue against the segment path ---------------------------------
+
+
+def segment_natural_counts(selector, grid):
+    """The per-segment counting of natural_density_estimate before residue counts."""
+    excluded = np.array(sorted(selector.excluded), dtype=np.int64)
+    bounds = np.array(grid, dtype=np.int64)
+
+    def per_segment(seg):
+        sel = selector.mask(seg)
+        unram = ~np.isin(seg, excluded) if len(excluded) else np.ones(len(seg), dtype=bool)
+        pos = np.searchsorted(seg, bounds, side="right")
+        sel_c = np.cumsum(sel)
+        un_c = np.cumsum(unram)
+        take = lambda c: np.where(pos > 0, c[np.maximum(pos - 1, 0)], 0)
+        return take(sel_c), take(un_c)
+
+    sel_tot = np.zeros(len(grid), dtype=np.int64)
+    un_tot = np.zeros(len(grid), dtype=np.int64)
+    for sel_part, un_part in segment_map(grid[-1], per_segment):
+        sel_tot += sel_part
+        un_tot += un_part
+    return sel_tot.tolist(), un_tot.tolist()
+
+
+def segment_frobenius_counts(fs, cutoff):
+    """The per-segment counting of frobenius_statistics before residue counts."""
+    coset_table, reps = fs._coset_table
+    num_classes = len(reps)
+    N = fs.modulus
+
+    def per_segment(seg):
+        idx = coset_table[seg % N] if N > 1 else np.zeros(len(seg), dtype=np.int64)
+        keep = idx >= 0
+        counts = np.bincount(idx[keep], minlength=num_classes)
+        first = np.full(num_classes, -1, dtype=np.int64)
+        kept, kidx = seg[keep], idx[keep]
+        for c in range(num_classes):
+            where = np.flatnonzero(kidx == c)
+            if len(where):
+                first[c] = kept[where[0]]
+        return counts, first
+
+    counts = np.zeros(num_classes, dtype=np.int64)
+    first_hits = np.full(num_classes, -1, dtype=np.int64)
+    for part_counts, part_first in segment_map(cutoff, per_segment):
+        counts += part_counts
+        fill = (first_hits == -1) & (part_first != -1)
+        first_hits[fill] = part_first[fill]
+    return counts.tolist(), first_hits.tolist()
+
+
+@pytest.fixture
+def by_residue(monkeypatch):
+    """Run the estimators on residue counts whatever the cost model says."""
+    monkeypatch.setattr(smolab.density, "residue_counts_pay", lambda xs, q: True)
+
+
+def on_segments(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(smolab.density, "residue_counts_pay", lambda xs, q: False)
+        return fn(*args)
+
+
+COMPOUND = Intersection(Union(CongruenceSelector(8, frozenset({1})),
+                              CongruenceSelector(8, frozenset({3}))),
+                        Complement(DegreeSelector(FieldSpec(7, (6,)), 1)))
+NATURAL_CASES = [
+    (AllPrimes(), [-7, 0, 1, 2, 3, 10**4, 10**6 + 3]),
+    (NoPrimes(), [-1, 0, 1, 2, 10**5]),
+    (CongruenceSelector(1, frozenset({0})), [0, 1, 2, 3, 5, 10**5]),
+    (CongruenceSelector(4, frozenset({1})), [-3, 1, 2, 4, 5, 10**5, 2**20 + 7]),
+    (Complement(CongruenceSelector(4, frozenset({1}))), [1, 2, 3, 10**5]),
+    (DegreeSelector(FieldSpec(5), 1), [2, 5, 11, 12345]),
+    (COMPOUND, [-1, 0, 7, 8, 10**4, 10**5]),
+]
+
+
+@pytest.mark.parametrize("selector,grid", NATURAL_CASES, ids=lambda v: str(v))
+def test_natural_by_residue_is_byte_identical(selector, grid, by_residue, monkeypatch):
+    fast = natural_density_estimate(selector, grid)
+    assert (fast.diagnostics["selected_counts"],
+            fast.diagnostics["reference_counts"]) == segment_natural_counts(selector, grid)
+    slow = on_segments(monkeypatch, natural_density_estimate, selector, grid)
+    assert canonical_json(fast) == canonical_json(slow)
+
+
+FROBENIUS_CASES = [
+    (FieldSpec(1), 10**4),
+    (FieldSpec(1), 1),
+    (FieldSpec(4), -5),
+    (FieldSpec(8), 0),
+    (FieldSpec(8), 2),
+    (FieldSpec(8), 10),            # class 1 first hit is 17: stays -1
+    (FieldSpec(8), 17),
+    (FieldSpec(11), 10**5),
+    (FieldSpec(35, (2,)), 10**5),  # a subgroup: classes are cosets
+    (FieldSpec(101), 200),         # most classes still empty
+    (FieldSpec(101), 2**20 + 100), # hits past the first segment
+]
+
+
+@pytest.mark.parametrize("fs,cutoff", FROBENIUS_CASES, ids=lambda v: str(v))
+def test_frobenius_by_residue_is_byte_identical(fs, cutoff, by_residue, monkeypatch):
+    fast = frobenius_statistics(fs, cutoff)
+    assert (list(fast.counts), list(fast.first_hits)) == segment_frobenius_counts(fs, cutoff)
+    slow = on_segments(monkeypatch, frobenius_statistics, fs, cutoff)
+    assert canonical_json(fast) == canonical_json(slow)
+
+
+def test_frobenius_first_hits_sieve_a_prefix(monkeypatch):
+    segments = []
+
+    def counted(limit):
+        for seg in iter_prime_segments(limit):
+            segments.append(len(seg))
+            yield seg
+
+    monkeypatch.setattr(smolab.density, "iter_prime_segments", counted)
+    monkeypatch.setattr(smolab.density, "segment_map", None)  # the sieve path is not taken
+    stats = frobenius_statistics(FieldSpec(11), 10**8)
+    assert len(segments) == 1
+    # least prime = r mod 11, r = 1..10
+    assert stats.first_hits == (23, 2, 3, 37, 5, 17, 7, 19, 31, 43)
+    assert stats.total_unramified == 5761455 - 1
+
+
+def test_huge_compound_modulus_is_never_lifted(capsys, monkeypatch):
+    # lcm(1e8, 99999989) is near 1e16: the modulus alone sends this to the
+    # sieve, where the lift over range(lcm) would never finish
+    def no_lift(self):
+        raise AssertionError("residue lift attempted")
+
+    monkeypatch.setattr(Intersection, "as_congruence", no_lift)
+    code = main(["density", "natural", "--selector", "mod:100000000:1 and mod:99999989:1",
+                 "--x", "100"])
+    diagnostics = json.loads(capsys.readouterr().out)["results"]["diagnostics"]
+    assert code == 0
+    assert diagnostics["selected_counts"] == [0]
+    assert diagnostics["reference_counts"] == [25 - 2]  # 2 and 5 divide 1e8

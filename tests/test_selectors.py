@@ -1,16 +1,20 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smolab.errors import ParseError
+from smolab.errors import LimitExceeded, ParseError
 from smolab.fields import FieldSpec
-from smolab.selectors import (AllPrimes, Complement, CongruenceSelector,
+from smolab.selectors import (MODULUS_LIMIT, AllPrimes, Complement, CongruenceSelector,
                               DegreeSelector, ExplicitList, Intersection,
                               NoPrimes, Union, parse_selector)
 from smolab.sieve import prime_array
 
 PRIMES = prime_array(1000)
+PRIMES_1E5 = prime_array(10**5)
 
 
 def members(selector, primes=PRIMES):
@@ -134,3 +138,58 @@ def test_congruence_modulus_must_be_positive(modulus):
         CongruenceSelector(modulus, frozenset({1}))
     with pytest.raises(ParseError):
         parse_selector(f"mod:{modulus}:1")
+
+
+def test_congruence_modulus_above_limit_is_refused():
+    CongruenceSelector(MODULUS_LIMIT, frozenset({1}))
+    with pytest.raises(LimitExceeded):
+        CongruenceSelector(MODULUS_LIMIT + 1, frozenset({1}))
+    with pytest.raises(LimitExceeded):
+        parse_selector("mod:1000000000000:1")
+
+
+def test_congruence_modulus_needs_no_residue_lift():
+    a = CongruenceSelector(10**8, frozenset({1}))
+    b = CongruenceSelector(99999989, frozenset({1}))
+    assert Intersection(a, b).congruence_modulus() == 10**8 * 99999989
+    assert Complement(Union(a, b)).congruence_modulus() == 10**8 * 99999989
+    assert Union(a, ExplicitList((5,))).congruence_modulus() is None
+    assert ExplicitList((5,)).congruence_modulus() is None
+    assert AllPrimes().congruence_modulus() == NoPrimes().congruence_modulus() == 1
+    assert DegreeSelector(FieldSpec(7, (6,)), 3).congruence_modulus() == 7
+
+
+@st.composite
+def degree_atoms(draw):
+    N = draw(st.integers(1, 16))
+    units = [r for r in range(1, N + 1) if math.gcd(r, N) == 1]
+    gens = tuple(draw(st.lists(st.sampled_from(units), max_size=2)))
+    fs = FieldSpec(N, gens)
+    j = draw(st.sampled_from([j for j in range(1, fs.degree + 1) if fs.degree % j == 0]))
+    return DegreeSelector(fs, j)
+
+
+@st.composite
+def mod_atoms(draw):
+    N = draw(st.integers(1, 24))
+    return CongruenceSelector(N, frozenset(draw(st.lists(st.integers(0, N - 1), max_size=4))))
+
+
+selector_trees = st.recursive(
+    mod_atoms() | degree_atoms(),
+    lambda inner: (st.builds(Complement, inner) | st.builds(Intersection, inner, inner)
+                   | st.builds(Union, inner, inner)),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(selector_trees)
+def test_mask_picks_exactly_the_congruence_residues(selector):
+    # the residue counts of the density estimators rest on this invariant
+    modulus, residues = selector.as_congruence()
+    assert selector.congruence_modulus() == modulus
+    picked = selector.mask(PRIMES_1E5)
+    expected = np.isin(PRIMES_1E5 % modulus, np.array(sorted(residues), dtype=np.int64))
+    assert picked.tolist() == expected.tolist()
+    assert not np.isin(PRIMES_1E5[picked], np.array(sorted(selector.excluded))).any()

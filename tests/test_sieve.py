@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smolab.errors import LimitExceeded
-from smolab.sieve import (PRIME_LIMIT, SEGMENT_SPAN, _segment_bounds, _sieve_segment,
-                          is_prime, iter_prime_segments, prime_array, prime_count,
-                          primes_up_to, segment_map, simple_sieve)
+from smolab.errors import LimitExceeded, UsageError
+from smolab.sieve import (PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, SEGMENT_SPAN,
+                          _segment_bounds, _sieve_segment, is_prime, iter_prime_segments,
+                          prime_array, prime_count, primes_up_to, residue_counts_pay,
+                          residue_prime_counts, segment_map, simple_sieve)
 
 ORACLE_LIMIT = 3 * 10**6
 DENSE = simple_sieve(ORACLE_LIMIT)
@@ -126,3 +127,71 @@ def test_last_segment_below_cap_matches_is_prime():
     assert seg[seg >= top].tolist() == [n for n in range(top, high) if is_prime(n)]
     # and the seam at the bottom of the segment
     assert seg[seg < low + 2000].tolist() == [n for n in range(low, low + 2000) if is_prime(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-3, ORACLE_LIMIT), st.integers(1, 60))
+@example(-1, 7)
+@example(0, 1)
+@example(1, 4)
+@example(2, 1)
+@example(2, 2)
+@example(3, 6)
+@example(4, 4)      # x a perfect square: the values x // n meet at sqrt(x)
+@example(30, 30)    # x = q, every prime divides q or is a unit
+@example(121, 11)
+@example(1000, 60)
+@example(ORACLE_LIMIT, 56)
+def test_residue_prime_counts_match_sieve_bincount(x, q):
+    counts = residue_prime_counts(x, q)
+    assert counts.dtype == np.int64
+    expected = np.bincount(prime_array(x) % q, minlength=q)
+    assert counts.tolist() == expected.tolist()
+
+
+# per-class counts of the primes up to 1e8, taken from np.bincount(prime_array(10**8) % q)
+# with the segment sieve
+CLASSES_1E8 = {
+    4: [0, 2880504, 1, 2880950],
+    11: [1, 576103, 576332, 575872, 575818, 576332, 576056, 576487, 576172, 575927, 576355],
+    56: [0, 239867, 1, 240069, 0, 240180, 0, 1, 0, 239715, 0, 240213, 0, 240078, 0, 240147,
+         0, 240123, 0, 240010, 0, 0, 0, 240142, 0, 239748, 0, 240117, 0, 239959, 0, 240001,
+         0, 240087, 0, 0, 0, 240171, 0, 239998, 0, 240430, 0, 240050, 0, 240020, 0, 240102,
+         0, 0, 0, 240085, 0, 240126, 0, 240015],
+}
+
+
+@pytest.mark.parametrize("q", sorted(CLASSES_1E8))
+def test_residue_prime_counts_pinned_at_1e8(q):
+    counts = residue_prime_counts(10**8, q)
+    assert counts.tolist() == CLASSES_1E8[q]
+    assert counts.sum() == 5761455
+
+
+def test_residue_prime_counts_checks_arguments():
+    with pytest.raises(LimitExceeded):
+        residue_prime_counts(PRIME_LIMIT + 1, 4)
+    with pytest.raises(UsageError):
+        residue_prime_counts(100, 0)
+
+
+def test_cost_model_choices():
+    # the prime-scan counts: natural mod 4, frobstats N = 11, the compound q = 56
+    assert residue_counts_pay([10**6, 10**7, 10**8], 4)
+    assert residue_counts_pay([10**8], 11)
+    assert residue_counts_pay([10**7, 10**8], 56)
+    # small cutoffs and nothing to count stay on the sieve
+    assert not residue_counts_pay([10**4], 4)
+    assert not residue_counts_pay([-5, 0, 1], 4)
+    # a long grid costs one recurrence per point but still one sieve
+    assert not residue_counts_pay(range(10**8 - 100, 10**8), 4)
+    # no cutoff admits phi(q) = 172 (q = 173), and the moduli above the limit
+    # have far larger phi(q), so the limit turns none of them away
+    grid = sorted({int(10 ** (k / 16)) for k in range(16 * 9 + 1)})
+    assert not any(residue_counts_pay([x], 173) for x in grid)
+    assert any(residue_counts_pay([x], 169) for x in grid)  # phi(169) = 156
+    phi = np.arange(10**5 + 1)
+    for p in simple_sieve(10**5).tolist():
+        phi[p::p] -= phi[p::p] // p
+    assert phi[RECURRENCE_MODULUS_LIMIT + 1:].min() == 2304
+    assert not residue_counts_pay([10**8], RECURRENCE_MODULUS_LIMIT + 1)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from smolab.errors import LimitExceeded
 from smolab.sieve import simple_sieve
-from smolab.tau import (discriminant_coefficients, eta_block_coefficients,
-                        eta_cubed_coefficients, generate_tau, poly_mul_trunc,
-                        tau_csv_text)
+from smolab.tau import (discriminant_coefficients, eta_cubed_coefficients, generate_tau,
+                        poly_mul_trunc, tau_csv_text)
 
 # sha256 of ",".join(str(tau(n)) for n in 1..10**4), taken from the earlier
 # Kronecker-substitution implementation (pentagonal series, five int products)
@@ -19,6 +18,25 @@ TAU_1E4_SHA256 = "9514e69488cef1f7677168e841e504396576c2ce64e3184da732991791d825
 @pytest.fixture(scope="module")
 def tau_1e4():
     return discriminant_coefficients(10**4)
+
+
+def eta_block_coefficients(order: int) -> list[int]:
+    """Coefficients of prod_{n>=1} (1 - q^n) up to q^order (pentagonal numbers)."""
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
+    k = 1
+    while True:
+        p1 = k * (3 * k - 1) // 2
+        p2 = k * (3 * k + 1) // 2
+        if p1 > order and p2 > order:
+            break
+        sign = -1 if k % 2 else 1
+        if p1 <= order:
+            coeffs[p1] = sign
+        if p2 <= order:
+            coeffs[p2] = sign
+        k += 1
+    return coeffs
 
 
 def schoolbook(a, b, order):
