@@ -7,6 +7,20 @@ of the class matrices in one exact ``bincount``, diagonalizes it in double
 precision, and normalizes the common eigenvectors through the orthogonality
 relations.
 
+An attempt keeps the table as one (r, r) complex128 array, a character per
+row, from the eigenvector matrix to the report bytes.  Each step is one
+whole-matrix expression:
+- divide each row by its identity-class entry;
+- take the norms, the degrees and the sum of squared degrees;
+- snap the real and imaginary parts;
+- check the values, their bound and integrality;
+- order the rows with one ``np.lexsort``.
+The sorted array is stored read-only as ``CharacterTable.values``.  The
+orthogonality check reads it, and so does ``charlab table``, whose
+serializer renders a complex array row directly.  Each ``Character.values``
+is the tuple of Python complex numbers of its row, which
+``agreement_fraction`` compares.
+
 Character values are algebraic integers, and so are their complex
 conjugates.  If the real part a of a value chi is rational, then
 2a = chi + conj(chi) is a rational algebraic integer, that is an integer.
@@ -21,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -57,6 +71,9 @@ class CharacterTable:
     group: FiniteGroup
     partition: ConjugacyClassPartition
     rows: tuple[Character, ...]
+    #: the rows' values as one read-only (r, r) complex128 array, row i being
+    #: rows[i].values; report rows are serialized straight from it
+    values: np.ndarray = field(repr=False, compare=False)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -112,12 +129,11 @@ def _snap_half_integers(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x - h) <= SNAP_TOL, h, x)
 
 
-def _try_table(G: FiniteGroup, cells: np.ndarray, part: ConjugacyClassPartition,
-               attempt: int) -> CharacterTable | None:
-    r = part.num_classes
-    order = G.order
-    sizes = np.array(part.class_sizes, dtype=float)
-    coeffs = _attempt_coeffs(order, r, attempt)
+def _eigenvector_rows(cells: np.ndarray, part: ConjugacyClassPartition, order: int,
+                      attempt: int) -> np.ndarray | None:
+    """The common eigenvectors of one attempt's class matrix, a contiguous row
+    each in eigenvalue order, or None if two eigenvalues coincide."""
+    coeffs = _attempt_coeffs(order, part.num_classes, attempt)
     M = _class_matrix(cells, np.array(part.class_of), coeffs)
     eigvals, eigvecs = np.linalg.eig(M)
     scale = max(1.0, float(np.max(np.abs(eigvals))))
@@ -126,44 +142,55 @@ def _try_table(G: FiniteGroup, cells: np.ndarray, part: ConjugacyClassPartition,
     if np.any(gaps <= EIG_SEPARATION_TOL * scale):
         return None  # coincident eigenvalues: combination failed to split
     order_idx = np.lexsort((eigvals.imag, eigvals.real))
-    eigvecs = eigvecs[:, order_idx]
+    # summing |omega|^2 over a transposed or fancy-indexed view goes in
+    # another order and moves the last bits of the norms
+    return np.ascontiguousarray(eigvecs[:, order_idx].T)
 
-    rows: list[Character] = []
-    sum_sq = 0
-    for t in range(r):
-        v = eigvecs[:, t]
-        if abs(v[0]) < 1e-12:
-            return None
-        omega = v / v[0]  # identity-class entry of the eigenvector is 1
-        norm = float(np.sum(np.abs(omega) ** 2 / sizes))
-        deg_f = (order / norm) ** 0.5
-        degree = int(round(deg_f))
-        if degree < 1 or abs(deg_f - degree) > 1e-6:
-            return None
-        sum_sq += degree * degree
-        raw = omega * degree / sizes
-        values = np.empty(r, dtype=complex)
-        # part by part: a + 1j * b would turn an imaginary -0.0 into +0.0
-        values.real = _snap_half_integers(raw.real)
-        values.imag = _snap_half_integers(raw.imag)
-        if abs(values[0] - degree) > VALUE_EQ_TOL or np.any(np.abs(values) > degree + 1e-6):
-            return None
-        ints = np.round(values.real)
-        integral = bool(np.all(np.abs(values.imag) <= VALUE_EQ_TOL)
-                        and np.all(np.abs(values.real - ints) <= VALUE_EQ_TOL))
-        rows.append(Character(degree=degree, values=tuple(values.tolist()), partition=part,
-                              group_label=G.label,
-                              integer_values=tuple(map(int, ints)) if integral else None))
-    if sum_sq != order:
+
+def _try_table(G: FiniteGroup, cells: np.ndarray, part: ConjugacyClassPartition,
+               attempt: int) -> CharacterTable | None:
+    r = part.num_classes
+    order = G.order
+    sizes = np.array(part.class_sizes, dtype=float)
+    omega = _eigenvector_rows(cells, part, order, attempt)
+    if omega is None or np.any(np.abs(omega[:, 0]) < 1e-12):
         return None
+    omega = omega / omega[:, :1]  # identity-class entry of each row is 1
+    norms = np.sum(np.abs(omega) ** 2 / sizes, axis=1)
+    deg_f = (order / norms) ** 0.5
+    degrees = np.round(deg_f)
+    if np.any(degrees < 1) or np.any(np.abs(deg_f - degrees) > 1e-6):
+        return None
+    raw = omega * degrees[:, None] / sizes
+    # eig gives real rows when every eigenvalue is real; set part by part,
+    # since a + 1j * b would turn an imaginary -0.0 into +0.0
+    values = np.empty((r, r), dtype=complex)
+    values.real = _snap_half_integers(raw.real)
+    values.imag = _snap_half_integers(raw.imag)
+    if (np.any(np.abs(values[:, 0] - degrees) > VALUE_EQ_TOL)
+            or np.any(np.abs(values) > degrees[:, None] + 1e-6)):
+        return None
+    deg = degrees.astype(np.int64)
+    if int(deg @ deg) != order:
+        return None
+    ints = np.round(values.real)
+    integral = (np.all(np.abs(values.imag) <= VALUE_EQ_TOL, axis=1)
+                & np.all(np.abs(values.real - ints) <= VALUE_EQ_TOL, axis=1))
     # by degree, then by descending (real, imag) value pairs class by class,
     # which puts the trivial character first; lexsort's last key is primary
-    vals = np.array([row.values for row in rows])
     keys = np.empty((2 * r, r))
-    keys[0::2] = -vals.real.T
-    keys[1::2] = -vals.imag.T
-    ranked = np.lexsort(np.vstack([keys[::-1], [[row.degree for row in rows]]]))
-    table = CharacterTable(group=G, partition=part, rows=tuple(rows[i] for i in ranked))
+    keys[0::2] = -values.real.T
+    keys[1::2] = -values.imag.T
+    ranked = np.lexsort(np.vstack([keys[::-1], deg[None, :]]))
+    values = values[ranked]
+    values.flags.writeable = False
+    rows = tuple(
+        Character(degree=d, values=tuple(v), partition=part, group_label=G.label,
+                  integer_values=tuple(iv) if ok else None)
+        for d, v, iv, ok in zip(deg[ranked].tolist(), values.tolist(),
+                                ints[ranked].astype(np.int64).tolist(),
+                                integral[ranked].tolist()))
+    table = CharacterTable(group=G, partition=part, rows=rows, values=values)
     if not _orthogonality_ok(table):
         return None
     return table
@@ -172,7 +199,7 @@ def _try_table(G: FiniteGroup, cells: np.ndarray, part: ConjugacyClassPartition,
 def _orthogonality_ok(table: CharacterTable) -> bool:
     order = table.group.order
     sizes = np.array(table.partition.class_sizes, dtype=float)
-    vals = np.array([r.values for r in table.rows])
+    vals = table.values
     gram = (vals * sizes) @ vals.conj().T
     target = order * np.eye(len(table.rows))
     return bool(np.max(np.abs(gram - target)) <= ORTHOGONALITY_TOL * order)

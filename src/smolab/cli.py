@@ -275,7 +275,8 @@ def _character_table_report(args) -> Report:
             "order": G.order,
             "class_sizes": part.class_sizes,
             "class_representatives": part.representatives,
-            "rows": [{"degree": row.degree, "values": row.values} for row in table.rows],
+            "rows": [{"degree": row.degree, "values": values}
+                     for row, values in zip(table.rows, table.values)],
         },
         interpretation=(
             "each irreducible character is listed once per conjugacy class",

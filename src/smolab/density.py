@@ -33,7 +33,7 @@ import numpy as np
 from .errors import LimitExceeded, UsageError
 from .selectors import PrimeSelector
 from .sieve import (PRIME_LIMIT, iter_prime_segments, residue_counts_pay,
-                    residue_prime_counts, segment_map)
+                    residue_prime_counts, residues, segment_map)
 
 RECOMMENDED_CUTOFF_RATE = 4.0
 # density is insensitive to finite prime sets; the normalized ratio drops
@@ -250,7 +250,7 @@ def _first_hits(coset_table: np.ndarray, cutoff: int, nonempty: np.ndarray) -> n
     sieve segments that grows until every nonempty class has its hit."""
     first = np.full(len(nonempty), -1, dtype=np.int64)
     for seg in iter_prime_segments(cutoff):
-        classes, at = np.unique(coset_table[seg % len(coset_table)], return_index=True)
+        classes, at = np.unique(coset_table[residues(seg, len(coset_table))], return_index=True)
         new = classes >= 0
         new[new] = first[classes[new]] < 0
         first[classes[new]] = seg[at[new]]
@@ -261,15 +261,14 @@ def _first_hits(coset_table: np.ndarray, cutoff: int, nonempty: np.ndarray) -> n
 
 def _frobenius_by_segment(coset_table, num_classes, N, cutoff, workers):
     def per_segment(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = coset_table[seg % N] if N > 1 else np.zeros(len(seg), dtype=np.int64)
+        idx = coset_table[residues(seg, N)]
         keep = idx >= 0
-        counts = np.bincount(idx[keep], minlength=num_classes)
-        first = np.full(num_classes, -1, dtype=np.int64)
         kept, kidx = seg[keep], idx[keep]
-        for c in range(num_classes):
-            where = np.flatnonzero(kidx == c)
-            if len(where):
-                first[c] = kept[where[0]]
+        counts = np.bincount(kidx, minlength=num_classes)
+        first = np.full(num_classes, -1, dtype=np.int64)
+        # np.unique's return_index is the first occurrence of each class
+        classes, at = np.unique(kidx, return_index=True)
+        first[classes] = kept[at]
         return counts, first
 
     counts = np.zeros(num_classes, dtype=np.int64)

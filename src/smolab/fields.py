@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import LimitExceeded, ParseError, Ramified
+from .sieve import prime_divisors, totient
 
 # The unit list and the coset table are Python loops over (Z/N)*, and the
 # coset table is an int64 array of N entries.  At N = 1,000,003 they took
@@ -25,6 +26,21 @@ MODULUS_LIMIT = 10**6
 
 def _unit_residues(N: int) -> list[int]:
     return [r for r in range(1, N + 1) if math.gcd(r, N) == 1] if N > 1 else [0]
+
+
+def _power_mod(base: np.ndarray, e: int, N: int) -> np.ndarray:
+    """base**e mod N elementwise, by square and multiply on int64.
+
+    Residues stay below MODULUS_LIMIT = 1e6, so every product is below 1e12.
+    """
+    result = np.ones_like(base) % N
+    while e:
+        if e & 1:
+            result = result * base % N
+        e >>= 1
+        if e:
+            base = base * base % N
+    return result
 
 
 def _close_subgroup(N: int, generators: tuple[int, ...]) -> frozenset[int]:
@@ -67,7 +83,7 @@ class FieldSpec:
 
     @cached_property
     def unit_order(self) -> int:
-        return len(_unit_residues(self.modulus))
+        return totient(self.modulus)
 
     @cached_property
     def degree(self) -> int:
@@ -95,16 +111,33 @@ class FieldSpec:
 
     @cached_property
     def _degree_table(self) -> np.ndarray:
-        """residue -> residue degree of primes in that class (0 if ramified)."""
+        """residue -> residue degree of primes in that class (0 if ramified).
+
+        The degree of r is the order of its class in (Z/N)*/H, a divisor of
+        m = |G/H|.  Starting from f = m, each prime q of m divides f while
+        r**(f/q) still lands in H, for all units at once.
+        """
         N = self.modulus
         out = np.zeros(max(N, 1), dtype=np.int64)
-        H = self.subgroup
-        for r in _unit_residues(N):
-            x, f = r % N, 1
-            while x not in H:
-                x = (x * r) % N
-                f += 1
-            out[r % N] = f
+        in_h = np.zeros(max(N, 1), dtype=bool)
+        in_h[list(self.subgroup)] = True
+        is_unit = np.ones(max(N, 1), dtype=bool)
+        for p in self.ramified_primes():
+            is_unit[::p] = False
+        units = np.flatnonzero(is_unit)
+        f = np.full(len(units), self.degree, dtype=np.int64)
+        for q in sorted(prime_divisors(self.degree)):
+            todo = np.flatnonzero(f % q == 0)
+            while len(todo):
+                # f takes few values, all divisors of m: one power per value
+                down = np.zeros(len(todo), dtype=bool)
+                for e in np.unique(f[todo]).tolist():
+                    at = f[todo] == e
+                    down[at] = in_h[_power_mod(units[todo[at]], e // q, N)]
+                todo = todo[down]
+                f[todo] //= q
+                todo = todo[f[todo] % q == 0]
+        out[units] = f
         return out
 
     @property
@@ -129,11 +162,7 @@ class FieldSpec:
         return frozenset(int(r) for r in np.flatnonzero(table == j))
 
     def ramified_primes(self) -> frozenset[int]:
-        N, out = self.modulus, set()
-        for p in range(2, N + 1):
-            if N % p == 0 and all(p % q for q in out):
-                out.add(p)
-        return frozenset(out)
+        return prime_divisors(self.modulus)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ these type rules:
 - a dataclass is rendered through its ``payload()`` method if it has one
   (for renamed, derived or truncated keys), and by field otherwise;
 - a numpy scalar is rendered through ``.item()``;
+- a 1-D complex128 ndarray becomes the list of its complex values.  The text
+  of each distinct value is made once and the items are joined in one go; an
+  array with a NaN, infinite or -0.0 part takes the per-value walk instead,
+  because those parts render as strings or compare equal to 0.0 as dict keys;
 - any other type raises ``TypeError``, as in ``json.dumps``.
 """
 
@@ -39,6 +43,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
+import numpy as np
+
 from .errors import IoError
 
 # NaN and infinities are not valid JSON
@@ -53,6 +59,21 @@ def _timestamp() -> str:
 def _float(x: float) -> str:
     text = float.__repr__(x)
     return _NON_FINITE.get(text, text)
+
+
+def _complex_array(value: np.ndarray, pad: str, out: list) -> None:
+    """Append the text of a 1-D complex128 array, rendered as a list of complex."""
+    parts = np.ascontiguousarray(value).view(np.float64)
+    items = value.tolist()
+    if not items or not np.isfinite(parts).all() or np.signbit(parts[parts == 0]).any():
+        _encode(items, pad, out)
+        return
+    inner = pad + "  "
+    deep = inner + "  "
+    texts = {v: f'{{\n{deep}"im": {v.imag!r},\n{deep}"re": {v.real!r}\n{inner}}}'
+             for v in set(items)}
+    out.append("[\n" + inner + (",\n" + inner).join([texts[v] for v in items])
+               + "\n" + pad + "]")
 
 
 def _encode(value, pad: str, out: list) -> None:
@@ -105,6 +126,8 @@ def _encode(value, pad: str, out: list) -> None:
             _encode(v, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
+    elif kind is np.ndarray and value.ndim == 1 and value.dtype == np.complex128:
+        _complex_array(value, pad, out)
     elif is_dataclass(value):
         payload = getattr(value, "payload", None)
         if callable(payload):

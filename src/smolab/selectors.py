@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import LimitExceeded, ParseError
 from .fields import FieldSpec
-from .sieve import PRIME_LIMIT
+from .sieve import PRIME_LIMIT, prime_divisors, totient
+from .sieve import residues as prime_residues
 
 # ``mask`` indexes a table of ``modulus`` bytes on every call: at 1e9 it is
 # lazily zeroed and costs 0.7 ms per sieve segment, while 1e12 bytes cannot be
@@ -68,10 +69,9 @@ class PrimeSelector:
         cong = self.as_congruence()
         if cong is None:
             return None
-        N, residues = cong
-        units = [r for r in range(N) if math.gcd(r, N) == 1] if N > 1 else [0]
-        hits = sum(1 for r in units if r in residues)
-        return Fraction(hits, len(units))
+        N, chosen = cong
+        hits = sum(1 for r in chosen if 0 <= r < N and math.gcd(r, N) == 1)
+        return Fraction(hits, totient(N))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -125,13 +125,17 @@ class CongruenceSelector(PrimeSelector):
         units = {r % self.modulus for r in self.residues
                  if math.gcd(r, self.modulus) == 1}
         object.__setattr__(self, "residues", frozenset(units))
-        object.__setattr__(self, "excluded", _prime_divisors(self.modulus))
+        object.__setattr__(self, "excluded", prime_divisors(self.modulus))
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         allowed = np.zeros(self.modulus, dtype=bool)
         for r in self.residues:
             allowed[r] = True
-        return allowed[primes % self.modulus]
+        return allowed[prime_residues(primes, self.modulus)]
+
+    def analytic_density(self) -> Fraction:
+        # residues holds units only, so no residue needs a gcd
+        return Fraction(len(self.residues), totient(self.modulus))
 
     def congruence_modulus(self):
         return self.modulus
@@ -163,7 +167,7 @@ class DegreeSelector(PrimeSelector):
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         table = self.fieldspec._degree_table
-        return table[primes % self.fieldspec.modulus] == self.j
+        return table[prime_residues(primes, self.fieldspec.modulus)] == self.j
 
     def place_multiplicity(self, primes: np.ndarray) -> np.ndarray:
         return np.full(len(primes), self.fieldspec.degree // self.j, dtype=np.int64)
@@ -203,19 +207,6 @@ class ExplicitList(PrimeSelector):
         return f"list:[{len(self.primes)} primes]"
 
 
-def _prime_divisors(n: int) -> frozenset[int]:
-    out, d = set(), 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return frozenset(out)
-
-
 def _lift_congruence(cong: tuple[int, frozenset[int]], modulus: int) -> frozenset[int]:
     N, residues = cong
     return frozenset(r for r in range(modulus)
@@ -250,6 +241,12 @@ class Complement(PrimeSelector):
 
     def congruence_modulus(self):
         return self.inner.congruence_modulus()
+
+    def analytic_density(self) -> Fraction | None:
+        # the complement in the unit residues; no residue set is lifted
+        if self.inner.congruence_modulus() is None:
+            return None
+        return 1 - self.inner.analytic_density()
 
     def as_congruence(self):
         c = self.inner.as_congruence()

@@ -149,6 +149,49 @@ def prime_array(limit: int) -> np.ndarray:
     return np.concatenate(segs)
 
 
+_UINT32_MAX = (1 << 32) - 1
+
+
+def residues(primes: np.ndarray, q: int) -> np.ndarray:
+    """p mod q for every entry of an int64 prime array, as intp indices.
+
+    Every prime lies below PRIME_LIMIT < 2**32, where ``u - u // q * q`` on
+    uint32 is exact.  The result is cast to intp because numpy indexes with
+    a uint32 array several times slower.  A ``mod:`` or ``degree:`` mask over
+    60k primes took 180-240 us this way against 386-398 us with int64 ``%``,
+    at q = 4, 7, 8 and 11 (2-vCPU x86-64 VM, numpy 2.4.6).  Any other array, or one with an entry outside [0, 2**32)
+    (negatives show as huge through the uint64 view), takes ``%``.
+    """
+    if (primes.dtype == np.int64 and q <= _UINT32_MAX
+            and (not primes.size or primes.view(np.uint64).max() <= _UINT32_MAX)):
+        u = primes.astype(np.uint32)
+        d = np.uint32(q)
+        u -= u // d * d  # in place: one uint32 temporary besides u
+        return u.astype(np.intp)
+    return primes % q
+
+
+def prime_divisors(n: int) -> frozenset[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, d = set(), 2
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return frozenset(out)
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n) = #{0 <= r < n : gcd(r, n) = 1}; phi(1) = 1."""
+    for p in prime_divisors(n):
+        n = n // p * (p - 1)
+    return n
+
+
 def prime_count(limit: int, workers: int | None = None) -> int:
     return sum(segment_map(limit, len, workers=workers))
 
@@ -280,7 +323,7 @@ def residue_counts_pay(xs, q: int) -> bool:
     xs = [x for x in xs if x >= 2]
     if q > RECURRENCE_MODULUS_LIMIT or not xs:
         return False
-    phi = sum(1 for a in range(q) if math.gcd(a, q) == 1)
+    phi = totient(q)
     if 8 * phi * math.isqrt(max(xs)) > RECURRENCE_STATE_BYTES:
         return False
     seconds = sum((4.9e-5 * math.sqrt(x) + 4.0e-8 * phi * x**0.75) / math.log(x) for x in xs)

@@ -5,9 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from smolab.characters import (_MAX_ATTEMPTS, Verdict, _attempt_coeffs, _class_cells,
+from smolab.characters import (_MAX_ATTEMPTS, EIG_SEPARATION_TOL, ORTHOGONALITY_TOL,
+                               VALUE_EQ_TOL, Verdict, _attempt_coeffs, _class_cells,
                                _class_matrix, _orthogonality_ok, _snap_half_integers,
-                               agreement_fraction, character_table,
+                               _try_table, agreement_fraction, character_table,
                                distinguishing_threshold, extremal_search,
                                inner_product, lemma_check)
 from smolab.errors import ClassMismatch, DegreeMismatch
@@ -251,3 +252,82 @@ def test_rows_follow_degree_then_descending_values(expr):
     key = lambda row: (row.degree, tuple((-v.real, -v.imag) for v in row.values))
     assert list(rows) == sorted(rows, key=key)
     assert all(v == 1 for v in rows[0].values)
+
+
+def try_table_per_row(G, cells, part, attempt):
+    """The former _try_table, one character per loop step: (degree, values,
+    integer_values) rows in table order, or None where the attempt fails."""
+    r = part.num_classes
+    order = G.order
+    sizes = np.array(part.class_sizes, dtype=float)
+    coeffs = _attempt_coeffs(order, r, attempt)
+    M = _class_matrix(cells, np.array(part.class_of), coeffs)
+    eigvals, eigvecs = np.linalg.eig(M)
+    scale = max(1.0, float(np.max(np.abs(eigvals))))
+    gaps = np.abs(eigvals[:, None] - eigvals[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if np.any(gaps <= EIG_SEPARATION_TOL * scale):
+        return None
+    order_idx = np.lexsort((eigvals.imag, eigvals.real))
+    eigvecs = eigvecs[:, order_idx]
+
+    rows = []
+    sum_sq = 0
+    for t in range(r):
+        v = eigvecs[:, t]
+        if abs(v[0]) < 1e-12:
+            return None
+        omega = v / v[0]
+        norm = float(np.sum(np.abs(omega) ** 2 / sizes))
+        deg_f = (order / norm) ** 0.5
+        degree = int(round(deg_f))
+        if degree < 1 or abs(deg_f - degree) > 1e-6:
+            return None
+        sum_sq += degree * degree
+        raw = omega * degree / sizes
+        values = np.empty(r, dtype=complex)
+        values.real = _snap_half_integers(raw.real)
+        values.imag = _snap_half_integers(raw.imag)
+        if abs(values[0] - degree) > VALUE_EQ_TOL or np.any(np.abs(values) > degree + 1e-6):
+            return None
+        ints = np.round(values.real)
+        integral = bool(np.all(np.abs(values.imag) <= VALUE_EQ_TOL)
+                        and np.all(np.abs(values.real - ints) <= VALUE_EQ_TOL))
+        rows.append((degree, tuple(values.tolist()),
+                     tuple(map(int, ints)) if integral else None))
+    if sum_sq != order:
+        return None
+    vals = np.array([row[1] for row in rows])
+    keys = np.empty((2 * r, r))
+    keys[0::2] = -vals.real.T
+    keys[1::2] = -vals.imag.T
+    ranked = np.lexsort(np.vstack([keys[::-1], [[row[0] for row in rows]]]))
+    rows = [rows[i] for i in ranked]
+    vals = np.array([row[1] for row in rows])
+    gram = (vals * sizes) @ vals.conj().T
+    if np.max(np.abs(gram - order * np.eye(r))) > ORTHOGONALITY_TOL * order:
+        return None
+    return rows
+
+
+@pytest.mark.parametrize("expr", BUNDLED_CATALOG + WORKLOAD_GROUPS)
+def test_array_table_matches_per_row_reference(expr):
+    G = catalog(expr)
+    cells, part = _class_cells(G)
+    for attempt in range(_MAX_ATTEMPTS):
+        expected = try_table_per_row(G, cells, part, attempt)
+        table = _try_table(G, cells, part, attempt)
+        assert (table is None) == (expected is None), attempt
+        if table is None:
+            continue
+        assert [(row.degree, row.integer_values) for row in table.rows] == \
+            [(degree, ints) for degree, _, ints in expected]
+        # value bits, signed zeros included, and row order
+        for row, (_, values, _) in zip(table.rows, expected):
+            assert np.array(row.values).tobytes() == np.array(values).tobytes()
+        assert table.values.tobytes() == np.array([v for _, v, _ in expected]).tobytes()
+        assert not table.values.flags.writeable
+        assert table.values.flags.c_contiguous
+        break
+    else:
+        raise AssertionError(f"no attempt succeeded on {expr}")

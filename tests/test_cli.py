@@ -322,6 +322,33 @@ def test_canonical_json_reference_cases(value):
     assert canonical_json(value) == _reference_json(value)
 
 
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, float("nan"),
+                                    float("inf"), float("-inf")]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+# small value pools, so that arrays repeat values, and 0.0 and -0.0 meet
+_complex_lists = st.lists(st.builds(complex, _parts, _parts), max_size=12).flatmap(
+    lambda vals: st.lists(st.sampled_from(vals), max_size=20) if vals else st.just([]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complex_lists, st.integers(1, 3))
+def test_complex_array_renders_as_its_values(values, step):
+    array = np.array(values, dtype=np.complex128).reshape(-1)
+    assert canonical_json(array) == canonical_json(tuple(values))
+    # nested at another indent, and through a strided view
+    doc = {"rows": [{"values": array[::step]}], "n": 1}
+    assert canonical_json(doc) == canonical_json({"rows": [{"values": values[::step]}],
+                                                  "n": 1})
+
+
+@pytest.mark.parametrize("values", [[], [complex(-0.0, 0.0)], [0j, complex(0.0, -0.0)],
+                                    [1j, 1j, complex(float("nan"), 1.0), 1j],
+                                    [complex(float("inf"), float("-inf"))] * 2], ids=repr)
+def test_complex_array_special_parts(values):
+    array = np.array(values, dtype=np.complex128)
+    assert canonical_json(array) == canonical_json(values) == _reference_json(values)
+
+
 @pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, _ByField(1, {3})])
 def test_unserializable_types_raise_like_json_dumps(value):
     with pytest.raises(TypeError):

@@ -245,6 +245,15 @@ def test_frobenius_by_residue_is_byte_identical(fs, cutoff, by_residue, monkeypa
     assert canonical_json(fast) == canonical_json(slow)
 
 
+@pytest.mark.parametrize("fs,cutoff", [(FieldSpec(11), 3 * 10**5),
+                                       (FieldSpec(35, (2,)), 3 * 10**5),
+                                       (FieldSpec(99991), 10**5)], ids=lambda v: str(v))
+def test_frobenius_segment_path_matches_per_class_loop(fs, cutoff, monkeypatch):
+    # N = 99991 is above the recurrence's modulus limit: 99990 classes, one segment
+    stats = on_segments(monkeypatch, frobenius_statistics, fs, cutoff)
+    assert (list(stats.counts), list(stats.first_hits)) == segment_frobenius_counts(fs, cutoff)
+
+
 def test_frobenius_first_hits_sieve_a_prefix(monkeypatch):
     segments = []
 

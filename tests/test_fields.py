@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from smolab.errors import ParseError, Ramified
@@ -84,3 +87,44 @@ def test_trivial_field():
     fs = FieldSpec(1)
     assert fs.degree == 1
     assert fs.residue_degree(13) == 1
+
+
+def degree_table_by_multiplying(fs):
+    """The former FieldSpec._degree_table: multiply until the power lands in H."""
+    N = fs.modulus
+    out = np.zeros(max(N, 1), dtype=np.int64)
+    H = fs.subgroup
+    units = [r for r in range(1, N + 1) if math.gcd(r, N) == 1] if N > 1 else [0]
+    for r in units:
+        x, f = r % N, 1
+        while x not in H:
+            x = (x * r) % N
+            f += 1
+        out[r % N] = f
+    return out
+
+
+@pytest.mark.parametrize("N,gens", [
+    (1, ()), (2, ()), (4, ()), (8, (3,)), (12, (5,)), (35, (6,)), (840, (11, 13)),
+    (1000, (3,)), (2187, (2,)), (3989, ()), (4001, ()), (4001, (3,)), (4001, (16,)),
+    (4003, (2,)),
+])
+def test_degree_table_matches_multiplying_loop(N, gens):
+    fs = FieldSpec(N, gens)
+    assert fs._degree_table.tolist() == degree_table_by_multiplying(fs).tolist()
+    assert fs.unit_order == sum(1 for r in range(N) if math.gcd(r, N) == 1)
+
+
+def test_degree_table_near_the_modulus_cap():
+    # (Z/N)* is cyclic of order N - 1 = 2 * 79 * 6329 for this prime N, so for
+    # each divisor d, the product of some of these primes, exactly phi(d)
+    # residues have degree d
+    N = 999983
+    table = FieldSpec(N)._degree_table
+    expected = {}
+    for subset in range(8):
+        chosen = [p for k, p in enumerate((2, 79, 6329)) if subset >> k & 1]
+        expected[math.prod(chosen)] = math.prod(p - 1 for p in chosen)
+    orders, counts = np.unique(table[1:], return_counts=True)
+    assert dict(zip(orders.tolist(), counts.tolist())) == expected
+    assert table[0] == 0

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -193,3 +194,36 @@ def test_mask_picks_exactly_the_congruence_residues(selector):
     expected = np.isin(PRIMES_1E5 % modulus, np.array(sorted(residues), dtype=np.int64))
     assert picked.tolist() == expected.tolist()
     assert not np.isin(PRIMES_1E5[picked], np.array(sorted(selector.excluded))).any()
+
+
+def density_over_all_residues(selector):
+    """The former analytic_density: every unit residue of range(N), one by one."""
+    cong = selector.as_congruence()
+    if cong is None:
+        return None
+    N, residues = cong
+    units = [r for r in range(N) if math.gcd(r, N) == 1] if N > 1 else [0]
+    return Fraction(sum(1 for r in units if r in residues), len(units))
+
+
+@settings(max_examples=150, deadline=None)
+@given(selector_trees)
+def test_analytic_density_matches_residue_walk(selector):
+    assert selector.analytic_density() == density_over_all_residues(selector)
+    assert Complement(selector).analytic_density() == \
+        density_over_all_residues(Complement(selector))
+
+
+def test_analytic_density_without_congruence_is_none():
+    assert Complement(ExplicitList((5, 7))).analytic_density() is None
+    assert Complement(Union(CongruenceSelector(4, frozenset({1})),
+                            ExplicitList((5,)))).analytic_density() is None
+
+
+def test_analytic_density_of_a_huge_modulus_is_immediate():
+    start = time.perf_counter()
+    assert CongruenceSelector(2_000_003, frozenset({1})).analytic_density() == \
+        Fraction(1, 2_000_002)
+    assert Complement(CongruenceSelector(999_999_937, frozenset({1}))).analytic_density() == \
+        Fraction(999_999_935, 999_999_936)
+    assert time.perf_counter() - start < 0.25

@@ -10,7 +10,8 @@ from smolab.errors import LimitExceeded, UsageError
 from smolab.sieve import (PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, SEGMENT_SPAN,
                           _segment_bounds, _sieve_segment, is_prime, iter_prime_segments,
                           prime_array, prime_count, primes_up_to, residue_counts_pay,
-                          residue_prime_counts, segment_map, simple_sieve)
+                          prime_divisors, residue_prime_counts, residues, segment_map,
+                          simple_sieve, totient)
 
 ORACLE_LIMIT = 3 * 10**6
 DENSE = simple_sieve(ORACLE_LIMIT)
@@ -195,3 +196,26 @@ def test_cost_model_choices():
         phi[p::p] -= phi[p::p] // p
     assert phi[RECURRENCE_MODULUS_LIMIT + 1:].min() == 2304
     assert not residue_counts_pay([10**8], RECURRENCE_MODULUS_LIMIT + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**32 + 5) | st.integers(-2**63, 2**63 - 1), max_size=20),
+       st.integers(1, PRIME_LIMIT))
+def test_residues_match_int64_remainder(values, q):
+    primes = np.array(values, dtype=np.int64)
+    assert residues(primes, q).tolist() == (primes % q).tolist()
+    assert residues(primes[::2], q).tolist() == (primes[::2] % q).tolist()
+
+
+@pytest.mark.parametrize("q", [1, 8, 11, 56, 99991, PRIME_LIMIT])
+def test_residues_of_sieved_primes(q):
+    primes = np.concatenate([prime_array(10**5), np.array([PRIME_LIMIT - 63, 2**32 - 5])])
+    assert residues(primes, q).tolist() == (primes % q).tolist()
+    assert residues(primes.astype(np.int32)[:-2], q).tolist() == (primes[:-2] % q).tolist()
+
+
+def test_prime_divisors_and_totient():
+    for n in range(1, 600):
+        divisors = {p for p in range(2, n + 1) if n % p == 0 and is_prime(p)}
+        assert prime_divisors(n) == divisors
+        assert totient(n) == sum(1 for r in range(n) if math.gcd(r, n) == 1)
