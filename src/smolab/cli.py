@@ -161,8 +161,7 @@ def _load_satake_csv(path: str) -> euler.EulerProduct:
         rows = np.searchsorted(support, query)
         return exps[rows], params[rows]
 
-    return euler.EulerProduct(places=places, universe=ExplicitList(tuple(support.tolist())),
-                              support_limit=int(support.max(initial=0)))
+    return euler.EulerProduct(places=places, universe=ExplicitList(tuple(support.tolist())))
 
 
 def build_parser() -> argparse.ArgumentParser:

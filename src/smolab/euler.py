@@ -7,8 +7,10 @@ Re(s) = max_i log|a_i| / log q.
 An ``EulerProduct`` is a universe of primes, the ramified primes it leaves
 out, and a place source: ``places(primes)`` maps an int64 prime array to the
 (len, g) int norm exponents f of the places above each p (norm p**f, 0 for
-no place) and their (len, g, k) complex parameters, zero-padded.
-``log_expansion`` walks the primes once through ``prime_stream``, masks each
+no place) and their (len, g, k) complex parameters, zero-padded.  The
+universe is a selector: ``AllPrimes()``, or the ``ExplicitList`` of the
+primes with data, whose largest prime also ends every walk.
+``log_expansion`` walks the universe once through ``prime_stream``, masks each
 array with the selector and forms the power sums of every place by repeated
 multiplication while q**m stays within the cutoff.  Coefficients are indexed
 by exact integer prime powers, in ascending index and aligned value arrays,
@@ -127,11 +129,10 @@ class EulerProduct:
     places: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(compare=False)
     universe: PrimeSelector
     ramified: frozenset[int] = frozenset()
-    support_limit: int | None = None  # largest prime with data, if finite
 
     def segments(self, max_prime: int) -> Iterator[np.ndarray]:
-        if self.support_limit is not None:
-            max_prime = min(max_prime, self.support_limit)
+        if self.universe.largest_prime is not None:
+            max_prime = min(max_prime, self.universe.largest_prime)
         return prime_stream(max_prime, self.universe, exclude=self.ramified)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -23,15 +22,16 @@ from .euler import (GRCBoundProfile, ConvergenceProbe, convergence_probe,
                     log_expansion)
 from .fields import FieldSpec
 from .hecke import RepresentationData, require_size_bound
-from .selectors import DegreeSelector, ExplicitList, PrimeSelector
+from .selectors import DegreeSelector, ExplicitList, Intersection, PrimeSelector
 from .sieve import (is_prime, iter_prime_segments, prime_array, prime_stream,
-                    restrict, segment_map)
+                    restrict, segment_map, unit_mask)
 
 COEFF_EQ_TOL = 1e-9
 PROBE_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
 DEFAULT_EPS_GRID = (Fraction(1, 12), Fraction(1, 10), Fraction(1, 8))
 CUTOFF_COUPLING = 1.5
 CUTOFF_CAP = 10**8
+SLOPE_MARGIN = 0.1  # slack of the tempered bound's slope test
 
 # annotation thresholds quoted in every comparison report
 REFINED_SMO_DENSITY = Fraction(1, 8)
@@ -70,25 +70,29 @@ class AgreementReport:
 
 def _data_limit(limit: int, *reps: RepresentationData) -> int:
     """The scan limit cut down to the last prime every source has data for."""
-    return min([limit] + [r.support_limit for r in reps if r.support_limit is not None])
+    return min([limit] + [r.universe.largest_prime for r in reps
+                          if r.universe.largest_prime is not None])
 
 
-def _common_support(*reps: RepresentationData) -> np.ndarray | None:
-    """Sorted primes every source with an explicit support lists, or None."""
-    supports = [np.asarray(r.support, dtype=np.int64) for r in reps if r.support is not None]
-    return reduce(np.intersect1d, supports) if supports else None
+def _scan_universe(selector: PrimeSelector | None,
+                   *reps: RepresentationData) -> PrimeSelector | None:
+    """``selector`` (all primes if None) intersected with each finite source universe."""
+    for r in reps:
+        if r.universe.largest_prime is not None:
+            selector = r.universe if selector is None else Intersection(selector, r.universe)
+    return selector
 
 
 def _unramified_stream(limit: int, A: RepresentationData, B: RepresentationData,
                        selector: PrimeSelector | None = None):
-    """Prime segments to ``limit`` in both sources' support and unramified for both."""
-    return prime_stream(limit, selector, support=_common_support(A, B),
+    """Prime arrays to ``limit`` in ``selector`` and both universes, unramified for both."""
+    return prime_stream(limit, _scan_universe(selector, A, B),
                         exclude=A.ramified | B.ramified)
 
 
 def compare_local(A: RepresentationData, B: RepresentationData,
                   scan_limit: int) -> AgreementReport:
-    """Scan the common unramified support for unequal normalized coefficients."""
+    """Scan the unramified primes of both universes for unequal normalized coefficients."""
     if A.degree != B.degree:
         raise DegreeMismatch(f"degrees {A.degree} != {B.degree}")
     limit = _data_limit(scan_limit, A, B)
@@ -230,8 +234,7 @@ class TemperedBoundReport:
 
 
 def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
-                         eps_grid=None, slope_margin: float = 0.1,
-                         workers: int | None = None) -> TemperedBoundReport:
+                         eps_grid=None, workers: int | None = None) -> TemperedBoundReport:
     """Measure the self-pairing log growth over S against n^2 * density(S).
 
     The leading coefficient of the self-pairing at p is |coefficient(p)|^2
@@ -242,7 +245,7 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
     density = selector.analytic_density()
     if density is None:
         raise UsageError("selector needs an exact analytic density for the bound")
-    probe_primes = restrict(PROBE_PRIMES, support=A.support, exclude=A.ramified)
+    probe_primes = restrict(PROBE_PRIMES, A.universe, exclude=A.ramified)
     require_size_bound(A, probe_primes)
     excess = A.max_parameter_excess(probe_primes)
     warnings = list(A.warnings)
@@ -252,9 +255,8 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
     def weights(primes: np.ndarray) -> np.ndarray:
         return np.abs(A.coefficient_array(primes)) ** 2
 
-    selector_in_support = _restrict_to_support(A, selector)
-    estimate = pole_order_estimate(weights, selector_in_support, eps_grid=eps_grid,
-                                   data_limit=A.support_limit, workers=workers)
+    estimate = pole_order_estimate(weights, _scan_universe(selector, A), eps_grid=eps_grid,
+                                   data_limit=A.universe.largest_prime, workers=workers)
     n = A.degree
     bound = float(n * n * density)
     return TemperedBoundReport(
@@ -263,7 +265,7 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
         density=density,
         bound=bound,
         estimate=estimate,
-        passed=estimate.slope <= bound + slope_margin,
+        passed=estimate.slope <= bound + SLOPE_MARGIN,
         tempered_excess=excess,
         warnings=tuple(warnings),
         annotations={
@@ -272,13 +274,6 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
             "general_degree_threshold": conjectural_density_threshold(n),
         },
     )
-
-
-def _restrict_to_support(rep: RepresentationData, selector: PrimeSelector) -> PrimeSelector:
-    from .selectors import Intersection
-    if rep.support is None:
-        return selector
-    return Intersection(selector, ExplicitList(rep.support))
 
 
 # -- ratio consistency ------------------------------------------------------------------
@@ -468,7 +463,6 @@ class InertExperimentReport:
 
 def inert_experiment(fs: FieldSpec, n: int, profile: GRCBoundProfile,
                      variant_delta: Fraction | None = None,
-                     probe_sigmas=None,
                      probe_cutoffs=(10**5, 10**6, 10**7)) -> InertExperimentReport:
     """Abscissa bookkeeping for the inert primes of a prime-degree cyclic field.
 
@@ -492,9 +486,8 @@ def inert_experiment(fs: FieldSpec, n: int, profile: GRCBoundProfile,
         variant_ok = variant_bound < Fraction(1, 2)
     inert = DegreeSelector(fs, p)
     two_delta = float(2 * delta)
-    if probe_sigmas is None:
-        edge = two_delta + 1.0 / p
-        probe_sigmas = (round(edge + 0.05, 6), round(max(edge - 0.05, two_delta + 1e-3), 6))
+    edge = two_delta + 1.0 / p
+    probe_sigmas = (round(edge + 0.05, 6), round(max(edge - 0.05, two_delta + 1e-3), 6))
     probe = convergence_probe(inert, two_delta, probe_sigmas, probe_cutoffs)
     return InertExperimentReport(
         fieldspec=fs.label, n=n, p=p, profile=profile,
@@ -542,10 +535,7 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
     unramified prime up to the scan limit whose residue degree in F equals
     p must have residue degree p^m in K.
     """
-    modulus = math.lcm(F.modulus, K.modulus)
-    HF = _lift_subgroup(F, modulus)
-    HK = _lift_subgroup(K, modulus)
-    if not HK <= HF:
+    if not _contains(K, F):
         raise NotNested(f"{K.label} does not contain {F.label}")
     p = F.degree
     if not is_prime(p):
@@ -577,9 +567,17 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
                        counterexamples=tuple(bad), examples=tuple(samples))
 
 
-def _lift_subgroup(fs: FieldSpec, modulus: int) -> frozenset[int]:
-    return frozenset(r for r in range(modulus)
-                     if math.gcd(r, modulus) == 1 and (r % fs.modulus) in fs.subgroup)
+def _contains(K: FieldSpec, F: FieldSpec) -> bool:
+    """Whether H_K, lifted to lcm(N_F, N_K), lies in H_F lifted.  By CRT: whether
+    every unit a mod N_F with a mod g in H_K mod g, g = gcd(N_F, N_K), lies in H_F.
+    """
+    g = math.gcd(F.modulus, K.modulus)
+    reached = np.zeros(g, dtype=bool)
+    reached[np.fromiter(K.subgroup, dtype=np.int64) % g] = True
+    in_hf = np.zeros(F.modulus, dtype=bool)
+    in_hf[list(F.subgroup)] = True
+    units = np.flatnonzero(unit_mask(F.modulus))
+    return bool(in_hf[units[reached[units % g]]].all())
 
 
 def _quotient_cyclic(fs: FieldSpec) -> bool:

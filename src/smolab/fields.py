@@ -15,17 +15,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import LimitExceeded, ParseError, Ramified
-from .sieve import prime_divisors, totient
+from .sieve import prime_divisors, totient, unit_mask
 
-# The unit list and the coset table are Python loops over (Z/N)*, and the
-# coset table is an int64 array of N entries.  At N = 1,000,003 they took
-# 0.32 s and 1.8 s; at N = 10,000,019 they took 3.1 s and 17 s (2-vCPU x86-64
-# VM).  At N = 1e11 the table alone would take 745 GiB.
+# The coset table is a Python loop over (Z/N)* and an int64 array of N
+# entries.  At N = 1,000,003 it took 1.8 s, at N = 10,000,019 17 s (2-vCPU
+# x86-64 VM).  At N = 1e11 the table alone would take 745 GiB.
 MODULUS_LIMIT = 10**6
-
-
-def _unit_residues(N: int) -> list[int]:
-    return [r for r in range(1, N + 1) if math.gcd(r, N) == 1] if N > 1 else [0]
 
 
 def _power_mod(base: np.ndarray, e: int, N: int) -> np.ndarray:
@@ -99,7 +94,7 @@ class FieldSpec:
         table = np.full(max(N, 1), -1, dtype=np.int64)
         reps: list[int] = []
         H = self.subgroup
-        for r in _unit_residues(N):
+        for r in np.flatnonzero(unit_mask(N)).tolist():
             if table[r % N] != -1:
                 continue
             coset = sorted((r * h) % N for h in H)
@@ -139,10 +134,6 @@ class FieldSpec:
                 todo = todo[f[todo] % q == 0]
         out[units] = f
         return out
-
-    @property
-    def coset_representatives(self) -> tuple[int, ...]:
-        return self._coset_table[1]
 
     def residue_degree(self, p: int) -> int:
         if self.modulus == 1:

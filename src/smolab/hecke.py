@@ -8,7 +8,8 @@ a single implementation of each source.
 
 A loaded weight-k eigenvalue file is renormalized so the two local
 parameters at a good prime p satisfy a + b = a_p / p^((k-1)/2) and ab = 1;
-lookups index the sorted prime column.  Synthetic sources are counter-based:
+lookups index the sorted prime column, whose ``ExplicitList`` is the source's
+``universe``.  Synthetic sources have ``AllPrimes()`` and are counter-based:
 each random quantity at p is drawn from the splitmix64 hash of (seed, domain
 tag, parameter index, p), so any prime has data, a prime's values do not
 depend on which other primes are asked for, and runs are reproducible across
@@ -47,8 +48,7 @@ class RepresentationData:
     satake_fn: ArrayFn = field(compare=False)
     coefficient_fn: ArrayFn | None = field(default=None, compare=False)
     ramified: frozenset[int] = frozenset()
-    support: tuple[int, ...] | None = None  # explicit prime list, or None for all
-    support_limit: int | None = None
+    universe: PrimeSelector = AllPrimes()
     normalization: str = "unitary"
     warnings: tuple[str, ...] = ()
 
@@ -70,11 +70,6 @@ class RepresentationData:
     def local_factor(self, p: int) -> LocalFactor:
         return LocalFactor(q=int(p), alphas=self.satake(p), degree=self.degree)
 
-    def universe(self) -> PrimeSelector:
-        if self.support is not None:
-            return ExplicitList(self.support)
-        return AllPrimes()
-
     def self_rankin_selberg(self, conjugate: bool = True) -> EulerProduct:
         """Pairing of the source with itself: one place per p, parameters {a_i c(a_j)}."""
 
@@ -84,8 +79,7 @@ class RepresentationData:
             pairs = a[:, :, None] * (a.conj() if conjugate else a)[:, None, :]
             return np.ones((len(primes), 1), dtype=np.int64), pairs.reshape(len(primes), 1, -1)
 
-        return EulerProduct(places=places, universe=self.universe(), ramified=self.ramified,
-                            support_limit=self.support_limit)
+        return EulerProduct(places=places, universe=self.universe, ramified=self.ramified)
 
     def max_parameter_excess(self, primes) -> float:
         """max over given primes of |a_i| measured against 1 (tempered = 0)."""
@@ -157,8 +151,7 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
             warnings.append(f"size bound exceeded at p={p}: |{a_p}| > {bound:.6g}")
         coeffs[p] = a_p
     half = (weight - 1) / 2.0
-    support = tuple(coeffs)  # ascending: out-of-order rows were rejected
-    rows_p = np.array(support, dtype=np.int64)
+    rows_p = np.array(list(coeffs), dtype=np.int64)  # ascending: out-of-order rows were rejected
     # Python float pow, once per row: numpy's pow can differ in the last bit,
     # and the file-backed report digests depend on these values
     normalized = np.array([a_p / p**half for p, a_p in coeffs.items()], dtype=np.float64)
@@ -175,8 +168,7 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
         label=label, degree=2,
         satake_fn=lambda primes: _unitary_pairs(coefficient(primes)),
         coefficient_fn=coefficient,
-        support=support,
-        support_limit=support[-1] if support else 0,
+        universe=ExplicitList(tuple(coeffs)),
         normalization=f"a_p / p^({weight - 1}/2), parameter product 1",
         warnings=tuple(warnings),
     )

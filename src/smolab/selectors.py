@@ -4,6 +4,11 @@ Selectors are pure predicates over primes, vectorized over numpy arrays.
 Ramified primes (dividing a defining modulus) are always excluded.  A
 selector whose membership depends only on a congruence class can report an
 exact analytic density; arbitrary combinations fall back to None.
+
+Selectors also name the primes a source or Euler product has data at:
+``AllPrimes()``, or an ``ExplicitList`` whose ``largest_prime`` ends walks.
+``and``/``or``/``not`` lift residues to the lcm of their moduli in numpy
+tables, after refusing an lcm above LIFT_MODULUS_LIMIT.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import LimitExceeded, ParseError
 from .fields import FieldSpec
-from .sieve import PRIME_LIMIT, prime_divisors, totient
+from .sieve import PRIME_LIMIT, prime_divisors, totient, unit_mask
 from .sieve import residues as prime_residues
 
 # ``mask`` indexes a table of ``modulus`` bytes on every call: at 1e9 it is
@@ -26,6 +31,11 @@ from .sieve import residues as prime_residues
 # larger modulus would only pick the listed residues themselves.
 MODULUS_LIMIT = PRIME_LIMIT
 
+# Near the cap, the density of "mod:2499997:1 or mod:4:1" (lcm 9,999,988, a
+# 2.5M-residue union) took 0.27-0.42 s and 232 MiB more peak RSS, most of it
+# the residue set (2-vCPU x86-64 VM, Python 3.11.7, numpy 2.4.6).
+LIFT_MODULUS_LIMIT = 10**7
+
 
 class PrimeSelector:
     """Base selector: membership plus optional norm/density structure."""
@@ -33,6 +43,8 @@ class PrimeSelector:
     #: uniform exponent j with norm(p) = p**j, or None if not uniform
     norm_exponent: int | None = 1
     excluded: frozenset[int] = frozenset()
+    #: the largest prime of a finite selector (0 when empty), None if unbounded
+    largest_prime: int | None = None
 
     def contains(self, p: int) -> bool:
         return bool(self.mask(np.array([p], dtype=np.int64))[0])
@@ -57,7 +69,7 @@ class PrimeSelector:
         return None
 
     def as_congruence(self) -> tuple[int, frozenset[int]] | None:
-        """(modulus, residue set) description if one exists, else None.
+        """(modulus, set of unit residues) description if one exists, else None.
 
         ``mask`` picks exactly the primes whose residue lies in the set, and
         no prime in ``excluded``; the residue counts of the density
@@ -70,8 +82,7 @@ class PrimeSelector:
         if cong is None:
             return None
         N, chosen = cong
-        hits = sum(1 for r in chosen if 0 <= r < N and math.gcd(r, N) == 1)
-        return Fraction(hits, totient(N))
+        return Fraction(len(chosen), totient(N))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -133,10 +144,6 @@ class CongruenceSelector(PrimeSelector):
             allowed[r] = True
         return allowed[prime_residues(primes, self.modulus)]
 
-    def analytic_density(self) -> Fraction:
-        # residues holds units only, so no residue needs a gcd
-        return Fraction(len(self.residues), totient(self.modulus))
-
     def congruence_modulus(self):
         return self.modulus
 
@@ -185,17 +192,12 @@ class DegreeSelector(PrimeSelector):
 @dataclass(frozen=True)
 class ExplicitList(PrimeSelector):
     primes: tuple[int, ...]
-    _members: frozenset[int] = field(init=False, repr=False, compare=False, default=None)
     _sorted: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        members = frozenset(int(p) for p in self.primes)
-        object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_sorted", np.array(sorted(members), dtype=np.int64))
-
-    def contains(self, p: int) -> bool:
-        # a set lookup; the base class builds a one-element array per call
-        return int(p) in self._members
+        members = sorted(frozenset(int(p) for p in self.primes))
+        object.__setattr__(self, "_sorted", np.array(members, dtype=np.int64))
+        object.__setattr__(self, "largest_prime", members[-1] if members else 0)
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         return np.isin(primes, self._sorted)
@@ -207,10 +209,12 @@ class ExplicitList(PrimeSelector):
         return f"list:[{len(self.primes)} primes]"
 
 
-def _lift_congruence(cong: tuple[int, frozenset[int]], modulus: int) -> frozenset[int]:
-    N, residues = cong
-    return frozenset(r for r in range(modulus)
-                     if math.gcd(r, modulus) == 1 and (r % N) in residues)
+def _residue_table(selector: PrimeSelector, modulus: int) -> np.ndarray:
+    """Bytes over range(modulus), set where r mod N is in the selector's residues mod N."""
+    N, residues = selector.as_congruence()
+    table = np.zeros(N, dtype=bool)
+    table[np.fromiter(residues, dtype=np.int64, count=len(residues))] = True
+    return np.tile(table, modulus // N)
 
 
 def _combined_modulus(a: PrimeSelector, b: PrimeSelector) -> int | None:
@@ -218,12 +222,18 @@ def _combined_modulus(a: PrimeSelector, b: PrimeSelector) -> int | None:
     return None if qa is None or qb is None else math.lcm(qa, qb)
 
 
-def _combine(a: PrimeSelector, b: PrimeSelector, op) -> tuple[int, frozenset[int]] | None:
-    ca, cb = a.as_congruence(), b.as_congruence()
-    if ca is None or cb is None:
+def _lift(node: PrimeSelector, op, *children: PrimeSelector) -> tuple[int, frozenset[int]] | None:
+    """The node's congruence: ``op`` of its children's residue tables at the
+    node's modulus, kept to the units.  The modulus is refused above
+    LIFT_MODULUS_LIMIT before any child's residue set is built."""
+    modulus = node.congruence_modulus()
+    if modulus is None:
         return None
-    modulus = math.lcm(ca[0], cb[0])
-    return (modulus, frozenset(op(_lift_congruence(ca, modulus), _lift_congruence(cb, modulus))))
+    if modulus > LIFT_MODULUS_LIMIT:
+        raise LimitExceeded(f"compound congruence modulus capped at {LIFT_MODULUS_LIMIT}, "
+                            f"got {modulus}")
+    table = op(*(_residue_table(c, modulus) for c in children)) & unit_mask(modulus)
+    return modulus, frozenset(np.flatnonzero(table).tolist())
 
 
 @dataclass(frozen=True)
@@ -249,12 +259,7 @@ class Complement(PrimeSelector):
         return 1 - self.inner.analytic_density()
 
     def as_congruence(self):
-        c = self.inner.as_congruence()
-        if c is None:
-            return None
-        N, residues = c
-        units = frozenset(r for r in range(N) if math.gcd(r, N) == 1) if N > 1 else frozenset({0})
-        return (N, units - residues)
+        return _lift(self, np.logical_not, self.inner)
 
     def describe(self) -> str:
         return f"not {self.inner.describe()}"
@@ -282,7 +287,7 @@ class Intersection(PrimeSelector):
         return _combined_modulus(self.left, self.right)
 
     def as_congruence(self):
-        return _combine(self.left, self.right, frozenset.intersection)
+        return _lift(self, np.logical_and, self.left, self.right)
 
     def describe(self) -> str:
         return f"({self.left.describe()} and {self.right.describe()})"
@@ -310,7 +315,7 @@ class Union(PrimeSelector):
         return _combined_modulus(self.left, self.right)
 
     def as_congruence(self):
-        return _combine(self.left, self.right, frozenset.union)
+        return _lift(self, np.logical_or, self.left, self.right)
 
     def describe(self) -> str:
         return f"({self.left.describe()} or {self.right.describe()})"

@@ -185,6 +185,14 @@ def prime_divisors(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def unit_mask(n: int) -> np.ndarray:
+    """Bytes over range(n), set at the residues prime to n (residue 0 for n = 1)."""
+    units = np.ones(n, dtype=bool)
+    for p in prime_divisors(n):
+        units[::p] = False
+    return units
+
+
 def totient(n: int) -> int:
     """Euler's phi(n) = #{0 <= r < n : gcd(r, n) = 1}; phi(1) = 1."""
     for p in prime_divisors(n):
@@ -196,34 +204,29 @@ def prime_count(limit: int, workers: int | None = None) -> int:
     return sum(segment_map(limit, len, workers=workers))
 
 
-def restrict(primes: np.ndarray, selector=None, support=None,
+def restrict(primes: np.ndarray, selector=None,
              exclude: frozenset[int] = frozenset()) -> np.ndarray:
-    """The entries of ``primes`` that ``selector`` picks (all if None), that lie
-    in ``support`` (a sorted prime sequence, or None for no restriction) and
+    """The entries of ``primes`` that ``selector`` picks (all if None) and
     that are not in ``exclude``."""
     primes = np.asarray(primes, dtype=np.int64)
     if selector is not None:
         primes = primes[selector.mask(primes)]
-    if support is not None:
-        primes = primes[np.isin(primes, np.asarray(support, dtype=np.int64))]
     if exclude:
         primes = primes[~np.isin(primes, np.array(sorted(exclude), dtype=np.int64))]
     return primes
 
 
-def prime_stream(limit: int, selector=None, support=None,
+def prime_stream(limit: int, selector=None,
                  exclude: frozenset[int] = frozenset()) -> Iterator[np.ndarray]:
     """The primes <= limit as ascending, nonempty int64 arrays: each sieve
     segment cut down by ``restrict``, in slices of at most STREAM_CHUNK.
 
     This is the one prime walk of the coefficient experiments and Euler
-    products: selection, data support and ramified primes are all masks.
-    The slices bound the per-prime temporaries of the array scans.
+    products: a selection and the sources' universes are one selector, the
+    ramified primes ``exclude``.  Slices bound the array scans' temporaries.
     """
-    if support is not None:
-        support = np.asarray(support, dtype=np.int64)
     for seg in iter_prime_segments(limit):
-        seg = restrict(seg, selector, support, exclude)
+        seg = restrict(seg, selector, exclude)
         for start in range(0, len(seg), STREAM_CHUNK):
             yield seg[start:start + STREAM_CHUNK]
 
@@ -272,7 +275,7 @@ def residue_prime_counts(x: int, q: int) -> np.ndarray:
     values = np.concatenate((x // np.arange(1, r + 1, dtype=np.int64),
                              np.arange(n_small, 0, -1, dtype=np.int64)))
     m = len(values)
-    units = np.array([a for a in range(q) if math.gcd(a, q) == 1], dtype=np.int64)
+    units = np.flatnonzero(unit_mask(q))
     row_of = np.full(q, -1, dtype=np.int64)
     row_of[units] = np.arange(len(units))
     # int32 is exact below 2**31 > PRIME_LIMIT; filled a row at a time

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -442,6 +443,32 @@ def test_huge_moduli_are_refused_before_allocation(capsys, tmp_path):
     spec.write_text("N=100000000000\n")
     code, _, err = run(capsys, "frobstats", str(spec), "--x", "100")
     assert code == 1 and err.startswith("limit-exceeded: field modulus capped"), err
+
+
+def test_compound_modulus_above_the_lift_cap_is_a_typed_error(tmp_path):
+    # lcm(999999937, 4) is near 4e9: the residue lift would not finish
+    (tmp_path / "tau.csv").write_text("p,a_p\n2,-24\n3,252\n5,4830\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "smolab.cli", "smo", "tempered", "--data", "tau.csv",
+         "--selector", "mod:999999937:1 and mod:4:1"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("limit-exceeded: "), proc.stderr
+
+
+def test_tower_of_coprime_large_moduli_is_refused_at_once(capsys, tmp_path):
+    # the lcm of the two moduli is near 1e12; nesting is decided mod each
+    (tmp_path / "f.txt").write_text("N=999983\n")
+    (tmp_path / "k.txt").write_text("N=999979\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "smo", "tower", "--subfield", str(tmp_path / "f.txt"),
+                       "--field", str(tmp_path / "k.txt"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and err.startswith("not-nested: "), err
 
 
 def test_malformed_satake_row_is_a_parse_error(capsys, tmp_path):

@@ -18,7 +18,8 @@ from smolab.euler import (EulerProduct, LocalFactor, convergence_probe,
                           rs_leading_coefficient, zeta_product)
 from smolab.fields import FieldSpec
 from smolab.hecke import parse_hecke_text, synthetic_tempered, synthetic_with_profile
-from smolab.selectors import AllPrimes, CongruenceSelector, DegreeSelector, NoPrimes
+from smolab.selectors import (AllPrimes, CongruenceSelector, DegreeSelector, ExplicitList,
+                              NoPrimes)
 from smolab.sieve import simple_sieve
 from smolab.tau import tau_csv_text
 
@@ -157,7 +158,7 @@ def test_self_pairing_coefficients_are_power_sum_squares():
     factor = LocalFactor(q=2, alphas=(a, a.conjugate()), degree=2)
     paired = rankin_selberg_local(factor, factor)
     product = EulerProduct(places=constant_places(paired.alphas),
-                           universe=AllPrimes(), support_limit=2)
+                           universe=ExplicitList((2,)))
     coefficients = by_index(log_expansion(product, AllPrimes(), 2**10))
     for m in range(1, 10):
         coeff = coefficients[2**m]
@@ -261,7 +262,7 @@ def reference_case(name):
                                   "synthetic", "profile", "mixed"])
 def test_log_expansion_matches_per_prime_reference(name):
     product, factors_at, selector = reference_case(name)
-    limit = min(REFERENCE_INDEX, product.support_limit or REFERENCE_INDEX)
+    limit = min(REFERENCE_INDEX, product.universe.largest_prime or REFERENCE_INDEX)
     primes = [p for p in simple_sieve(limit).tolist()
               if p not in product.ramified and selector.contains(p)]
     expected = reference_log_expansion(factors_at, primes, REFERENCE_INDEX)

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smolab.errors import (DegreeMismatch, InfeasibleEpsilon, NotNested,
                            NotPrimeDegree)
 from smolab.euler import grc_profile
-from smolab.experiments import (compare_local, inert_experiment,
+from smolab.experiments import (_contains, compare_local, inert_experiment,
                                 pole_order_estimate, rajan_criterion,
                                 tempered_bound_check, tower_degree_check,
                                 z_ratio)
@@ -256,3 +258,33 @@ def test_tower_split_primes_not_counted():
     from smolab.sieve import prime_array
     split = [int(p) for p in prime_array(10**4) if p % 5 in (1, 4)]
     assert report.checked + len(split) + 1 == len(prime_array(10**4))  # +1 for p=5
+
+
+def _lift_subgroup(fs: FieldSpec, modulus: int) -> frozenset[int]:
+    """The former nesting check: H over range(modulus), residue by residue."""
+    return frozenset(r for r in range(modulus)
+                     if math.gcd(r, modulus) == 1 and (r % fs.modulus) in fs.subgroup)
+
+
+@st.composite
+def field_specs(draw, modulus=None):
+    N = modulus or draw(st.integers(1, 40))
+    units = [r for r in range(1, N + 1) if math.gcd(r, N) == 1]
+    return FieldSpec(N, tuple(draw(st.lists(st.sampled_from(units), max_size=2))))
+
+
+@st.composite
+def field_pairs(draw):
+    F = draw(field_specs())
+    # a multiple of N_F as often as not, so nested pairs are common
+    multiple = draw(st.integers(1, 3)) * F.modulus
+    K = draw(field_specs(modulus=draw(st.sampled_from([multiple, None]))))
+    return F, K
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_pairs())
+def test_nesting_matches_the_lifted_subgroups(pair):
+    F, K = pair
+    modulus = math.lcm(F.modulus, K.modulus)
+    assert _contains(K, F) == (_lift_subgroup(K, modulus) <= _lift_subgroup(F, modulus))

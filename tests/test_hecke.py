@@ -46,7 +46,7 @@ def test_local_factor_degree(tau_rep):
 
 def test_empty_file_is_valid():
     rep = parse_hecke_text("p,a_p\n", weight=12)
-    assert rep.support == ()
+    assert rep.universe.primes == ()
 
 
 def test_non_prime_row_rejected():

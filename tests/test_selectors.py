@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from smolab.errors import LimitExceeded, ParseError
 from smolab.fields import FieldSpec
-from smolab.selectors import (MODULUS_LIMIT, AllPrimes, Complement, CongruenceSelector,
+from smolab.selectors import (LIFT_MODULUS_LIMIT, MODULUS_LIMIT, AllPrimes, Complement,
+                              CongruenceSelector,
                               DegreeSelector, ExplicitList, Intersection,
                               NoPrimes, Union, parse_selector)
-from smolab.sieve import prime_array
+from smolab.sieve import prime_array, totient
 
 PRIMES = prime_array(1000)
 PRIMES_1E5 = prime_array(10**5)
@@ -227,3 +228,45 @@ def test_analytic_density_of_a_huge_modulus_is_immediate():
     assert Complement(CongruenceSelector(999_999_937, frozenset({1}))).analytic_density() == \
         Fraction(999_999_935, 999_999_936)
     assert time.perf_counter() - start < 0.25
+
+
+def congruence_by_residue_walk(selector):
+    """The former lifts: each residue of range(lcm) checked one by one in Python."""
+    if isinstance(selector, Complement):
+        N, residues = congruence_by_residue_walk(selector.inner)
+        units = {r for r in range(N) if math.gcd(r, N) == 1} if N > 1 else {0}
+        return N, frozenset(units - residues)
+    if isinstance(selector, (Intersection, Union)):
+        (na, ra), (nb, rb) = map(congruence_by_residue_walk, (selector.left, selector.right))
+        N = math.lcm(na, nb)
+
+        def lift(n, residues):
+            return {r for r in range(N) if math.gcd(r, N) == 1 and r % n in residues}
+
+        op = set.intersection if isinstance(selector, Intersection) else set.union
+        return N, frozenset(op(lift(na, ra), lift(nb, rb)))
+    return selector.as_congruence()
+
+
+@settings(max_examples=100, deadline=None)
+@given(selector_trees)
+def test_lifted_congruence_matches_residue_walk(selector):
+    assert selector.as_congruence() == congruence_by_residue_walk(selector)
+    assert Complement(selector).as_congruence() == \
+        congruence_by_residue_walk(Complement(selector))
+
+
+def test_lift_above_the_cap_is_refused_before_any_residue_set():
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded):
+        parse_selector("mod:999999937:1 and mod:4:1").analytic_density()
+    with pytest.raises(LimitExceeded):
+        Complement(CongruenceSelector(999_999_937, frozenset({1}))).as_congruence()
+    with pytest.raises(LimitExceeded):
+        Intersection(CongruenceSelector(LIFT_MODULUS_LIMIT + 1, frozenset({1})),
+                     AllPrimes()).analytic_density()
+    assert time.perf_counter() - start < 0.25
+    at_cap = Intersection(CongruenceSelector(LIFT_MODULUS_LIMIT, frozenset({1})), AllPrimes())
+    assert at_cap.analytic_density() == Fraction(1, totient(LIFT_MODULUS_LIMIT))
+    assert parse_selector("mod:250007:1 and mod:4:1").analytic_density() == \
+        Fraction(1, 500012)

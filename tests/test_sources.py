@@ -25,7 +25,7 @@ from smolab.euler import (EulerProduct, eval_local, grc_profile,
 from smolab.experiments import COEFF_EQ_TOL, compare_local, z_ratio
 from smolab.hecke import (parse_hecke_text, synthetic_tempered,
                           synthetic_with_profile, tempered_angles)
-from smolab.selectors import AllPrimes, CongruenceSelector
+from smolab.selectors import AllPrimes, CongruenceSelector, ExplicitList, Intersection
 from smolab.sieve import STREAM_CHUNK, prime_array, prime_stream, simple_sieve
 from smolab.tau import generate_tau, tau_csv_text
 
@@ -90,7 +90,7 @@ def test_file_backed_parameters_equal_the_complex_formula(tau_rep):
     # including rows that break the size bound, where the pair is real
     loud = parse_hecke_text("p,a_p\n2,100\n3,-2000\n5,4830\n", weight=12)
     for rep in (tau_rep, loud):
-        primes = list(rep.support)
+        primes = list(rep.universe.primes)
         for p, row, c in zip(primes, rep.satake_array(primes).tolist(),
                              rep.coefficient_array(primes).tolist()):
             assert c == rep.coefficient(p)
@@ -181,10 +181,11 @@ def test_prime_stream_matches_filtered_oracle():
     limit = 3 * 10**6
     support = simple_sieve(limit)[::7]
     exclude = frozenset({2, 3, int(support[5]), int(support[-1])})
-    got = np.concatenate(list(prime_stream(limit, MOD8, support=support, exclude=exclude)))
+    universe = Intersection(MOD8, ExplicitList(tuple(support.tolist())))
+    got = np.concatenate(list(prime_stream(limit, universe, exclude=exclude)))
     oracle = [p for p in support.tolist() if p % 8 == 1 and p not in exclude]
     assert got.tolist() == oracle
-    assert all(len(seg) for seg in prime_stream(limit, MOD8, support=support))
+    assert all(len(seg) for seg in prime_stream(limit, universe))
 
 
 def test_prime_stream_slices_cover_every_prime():
@@ -195,8 +196,9 @@ def test_prime_stream_slices_cover_every_prime():
 
 def test_euler_product_primes_follow_universe_and_ramified():
     ep = EulerProduct(places=zeta_product().places,
-                      universe=CongruenceSelector(4, frozenset({1})),
-                      ramified=frozenset({5, 13}), support_limit=1000)
+                      universe=Intersection(CongruenceSelector(4, frozenset({1})),
+                                            ExplicitList(tuple(simple_sieve(1000).tolist()))),
+                      ramified=frozenset({5, 13}))
     expected = [p for p in simple_sieve(1000).tolist() if p % 4 == 1 and p not in (5, 13)]
     assert np.concatenate(list(ep.segments(10**4))).tolist() == expected
 
@@ -207,7 +209,7 @@ def test_euler_product_primes_follow_universe_and_ramified():
 def _reference_disagreements(A, B, limit: int) -> list[int]:
     out = []
     for p in simple_sieve(limit).tolist():
-        if any(r.support is not None and p not in r.support for r in (A, B)):
+        if not all(r.universe.contains(p) for r in (A, B)):
             continue
         if p in A.ramified or p in B.ramified:
             continue
