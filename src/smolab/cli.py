@@ -22,7 +22,7 @@ from .fields import parse_fieldspec
 from .hecke import load_hecke, synthetic_tempered, synthetic_with_profile
 from .report import Report, emit
 from .selectors import ExplicitList, parse_selector
-from .sieve import is_prime
+from .sieve import is_prime_array
 from .tau import write_tau_csv
 
 
@@ -106,42 +106,62 @@ def _norm_exponent(p: int, q: int) -> int | None:
     return f if q == 1 and f else None
 
 
+def _read_satake_row(row: list[str], path: str) -> tuple[int, int, list[float]]:
+    """(p, q, parameter parts) of a Satake row, with the checks that need no prime."""
+    try:
+        p, q = int(row[0]), int(row[1])
+        parts = [float(x) for x in row[2:]]
+    except (IndexError, ValueError):
+        raise ParseError(f"bad Satake row {row!r} in {path}")
+    if len(parts) % 2:
+        raise ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")
+    if q < 2:
+        raise UsageError(f"norm must be >= 2, got {q}")
+    return p, q, parts
+
+
 def _load_satake_csv(path: str) -> euler.EulerProduct:
     """Rows (p, q, alpha_re_1, alpha_im_1, ...): one place of norm q = p**f per row.
 
     A prime may have several rows, one per place.  Places without parameters
     (factor 1) or of norm above LOG_INDEX_LIMIT, which no allowed expansion
-    reaches, are left out.
+    reaches, are left out.  The first faulty row in row order raises: the
+    rows are read up to the first other fault, then checked prime in one
+    pass; within a row, the prime check comes after the columns and the norm
+    and before the place checks.
     """
-    primes, exponents, alphas = [], [], []
-    seen = False
+    row_primes, primes, exponents, alphas = [], [], [], []
+    fault = None
     with open(path, newline="") as handle:
         for row in csv.reader(handle):
             if not row or row[0].strip().lower() in ("p", "#"):
                 continue
-            seen = True
             try:
-                p, q = int(row[0]), int(row[1])
-                parts = [float(x) for x in row[2:]]
-            except (IndexError, ValueError):
-                raise ParseError(f"bad Satake row {row!r} in {path}")
-            if len(parts) % 2:
-                raise ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")
-            if q < 2:
-                raise UsageError(f"norm must be >= 2, got {q}")
-            if not is_prime(p):
-                raise NonPrimeRow(f"row prime {p} in {path} is not prime")
+                p, q, parts = _read_satake_row(row, path)
+            except SmolabError as exc:
+                fault = exc
+                break
+            row_primes.append(p)
+            if p < 2:  # not prime, and q // p would not end
+                continue
             f = _norm_exponent(p, q)
-            if f is None:
-                raise ParseError(f"bad Satake row {row!r} in {path}: {q} is not a power of {p}")
             row_alphas = [complex(re, im) for re, im in zip(parts[0::2], parts[1::2])]
-            if any(a == 0 for a in row_alphas):
-                raise UsageError("local parameters must be nonzero")
+            if f is None:
+                fault = ParseError(f"bad Satake row {row!r} in {path}: {q} is not a power of {p}")
+            elif any(a == 0 for a in row_alphas):
+                fault = UsageError("local parameters must be nonzero")
+            if fault is not None:
+                break
             if row_alphas and q <= euler.LOG_INDEX_LIMIT:
                 primes.append(p)
                 exponents.append(f)
                 alphas.append(row_alphas)
-    if not seen:
+    prime = is_prime_array(row_primes)
+    if not prime.all():
+        raise NonPrimeRow(f"row prime {row_primes[int(np.argmin(prime))]} in {path} is not prime")
+    if fault is not None:
+        raise fault
+    if not row_primes:
         raise ParseError(f"no Satake rows in {path}")
     # one (prime, place) cell per row: rows grouped by p, places kept in file order
     ps = np.array(primes, dtype=np.int64)

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DuplicatePrime, NonPrimeRow, NotTempered, ParseError
 from .euler import EulerProduct, LocalFactor
 from .selectors import AllPrimes, ExplicitList, PrimeSelector
+from .sieve import is_prime_array
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 
@@ -122,39 +123,55 @@ def load_hecke(path: str | Path, weight: int, label: str | None = None) -> Repre
 
 
 def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> RepresentationData:
-    from .sieve import is_prime
+    """Parse ``p,a_p`` rows; the first faulty row in row order raises.
 
+    Columns and numbers are checked as rows are read.  The rows read before
+    any such fault are then checked prime in one ``is_prime_array`` pass and
+    checked ascending; within a row, the prime check comes first.
+    """
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [row for row in reader if "".join(row).strip()]  # drop blank rows
     if rows and rows[0] and rows[0][0].strip().lower() == "p":
         rows = rows[1:]
-    coeffs: dict[int, float] = {}
-    warnings: list[str] = []
-    last_p = 0
+    ps: list[int] = []
+    values: list[float] = []
+    unreadable = None
     for row in rows:
         if len(row) < 2:
-            raise ParseError(f"expected 'p,a_p' columns, got {row!r}")
+            unreadable = ParseError(f"expected 'p,a_p' columns, got {row!r}")
+            break
         try:
-            p = int(row[0])
-            a_p = float(row[1])
+            p, a_p = int(row[0]), float(row[1])
         except ValueError:
-            raise ParseError(f"bad numeric row {row!r}")
-        if not is_prime(p):
+            unreadable = ParseError(f"bad numeric row {row!r}")
+            break
+        ps.append(p)
+        values.append(a_p)
+    column = np.array(ps, dtype=object)
+    prime = is_prime_array(column)
+    faulty = ~prime
+    faulty[1:] |= column[1:] <= column[:-1]
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        p = ps[i]
+        if not prime[i]:
             raise NonPrimeRow(f"row index {p} is not prime")
-        if p in coeffs:
+        if p in ps[:i]:
             raise DuplicatePrime(f"prime {p} appears twice")
-        if p < last_p:
-            raise ParseError(f"rows out of order at p={p}")
-        last_p = p
-        bound = 2.0 * p ** ((weight - 1) / 2.0)
-        if abs(a_p) > bound + 1e-9:
-            warnings.append(f"size bound exceeded at p={p}: |{a_p}| > {bound:.6g}")
-        coeffs[p] = a_p
-    half = (weight - 1) / 2.0
-    rows_p = np.array(list(coeffs), dtype=np.int64)  # ascending: out-of-order rows were rejected
+        raise ParseError(f"rows out of order at p={p}")
+    if unreadable is not None:
+        raise unreadable
+    try:
+        rows_p = np.array(ps, dtype=np.int64)  # ascending
+    except OverflowError:
+        raise ParseError(f"prime {ps[-1]} does not fit a 64-bit integer")
     # Python float pow, once per row: numpy's pow can differ in the last bit,
     # and the file-backed report digests depend on these values
-    normalized = np.array([a_p / p**half for p, a_p in coeffs.items()], dtype=np.float64)
+    half = (weight - 1) / 2.0
+    scale = np.array([p**half for p in ps], dtype=np.float64)
+    normalized = np.array(values, dtype=np.float64) / scale
+    warnings = [f"size bound exceeded at p={ps[i]}: |{values[i]}| > {2.0 * scale[i]:.6g}"
+                for i in np.flatnonzero(np.abs(values) > 2.0 * scale + 1e-9).tolist()]
 
     def coefficient(primes: np.ndarray) -> np.ndarray:
         rows = np.searchsorted(rows_p, primes)
@@ -168,7 +185,7 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
         label=label, degree=2,
         satake_fn=lambda primes: _unitary_pairs(coefficient(primes)),
         coefficient_fn=coefficient,
-        universe=ExplicitList(tuple(coeffs)),
+        universe=ExplicitList(tuple(ps)),
         normalization=f"a_p / p^({weight - 1}/2), parameter product 1",
         warnings=tuple(warnings),
     )

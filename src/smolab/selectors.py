@@ -8,7 +8,8 @@ exact analytic density; arbitrary combinations fall back to None.
 Selectors also name the primes a source or Euler product has data at:
 ``AllPrimes()``, or an ``ExplicitList`` whose ``largest_prime`` ends walks.
 ``and``/``or``/``not`` lift residues to the lcm of their moduli in numpy
-tables, after refusing an lcm above LIFT_MODULUS_LIMIT.
+tables, after refusing an lcm above LIFT_MODULUS_LIMIT; their density counts
+the table, and only ``as_congruence()`` turns it into a residue set.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from .sieve import residues as prime_residues
 MODULUS_LIMIT = PRIME_LIMIT
 
 # Near the cap, the density of "mod:2499997:1 or mod:4:1" (lcm 9,999,988, a
-# 2.5M-residue union) took 0.27-0.42 s and 232 MiB more peak RSS, most of it
-# the residue set (2-vCPU x86-64 VM, Python 3.11.7, numpy 2.4.6).
+# 2.5M-residue union) counts its lifted byte tables in 0.04-0.05 s and 39 MiB
+# more peak RSS; its ``as_congruence()`` set of 2.5M ints took 0.27-0.42 s
+# and 232 MiB (2-vCPU x86-64 VM, Python 3.11.7, numpy 2.4.6).
 LIFT_MODULUS_LIMIT = 10**7
 
 
@@ -76,6 +78,17 @@ class PrimeSelector:
         estimators rely on this.
         """
         return None
+
+    def residue_table(self) -> tuple[int, np.ndarray] | None:
+        """``as_congruence()`` as (modulus, bytes over range(modulus) set at
+        the chosen residues), or None when there is no congruence description."""
+        cong = self.as_congruence()
+        if cong is None:
+            return None
+        N, chosen = cong
+        table = np.zeros(N, dtype=bool)
+        table[np.fromiter(chosen, dtype=np.int64, count=len(chosen))] = True
+        return N, table
 
     def analytic_density(self) -> Fraction | None:
         cong = self.as_congruence()
@@ -185,6 +198,9 @@ class DegreeSelector(PrimeSelector):
     def as_congruence(self):
         return (self.fieldspec.modulus, self.fieldspec.residues_with_degree(self.j))
 
+    def residue_table(self):
+        return self.fieldspec.modulus, self.fieldspec._degree_table == self.j
+
     def describe(self) -> str:
         return f"degree:{self.fieldspec.label}:{self.j}"
 
@@ -209,35 +225,49 @@ class ExplicitList(PrimeSelector):
         return f"list:[{len(self.primes)} primes]"
 
 
-def _residue_table(selector: PrimeSelector, modulus: int) -> np.ndarray:
-    """Bytes over range(modulus), set where r mod N is in the selector's residues mod N."""
-    N, residues = selector.as_congruence()
-    table = np.zeros(N, dtype=bool)
-    table[np.fromiter(residues, dtype=np.int64, count=len(residues))] = True
-    return np.tile(table, modulus // N)
-
-
 def _combined_modulus(a: PrimeSelector, b: PrimeSelector) -> int | None:
     qa, qb = a.congruence_modulus(), b.congruence_modulus()
     return None if qa is None or qb is None else math.lcm(qa, qb)
 
 
-def _lift(node: PrimeSelector, op, *children: PrimeSelector) -> tuple[int, frozenset[int]] | None:
-    """The node's congruence: ``op`` of its children's residue tables at the
-    node's modulus, kept to the units.  The modulus is refused above
-    LIFT_MODULUS_LIMIT before any child's residue set is built."""
+def _lift(node: PrimeSelector, op, *children: PrimeSelector) -> tuple[int, np.ndarray] | None:
+    """The node's residue table: ``op`` of its children's tables tiled to
+    the node's modulus, kept to the units.  The modulus is refused above
+    LIFT_MODULUS_LIMIT before any child's table is built."""
     modulus = node.congruence_modulus()
     if modulus is None:
         return None
     if modulus > LIFT_MODULUS_LIMIT:
         raise LimitExceeded(f"compound congruence modulus capped at {LIFT_MODULUS_LIMIT}, "
                             f"got {modulus}")
-    table = op(*(_residue_table(c, modulus) for c in children)) & unit_mask(modulus)
-    return modulus, frozenset(np.flatnonzero(table).tolist())
+    tables = []
+    for child in children:
+        N, table = child.residue_table()
+        tables.append(np.tile(table, modulus // N))
+    return modulus, op(*tables) & unit_mask(modulus)
+
+
+class _Compound(PrimeSelector):
+    """``and``/``or``/``not``: the congruence and density come from the
+    lifted residue table, with no residue set for the density."""
+
+    def as_congruence(self):
+        lifted = self.residue_table()
+        if lifted is None:
+            return None
+        N, table = lifted
+        return N, frozenset(np.flatnonzero(table).tolist())
+
+    def analytic_density(self) -> Fraction | None:
+        lifted = self.residue_table()
+        if lifted is None:
+            return None
+        N, table = lifted
+        return Fraction(int(np.count_nonzero(table)), totient(N))
 
 
 @dataclass(frozen=True)
-class Complement(PrimeSelector):
+class Complement(_Compound):
     inner: PrimeSelector
 
     def __post_init__(self):
@@ -258,7 +288,7 @@ class Complement(PrimeSelector):
             return None
         return 1 - self.inner.analytic_density()
 
-    def as_congruence(self):
+    def residue_table(self):
         return _lift(self, np.logical_not, self.inner)
 
     def describe(self) -> str:
@@ -266,7 +296,7 @@ class Complement(PrimeSelector):
 
 
 @dataclass(frozen=True)
-class Intersection(PrimeSelector):
+class Intersection(_Compound):
     left: PrimeSelector
     right: PrimeSelector
 
@@ -286,7 +316,7 @@ class Intersection(PrimeSelector):
     def congruence_modulus(self):
         return _combined_modulus(self.left, self.right)
 
-    def as_congruence(self):
+    def residue_table(self):
         return _lift(self, np.logical_and, self.left, self.right)
 
     def describe(self) -> str:
@@ -294,7 +324,7 @@ class Intersection(PrimeSelector):
 
 
 @dataclass(frozen=True)
-class Union(PrimeSelector):
+class Union(_Compound):
     left: PrimeSelector
     right: PrimeSelector
 
@@ -314,7 +344,7 @@ class Union(PrimeSelector):
     def congruence_modulus(self):
         return _combined_modulus(self.left, self.right)
 
-    def as_congruence(self):
+    def residue_table(self):
         return _lift(self, np.logical_or, self.left, self.right)
 
     def describe(self) -> str:

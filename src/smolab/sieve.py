@@ -22,6 +22,14 @@ Comp. 1985; Deleglise and Rivat, Math. Comp. 1996).  ``density natural`` and
 cheaper than the sieve; its cost model and measurements are in its
 docstring.  At 1e8 it took 0.04 s for q = 4, 0.06 s for q = 11 and 0.09 s
 for q = 56, against 0.36 s for the sieve path.
+
+Single integers are tested by ``is_prime``, a deterministic Miller-Rabin
+test.  ``is_prime_array`` tests a whole file column at once: every entry
+below 3,215,031,751 takes the witnesses 2, 3, 5 and 7 in one uint64 pass,
+four rows of square-and-multiply in which every product of two residues
+stays below 2**64, and any other entry the scalar test.  On the 2262 rows
+of a tau file to 2e4 it took 5 ms against 18 ms for a scalar test per row
+(2-vCPU x86-64 VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -334,6 +342,7 @@ def residue_counts_pay(xs, q: int) -> bool:
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_FOUR_WITNESS_LIMIT = 3_215_031_751  # the least strong pseudoprime to 2, 3, 5 and 7
 
 
 def is_prime(n: int) -> bool:
@@ -353,7 +362,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES[:4] if n < 3_215_031_751 else _SMALL_PRIMES:
+    for a in _SMALL_PRIMES[:4] if n < _FOUR_WITNESS_LIMIT else _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -364,3 +373,46 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime_array(values) -> np.ndarray:
+    """``is_prime`` of every entry of an integer sequence, as a bool array.
+
+    Entries of any size are accepted.  Those in [0, 3,215,031,751) take one
+    whole-array Miller-Rabin test to the witnesses 2, 3, 5 and 7 on uint64,
+    where the square of every residue fits; any other entry, which only a
+    hand-written file can hold, takes the scalar 12-witness ``is_prime``.
+    """
+    values = np.array(values, dtype=object)
+    small = (values >= 0) & (values < _FOUR_WITNESS_LIMIT)
+    out = np.zeros(len(values), dtype=bool)
+    out[small] = _four_witness_test(values[small].astype(np.uint64))
+    for i in np.flatnonzero(~small).tolist():
+        out[i] = is_prime(int(values[i]))
+    return out
+
+
+def _four_witness_test(n: np.ndarray) -> np.ndarray:
+    """Primality of a uint64 array with entries below 3,215,031,751."""
+    out = np.isin(n, np.array(_SMALL_PRIMES[:4], dtype=np.uint64))
+    todo = np.flatnonzero((n > 7) & (n % 2 != 0) & (n % 3 != 0) & (n % 5 != 0) & (n % 7 != 0))
+    m = n[todo]
+    d, s = m - 1, np.zeros(len(m), dtype=np.uint64)  # m - 1 = d * 2**s with d odd
+    while (even := d % 2 == 0).any():
+        d[even] //= 2
+        s[even] += 1
+    # one row per witness: x = a**d mod m by square and multiply over the bits of d
+    base = np.array(_SMALL_PRIMES[:4], dtype=np.uint64)[:, None] % m
+    x = np.ones_like(base)
+    while d.any():
+        x = np.where(d % 2 == 1, x * base % m, x)
+        base = base * base % m
+        d //= 2
+    strong = (x == 1) | (x == m - 1)
+    # a**(2**r d) = -1 counts only for r < s: past it, the power is a power
+    # of a**(m - 1), which is 1 for a prime m
+    for r in range(1, int(s.max(initial=0))):
+        x = x * x % m
+        strong |= (x == m - 1) & (s > r)
+    out[todo] = strong.all(axis=0)
+    return out

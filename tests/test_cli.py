@@ -508,6 +508,27 @@ def test_satake_row_checks(capsys, tmp_path):
     assert code == 0 and json.loads(out)["results"]["positive_type"] is True
 
 
+@pytest.mark.parametrize("rows,error", [
+    # a non-prime row before a malformed, q-not-a-power or bad-norm row wins
+    ("5,5,1.0,0.0\n4,4,1.0,0.0\n7,x,1.0,0.0\n", "non-prime-row: row prime 4 "),
+    ("5,5,1.0,0.0\n4,4,1.0,0.0\n7,7,1.0\n", "non-prime-row: row prime 4 "),
+    ("5,5,1.0,0.0\n4,4,1.0,0.0\n7,49,1.0,0.0\n7,8,1.0,0.0\n", "non-prime-row: row prime 4 "),
+    ("5,5,1.0,0.0\n9,9,1.0,0.0\n7,1,1.0,0.0\n", "non-prime-row: row prime 9 "),
+    ("5,5,1.0,0.0\n9,9,1.0,0.0\n7,7,0.0,0.0\n", "non-prime-row: row prime 9 "),
+    # and loses to one before it
+    ("5,5,1.0,0.0\n7,x,1.0,0.0\n4,4,1.0,0.0\n", "parse-error: bad Satake row ['7', 'x', "),
+    ("5,5,1.0,0.0\n7,7,1.0\n4,4,1.0,0.0\n", "parse-error: bad Satake row ['7', '7', '1.0'] "),
+    ("5,5,1.0,0.0\n7,8,1.0,0.0\n4,4,1.0,0.0\n", "parse-error: bad Satake row ['7', '8', "),
+    ("5,5,1.0,0.0\n7,1,1.0,0.0\n9,9,1.0,0.0\n", "usage-error: norm must be >= 2, got 1"),
+    ("5,5,1.0,0.0\n7,7,0.0,0.0\n9,9,1.0,0.0\n", "usage-error: local parameters must be nonzero"),
+])
+def test_satake_first_faulty_row_raises(capsys, tmp_path, rows, error):
+    data = tmp_path / "satake.csv"
+    data.write_text("p,q,a1_re,a1_im\n" + rows)
+    code, out, err = run(capsys, "euler", "positivity", "--data", str(data))
+    assert code == 1 and err.startswith(error), (rows, err)
+
+
 @pytest.mark.parametrize("point", ["32768", "9" * 5000], ids=["32768", "5000-digits"])
 def test_group_file_point_above_int16_is_a_typed_error(tmp_path, point):
     group = tmp_path / "big.txt"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smolab.errors import ParseError, Ramified
 from smolab.fields import FieldSpec, PrimeItem, parse_fieldspec, residue_degree
@@ -128,3 +130,49 @@ def test_degree_table_near_the_modulus_cap():
     orders, counts = np.unique(table[1:], return_counts=True)
     assert dict(zip(orders.tolist(), counts.tolist())) == expected
     assert table[0] == 0
+
+
+def coset_table_by_unit_loop(fs):
+    """The former coset table: a Python loop over the units, one sorted coset each."""
+    N = fs.modulus
+    table = np.full(max(N, 1), -1, dtype=np.int64)
+    reps = []
+    for r in np.flatnonzero([math.gcd(r, N) == 1 for r in range(N)]).tolist():
+        if table[r % N] != -1:
+            continue
+        coset = sorted((r * h) % N for h in fs.subgroup)
+        for c in coset:
+            table[c] = len(reps)
+        reps.append(coset[0])
+    return table, tuple(reps)
+
+
+@st.composite
+def small_fields(draw):
+    N = draw(st.integers(1, 600))
+    units = [r for r in range(1, N + 1) if math.gcd(r, N) == 1]
+    return FieldSpec(N, tuple(draw(st.lists(st.sampled_from(units), max_size=3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fields())
+@example(FieldSpec(1))
+@example(FieldSpec(840, (11, 13)))
+@example(FieldSpec(599, (7,)))  # 7 generates (Z/599)*: one coset
+@example(FieldSpec(599, (3,)))  # index 2
+@example(FieldSpec(512, (3, 511)))
+def test_coset_table_matches_unit_loop(fs):
+    table, reps = fs._coset_table
+    expected_table, expected_reps = coset_table_by_unit_loop(fs)
+    assert table.tolist() == expected_table.tolist()
+    assert reps == expected_reps
+    assert len(reps) == fs.degree
+
+
+def test_coset_table_near_the_modulus_cap():
+    # trivial H: every unit is its own coset; H = {+-1}: r and N - r share one
+    table, reps = FieldSpec(999983)._coset_table
+    assert reps == tuple(range(1, 999983)) and table[0] == -1
+    table, reps = FieldSpec(999983, (999982,))._coset_table
+    assert reps == tuple(range(1, 999983 // 2 + 1))
+    assert table[999982] == table[1] == 0

@@ -64,6 +64,33 @@ def test_out_of_order_rejected():
         parse_hecke_text("p,a_p\n3,252\n2,-24\n", weight=12)
 
 
+@pytest.mark.parametrize("rows,error,message", [
+    # a non-prime row before a malformed, duplicate or descending row wins
+    ("7,1\n4,1\n11,abc\n", NonPrimeRow, "row index 4 is not prime"),
+    ("7,1\n4,1\n11\n", NonPrimeRow, "row index 4 is not prime"),
+    ("7,1\n9,1\n7,1\n", NonPrimeRow, "row index 9 is not prime"),
+    ("7,1\n1,1\n5,1\n", NonPrimeRow, "row index 1 is not prime"),
+    # and loses to one before it
+    ("7,1\n11,abc\n4,1\n", ParseError, "bad numeric row ['11', 'abc']"),
+    ("7,1\n11\n4,1\n", ParseError, "expected 'p,a_p' columns, got ['11']"),
+    ("7,1\n7,1\n9,1\n", DuplicatePrime, "prime 7 appears twice"),
+    ("7,1\n5,1\n9,1\n", ParseError, "rows out of order at p=5"),
+    ("3,1\n7,1\n3,1\n", DuplicatePrime, "prime 3 appears twice"),
+])
+def test_first_faulty_row_raises(rows, error, message):
+    with pytest.raises(error) as info:
+        parse_hecke_text("p,a_p\n" + rows, weight=12)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_prime_beyond_64_bits_is_a_parse_error():
+    # 2**64 + 13 is prime and 2**64 + 15 is not
+    with pytest.raises(ParseError, match="does not fit a 64-bit integer"):
+        parse_hecke_text(f"p,a_p\n2,1\n{2**64 + 13},1\n", weight=12)
+    with pytest.raises(NonPrimeRow):
+        parse_hecke_text(f"p,a_p\n2,1\n{2**64 + 15},1\n", weight=12)
+
+
 def test_bad_numeric_rejected():
     with pytest.raises(ParseError):
         parse_hecke_text("p,a_p\n2,abc\n", weight=12)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from smolab.errors import LimitExceeded, UsageError
 from smolab.sieve import (PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, SEGMENT_SPAN,
-                          _segment_bounds, _sieve_segment, is_prime, iter_prime_segments,
+                          _segment_bounds, _sieve_segment, is_prime, is_prime_array,
+                          iter_prime_segments,
                           prime_array, prime_count, primes_up_to, residue_counts_pay,
                           prime_divisors, residue_prime_counts, residues, segment_map,
                           simple_sieve, totient)
@@ -80,6 +81,32 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert 151 * 751 * 28351 == 3215031751
     # the next prime, by trial division; a Mersenne prime; 2**61 + 1 = 3 * 768614336404564651
     assert is_prime(3215031767) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**33 - 1), max_size=50))
+def test_is_prime_array_matches_is_prime(values):
+    assert is_prime_array(values).tolist() == [is_prime(n) for n in values]
+
+
+def test_is_prime_array_cases():
+    # 561 and 41041 are Carmichael numbers; 2047, 1373653 and 25326001 are the least
+    # strong pseudoprimes to {2}, {2, 3} and {2, 3, 5}; 3215031751 to {2, 3, 5, 7}
+    # lies at the four-witness limit and takes the scalar test
+    cases = [0, 1, 2, 3, 5, 7, 11, 4, 9, 49, 97**2, 65521**2, 561, 41041, 2047, 1373653,
+             25326001, 3215031751, 3215031767, -7, 2**61 - 1, 2**64 + 13, 10**30]
+    cases += [2**32 + k for k in range(-40, 41)]
+    assert is_prime_array(cases).tolist() == [is_prime(n) for n in cases]
+    assert not is_prime_array([3215031751])[0] and is_prime_array([2**32 - 5])[0]
+    assert is_prime_array(np.array([2, 4, 2**31 - 1], dtype=np.int64)).tolist() == \
+        [True, False, True]
+    assert is_prime_array([]).tolist() == []
+
+
+def test_is_prime_array_matches_dense_sieve_below_1e6():
+    flags = np.zeros(10**6, dtype=bool)
+    flags[simple_sieve(10**6 - 1)] = True
+    assert np.array_equal(is_prime_array(range(10**6)), flags)
 
 
 def test_primes_to_1e7_match_pinned_digest():

@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from smolab.errors import LimitExceeded
 from smolab.sieve import simple_sieve
-from smolab.tau import (discriminant_coefficients, eta_cubed_coefficients, generate_tau,
+from smolab.tau import (_eta_sixth, _jacobi_terms, discriminant_coefficients, generate_tau,
                         poly_mul_trunc, tau_csv_text)
 
 # sha256 of ",".join(str(tau(n)) for n in 1..10**4), taken from the earlier
 # Kronecker-substitution implementation (pentagonal series, five int products)
 TAU_1E4_SHA256 = "9514e69488cef1f7677168e841e504396576c2ce64e3184da732991791d8257c"
+# sha256 of tau_csv_text(20000) and of ",".join(str(tau(n)) for n in 1..10**5), taken
+# from the earlier implementation (three full squarings, slots packed one at a time)
+TAU_CSV_2E4_SHA256 = "bf763d81754d9f4d365a783b99f814ddfff595465cc3fe1e57f2fcbde533a2c1"
+TAU_1E5_SHA256 = "eb660e7a4275e4b585754de8e3ce645f89b5844062d0490937b76e788276a318"
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +132,24 @@ def test_tau_to_1e4_matches_pinned_digest(tau_1e4):
     assert digest == TAU_1E4_SHA256
 
 
+def test_tau_csv_to_2e4_matches_pinned_digest():
+    assert hashlib.sha256(tau_csv_text(20000).encode()).hexdigest() == TAU_CSV_2E4_SHA256
+
+
+def test_tau_to_1e5_matches_pinned_digest():
+    tau = discriminant_coefficients(10**5)
+    assert hashlib.sha256(",".join(map(str, tau)).encode()).hexdigest() == TAU_1E5_SHA256
+
+
 def test_jacobi_closed_form_is_cube_of_eta_block():
     order = 400
     e1 = eta_block_coefficients(order)
-    assert eta_cubed_coefficients(order) == schoolbook(schoolbook(e1, e1, order), e1, order)
+    e3 = [0] * (order + 1)
+    for exponent, value in zip(*_jacobi_terms(order)):
+        e3[exponent] = value
+    assert e3 == schoolbook(schoolbook(e1, e1, order), e1, order)
+    # the sparse square tau starts from
+    assert _eta_sixth(order).tolist() == schoolbook(e3, e3, order)
 
 
 def test_hecke_relations_hold_for_every_n_to_1e4(tau_1e4):
@@ -167,6 +185,14 @@ coefficient = st.one_of(st.integers(-3, 3), st.integers(-10**60, 10**60))
 @example(a=[], b=[3], order=2)
 @example(a=[10**80, -10**80, 1], b=[-10**80, 10**80], order=3)
 @example(a=[-1] * 25, b=[-(10**40)] * 25, order=60)
+# all-equal operands attain the Cauchy-Schwarz bound ||a|| ||b|| at q^(len-1)
+@example(a=[7] * 30, b=[7] * 30, order=60)
+@example(a=[7] * 30, b=[-7] * 30, order=60)
+@example(a=[-(10**30)] * 20, b=[10**30] * 20, order=45)
+# |coefficient| 49 next to the half slot 50 (width 2), negative: the widest slot borrows
+@example(a=[1] * 49, b=[-1] * 49, order=100)
+# width 2 and -42 at q^0, read as 58: a slot whose leading digit is 5 borrows
+@example(a=[-6, 0, 0, 1], b=[7], order=3)
 def test_poly_mul_matches_schoolbook_on_signed_inputs(a, b, order):
     assert poly_mul_trunc(a, b, order) == schoolbook(a, b, order)
 
@@ -174,5 +200,10 @@ def test_poly_mul_matches_schoolbook_on_signed_inputs(a, b, order):
 @settings(max_examples=80, deadline=None)
 @given(a=st.lists(coefficient, max_size=30), order=st.integers(0, 70))
 @example(a=[-(10**50)] * 10, order=30)
+@example(a=[3] * 30, order=60)
+@example(a=[-3] * 30, order=60)
+# -50 at q^49 attains ||a||^2 = 50 and borrows
+@example(a=[1] * 25 + [-1] * 25, order=99)
+@example(a=[-2, -4, 5], order=4)  # width 2; -40 at q^3 is read with leading digit 5
 def test_poly_mul_squaring_matches_schoolbook(a, order):
     assert poly_mul_trunc(a, a, order) == schoolbook(a, a, order)
