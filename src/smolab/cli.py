@@ -125,63 +125,108 @@ def _load_satake_csv(path: str) -> euler.EulerProduct:
 
     A prime may have several rows, one per place.  Places without parameters
     (factor 1) or of norm above LOG_INDEX_LIMIT, which no allowed expansion
-    reaches, are left out.  The first faulty row in row order raises: the
-    rows are read up to the first other fault, then checked prime in one
-    pass; within a row, the prime check comes after the columns and the norm
-    and before the place checks.
+    reaches, are left out.  The columns are parsed and checked as arrays;
+    only a file with a faulty row is walked row by row, by
+    ``_first_satake_fault``, to raise the first one.
     """
-    row_primes, primes, exponents, alphas = [], [], [], []
-    fault = None
     with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].strip().lower() in ("p", "#"):
-                continue
-            try:
-                p, q, parts = _read_satake_row(row, path)
-            except SmolabError as exc:
-                fault = exc
-                break
-            row_primes.append(p)
-            if p < 2:  # not prime, and q // p would not end
-                continue
-            f = _norm_exponent(p, q)
-            row_alphas = [complex(re, im) for re, im in zip(parts[0::2], parts[1::2])]
-            if f is None:
-                fault = ParseError(f"bad Satake row {row!r} in {path}: {q} is not a power of {p}")
-            elif any(a == 0 for a in row_alphas):
-                fault = UsageError("local parameters must be nonzero")
-            if fault is not None:
-                break
-            if row_alphas and q <= euler.LOG_INDEX_LIMIT:
-                primes.append(p)
-                exponents.append(f)
-                alphas.append(row_alphas)
-    prime = is_prime_array(row_primes)
-    if not prime.all():
-        raise NonPrimeRow(f"row prime {row_primes[int(np.argmin(prime))]} in {path} is not prime")
-    if fault is not None:
-        raise fault
-    if not row_primes:
+        rows = [row for row in csv.reader(handle)
+                if row and row[0].strip().lower() not in ("p", "#")]
+    columns = _satake_columns(rows)
+    if columns is None:
+        raise _first_satake_fault(rows, path)
+    if not rows:
         raise ParseError(f"no Satake rows in {path}")
+    ps, qs, exponents, widths, alphas = columns
+    keep = np.flatnonzero((widths > 0) & (qs <= euler.LOG_INDEX_LIMIT))
+    k = int(widths[keep].max(initial=0))
+    # each row's parameters, zero-padded to k
+    padded = np.zeros((len(rows), k), dtype=np.complex128)
+    starts = np.cumsum(widths) - widths
+    at_row = np.repeat(np.arange(len(rows)), widths)
+    slot_of = np.arange(len(alphas)) - starts[at_row]
+    fits = slot_of < k
+    padded[at_row[fits], slot_of[fits]] = alphas[fits]
     # one (prime, place) cell per row: rows grouped by p, places kept in file order
-    ps = np.array(primes, dtype=np.int64)
+    ps = ps[keep].astype(np.int64)  # a kept row has p <= q <= LOG_INDEX_LIMIT
     order = np.argsort(ps, kind="stable")
     ps = ps[order]
     support, first, at, counts = np.unique(ps, return_index=True, return_inverse=True,
                                            return_counts=True)
     slot = np.arange(len(ps)) - first[at]
-    k = max(map(len, alphas), default=0)
     exps = np.zeros((len(support), counts.max(initial=0)), dtype=np.int64)
     params = np.zeros(exps.shape + (k,), dtype=np.complex128)
-    exps[at, slot] = np.array(exponents, dtype=np.int64)[order]
-    padded = np.array([a + [0j] * (k - len(a)) for a in alphas], dtype=np.complex128)
-    params[at, slot] = padded.reshape(len(ps), k)[order]
+    exps[at, slot] = exponents[keep][order]
+    params[at, slot] = padded[keep][order]
 
     def places(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.searchsorted(support, query)
         return exps[rows], params[rows]
 
     return euler.EulerProduct(places=places, universe=ExplicitList(tuple(support.tolist())))
+
+
+def _int_column(values: list[int]) -> np.ndarray:
+    """int64 when every entry fits, else Python ints in an object array."""
+    column = np.array(values, dtype=np.int64 if not values else None)
+    return column if column.dtype == np.int64 else np.array(values, dtype=object)
+
+
+def _satake_columns(rows: list[list[str]]):
+    """(primes p, norms q, exponents f, parameters per row, complex
+    parameters in row order) of Satake rows, or None when any row fails a
+    check."""
+    try:
+        ps = _int_column([int(row[0]) for row in rows])
+        qs = _int_column([int(row[1]) for row in rows])
+        parts = np.array([float(v) for row in rows for v in row[2:]], dtype=np.float64)
+    except (IndexError, ValueError):
+        return None
+    if ps.dtype != qs.dtype:
+        ps, qs = ps.astype(object), qs.astype(object)
+    widths = np.array([len(row) - 2 for row in rows], dtype=np.int64)
+    if (widths % 2).any() or (qs < 2).any() or not is_prime_array(ps.tolist()).all():
+        return None
+    exponents = np.zeros(len(rows), dtype=np.int64)  # q = p**f, by division while it goes
+    rest, todo = qs.copy(), np.arange(len(rows))
+    while len(todo):
+        todo = todo[rest[todo] % ps[todo] == 0]
+        rest[todo] //= ps[todo]
+        exponents[todo] += 1
+    alphas = np.empty(len(parts) // 2, dtype=np.complex128)
+    alphas.real, alphas.imag = parts[0::2], parts[1::2]
+    if (rest != 1).any() or (alphas == 0).any():
+        return None
+    return ps, qs, exponents, widths // 2, alphas
+
+
+def _first_satake_fault(rows: list[list[str]], path: str) -> SmolabError:
+    """The error of the first faulty Satake row, in row order.
+
+    The rows are read up to the first fault other than a non-prime p, then
+    checked prime in one pass; within a row, the prime check comes after the
+    columns and the norm and before the place checks.
+    """
+    row_primes, fault = [], None
+    for row in rows:
+        try:
+            p, q, parts = _read_satake_row(row, path)
+        except SmolabError as exc:
+            fault = exc
+            break
+        row_primes.append(p)
+        if p < 2:  # not prime, and q // p would not end
+            continue
+        if _norm_exponent(p, q) is None:
+            fault = ParseError(f"bad Satake row {row!r} in {path}: {q} is not a power of {p}")
+            break
+        if any(complex(re, im) == 0 for re, im in zip(parts[0::2], parts[1::2])):
+            fault = UsageError("local parameters must be nonzero")
+            break
+    prime = is_prime_array(row_primes)
+    if not prime.all():
+        return NonPrimeRow(f"row prime {row_primes[int(np.argmin(prime))]} in {path} is not prime")
+    return fault
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,8 +532,7 @@ def _dispatch_smo(args, workers) -> Report:
     if args.subcommand == "poleorder":
         selector = parse_selector(args.selector)
         eps = tuple(_parse_fraction(t) for t in args.eps.split(",")) if args.eps else None
-        est = experiments.pole_order_estimate(lambda ps: np.ones(len(ps)), selector,
-                                              eps_grid=eps, workers=workers)
+        est = experiments.pole_order_estimate(None, selector, eps_grid=eps, workers=workers)
         return Report(
             experiment="smo.poleorder",
             inputs={"selector": args.selector, "eps": args.eps},

@@ -24,7 +24,8 @@ from .fields import FieldSpec
 from .hecke import RepresentationData, require_size_bound
 from .selectors import DegreeSelector, ExplicitList, Intersection, PrimeSelector
 from .sieve import (is_prime, iter_prime_segments, prime_array, prime_stream,
-                    restrict, segment_map, unit_mask)
+                    residue_counts_pay, residue_prime_power_sums, restrict,
+                    segment_map, unit_mask)
 
 COEFF_EQ_TOL = 1e-9
 PROBE_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
@@ -144,8 +145,12 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
     Cutoffs are coupled to eps as min(10^8, exp(1.5/eps)); an eps whose
     minimal honest cutoff exp(1/eps) cannot fit under the 10^9 sieve wall is
     rejected.  A first-order pole shows up as slope ~ density of S.
-    ``coefficient_fn`` maps a prime array to a weight array (1 for the plain
-    zeta shape, |coefficient|^2 for self-pairings).
+    ``coefficient_fn`` maps a prime array to a weight array (|coefficient|^2
+    for self-pairings); None means weight 1, the plain zeta shape.  With
+    weight 1 and a congruence description of S, each sum that
+    ``residue_counts_pay`` accepts is read off ``residue_prime_power_sums``
+    over the selected classes; the others walk ``segment_map`` up to the
+    largest of their cutoffs.
     """
     eps_values = sorted((float(e) for e in (eps_grid or DEFAULT_EPS_GRID)), reverse=True)
     if len(eps_values) < 3:
@@ -160,23 +165,35 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
         data_limited = any(c > data_limit for c in cutoffs)
         cutoffs = [min(c, data_limit) for c in cutoffs]
     exponents = np.array([1.0 + e for e in eps_values])
+    sums = np.zeros(len(eps_values))
+    modulus = selector.congruence_modulus() if coefficient_fn is None else None
+    by_residue = [modulus is not None and residue_counts_pay((cut,), modulus, exponents=1)
+                  for cut in cutoffs]
+    if any(by_residue):
+        classes = np.flatnonzero(selector.residue_table()[1])
+        for i in np.flatnonzero(by_residue).tolist():
+            rows = residue_prime_power_sums(cutoffs[i], modulus, exponents[i:i + 1])
+            sums[i] = rows[0, classes].sum()
+    on_sieve = [i for i, fast in enumerate(by_residue) if not fast]
 
     def per_segment(seg: np.ndarray) -> np.ndarray:
-        part = np.zeros(len(eps_values))
+        part = np.zeros(len(on_sieve))
         chosen = seg[selector.mask(seg)]
         if len(chosen) == 0:
             return part
-        weights = np.asarray(coefficient_fn(chosen), dtype=np.float64)
+        weights = None if coefficient_fn is None else np.asarray(coefficient_fn(chosen),
+                                                                 dtype=np.float64)
         pf = chosen.astype(np.float64)
-        for i, cut in enumerate(cutoffs):
-            inside = chosen <= cut
+        for k, i in enumerate(on_sieve):
+            inside = chosen <= cutoffs[i]
             if inside.any():
-                part[i] = float((weights[inside] * pf[inside] ** (-exponents[i])).sum())
+                terms = pf[inside] ** (-exponents[i])
+                part[k] = float((terms if weights is None else weights[inside] * terms).sum())
         return part
 
-    sums = np.zeros(len(eps_values))
-    for part in segment_map(max(cutoffs), per_segment, workers=workers):
-        sums += part
+    if on_sieve:
+        for part in segment_map(max(cutoffs[i] for i in on_sieve), per_segment, workers=workers):
+            sums[on_sieve] += part
     L = np.array([math.log(1.0 / e) for e in eps_values])
     V = sums
     slope, stderr = _least_squares_slope(L, V)
@@ -573,9 +590,9 @@ def _contains(K: FieldSpec, F: FieldSpec) -> bool:
     """
     g = math.gcd(F.modulus, K.modulus)
     reached = np.zeros(g, dtype=bool)
-    reached[np.fromiter(K.subgroup, dtype=np.int64) % g] = True
+    reached[K._subgroup_array % g] = True
     in_hf = np.zeros(F.modulus, dtype=bool)
-    in_hf[list(F.subgroup)] = True
+    in_hf[F._subgroup_array] = True
     units = np.flatnonzero(unit_mask(F.modulus))
     return bool(in_hf[units[reached[units % g]]].all())
 

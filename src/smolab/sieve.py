@@ -17,11 +17,18 @@ numpy 2.4.6), ``prime_count(10**8)`` took 0.19-0.25 s at one worker and
 Counts of primes by residue class need no sieve walk.  ``residue_prime_counts``
 runs Lucy's recurrence on the about 2 sqrt(x) values x // n, in about
 phi(q) x^(3/4) / log x cell updates (Lagarias, Miller and Odlyzko, Math.
-Comp. 1985; Deleglise and Rivat, Math. Comp. 1996).  ``density natural`` and
-``frobstats`` count this way whenever ``residue_counts_pay`` predicts it
-cheaper than the sieve; its cost model and measurements are in its
-docstring.  At 1e8 it took 0.04 s for q = 4, 0.06 s for q = 11 and 0.09 s
-for q = 56, against 0.36 s for the sieve path.
+Comp. 1985; Deleglise and Rivat, Math. Comp. 1996).  The recurrence works
+for any completely multiplicative weight, and ``residue_prime_power_sums``
+runs the same walk, ``_lucy_walk``, on float64 rows of sums of p^-s, one
+block of rows per exponent; their starting rows take 64 terms directly and
+the rest by Euler-Maclaurin.  ``density natural`` and ``frobstats`` count
+this way, and ``density dirichlet``, ``smo poleorder`` and ``prime_zeta``
+sum this way, whenever ``residue_counts_pay`` predicts it cheaper than the
+sieve; its cost model and measurements are in its docstring.  At 1e8 the
+counts took about 0.05 s for q = 4 and 0.10 s for q = 56, and the sums
+0.10 s for q = 8 with three exponents, against 0.36 s for the sieve path.
+The recurrence runs on one thread, so its results do not depend on the
+worker count either.
 
 Single integers are tested by ``is_prime``, a deterministic Miller-Rabin
 test.  ``is_prime_array`` tests a whole file column at once: every entry
@@ -258,40 +265,44 @@ def segment_map(limit: int, fn: Callable[[np.ndarray], R],
         return list(pool.map(job, bounds))
 
 
-_BLOCK_CELLS = 1 << 16  # state cells updated per numpy call in residue_prime_counts
+_BLOCK_CELLS = 1 << 16  # state cells updated per numpy call in the recurrence
 RECURRENCE_MODULUS_LIMIT = 10**4
 RECURRENCE_STATE_BYTES = 1 << 24
+_DIRECT_TERMS = 64  # leading terms of each starting power-sum row summed one by one
+# B_2/2!, B_4/4!, B_6/6!: the Euler-Maclaurin weights of f', f''' and f^(5)
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240)
 
 
-def residue_prime_counts(x: int, q: int) -> np.ndarray:
-    """Exact int64 counts of the primes p <= x in every residue class mod q.
-
-    Lucy's recurrence on the values v = x // n: a row per unit residue a
-    holds, at each v, the integers in [2, v] congruent to a with no prime
-    factor below p.  Each prime p <= sqrt(x) not dividing q removes the
-    multiples of p in one update, reading the row of a * p^-1 at v // p.
-    The primes dividing q lie in no unit row and are added back at the end.
-    """
-    _check_limit(x)
-    if q < 1:
-        raise UsageError(f"modulus {q} must be a positive integer")
-    counts = np.zeros(q, dtype=np.int64)
-    if x < 2:
-        return counts
+def _lucy_values(x: int) -> tuple[np.ndarray, int]:
+    """The distinct values x // n, descending, and n_small: they are
+    x // 1, ..., x // isqrt(x), then every integer from n_small down to 1."""
     r = math.isqrt(x)
-    n_small = x // r - 1  # the values 1..n_small, then x // r, ..., x // 1
+    n_small = x // r - 1
     values = np.concatenate((x // np.arange(1, r + 1, dtype=np.int64),
                              np.arange(n_small, 0, -1, dtype=np.int64)))
-    m = len(values)
+    return values, n_small
+
+
+def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None = None) -> None:
+    """Lucy's recurrence on ``state`` in place, one update per prime p <= sqrt(x)
+    not dividing q.
+
+    Rows come in blocks of the unit classes mod q, one block per entry of
+    ``exponents`` (one block of counts when it is None); columns are the
+    values of ``_lucy_values(x)``.  Row a at v starts as the sum of n^-s, or the count, over
+    2 <= n <= v with n = a mod q.  The update for p subtracts, at every v >=
+    p*p, p^-s times the row of a * p^-1 at v // p less that row at p - 1: the
+    n with least prime factor p.
+    """
+    values, n_small = _lucy_values(x)
     units = np.flatnonzero(unit_mask(q))
+    m = len(values)
+    r = math.isqrt(x)
     row_of = np.full(q, -1, dtype=np.int64)
     row_of[units] = np.arange(len(units))
-    # int32 is exact below 2**31 > PRIME_LIMIT; filled a row at a time
-    state = np.empty((len(units), m), dtype=np.int32)
-    for i, a in enumerate(units.tolist()):
-        state[i] = (values - (a or q)) // q + 1
-    state[row_of[1 % q]] -= 1  # the integer 1
-    width = max(1, _BLOCK_CELLS // len(units))
+    blocks = np.arange(len(state) // len(units))[:, None] * len(units)
+    per_row = None if exponents is None else np.repeat(exponents, len(units))[:, None]
+    width = max(1, _BLOCK_CELLS // len(state))
     for p in simple_sieve(r).tolist():
         if q % p == 0:
             continue
@@ -299,14 +310,39 @@ def residue_prime_counts(x: int, q: int) -> np.ndarray:
         w = values[:k] // p
         src = np.where(w > n_small, x // w - 1, m - w)  # column of each v // p
         low = state[:, m - (p - 1) if p - 1 <= n_small else x // (p - 1) - 1]
-        perm = row_of[units * pow(p, -1, q) % q]
+        perm = (row_of[units * pow(p, -1, q) % q] + blocks).ravel()
+        scale = None if per_row is None else float(p) ** -per_row
         # ascending columns are descending values and every read is at a
         # smaller value, so each block reads columns no earlier block wrote
         for start in range(0, k, width):
             end = min(k, start + width)
             block = np.take(state, src[start:end], axis=1)
             block -= low[:, None]
+            if scale is not None:
+                block *= scale
             state[:, start:end] -= block[perm]
+
+
+def residue_prime_counts(x: int, q: int) -> np.ndarray:
+    """Exact int64 counts of the primes p <= x in every residue class mod q.
+
+    Lucy's recurrence (``_lucy_walk``) on one int32 row per unit residue;
+    int32 is exact below 2**31 > PRIME_LIMIT.  The primes dividing q lie in
+    no unit row and are added back at the end.
+    """
+    _check_limit(x)
+    if q < 1:
+        raise UsageError(f"modulus {q} must be a positive integer")
+    counts = np.zeros(q, dtype=np.int64)
+    if x < 2:
+        return counts
+    values, _ = _lucy_values(x)
+    units = np.flatnonzero(unit_mask(q))
+    state = np.empty((len(units), len(values)), dtype=np.int32)  # filled a row at a time
+    for i, a in enumerate(units.tolist()):
+        state[i] = (values - (a or q)) // q + 1
+    state[np.searchsorted(units, 1 % q)] -= 1  # the integer 1
+    _lucy_walk(x, q, state)
     counts[units] = state[:, 0]
     for p in simple_sieve(min(q, x)).tolist():
         if q % p == 0:
@@ -314,30 +350,121 @@ def residue_prime_counts(x: int, q: int) -> np.ndarray:
     return counts
 
 
-def residue_counts_pay(xs, q: int) -> bool:
-    """Whether ``residue_prime_counts(x, q)`` at every x >= 2 of ``xs`` is
-    predicted to beat one sieve up to max(xs), within a bounded state.
+def residue_prime_power_sums(x: int, q: int, exponents) -> np.ndarray:
+    """Sums of p^-s over the primes p <= x in every residue class mod q, as a
+    float64 array of shape (len(exponents), q), one row per exponent s > 1.
 
-    The model is fitted to medians taken on a 2-vCPU x86-64 VM (Python
-    3.11.7, numpy 2.4.6); it predicts every measured time for 1e6 <= x <= 1e9
-    and phi(q) <= 192 within 27%.  In seconds, the sieve costs 3.5e-9 x
-    (0.36 s at 1e8), and the recurrence 4.9e-5 sqrt(x)/log x for its numpy
-    calls, one set per prime up to sqrt(x), plus 4.0e-8 phi(q) x^(3/4)/log x
-    for its cell updates (at 1e8: 0.04 s for q = 4, 0.06 s for q = 11, 0.09 s
-    for q = 56, 0.27 s for q = 420).  The int32 state of phi(q) rows of about
-    2 sqrt(x) cells may take at most RECURRENCE_STATE_BYTES.  Below about
-    x = 1.07e6 the sieve is predicted to win for every q, and no x up to
-    PRIME_LIMIT admits phi(q) > 168.  The modulus is checked first, so a
-    large one costs neither phi(q) nor a residue lift: every q above
-    RECURRENCE_MODULUS_LIMIT has phi(q) >= 2304.
+    Every exponent takes one block of rows in a single run of ``_lucy_walk``,
+    so they share its pass over the primes up to sqrt(x).
+
+    Error: each of the about pi(sqrt(x)) updates of a cell rounds three times
+    (difference, product, subtraction), each time by at most eps = 2**-53
+    times a partial sum no larger than the cell's starting value M, and the
+    starting value is within about 64 eps M of its exact sum.  Errors read
+    from other cells come in scaled by p^-s < 1/2, so to first order the
+    result is within (3 pi(sqrt(x)) + 64) eps M of the exact sum, M below
+    log(x) + 1 for s > 1.  At 1e8 every class was within 7e-16 of
+    ``math.fsum`` over the sieved primes for q = 8 and s = 1.1, 1.25 and 1.5,
+    and within 2.5e-15 for q = 4 and s = 1 + 1/16.
+    """
+    _check_limit(x)
+    if q < 1:
+        raise UsageError(f"modulus {q} must be a positive integer")
+    exponents = np.array(exponents, dtype=np.float64).reshape(-1)
+    if not (exponents > 1).all():
+        raise UsageError("prime power sums need every exponent s > 1")
+    out = np.zeros((len(exponents), q))
+    if x < 2:
+        return out
+    units = np.flatnonzero(unit_mask(q))
+    state = _power_sum_rows(_lucy_values(x)[0], q, units, exponents)
+    _lucy_walk(x, q, state, exponents)
+    out[:, units] = state[:, 0].reshape(len(exponents), len(units))
+    for p in simple_sieve(min(q, x)).tolist():
+        if q % p == 0:
+            out[:, p % q] += float(p) ** -exponents
+    return out
+
+
+def _power_sum_rows(values: np.ndarray, q: int, units: np.ndarray,
+                    exponents: np.ndarray) -> np.ndarray:
+    """Rows of sum_{2 <= n <= v, n = a mod q} n^-s at every value v, one per
+    (exponent s, unit class a) in the row order of ``_lucy_walk``.
+
+    The n = n0 + q t, t = 0, 1, ..., of a class are summed directly for
+    t < 64 and by Euler-Maclaurin from t = 64 on, with the B_2, B_4 and B_6
+    terms.  The k-th derivative there carries (q / (n0 + 64 q))^k <= 64^-k,
+    so the first neglected term, B_8/8! times the seventh derivative, is for
+    s <= 2 below 8e-15 times the term at t = 64, itself at most 64^-s.
+    """
+    state = np.empty((len(exponents) * len(units), len(values)))
+    t = np.arange(_DIRECT_TERMS, dtype=np.float64)
+    for j, a in enumerate(units.tolist()):
+        n0 = a + q * -(-max(0, 2 - a) // q)  # the least n >= 2 in the class
+        last = (values - n0) // q  # the last t, negative when no n <= v
+        head_at = np.minimum(last, _DIRECT_TERMS - 1)
+        tail = last >= _DIRECT_TERMS
+        u_a = float(n0 + q * _DIRECT_TERMS)
+        u_b = n0 + q * last[tail].astype(np.float64)
+        for i, s in enumerate(exponents.tolist()):
+            head = np.cumsum((n0 + q * t) ** -s)
+            row = np.where(last >= 0, head[np.maximum(head_at, 0)], 0.0)
+            f_a, f_b = u_a ** -s, u_b ** -s
+            # integral of (n0 + q t)^-s from t = 64 to the last t
+            integral = (u_a * f_a * np.expm1((1 - s) * np.log1p((u_b - u_a) / u_a))
+                        / (q * (1 - s)))
+            row[tail] += integral + (f_a + f_b) / 2 + _em_correction(s, q, u_b, f_b) \
+                - _em_correction(s, q, u_a, f_a)
+            state[i * len(units) + j] = row
+    return state
+
+
+def _em_correction(s: float, q: int, u, f):
+    """sum_k B_2k/(2k)! times the (2k-1)-th derivative in t of (n0 + q t)^-s,
+    at u = n0 + q t where f = u^-s."""
+    h = q / u
+    c1 = -s
+    c3 = c1 * (s + 1) * (s + 2)
+    c5 = c3 * (s + 3) * (s + 4)
+    w1, w3, w5 = _EM_WEIGHTS
+    return f * h * (w1 * c1 + h * h * (w3 * c3 + h * h * w5 * c5))
+
+
+def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
+    """Whether the recurrence at every x >= 2 of ``xs`` is predicted to beat
+    one sieve up to max(xs), within a bounded state.
+
+    With ``exponents`` None the run is ``residue_prime_counts(x, q)``: phi(q)
+    rows of 4-byte int32 cells.  With k exponents it is
+    ``residue_prime_power_sums``: k phi(q) rows of 8-byte float64 cells.
+
+    The model is fitted to medians of seven interleaved runs on a 2-vCPU
+    x86-64 VM (Python 3.11.7, numpy 2.4.6), and predicts each of them for
+    1e6 <= x <= 1e8 within 19%.  In seconds, the sieve path costs 3.5e-9 x
+    (0.36 s at 1e8), and the recurrence 8.3e-5 sqrt(x)/log x for its numpy
+    calls, one set per prime up to sqrt(x), plus 1.2e-8 rows * bytes *
+    x^(3/4)/log x for its cell updates.  At 1e8 the counts took 0.049 s for
+    q = 4, 0.066 s for q = 11, 0.10 s for q = 56 and 0.32 s for q = 420; the
+    power sums 0.052 s for q = 1 with one exponent, 0.058 s for q = 4 with
+    one, 0.10 s for q = 8 with three and 0.32 s for q = 56 with two.  The
+    state of about 2 sqrt(x) cells per row may take at most
+    RECURRENCE_STATE_BYTES.  Below about x = 2.7e6 the sieve is predicted to
+    win for every q, and no x up to PRIME_LIMIT admits phi(q) > 148 for
+    counts, or phi(q) > 72 for sums at one exponent (phi(q) = 156 at 1.78e8
+    measured 0.75 s by recurrence against 0.64 s on the sieve path).  The
+    modulus is checked first, so a large one costs
+    neither phi(q) nor a residue lift: every q above RECURRENCE_MODULUS_LIMIT
+    has phi(q) >= 2304.
     """
     xs = [x for x in xs if x >= 2]
     if q > RECURRENCE_MODULUS_LIMIT or not xs:
         return False
-    phi = totient(q)
-    if 8 * phi * math.isqrt(max(xs)) > RECURRENCE_STATE_BYTES:
+    rows, cell_bytes = (1, 4) if exponents is None else (exponents, 8)
+    rows *= totient(q)
+    if 2 * rows * cell_bytes * math.isqrt(max(xs)) > RECURRENCE_STATE_BYTES:
         return False
-    seconds = sum((4.9e-5 * math.sqrt(x) + 4.0e-8 * phi * x**0.75) / math.log(x) for x in xs)
+    seconds = sum((8.3e-5 * math.sqrt(x) + 1.2e-8 * rows * cell_bytes * x**0.75) / math.log(x)
+                  for x in xs)
     return seconds <= 3.5e-9 * max(xs)
 
 

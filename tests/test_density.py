@@ -284,3 +284,99 @@ def test_huge_compound_modulus_is_never_lifted(capsys, monkeypatch):
     assert code == 0
     assert diagnostics["selected_counts"] == [0]
     assert diagnostics["reference_counts"] == [25 - 2]  # 2 and 5 divide 1e8
+
+
+# -- Dirichlet sums by the power-sum recurrence against the segment path -----------
+
+
+def sum_bound(x: int) -> float:
+    """Absolute gap allowed between the two paths' sums up to x.
+
+    The recurrence is within (3 pi(sqrt(x)) + 64) eps (log x + 1) of the
+    exact sum (``sieve.residue_prime_power_sums``); the segment path adds up
+    rounded terms, within eps times the sum per segment and per pairwise level,
+    far less.  Twice the recurrence's bound covers both, and one more
+    pi(sqrt(x)) eps covers the few primes below SMALL_PRIME_FLOOR taken off
+    term by term."""
+    eps = 2.0**-53
+    return 2 * (4 * len(simple_sieve(math.isqrt(max(x, 1)))) + 64) * eps * (math.log(max(x, 2)) + 1)
+
+
+def assert_reports_close(fast, slow, tol: float):
+    """Equal ints, bools and strings; floats within ``tol`` relative to max(1, |v|)."""
+    a, b = json.loads(canonical_json(fast)), json.loads(canonical_json(slow))
+
+    def walk(x, y):
+        if isinstance(x, dict):
+            assert x.keys() == y.keys()
+            for k in x:
+                walk(x[k], y[k])
+        elif isinstance(x, list):
+            assert len(x) == len(y)
+            for u, v in zip(x, y):
+                walk(u, v)
+        elif isinstance(x, float):
+            assert type(y) is float and abs(x - y) <= tol * max(1.0, abs(y)), (x, y)
+        else:
+            assert type(x) is type(y) and x == y
+
+    walk(a, b)
+
+
+def on_recurrence(monkeypatch, fn, *args, module=smolab.density, accept=True):
+    with monkeypatch.context() as m:
+        m.setattr(module, "residue_counts_pay", lambda xs, q, exponents=None: accept)
+        return fn(*args)
+
+
+DIRICHLET_CASES = [
+    (AllPrimes(), 10**5 + 3),
+    (AllPrimes(), 2 * 10**6),
+    (CongruenceSelector(8, frozenset({1})), 10**6),
+    (CongruenceSelector(4, frozenset({3})), 99),
+    (DegreeSelector(FieldSpec(7, (6,)), 1), 3 * 10**5),
+    (DegreeSelector(FieldSpec(7, (6,)), 3), 10**6),
+    (DegreeSelector(FieldSpec(7, (6,)), 3), 7),  # no prime of norm p**3 <= 7
+    (DegreeSelector(FieldSpec(13), 2), 10**5),
+    (COMPOUND, 10**6),
+]
+
+
+@pytest.mark.parametrize("selector,cutoff", DIRICHLET_CASES, ids=lambda v: str(v))
+def test_dirichlet_by_recurrence_matches_segments(selector, cutoff, monkeypatch):
+    s_grid = [1.5, 1.25, 1.1]
+    fast = smolab.density._dirichlet_sums_by_residue(selector, s_grid, cutoff)
+    slow = smolab.density._dirichlet_sums_by_segment(selector, s_grid, cutoff, 1)
+    bound = sum_bound(cutoff)
+    for f, s in zip(fast, slow):
+        assert np.abs(f - s).max() <= bound
+    # the report's ratios divide by log(1/(s-1)) >= log 2 and by the floored
+    # reference sum, so their gaps scale by the inverse of the smaller one
+    denominator = min([math.log(2.0), *slow[3][slow[3] > 0]])
+    fast_est = on_recurrence(monkeypatch, dirichlet_density_estimate, selector, s_grid, cutoff)
+    slow_est = on_recurrence(monkeypatch, dirichlet_density_estimate, selector, s_grid, cutoff,
+                             accept=False)
+    assert_reports_close(fast_est, slow_est, 4 * bound / denominator)
+
+
+def test_dirichlet_empty_selector_is_exactly_zero(monkeypatch):
+    est = on_recurrence(monkeypatch, dirichlet_density_estimate, NoPrimes(), [1.5, 1.25], 10**6)
+    assert est.diagnostics["numerator_sums"] == [0.0, 0.0]
+    assert est.partial_values == (0.0, 0.0)
+    assert est.diagnostics["normalized_ratios"] == [0.0, 0.0]
+    assert est.extrapolated == 0.0
+
+
+def test_dirichlet_at_1e8_takes_the_recurrence(monkeypatch):
+    # the prime-scan command: the cost model picks the recurrence, no sieve segment runs
+    monkeypatch.setattr(smolab.density, "segment_map", None)
+    est = dirichlet_density_estimate(CongruenceSelector(8, frozenset({3})), [1.5, 1.25, 1.1], 10**8)
+    assert abs(est.extrapolated - 0.25) < 0.01
+
+
+@pytest.mark.parametrize("s,cutoff", [(2.0, 10**6), (1.5, 3 * 10**6 + 1), (1.0625, 10**5)])
+def test_prime_zeta_by_recurrence_matches_segments(s, cutoff, monkeypatch):
+    fast = on_recurrence(monkeypatch, prime_zeta, s, cutoff)
+    slow = on_recurrence(monkeypatch, prime_zeta, s, cutoff, accept=False)
+    assert abs(fast.value - slow.value) <= sum_bound(cutoff)
+    assert (fast.cutoff, fast.tail_bound) == (slow.cutoff, slow.tail_bound)

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import smolab.experiments
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ from smolab.experiments import (_contains, compare_local, inert_experiment,
                                 z_ratio)
 from smolab.fields import FieldSpec
 from smolab.hecke import parse_hecke_text, synthetic_tempered
-from smolab.selectors import (AllPrimes, CongruenceSelector, DegreeSelector,
-                              ExplicitList, NoPrimes)
+from smolab.selectors import (AllPrimes, Complement, CongruenceSelector, DegreeSelector,
+                              ExplicitList, Intersection, NoPrimes, Union)
+from smolab.sieve import simple_sieve
 from smolab.tau import tau_csv_text
 
 ONES = lambda primes: np.ones(len(primes))
@@ -98,6 +101,98 @@ def test_pole_order_cutoffs_are_coupled():
     est = pole_order_estimate(ONES, AllPrimes())
     for eps, cut in zip(est.eps_grid, est.cutoffs):
         assert cut == min(10**8, math.ceil(math.exp(1.5 / eps)))
+
+
+def pole_sum_bound(x: int) -> float:
+    """Absolute gap allowed between a recurrence sum up to x and the sieve's:
+    twice the recurrence's (3 pi(sqrt(x)) + 64) eps (log x + 1), which also
+    covers the sieve path's rounding (``sieve.residue_prime_power_sums``)."""
+    eps = 2.0**-53
+    return 2 * (3 * len(simple_sieve(math.isqrt(x))) + 64) * eps * (math.log(x) + 1)
+
+
+def slope_gap_bound(L: np.ndarray, value_gap: float) -> float:
+    """How far the fitted slope and its interval ends can move when every value
+    moves by at most ``value_gap``: the slope is sum (L - mean) V / Sxx, and
+    the standard error moves by at most the residuals' gap over sqrt(dof Sxx)."""
+    centred = L - L.mean()
+    sxx = float((centred**2).sum())
+    slope_gap = value_gap * float(np.abs(centred).sum()) / sxx
+    residual_gap = value_gap + slope_gap * float(np.abs(centred).max()) + value_gap
+    stderr_gap = residual_gap * math.sqrt(len(L) / max(len(L) - 2, 1) / sxx)
+    return slope_gap + 2 * stderr_gap
+
+
+POLE_CASES = [
+    AllPrimes(),
+    CongruenceSelector(4, frozenset({1})),
+    DegreeSelector(FieldSpec(7, (6,)), 1),
+    DegreeSelector(FieldSpec(7, (6,)), 3),
+    Intersection(Union(CongruenceSelector(8, frozenset({1})),
+                       CongruenceSelector(8, frozenset({3}))),
+                 Complement(DegreeSelector(FieldSpec(7, (6,)), 1))),
+]
+POLE_EPS = (Fraction(1, 8), Fraction(1, 6), Fraction(1, 5))  # cutoffs 162755, 8104, 1809
+
+
+def pole_order_by(monkeypatch, accept, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(smolab.experiments, "residue_counts_pay",
+                  lambda xs, q, exponents=None: accept(xs[0]))
+        return pole_order_estimate(*args, **kwargs)
+
+
+@pytest.mark.parametrize("selector", POLE_CASES, ids=lambda s: s.describe())
+@pytest.mark.parametrize("accept", [lambda x: True, lambda x: x > 5000],
+                         ids=["all-recurrence", "mixed"])
+def test_pole_order_by_recurrence_matches_sieve(selector, accept, monkeypatch):
+    fast = pole_order_by(monkeypatch, accept, None, selector, eps_grid=POLE_EPS)
+    slow = pole_order_estimate(ONES, selector, eps_grid=POLE_EPS)
+    assert (fast.eps_grid, fast.cutoffs, fast.data_limited, fast.diagnostics) == \
+        (slow.eps_grid, slow.cutoffs, slow.data_limited, slow.diagnostics)
+    gap = max(pole_sum_bound(c) for c in slow.cutoffs)
+    assert all(abs(a - b) <= gap for a, b in zip(fast.values, slow.values))
+    L = np.array([math.log(1.0 / e) for e in slow.eps_grid])
+    ends = [(fast.slope, slow.slope), *zip(fast.slope_interval, slow.slope_interval)]
+    assert all(abs(a - b) <= slope_gap_bound(L, gap) for a, b in ends)
+
+
+def test_pole_order_refused_sums_keep_their_sieve_bits(monkeypatch):
+    # values the model refuses are the sieve's floats to the bit, and the sieve
+    # stops at the largest refused cutoff
+    limits = []
+    original = smolab.experiments.segment_map
+
+    def recorded(limit, fn, workers=None):
+        limits.append(limit)
+        return original(limit, fn, workers=workers)
+
+    monkeypatch.setattr(smolab.experiments, "segment_map", recorded)
+    selector = CongruenceSelector(4, frozenset({3}))
+    mixed = pole_order_by(monkeypatch, lambda x: x > 10**5, None, selector, eps_grid=POLE_EPS)
+    assert limits == [8104]
+    plain = pole_order_estimate(ONES, selector, eps_grid=POLE_EPS)
+    assert mixed.cutoffs == (1809, 8104, 162755)
+    assert mixed.values[:2] == plain.values[:2]
+
+
+def test_pole_order_empty_selector_by_recurrence(monkeypatch):
+    est = pole_order_by(monkeypatch, lambda x: True, None, NoPrimes())
+    assert est.slope == 0.0
+    assert est.values == (0.0, 0.0, 0.0)
+
+
+def test_pole_order_cli_takes_the_recurrence_at_1e8(monkeypatch):
+    # the prime-scan command's two large cutoffs need no sieve; the third,
+    # exp(12) = 162755, is below the model's crossover and sieves one segment
+    limits = []
+    monkeypatch.setattr(smolab.experiments, "segment_map",
+                        lambda limit, fn, workers=None: limits.append(limit) or [])
+    est = pole_order_estimate(None, CongruenceSelector(4, frozenset({1})),
+                              eps_grid=(Fraction(1, 16), Fraction(1, 12), Fraction(1, 8)))
+    assert limits == [162755]
+    assert est.cutoffs[1:] == (65659970, 10**8)
+    assert est.values[2] > est.values[1] > 0
 
 
 # -- tempered bound ------------------------------------------------------------

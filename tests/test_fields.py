@@ -41,6 +41,39 @@ def test_subgroup_generation():
     assert fs.residues_with_degree(3) == frozenset({2, 3, 4, 5})
 
 
+def subgroup_by_search(N, generators):
+    """The former FieldSpec.subgroup: a Python search from 1 over products with each generator."""
+    H = {1 % N}
+    frontier = [1 % N]
+    gens = [g % N for g in generators]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = (x * g) % N
+            if y not in H:
+                H.add(y)
+                frontier.append(y)
+    return frozenset(H)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2000).flatmap(lambda N: st.tuples(
+    st.just(N), st.lists(st.sampled_from([r for r in range(N + 1) if math.gcd(r, N) == 1]),
+                         max_size=4))))
+@example((1, []))
+@example((8, [3, 5]))        # (Z/8)* = {1, 3, 5, 7} is not cyclic
+@example((1999, [3]))        # 3 generates (Z/1999)*
+@example((840, [11, 13, 29]))
+@example((1024, [3, 1023]))
+def test_subgroup_matches_search(case):
+    N, gens = case
+    fs = FieldSpec(N, tuple(gens))
+    members = fs._subgroup_array
+    assert members[0] == 1 % N
+    assert len(set(members.tolist())) == len(members)
+    assert fs.subgroup == subgroup_by_search(N, gens)
+
+
 def test_residue_degree_matches_order_oracle():
     fs = FieldSpec(35, (6,))
     H = fs.subgroup

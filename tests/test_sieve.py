@@ -11,8 +11,8 @@ from smolab.sieve import (PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, SEGMENT_SPAN,
                           _segment_bounds, _sieve_segment, is_prime, is_prime_array,
                           iter_prime_segments,
                           prime_array, prime_count, primes_up_to, residue_counts_pay,
-                          prime_divisors, residue_prime_counts, residues, segment_map,
-                          simple_sieve, totient)
+                          prime_divisors, residue_prime_counts, residue_prime_power_sums,
+                          residues, segment_map, simple_sieve, totient)
 
 ORACLE_LIMIT = 3 * 10**6
 DENSE = simple_sieve(ORACLE_LIMIT)
@@ -203,6 +203,86 @@ def test_residue_prime_counts_checks_arguments():
         residue_prime_counts(100, 0)
 
 
+def power_sum_bound(x: int) -> float:
+    """Absolute error allowed for ``residue_prime_power_sums(x, q, ...)`` against
+    ``math.fsum`` over the sieved primes, fixed from the kernel's error analysis
+    before any measurement: each of the pi(sqrt(x)) updates of a cell rounds
+    three times by at most eps times a partial sum, a starting row is within
+    64 eps of its exact value, and ``math.fsum`` of the rounded terms is within
+    eps of the exact prime sum, all relative to the largest starting row, at
+    most sum_{2 <= n <= x} 1/n < log(x) + 1 for s > 1."""
+    eps = 2.0**-53
+    return (3 * len(simple_sieve(math.isqrt(x))) + 65) * eps * (math.log(x) + 1)
+
+
+def fsum_by_class(x: int, q: int, exponents) -> np.ndarray:
+    primes = prime_array(x)
+    classes = primes % q
+    out = np.zeros((len(exponents), q))
+    for i, s in enumerate(exponents):
+        terms = primes.astype(np.float64) ** -s
+        for a in range(q):
+            out[i, a] = math.fsum(terms[classes == a])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, ORACLE_LIMIT), st.integers(1, 60),
+       st.lists(st.floats(1.0, 2.0, exclude_min=True), min_size=1, max_size=4))
+@example(2, 1, [2.0])
+@example(4, 4, [1.5, 1.25])       # x a perfect square
+@example(30, 30, [1.1])           # every prime divides q or is a unit
+@example(1000, 60, [1.0 + 1e-9, 2.0])
+@example(ORACLE_LIMIT, 56, [1.5, 1.25, 1.1])
+@example(ORACLE_LIMIT, 1, [1.0625])
+def test_residue_prime_power_sums_match_fsum(x, q, exponents):
+    sums = residue_prime_power_sums(x, q, exponents)
+    assert sums.shape == (len(exponents), q) and sums.dtype == np.float64
+    if x < 2:
+        assert not sums.any()
+        return
+    expected = fsum_by_class(x, q, exponents)
+    assert np.abs(sums - expected).max() <= power_sum_bound(x)
+
+
+# per-class sums of p^-s over the primes up to 1e8, taken with math.fsum over
+# the segment sieve's primes of each class mod 8
+SUMS_1E8_MOD8 = {
+    1.5: [0.0, 0.028500329087087165, 0.3535533905932738, 0.24899266619595514,
+          0.0, 0.13519648853482033, 0.0, 0.08330993421591312],
+    1.25: [0.0, 0.0868632913781493, 0.42044820762685725, 0.3952874352028561,
+           0.0, 0.25776717235471763, 0.0, 0.1813687445450739],
+    1.1: [0.0, 0.20811910112031895, 0.46651649576840365, 0.5917453381185857,
+          0.0, 0.439168327648832, 0.0, 0.34232167875610797],
+}
+
+
+def test_residue_prime_power_sums_pinned_at_1e8():
+    exponents = sorted(SUMS_1E8_MOD8, reverse=True)
+    sums = residue_prime_power_sums(10**8, 8, exponents)
+    expected = np.array([SUMS_1E8_MOD8[s] for s in exponents])
+    assert np.abs(sums - expected).max() <= power_sum_bound(10**8)
+
+
+@pytest.mark.parametrize("s", [1.05, 1.25, 1.5, 2.0])
+def test_prime_sums_lie_below_the_prime_zeta_function(s):
+    mp = pytest.importorskip("mpmath")
+    limit = float(mp.primezeta(s))
+    for x in (2, 3, 100, 10**4 + 7, 10**6):
+        total = residue_prime_power_sums(x, 1, [s])[0, 0]
+        assert 2.0**-s <= total < limit
+
+
+def test_residue_prime_power_sums_check_arguments():
+    with pytest.raises(LimitExceeded):
+        residue_prime_power_sums(PRIME_LIMIT + 1, 4, [1.5])
+    with pytest.raises(UsageError):
+        residue_prime_power_sums(100, 0, [1.5])
+    for s in (1.0, 0.5, float("nan")):
+        with pytest.raises(UsageError):
+            residue_prime_power_sums(100, 4, [1.5, s])
+
+
 def test_cost_model_choices():
     # the prime-scan counts: natural mod 4, frobstats N = 11, the compound q = 56
     assert residue_counts_pay([10**6, 10**7, 10**8], 4)
@@ -213,16 +293,22 @@ def test_cost_model_choices():
     assert not residue_counts_pay([-5, 0, 1], 4)
     # a long grid costs one recurrence per point but still one sieve
     assert not residue_counts_pay(range(10**8 - 100, 10**8), 4)
-    # no cutoff admits phi(q) = 172 (q = 173), and the moduli above the limit
+    # no cutoff admits phi(q) = 150 (q = 151), and the moduli above the limit
     # have far larger phi(q), so the limit turns none of them away
     grid = sorted({int(10 ** (k / 16)) for k in range(16 * 9 + 1)})
-    assert not any(residue_counts_pay([x], 173) for x in grid)
-    assert any(residue_counts_pay([x], 169) for x in grid)  # phi(169) = 156
+    assert not any(residue_counts_pay([x], 151) for x in grid)
+    assert any(residue_counts_pay([x], 185) for x in grid)  # phi(185) = 144
     phi = np.arange(10**5 + 1)
     for p in simple_sieve(10**5).tolist():
         phi[p::p] -= phi[p::p] // p
     assert phi[RECURRENCE_MODULUS_LIMIT + 1:].min() == 2304
     assert not residue_counts_pay([10**8], RECURRENCE_MODULUS_LIMIT + 1)
+    # power sums: 8-byte rows, one block per exponent
+    assert residue_counts_pay([10**8], 8, exponents=3)  # density dirichlet mod:8
+    assert residue_counts_pay([10**8], 4, exponents=1)  # smo poleorder mod:4
+    assert not residue_counts_pay([10**6], 1, exponents=1)
+    assert not residue_counts_pay([10**5], 8, exponents=3)
+    assert not any(residue_counts_pay([x], 149, exponents=1) for x in grid)
 
 
 @settings(max_examples=200, deadline=None)
