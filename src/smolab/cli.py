@@ -20,8 +20,8 @@ from . import characters, density, euler, experiments, groups
 from .errors import IoError, NonPrimeRow, ParseError, SmolabError, UsageError
 from .fields import parse_fieldspec
 from .hecke import load_hecke, synthetic_tempered, synthetic_with_profile
-from .report import Report, emit
-from .selectors import ExplicitList, parse_selector
+from .report import Report, emit, write
+from .selectors import DegreeSelector, ExplicitList, parse_selector
 from .sieve import is_prime_array
 from .tau import write_tau_csv
 
@@ -497,7 +497,6 @@ def _dispatch_euler(args) -> Report:
         )
     if args.subcommand == "probe":
         fs = parse_fieldspec(Path(args.fieldspec).read_text(), label=args.fieldspec)
-        from .selectors import DegreeSelector
         selector = DegreeSelector(fs, args.degree)
         probe = euler.convergence_probe(selector, float(_parse_fraction(args.delta)),
                                         _parse_float_list(args.sigma),
@@ -559,7 +558,6 @@ def _dispatch_smo(args, workers) -> Report:
         )
     if args.subcommand == "rajan":
         fs = parse_fieldspec(Path(args.fieldspec).read_text(), label=args.fieldspec)
-        from .selectors import DegreeSelector
         rep = experiments.rajan_criterion(DegreeSelector(fs, args.degree), args.n)
         return Report(
             experiment="smo.rajan",
@@ -620,10 +618,7 @@ def main(argv=None) -> int:
     try:
         result = _dispatch(args)
         if isinstance(result, str):  # pre-rendered CSV
-            if args.output in (None, "-"):
-                sys.stdout.write(result)
-            else:
-                Path(args.output).write_text(result)
+            write(result, args.output)
         else:
             emit(result, format=args.format, path=args.output)
         return 0

@@ -256,29 +256,14 @@ def _dirichlet_sums_by_segment(selector: PrimeSelector, s_values: list[float], c
 
 @dataclass(frozen=True)
 class FrobeniusStatistics:
-    fieldspec_label: str
+    fieldspec: str
     cutoff: int
     class_labels: tuple[int, ...]  # canonical coset representatives
     counts: tuple[int, ...]
     fractions: tuple[float, ...]
     first_hits: tuple[int, ...]    # smallest prime landing in each class
+    first_hit_bound: int           # the largest first hit, 0 with no class
     total_unramified: int
-
-    @property
-    def first_hit_bound(self) -> int:
-        return max(self.first_hits) if self.first_hits else 0
-
-    def payload(self) -> dict:
-        return {
-            "fieldspec": self.fieldspec_label,
-            "cutoff": self.cutoff,
-            "class_labels": self.class_labels,
-            "counts": self.counts,
-            "fractions": self.fractions,
-            "first_hits": self.first_hits,
-            "first_hit_bound": self.first_hit_bound,
-            "total_unramified": self.total_unramified,
-        }
 
 
 def frobenius_statistics(fs, cutoff: int, workers: int | None = None) -> FrobeniusStatistics:
@@ -296,13 +281,15 @@ def frobenius_statistics(fs, cutoff: int, workers: int | None = None) -> Frobeni
     else:
         counts, first_hits = _frobenius_by_segment(coset_table, num_classes, N, cutoff, workers)
     total = int(counts.sum())
+    first_hits = tuple(int(f) for f in first_hits)
     return FrobeniusStatistics(
-        fieldspec_label=fs.label,
+        fieldspec=fs.label,
         cutoff=int(cutoff),
         class_labels=tuple(int(r) for r in reps),
         counts=tuple(int(c) for c in counts),
         fractions=tuple(float(c) / total if total else 0.0 for c in counts),
-        first_hits=tuple(int(f) for f in first_hits),
+        first_hits=first_hits,
+        first_hit_bound=max(first_hits, default=0),
         total_unramified=total,
     )
 

@@ -219,11 +219,7 @@ class LandauReport:
     log_values: tuple[float, ...]
     values: tuple[float, ...]
     cutoff: int
-
-    def payload(self) -> dict:
-        return {"sigmas": self.sigmas, "log_values": self.log_values,
-                "values": self.values, "cutoff": self.cutoff,
-                "nonvanishing": all(v >= 1.0 for v in self.values)}
+    nonvanishing: bool  # every value >= 1
 
 
 def landau_region_check(ep: EulerProduct, selector: PrimeSelector,
@@ -238,10 +234,12 @@ def landau_region_check(ep: EulerProduct, selector: PrimeSelector,
     if not ok:
         raise NotPositiveType(f"log coefficient at index {first_bad} is negative")
     logs = tuple(le.dirichlet_value(float(s)) for s in sigmas)
+    values = tuple(math.exp(v) for v in logs)
     return LandauReport(sigmas=tuple(float(s) for s in sigmas),
                         log_values=logs,
-                        values=tuple(math.exp(v) for v in logs),
-                        cutoff=max_index)
+                        values=values,
+                        cutoff=max_index,
+                        nonvanishing=all(v >= 1.0 for v in values))
 
 
 # -- abscissa arithmetic ---------------------------------------------------------
@@ -348,10 +346,10 @@ class GRCBoundProfile:
 
     name: str
     exponent: Fraction
+    exponent_float: float = field(init=False)
 
-    def payload(self) -> dict:
-        return {"name": self.name, "exponent": self.exponent,
-                "exponent_float": float(self.exponent)}
+    def __post_init__(self):
+        object.__setattr__(self, "exponent_float", float(self.exponent))
 
 
 def grc_profile(name: str, n: int | None = None) -> GRCBoundProfile:

@@ -33,6 +33,8 @@ DEFAULT_EPS_GRID = (Fraction(1, 12), Fraction(1, 10), Fraction(1, 8))
 CUTOFF_COUPLING = 1.5
 CUTOFF_CAP = 10**8
 SLOPE_MARGIN = 0.1  # slack of the tempered bound's slope test
+SHOWN_DISAGREEMENTS = 200  # disagreeing primes a comparison report lists
+SHOWN_COUNTEREXAMPLES = 50  # counterexamples a tower report lists
 
 # annotation thresholds quoted in every comparison report
 REFINED_SMO_DENSITY = Fraction(1, 8)
@@ -51,22 +53,11 @@ class AgreementReport:
     labels: tuple[str, str]
     scan_limit: int
     compared: int
-    disagreement_primes: tuple[int, ...]
+    disagreements: int
+    disagreement_primes: tuple[int, ...]  # the first SHOWN_DISAGREEMENTS only
     first_disagreement: int | None
     disagreement_density: float
     annotations: dict = field(default_factory=dict)
-
-    def payload(self) -> dict:
-        return {
-            "labels": self.labels,
-            "scan_limit": self.scan_limit,
-            "compared": self.compared,
-            "disagreements": len(self.disagreement_primes),
-            "disagreement_primes": self.disagreement_primes[:200],
-            "first_disagreement": self.first_disagreement,
-            "disagreement_density": self.disagreement_density,
-            "annotations": self.annotations,
-        }
 
 
 def _data_limit(limit: int, *reps: RepresentationData) -> int:
@@ -93,24 +84,31 @@ def _unramified_stream(limit: int, A: RepresentationData, B: RepresentationData,
 
 def compare_local(A: RepresentationData, B: RepresentationData,
                   scan_limit: int) -> AgreementReport:
-    """Scan the unramified primes of both universes for unequal normalized coefficients."""
+    """Scan the unramified primes of both universes for unequal normalized coefficients.
+
+    Disagreements are counted in full; only the first SHOWN_DISAGREEMENTS
+    primes are kept, so memory does not grow with the scan.
+    """
     if A.degree != B.degree:
         raise DegreeMismatch(f"degrees {A.degree} != {B.degree}")
     limit = _data_limit(scan_limit, A, B)
-    compared = 0
-    bad: list[int] = []
+    compared = disagreements = 0
+    shown: list[int] = []
     for seg in _unramified_stream(limit, A, B):
         compared += len(seg)
         gap = np.abs(A.coefficient_array(seg) - B.coefficient_array(seg))
-        bad.extend(seg[gap > COEFF_EQ_TOL].tolist())
+        bad = seg[gap > COEFF_EQ_TOL]
+        disagreements += len(bad)
+        shown.extend(bad[:SHOWN_DISAGREEMENTS - len(shown)].tolist())
     n = A.degree
     return AgreementReport(
         labels=(A.label, B.label),
         scan_limit=limit,
         compared=compared,
-        disagreement_primes=tuple(bad),
-        first_disagreement=bad[0] if bad else None,
-        disagreement_density=(len(bad) / compared) if compared else 0.0,
+        disagreements=disagreements,
+        disagreement_primes=tuple(shown),
+        first_disagreement=shown[0] if shown else None,
+        disagreement_density=(disagreements / compared) if compared else 0.0,
         annotations={
             "refined_density_threshold": REFINED_SMO_DENSITY,
             "non_dihedral_density_threshold": NON_DIHEDRAL_DENSITY,
@@ -229,25 +227,12 @@ class TemperedBoundReport:
     selector: str
     density: Fraction
     bound: float
+    slope: float  # estimate.slope
     estimate: PoleOrderEstimate
     passed: bool
     tempered_excess: float
     warnings: tuple[str, ...]
     annotations: dict = field(default_factory=dict)
-
-    def payload(self) -> dict:
-        return {
-            "label": self.label,
-            "selector": self.selector,
-            "density": self.density,
-            "bound": self.bound,
-            "slope": self.estimate.slope,
-            "passed": self.passed,
-            "tempered_excess": self.tempered_excess,
-            "warnings": self.warnings,
-            "annotations": self.annotations,
-            "estimate": self.estimate,
-        }
 
 
 def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
@@ -281,6 +266,7 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
         selector=selector.describe(),
         density=density,
         bound=bound,
+        slope=estimate.slope,
         estimate=estimate,
         passed=estimate.slope <= bound + SLOPE_MARGIN,
         tempered_excess=excess,
@@ -454,28 +440,13 @@ class InertExperimentReport:
     p: int
     profile: GRCBoundProfile
     pair_bound: Fraction          # 1 - 2/(n^2+1) + 1/p style bound: 2*delta + 1/p
-    pair_bound_clears_one: bool
+    pair_bound_float: float
+    sufficient: bool              # pair_bound < 1
     variant_delta: Fraction | None
     variant_bound: Fraction | None  # 2*delta + 1/p for a supplied delta
-    variant_clears_half: bool | None
+    variant_bound_float: float | None
+    variant_sufficient: bool | None  # variant_bound < 1/2
     probe: ConvergenceProbe
-
-    def payload(self) -> dict:
-        return {
-            "fieldspec": self.fieldspec,
-            "n": self.n,
-            "p": self.p,
-            "profile": self.profile,
-            "pair_bound": self.pair_bound,
-            "pair_bound_float": float(self.pair_bound),
-            "sufficient": self.pair_bound_clears_one,
-            "variant_delta": self.variant_delta,
-            "variant_bound": self.variant_bound,
-            "variant_bound_float": (float(self.variant_bound)
-                                    if self.variant_bound is not None else None),
-            "variant_sufficient": self.variant_clears_half,
-            "probe": self.probe,
-        }
 
 
 def inert_experiment(fs: FieldSpec, n: int, profile: GRCBoundProfile,
@@ -509,10 +480,12 @@ def inert_experiment(fs: FieldSpec, n: int, profile: GRCBoundProfile,
     return InertExperimentReport(
         fieldspec=fs.label, n=n, p=p, profile=profile,
         pair_bound=pair_bound,
-        pair_bound_clears_one=pair_bound < 1,
+        pair_bound_float=float(pair_bound),
+        sufficient=pair_bound < 1,
         variant_delta=variant_delta,
         variant_bound=variant_bound,
-        variant_clears_half=variant_ok,
+        variant_bound_float=float(variant_bound) if variant_bound is not None else None,
+        variant_sufficient=variant_ok,
         probe=probe,
     )
 
@@ -528,20 +501,8 @@ class TowerReport:
     m: int
     scan_limit: int
     checked: int
-    counterexamples: tuple[int, ...]
+    counterexamples: tuple[int, ...]  # the first SHOWN_COUNTEREXAMPLES only
     examples: tuple[tuple[int, int, int], ...]  # (prime, degree below, degree above)
-
-    def payload(self) -> dict:
-        return {
-            "subfield": self.subfield,
-            "field": self.field,
-            "p": self.p,
-            "m": self.m,
-            "scan_limit": self.scan_limit,
-            "checked": self.checked,
-            "counterexamples": self.counterexamples[:50],
-            "examples": self.examples,
-        }
 
 
 def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> TowerReport:
@@ -550,7 +511,8 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
     F and K are congruence data over the rationals with F inside K; the
     chain must be cyclic of prime-power degree p^m with [F:Q] = p.  Every
     unramified prime up to the scan limit whose residue degree in F equals
-    p must have residue degree p^m in K.
+    p must have residue degree p^m in K.  The first SHOWN_COUNTEREXAMPLES
+    primes that fail are kept.
     """
     if not _contains(K, F):
         raise NotNested(f"{K.label} does not contain {F.label}")
@@ -577,7 +539,7 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
         below = seg[F._degree_table[seg % F.modulus] == p]
         checked += len(below)
         lifted = K._degree_table[below % K.modulus] == expected
-        bad.extend(below[~lifted].tolist())
+        bad.extend(below[~lifted][:SHOWN_COUNTEREXAMPLES - len(bad)].tolist())
         samples.extend((q, p, expected) for q in below[lifted][:5 - len(samples)].tolist())
     return TowerReport(subfield=F.label, field=K.label, p=p, m=m,
                        scan_limit=scan_limit, checked=checked,

@@ -147,10 +147,7 @@ class FieldSpec:
         out = np.zeros(max(N, 1), dtype=np.int64)
         in_h = np.zeros(max(N, 1), dtype=bool)
         in_h[self._subgroup_array] = True
-        is_unit = np.ones(max(N, 1), dtype=bool)
-        for p in self.ramified_primes():
-            is_unit[::p] = False
-        units = np.flatnonzero(is_unit)
+        units = np.flatnonzero(unit_mask(N))
         f = np.full(len(units), self.degree, dtype=np.int64)
         for q in sorted(prime_divisors(self.degree)):
             todo = np.flatnonzero(f % q == 0)

@@ -19,8 +19,9 @@ these type rules:
 - a ``Fraction`` becomes ``str(value)``: ``"7/8"``, and ``"1"`` for 1;
 - dict keys become ``str(k)``, the last of colliding keys winning, and are
   written sorted; tuples become lists;
-- a dataclass is rendered through its ``payload()`` method if it has one
-  (for renamed, derived or truncated keys), and by field otherwise;
+- a dataclass is rendered by field, as the dict of its field names and
+  values; a report dataclass therefore holds exactly the keys it prints,
+  with derived values computed and long lists truncated when it is built;
 - a numpy scalar is rendered through ``.item()``;
 - a 1-D complex128 ndarray becomes the list of its complex values.  The text
   of each distinct value is made once and the items are joined in one go; an
@@ -129,11 +130,7 @@ def _encode(value, pad: str, out: list) -> None:
     elif kind is np.ndarray and value.ndim == 1 and value.dtype == np.complex128:
         _complex_array(value, pad, out)
     elif is_dataclass(value):
-        payload = getattr(value, "payload", None)
-        if callable(payload):
-            _encode(payload(), pad, out)
-        else:
-            _encode({f.name: getattr(value, f.name) for f in fields(value)}, pad, out)
+        _encode({f.name: getattr(value, f.name) for f in fields(value)}, pad, out)
     elif callable(getattr(value, "item", None)):  # numpy scalars
         _encode(value.item(), pad, out)
     elif isinstance(value, str):
@@ -227,11 +224,16 @@ def emit(report: Report, format: str = "json", path: str | Path | None = None) -
         text = report.to_csv()
     else:
         raise IoError(f"unknown output format {format!r}")
+    write(text, path)
+    return text
+
+
+def write(text: str, path: str | Path | None = None) -> None:
+    """Write rendered text; '-' or None writes to stdout."""
     if path is None or str(path) == "-":
         sys.stdout.write(text)
-    else:
-        try:
-            Path(path).write_text(text)
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}")
-    return text
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}")

@@ -274,13 +274,13 @@ def test_criterion_12_abscissa_arithmetic():
     all_ok = True
     for p, (bound, sufficient) in expected.items():
         report = inert_experiment(specs[p], 2, lrs, probe_cutoffs=(10**4, 10**5))
-        results[p] = (report.pair_bound, report.pair_bound_clears_one)
+        results[p] = (report.pair_bound, report.sufficient)
         all_ok = all_ok and report.pair_bound == bound \
-            and report.pair_bound_clears_one == sufficient
+            and report.sufficient == sufficient
     variant = inert_experiment(specs[2], 2, lrs, variant_delta=Fraction(7, 64),
                                probe_cutoffs=(10**4, 10**5))
     variant_ok = (variant.variant_bound == Fraction(23, 32)
-                  and variant.variant_clears_half is False)
+                  and variant.variant_sufficient is False)
     ok = all_ok and variant_ok
     rendered = {p: (str(b), s) for p, (b, s) in results.items()}
     assert verdict(12, ok, f"bounds per p: {rendered}; half-plane variant "

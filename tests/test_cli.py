@@ -220,21 +220,18 @@ def test_fractions_render_as_str():
     assert json.loads(canonical_json(Fraction(7, 8))) == "7/8"
 
 
-def test_dataclasses_render_by_field_or_payload():
+def test_dataclasses_render_by_field():
     @dataclass(frozen=True)
     class Inner:
         z: complex
         keys: dict
 
     @dataclass(frozen=True)
-    class Renamed:
-        inner: Inner
-        items: tuple
+    class Outer:
+        nested: Inner
+        first: tuple
 
-        def payload(self):
-            return {"nested": self.inner, "first": self.items[:1]}
-
-    value = Renamed(Inner(1 - 2j, {0.5: Fraction(3, 1)}), (1, 2))
+    value = Outer(Inner(1 - 2j, {0.5: Fraction(3, 1)}), (1,))
     assert json.loads(canonical_json(value)) == {"nested": {"z": {"re": 1.0, "im": -2.0},
                                                          "keys": {"0.5": "3"}},
                                               "first": [1]}
@@ -251,9 +248,6 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if is_dataclass(value):
-        payload = getattr(value, "payload", None)
-        if callable(payload):
-            return _jsonable(payload())
         return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if hasattr(value, "item") and callable(value.item):  # numpy scalars
         value = value.item()
@@ -272,14 +266,6 @@ def _reference_json(value) -> str:
 class _ByField:
     first: object
     second: object
-
-
-@dataclass(frozen=True)
-class _ByPayload:
-    inner: object
-
-    def payload(self):
-        return {"renamed": self.inner, "count": 1}
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True)
@@ -302,7 +288,6 @@ _values = st.recursive(_leaves, lambda children: st.one_of(
     st.lists(st.integers(), max_size=6),
     st.dictionaries(_keys, children, max_size=5),
     st.builds(_ByField, children, children),
-    st.builds(_ByPayload, children),
 ), max_leaves=25)
 
 
@@ -317,7 +302,6 @@ def test_canonical_json_matches_reference_encoder(value):
     [], {}, (), [[], {}, ()], -0.0, np.float64(-0.0), complex(-0.0, float("nan")),
     np.complex128(complex(1.5, float("-inf"))), "\"\\\n\x00\u00e9\U0001f600",
     {None: 1, True: 2, 0.5: 3, "None": 4}, _ByField(np.int64(-7), [np.bool_(True)]),
-    _ByPayload({"z": Fraction(-3, 4)}),
 ], ids=repr)
 def test_canonical_json_reference_cases(value):
     assert canonical_json(value) == _reference_json(value)
@@ -552,6 +536,19 @@ def test_missing_group_file_is_an_io_error(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("io-error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_output_is_an_io_error_in_both_formats(tmp_path, fmt):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "smolab.cli", "--format", fmt,
+                           "--output", f"missing/t.{fmt}", "charlab", "table", "cyclic(2)"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"io-error: cannot write missing/t.{fmt}: "), proc.stderr
     assert "Traceback" not in proc.stderr
 
 

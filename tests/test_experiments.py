@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import smolab.experiments
@@ -65,6 +66,21 @@ def test_compare_symmetric(tau_rep, synthetic):
     assert a.annotations["refined_density_threshold"] == Fraction(1, 8)
     assert a.annotations["non_dihedral_density_threshold"] == Fraction(1, 4)
     assert a.annotations["general_degree_threshold"] == Fraction(1, 8)
+
+
+def test_compare_memory_does_not_grow_with_the_scan():
+    A, B = synthetic_tempered(1), synthetic_tempered(2)
+
+    def peak(limit: int) -> int:
+        tracemalloc.start()
+        try:
+            compare_local(A, B, limit)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    compare_local(A, B, 10**4)  # builds what the first scan caches
+    assert peak(3 * 10**6) <= 1.5 * peak(10**6)
 
 
 def test_compare_degree_mismatch(tau_rep):
@@ -297,7 +313,7 @@ def test_inert_experiment_bounds():
     for fs, (bound, sufficient) in cases.items():
         report = inert_experiment(fs, 2, lrs, probe_cutoffs=(10**4, 10**5))
         assert report.pair_bound == bound
-        assert report.pair_bound_clears_one is sufficient
+        assert report.sufficient is sufficient
 
 
 def test_inert_experiment_variant_threshold():
@@ -305,7 +321,7 @@ def test_inert_experiment_variant_threshold():
                               variant_delta=Fraction(7, 64),
                               probe_cutoffs=(10**4, 10**5))
     assert report.variant_bound == Fraction(23, 32)
-    assert report.variant_clears_half is False
+    assert report.variant_sufficient is False
 
 
 def test_inert_experiment_rejects_composite_degree():
