@@ -10,9 +10,13 @@ truncation-consistent ratio against the full prime sum at the same cutoff.
 Natural-density counts and Frobenius class counts are exact integers that
 depend only on p mod q, for q the selector's or the field's modulus.  When
 ``sieve.residue_counts_pay`` accepts x and q, they are read off
-``sieve.residue_prime_counts`` instead of a sieve walk: at 1e8 the mod-4
-selector takes about 0.05 s per grid point, N = 11 0.07 s and the compound
-q = 56 selector 0.10 s, against 0.36 s for the sieve.  The model turns away
+``sieve.residue_prime_counts`` instead of a sieve walk, and a whole
+natural-density grid off one walk at its largest point wherever the walk
+holds the smaller points (``sieve.residue_prime_counts_grid``).  In process
+on a 2-vCPU x86-64 VM, ``density natural`` took about 0.02 s for mod:4 on
+the grid 1e6, 1e7, 1e8 and 0.06 s for the compound q = 56 selector on 1e7,
+1e8, and ``frobstats`` 0.03 s for N = 11 at 1e8, against 0.36 s for one
+sieve to 1e8.  The model turns away
 every cutoff below about 2.7e6, and it reads only the modulus before it
 accepts one, so a huge compound modulus is never lifted to its residue set.
 ``frobstats`` then takes ``first_hits`` from sieve segments in order until
@@ -23,8 +27,8 @@ The Dirichlet sums and ``prime_zeta`` sum p^-s, which is completely
 multiplicative, so the same recurrence carries them on float64 rows
 (``sieve.residue_prime_power_sums``) for a selector with a congruence
 modulus and a uniform norm exponent, whenever the model accepts the rows.
-At 1e8, ``density dirichlet mod:8`` took 0.09 s this way against 0.45 s on
-the sieve.  The recurrence sums in another order than the segments, so
+At 1e8, ``density dirichlet mod:8`` took 0.05-0.07 s this way against 0.45 s
+on the sieve.  The recurrence sums in another order than the segments, so
 those reports may differ from the sieve path's in their last bits, within
 the error bound in ``residue_prime_power_sums``.  Every other selector walks
 ``segment_map``.
@@ -40,7 +44,8 @@ import numpy as np
 from .errors import LimitExceeded, UsageError
 from .selectors import PrimeSelector
 from .sieve import (PRIME_LIMIT, iter_prime_segments, residue_counts_pay,
-                    residue_prime_counts, residue_prime_power_sums, residues,
+                    residue_prime_counts, residue_prime_counts_grid,
+                    residue_prime_power_sums, residues,
                     segment_map, simple_sieve)
 
 RECOMMENDED_CUTOFF_RATE = 4.0
@@ -89,16 +94,14 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
 
 def _natural_counts_by_residue(selector: PrimeSelector, grid: list[int]):
     """Selected and unramified prime counts at each grid point from the prime
-    counts per residue class of the selector's congruence description."""
+    counts per residue class of the selector's congruence description, read
+    off one walk at the largest point wherever it serves."""
     modulus, residues = selector.as_congruence()
     chosen = np.array(sorted(residues), dtype=np.int64)
     excluded = np.array(sorted(selector.excluded), dtype=np.int64)
-    sel_tot = np.zeros(len(grid), dtype=np.int64)
-    un_tot = np.zeros(len(grid), dtype=np.int64)
-    for i, x in enumerate(grid):
-        counts = residue_prime_counts(x, modulus)
-        sel_tot[i] = counts[chosen].sum()
-        un_tot[i] = counts.sum() - np.count_nonzero(excluded <= x)
+    counts = residue_prime_counts_grid(grid, modulus)
+    sel_tot = counts[:, chosen].sum(axis=1)
+    un_tot = counts.sum(axis=1) - np.count_nonzero(excluded <= np.array(grid)[:, None], axis=1)
     return sel_tot, un_tot
 
 

@@ -17,16 +17,19 @@ numpy 2.4.6), ``prime_count(10**8)`` took 0.19-0.25 s at one worker and
 Counts of primes by residue class need no sieve walk.  ``residue_prime_counts``
 runs Lucy's recurrence on the about 2 sqrt(x) values x // n, in about
 phi(q) x^(3/4) / log x cell updates (Lagarias, Miller and Odlyzko, Math.
-Comp. 1985; Deleglise and Rivat, Math. Comp. 1996).  The recurrence works
+Comp. 1985; Deleglise and Rivat, Math. Comp. 1996).  The primes up to
+x^(1/3) update one at a time and the rest in one batch that makes the same
+operations in the same order (``_lucy_walk``).  The recurrence works
 for any completely multiplicative weight, and ``residue_prime_power_sums``
-runs the same walk, ``_lucy_walk``, on float64 rows of sums of p^-s, one
+runs the same walk on float64 rows of sums of p^-s, one
 block of rows per exponent; their starting rows take 64 terms directly and
 the rest by Euler-Maclaurin.  ``density natural`` and ``frobstats`` count
 this way, and ``density dirichlet``, ``smo poleorder`` and ``prime_zeta``
 sum this way, whenever ``residue_counts_pay`` predicts it cheaper than the
 sieve; its cost model and measurements are in its docstring.  At 1e8 the
-counts took about 0.05 s for q = 4 and 0.10 s for q = 56, and the sums
-0.10 s for q = 8 with three exponents, against 0.36 s for the sieve path.
+counts took about 0.017 s for q = 4 and 0.066 s for q = 56, and the sums
+0.059 s for q = 8 with three exponents, against 0.36 s for the sieve path.
+``residue_prime_counts_grid`` reads a whole grid off one walk where it can.
 The recurrence runs on one thread, so its results do not depend on the
 worker count either.
 
@@ -41,6 +44,7 @@ of a tau file to 2e4 it took 5 ms against 18 ms for a scalar test per row
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -283,6 +287,16 @@ def _lucy_values(x: int) -> tuple[np.ndarray, int]:
     return values, n_small
 
 
+def _icbrt(x: int) -> int:
+    """The largest integer c with c**3 <= x, for x >= 0."""
+    c = round(x ** (1 / 3))
+    while c**3 > x:
+        c -= 1
+    while (c + 1) ** 3 <= x:
+        c += 1
+    return c
+
+
 def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None = None) -> None:
     """Lucy's recurrence on ``state`` in place, one update per prime p <= sqrt(x)
     not dividing q.
@@ -293,6 +307,18 @@ def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None =
     2 <= n <= v with n = a mod q.  The update for p subtracts, at every v >=
     p*p, p^-s times the row of a * p^-1 at v // p less that row at p - 1: the
     n with least prime factor p.
+
+    The head primes, p**3 <= x, update one at a time in column blocks.  The
+    tail primes, p**3 > x, go in one batch: such a p writes only values v >=
+    p*p > x^(2/3), and reads only v // p <= x / p < x^(2/3) and p - 1, cells
+    that no tail prime writes and that are final once the head is done.  So
+    the term of every (tail prime, column) pair is gathered at once, and the
+    columns go in ascending groups of at most _BLOCK_CELLS cells.  A group
+    lays out each column as its current cell followed by its terms in
+    ascending p, and one ``np.subtract.reduceat`` makes the subtractions, so
+    every cell sees the operations of the one-prime-at-a-time walk in the
+    same order and float rows come out bit for bit the same.  At 1e8 the head
+    is 90 primes and the tail 1139; at 1e9, 168 and 3233.
     """
     values, n_small = _lucy_values(x)
     units = np.flatnonzero(unit_mask(q))
@@ -303,9 +329,10 @@ def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None =
     blocks = np.arange(len(state) // len(units))[:, None] * len(units)
     per_row = None if exponents is None else np.repeat(exponents, len(units))[:, None]
     width = max(1, _BLOCK_CELLS // len(state))
-    for p in simple_sieve(r).tolist():
-        if q % p == 0:
-            continue
+    primes = simple_sieve(r)
+    primes = primes[q % primes != 0]
+    head = np.searchsorted(primes, _icbrt(x), side="right")
+    for p in primes[:head].tolist():
         k = min(r, x // (p * p)) + max(0, n_small - p * p + 1)  # values >= p*p
         w = values[:k] // p
         src = np.where(w > n_small, x // w - 1, m - w)  # column of each v // p
@@ -321,6 +348,42 @@ def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None =
             if scale is not None:
                 block *= scale
             state[:, start:end] -= block[perm]
+    tail = primes[head:]
+    if not len(tail):
+        return
+    # row i of prime p reads row perm[p, i], the class units[i] * p^-1
+    into = row_of[units * (tail[:, None] % q) % q]
+    perm = np.empty_like(into)
+    np.put_along_axis(perm, into, np.arange(len(units)), axis=1)
+    base = (perm[:, None, :] + blocks).reshape(len(tail), len(state))
+    base *= m  # flat index of the row each (prime, row) reads, at column 0
+    flat = state.reshape(-1)
+    low = flat[base + (m - (tail - 1))[:, None]]  # p - 1 <= r - 1 <= n_small
+    scale = None if per_row is None else tail[:, None].astype(np.float64) ** -per_row.T
+    k = x // (tail * tail)  # values >= p*p, all x // n with n <= r as p*p > x^(2/3)
+    per_col = len(tail) - np.searchsorted(k[::-1], np.arange(k[0]), side="right")
+    ends = np.concatenate(([0], np.cumsum(per_col + 1))).tolist()  # layout rows before each column
+    lo = 0
+    while lo < len(per_col):
+        hi = max(lo + 1, bisect.bisect_right(ends, ends[lo] + width) - 1)
+        # column c takes the terms of the tail primes with k > c, a prefix
+        n = per_col[lo:hi]
+        first = np.cumsum(n) - n  # pair index of each column's first term
+        col = np.repeat(np.arange(lo, hi), n)
+        prime = np.arange(len(col)) - np.repeat(first, n)
+        w = values[col] // tail[prime]
+        at = base[prime]
+        at += np.where(w > n_small, x // w - 1, m - w)[:, None]  # column of v // p
+        terms = flat[at]
+        terms -= low[prime]
+        if scale is not None:
+            terms *= scale[prime]
+        cells = np.arange(hi - lo) + first  # each column's current cell in the layout
+        layout = np.empty((len(cells) + len(col), len(state)), dtype=state.dtype)
+        layout[cells] = state[:, lo:hi].T
+        layout[np.arange(len(col)) + (col - lo) + 1] = terms
+        state[:, lo:hi] = np.subtract.reduceat(layout, cells, axis=0).T
+        lo = hi
 
 
 def residue_prime_counts(x: int, q: int) -> np.ndarray:
@@ -330,23 +393,42 @@ def residue_prime_counts(x: int, q: int) -> np.ndarray:
     int32 is exact below 2**31 > PRIME_LIMIT.  The primes dividing q lie in
     no unit row and are added back at the end.
     """
+    return residue_prime_counts_grid([x], q)[0]
+
+
+def residue_prime_counts_grid(grid, q: int) -> np.ndarray:
+    """``residue_prime_counts(g, q)`` at every g of a nonempty grid, one row each.
+
+    One walk at the largest point x serves every g among its values, g <=
+    n_small or x // (x // g) == g: once the walk is done, the column of each
+    value v counts the primes up to v.  Any other point takes its own walk.
+    """
+    grid = [int(g) for g in grid]
+    x = max(grid)
     _check_limit(x)
     if q < 1:
         raise UsageError(f"modulus {q} must be a positive integer")
-    counts = np.zeros(q, dtype=np.int64)
+    counts = np.zeros((len(grid), q), dtype=np.int64)
     if x < 2:
         return counts
-    values, _ = _lucy_values(x)
+    values, n_small = _lucy_values(x)
     units = np.flatnonzero(unit_mask(q))
     state = np.empty((len(units), len(values)), dtype=np.int32)  # filled a row at a time
     for i, a in enumerate(units.tolist()):
         state[i] = (values - (a or q)) // q + 1
     state[np.searchsorted(units, 1 % q)] -= 1  # the integer 1
     _lucy_walk(x, q, state)
-    counts[units] = state[:, 0]
-    for p in simple_sieve(min(q, x)).tolist():
-        if q % p == 0:
-            counts[p % q] += 1
+    divisors = [p for p in simple_sieve(min(q, x)).tolist() if q % p == 0]
+    for i, g in enumerate(grid):
+        if g < 2:
+            continue
+        if g > n_small and x // (x // g) != g:
+            counts[i] = residue_prime_counts(g, q)
+            continue
+        counts[i, units] = state[:, len(values) - g if g <= n_small else x // g - 1]
+        for p in divisors:
+            if p <= g:
+                counts[i, p % q] += 1
     return counts
 
 
@@ -438,20 +520,25 @@ def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
     rows of 4-byte int32 cells.  With k exponents it is
     ``residue_prime_power_sums``: k phi(q) rows of 8-byte float64 cells.
 
-    The model is fitted to medians of seven interleaved runs on a 2-vCPU
-    x86-64 VM (Python 3.11.7, numpy 2.4.6), and predicts each of them for
+    The model was fitted to medians of seven interleaved runs on a 2-vCPU
+    x86-64 VM (Python 3.11.7, numpy 2.4.6), and predicted each of them for
     1e6 <= x <= 1e8 within 19%.  In seconds, the sieve path costs 3.5e-9 x
     (0.36 s at 1e8), and the recurrence 8.3e-5 sqrt(x)/log x for its numpy
     calls, one set per prime up to sqrt(x), plus 1.2e-8 rows * bytes *
-    x^(3/4)/log x for its cell updates.  At 1e8 the counts took 0.049 s for
-    q = 4, 0.066 s for q = 11, 0.10 s for q = 56 and 0.32 s for q = 420; the
-    power sums 0.052 s for q = 1 with one exponent, 0.058 s for q = 4 with
-    one, 0.10 s for q = 8 with three and 0.32 s for q = 56 with two.  The
+    x^(3/4)/log x for its cell updates.  Since then the primes above x^(1/3)
+    update in one batch, and the model overstates the recurrence on purpose:
+    a refit would move some power-sum cutoffs from the sieve path to the
+    recurrence, and with them the last bits of their reports, so it is left
+    to a change that declares those bytes.  Medians of seven on the same VM,
+    at 1e8: the counts took 0.017 s for q = 4, 0.033 s for q = 11, 0.066 s
+    for q = 56 and 0.24 s for q = 420; the power sums 0.014 s for q = 1 with
+    one exponent, 0.021 s for q = 4 with one, 0.059 s for q = 8 with three
+    and 0.22 s for q = 56 with two.  The
     state of about 2 sqrt(x) cells per row may take at most
     RECURRENCE_STATE_BYTES.  Below about x = 2.7e6 the sieve is predicted to
     win for every q, and no x up to PRIME_LIMIT admits phi(q) > 148 for
     counts, or phi(q) > 72 for sums at one exponent (phi(q) = 156 at 1.78e8
-    measured 0.75 s by recurrence against 0.64 s on the sieve path).  The
+    measured 0.70 s by recurrence against 0.64 s on the sieve path).  The
     modulus is checked first, so a large one costs
     neither phi(q) nor a residue lift: every q above RECURRENCE_MODULUS_LIMIT
     has phi(q) >= 2304.

@@ -1,18 +1,22 @@
 import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smolab import sieve
 from smolab.errors import LimitExceeded, UsageError
-from smolab.sieve import (PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, SEGMENT_SPAN,
-                          _segment_bounds, _sieve_segment, is_prime, is_prime_array,
-                          iter_prime_segments,
+from smolab.sieve import (_BLOCK_CELLS, PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, SEGMENT_SPAN,
+                          _icbrt, _lucy_values, _segment_bounds, _sieve_segment, is_prime,
+                          is_prime_array, iter_prime_segments,
                           prime_array, prime_count, primes_up_to, residue_counts_pay,
-                          prime_divisors, residue_prime_counts, residue_prime_power_sums,
-                          residues, segment_map, simple_sieve, totient)
+                          prime_divisors, residue_prime_counts, residue_prime_counts_grid,
+                          residue_prime_power_sums, residues, segment_map, simple_sieve,
+                          totient, unit_mask)
 
 ORACLE_LIMIT = 3 * 10**6
 DENSE = simple_sieve(ORACLE_LIMIT)
@@ -194,6 +198,132 @@ def test_residue_prime_counts_pinned_at_1e8(q):
     counts = residue_prime_counts(10**8, q)
     assert counts.tolist() == CLASSES_1E8[q]
     assert counts.sum() == 5761455
+
+
+def reference_lucy_walk(x: int, q: int, state: np.ndarray,
+                        exponents: np.ndarray | None = None) -> None:
+    """Lucy's recurrence with every prime p <= sqrt(x) in its own
+    column-blocked update: the oracle for the bits of ``sieve._lucy_walk``,
+    which batches the primes above x^(1/3)."""
+    values, n_small = _lucy_values(x)
+    units = np.flatnonzero(unit_mask(q))
+    m = len(values)
+    r = math.isqrt(x)
+    row_of = np.full(q, -1, dtype=np.int64)
+    row_of[units] = np.arange(len(units))
+    blocks = np.arange(len(state) // len(units))[:, None] * len(units)
+    per_row = None if exponents is None else np.repeat(exponents, len(units))[:, None]
+    width = max(1, _BLOCK_CELLS // len(state))
+    for p in simple_sieve(r).tolist():
+        if q % p == 0:
+            continue
+        k = min(r, x // (p * p)) + max(0, n_small - p * p + 1)  # values >= p*p
+        w = values[:k] // p
+        src = np.where(w > n_small, x // w - 1, m - w)  # column of each v // p
+        low = state[:, m - (p - 1) if p - 1 <= n_small else x // (p - 1) - 1]
+        perm = (row_of[units * pow(p, -1, q) % q] + blocks).ravel()
+        scale = None if per_row is None else float(p) ** -per_row
+        # ascending columns are descending values and every read is at a
+        # smaller value, so each block reads columns no earlier block wrote
+        for start in range(0, k, width):
+            end = min(k, start + width)
+            block = np.take(state, src[start:end], axis=1)
+            block -= low[:, None]
+            if scale is not None:
+                block *= scale
+            state[:, start:end] -= block[perm]
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def reference(fn, *args):
+    with mock.patch.object(sieve, "_lucy_walk", reference_lucy_walk):
+        return fn(*args)
+
+
+# perfect cubes keep p**3 = x in the head loop; below 8 no prime is in the
+# head; 101 is a tail prime at 1e6 and divides 202; q = 1 has one row
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, ORACLE_LIMIT), st.integers(1, 60))
+@example(343, 7)
+@example(343, 1)
+@example(1331, 12)
+@example(29791, 30)
+@example(29791, 31)
+@example(3, 1)
+@example(4, 3)
+@example(7, 4)
+@example(10**6, 202)
+@example(10**6, 1)
+def test_residue_prime_counts_match_reference_walk(x, q):
+    assert same_bytes(residue_prime_counts(x, q), reference(residue_prime_counts, x, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, ORACLE_LIMIT), st.integers(1, 60),
+       st.lists(st.floats(1.0, 2.0, exclude_min=True), min_size=1, max_size=3))
+@example(343, 7, [1.5])
+@example(1331, 12, [1.5, 1.25])
+@example(29791, 30, [1.1, 1.9, 1.5])
+@example(5, 2, [1.5])
+@example(7, 1, [2.0, 1.0 + 1e-9])
+@example(10**6, 202, [1.25])
+@example(10**6, 1, [1.0625])
+def test_residue_prime_power_sums_match_reference_walk(x, q, exponents):
+    got = residue_prime_power_sums(x, q, exponents)
+    assert same_bytes(got, reference(residue_prime_power_sums, x, q, exponents))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**18))
+@example(0)
+@example(7)
+@example(8)
+@example(10**8)
+@example(29791)
+@example(10**18 - 1)
+def test_icbrt_is_the_integer_cube_root(x):
+    c = _icbrt(x)
+    assert c**3 <= x < (c + 1) ** 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, ORACLE_LIMIT), min_size=1, max_size=6, unique=True),
+       st.integers(1, 60))
+@example([10**4, 10**5, 10**6], 4)
+@example([0, 1, 2], 6)
+@example([999, 1000], 202)
+@example([1000, 3 * 10**6], 56)
+def test_residue_prime_counts_grid_matches_one_walk_per_point(grid, q):
+    grid = sorted(grid)
+    got = residue_prime_counts_grid(grid, q)
+    assert got.shape == (len(grid), q) and got.dtype == np.int64
+    for row, g in zip(got, grid):
+        assert row.tolist() == residue_prime_counts(g, q).tolist()
+
+
+def test_recurrence_memory_is_bounded():
+    # the traced peak takes in the state, about 2 sqrt(x) cells per row, and
+    # every temporary of the walk; the tail batch goes in bounded groups
+    for fn, args in ((residue_prime_counts, (10**8, 56)),
+                     (residue_prime_power_sums, (10**8, 8, [1.5, 1.25, 1.1]))):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20, (fn.__name__, peak)
+
+
+def test_residue_prime_counts_at_the_cap():
+    # pi(10**9) = 50,847,534; 2 is the one prime in class 2 mod 4
+    counts = residue_prime_counts(PRIME_LIMIT, 4)
+    assert counts.sum() == 50_847_534
+    assert counts[2] == 1 and counts[0] == 0
 
 
 def test_residue_prime_counts_checks_arguments():
