@@ -96,8 +96,8 @@ def _natural_counts_by_residue(selector: PrimeSelector, grid: list[int]):
     """Selected and unramified prime counts at each grid point from the prime
     counts per residue class of the selector's congruence description, read
     off one walk at the largest point wherever it serves."""
-    modulus, residues = selector.as_congruence()
-    chosen = np.array(sorted(residues), dtype=np.int64)
+    modulus, table = selector.residue_table()
+    chosen = np.flatnonzero(table)
     excluded = np.array(sorted(selector.excluded), dtype=np.int64)
     counts = residue_prime_counts_grid(grid, modulus)
     sel_tot = counts[:, chosen].sum(axis=1)

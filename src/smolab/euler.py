@@ -31,7 +31,6 @@ from .errors import (LimitExceeded, NormMismatch, NotPositiveType, PoleHit,
 from .selectors import PrimeSelector
 from .sieve import iter_prime_segments, prime_stream
 
-TEMPERED_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 LOG_INDEX_LIMIT = 10**8
 STABILIZE_TOL = 1e-6
@@ -57,13 +56,6 @@ class LocalFactor:
     @property
     def k(self) -> int:
         return len(self.alphas)
-
-    @property
-    def is_tempered(self) -> bool:
-        return all(abs(abs(a) - 1.0) <= TEMPERED_TOL for a in self.alphas)
-
-    def power_sum(self, m: int) -> complex:
-        return sum(a**m for a in self.alphas)
 
 
 def eval_local(f: LocalFactor, s: complex) -> complex:

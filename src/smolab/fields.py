@@ -176,24 +176,8 @@ class FieldSpec:
         f = self.residue_degree(p)
         return f, self.degree // f
 
-    def residues_with_degree(self, j: int) -> frozenset[int]:
-        table = self._degree_table
-        return frozenset(int(r) for r in np.flatnonzero(table == j))
-
     def ramified_primes(self) -> frozenset[int]:
         return prime_divisors(self.modulus)
-
-
-@dataclass(frozen=True)
-class PrimeItem:
-    """A place above a rational prime: norm q = p**f."""
-
-    p: int
-    f: int
-
-    @property
-    def q(self) -> int:
-        return self.p**self.f
 
 
 def residue_degree(fs: FieldSpec, p: int) -> int:

@@ -135,9 +135,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inverse(self, a: int) -> int:
-        return int(self._inverses[a])
-
     @property
     def _inverses(self) -> np.ndarray:
         inv = self._cache.get("inverses")

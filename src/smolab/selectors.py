@@ -2,14 +2,14 @@
 
 Selectors are pure predicates over primes, vectorized over numpy arrays.
 Ramified primes (dividing a defining modulus) are always excluded.  A
-selector whose membership depends only on a congruence class can report an
-exact analytic density; arbitrary combinations fall back to None.
+selector whose membership depends only on a congruence class mod N describes
+it by one residue table, a bool array over range(N), and reads its exact
+analytic density off that table; arbitrary combinations fall back to None.
 
 Selectors also name the primes a source or Euler product has data at:
 ``AllPrimes()``, or an ``ExplicitList`` whose ``largest_prime`` ends walks.
-``and``/``or``/``not`` lift residues to the lcm of their moduli in numpy
-tables, after refusing an lcm above LIFT_MODULUS_LIMIT; their density counts
-the table, and only ``as_congruence()`` turns it into a residue set.
+``and``/``or``/``not`` tile their children's tables to the lcm of their
+moduli, after refusing an lcm above LIFT_MODULUS_LIMIT.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LimitExceeded, ParseError
+from .errors import LimitExceeded, NonPrimeRow, ParseError
 from .fields import FieldSpec
-from .sieve import PRIME_LIMIT, prime_divisors, totient, unit_mask
+from .sieve import PRIME_LIMIT, is_prime_array, prime_divisors, totient, unit_mask
 from .sieve import residues as prime_residues
 
 # ``mask`` indexes a table of ``modulus`` bytes on every call: at 1e9 it is
@@ -34,8 +34,8 @@ MODULUS_LIMIT = PRIME_LIMIT
 
 # Near the cap, the density of "mod:2499997:1 or mod:4:1" (lcm 9,999,988, a
 # 2.5M-residue union) counts its lifted byte tables in 0.04-0.05 s and 39 MiB
-# more peak RSS; its ``as_congruence()`` set of 2.5M ints took 0.27-0.42 s
-# and 232 MiB (2-vCPU x86-64 VM, Python 3.11.7, numpy 2.4.6).
+# more peak RSS (2-vCPU x86-64 VM, Python 3.11.7, numpy 2.4.6); every table
+# is one byte per residue of the lcm.
 LIFT_MODULUS_LIMIT = 10**7
 
 
@@ -66,36 +66,26 @@ class PrimeSelector:
         return int(math.floor(norm_cutoff ** (1.0 / j) + 1e-9))
 
     def congruence_modulus(self) -> int | None:
-        """The modulus of ``as_congruence()``, found without lifting any
-        residue set, or None when there is no congruence description."""
-        return None
-
-    def as_congruence(self) -> tuple[int, frozenset[int]] | None:
-        """(modulus, set of unit residues) description if one exists, else None.
-
-        ``mask`` picks exactly the primes whose residue lies in the set, and
-        no prime in ``excluded``; the residue counts of the density
-        estimators rely on this.
-        """
+        """The modulus of ``residue_table()``, found without building any
+        table, or None when there is no congruence description."""
         return None
 
     def residue_table(self) -> tuple[int, np.ndarray] | None:
-        """``as_congruence()`` as (modulus, bytes over range(modulus) set at
-        the chosen residues), or None when there is no congruence description."""
-        cong = self.as_congruence()
-        if cong is None:
-            return None
-        N, chosen = cong
-        table = np.zeros(N, dtype=bool)
-        table[np.fromiter(chosen, dtype=np.int64, count=len(chosen))] = True
-        return N, table
+        """(modulus N, bool array over range(N) set at the chosen unit
+        residues), or None when there is no congruence description.
+
+        ``mask`` picks exactly the primes whose residue is set, and no prime
+        in ``excluded``; the residue counts of the density estimators rely
+        on this.
+        """
+        return None
 
     def analytic_density(self) -> Fraction | None:
-        cong = self.as_congruence()
-        if cong is None:
+        lifted = self.residue_table()
+        if lifted is None:
             return None
-        N, chosen = cong
-        return Fraction(len(chosen), totient(N))
+        N, table = lifted
+        return Fraction(int(np.count_nonzero(table)), totient(N))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -112,8 +102,8 @@ class AllPrimes(PrimeSelector):
     def congruence_modulus(self):
         return 1
 
-    def as_congruence(self):
-        return (1, frozenset({0}))
+    def residue_table(self):
+        return 1, np.ones(1, dtype=bool)
 
     def describe(self) -> str:
         return "all"
@@ -127,8 +117,8 @@ class NoPrimes(PrimeSelector):
     def congruence_modulus(self):
         return 1
 
-    def as_congruence(self):
-        return (1, frozenset())
+    def residue_table(self):
+        return 1, np.zeros(1, dtype=bool)
 
     def describe(self) -> str:
         return "none"
@@ -152,16 +142,19 @@ class CongruenceSelector(PrimeSelector):
         object.__setattr__(self, "excluded", prime_divisors(self.modulus))
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
-        allowed = np.zeros(self.modulus, dtype=bool)
-        for r in self.residues:
-            allowed[r] = True
-        return allowed[prime_residues(primes, self.modulus)]
+        return self.residue_table()[1][prime_residues(primes, self.modulus)]
 
     def congruence_modulus(self):
         return self.modulus
 
-    def as_congruence(self):
-        return (self.modulus, self.residues)
+    def residue_table(self):
+        table = np.zeros(self.modulus, dtype=bool)
+        table[np.fromiter(self.residues, dtype=np.int64, count=len(self.residues))] = True
+        return self.modulus, table
+
+    def analytic_density(self) -> Fraction:
+        # no table: at a modulus near MODULUS_LIMIT it would take a gigabyte
+        return Fraction(len(self.residues), totient(self.modulus))
 
     def describe(self) -> str:
         return f"mod:{self.modulus}:{','.join(str(r) for r in sorted(self.residues))}"
@@ -195,9 +188,6 @@ class DegreeSelector(PrimeSelector):
     def congruence_modulus(self):
         return self.fieldspec.modulus
 
-    def as_congruence(self):
-        return (self.fieldspec.modulus, self.fieldspec.residues_with_degree(self.j))
-
     def residue_table(self):
         return self.fieldspec.modulus, self.fieldspec._degree_table == self.j
 
@@ -222,12 +212,7 @@ class ExplicitList(PrimeSelector):
         return Fraction(0)
 
     def describe(self) -> str:
-        return f"list:[{len(self.primes)} primes]"
-
-
-def _combined_modulus(a: PrimeSelector, b: PrimeSelector) -> int | None:
-    qa, qb = a.congruence_modulus(), b.congruence_modulus()
-    return None if qa is None or qb is None else math.lcm(qa, qb)
+        return f"list:[{len(self._sorted)} primes]"
 
 
 def _lift(node: PrimeSelector, op, *children: PrimeSelector) -> tuple[int, np.ndarray] | None:
@@ -247,27 +232,8 @@ def _lift(node: PrimeSelector, op, *children: PrimeSelector) -> tuple[int, np.nd
     return modulus, op(*tables) & unit_mask(modulus)
 
 
-class _Compound(PrimeSelector):
-    """``and``/``or``/``not``: the congruence and density come from the
-    lifted residue table, with no residue set for the density."""
-
-    def as_congruence(self):
-        lifted = self.residue_table()
-        if lifted is None:
-            return None
-        N, table = lifted
-        return N, frozenset(np.flatnonzero(table).tolist())
-
-    def analytic_density(self) -> Fraction | None:
-        lifted = self.residue_table()
-        if lifted is None:
-            return None
-        N, table = lifted
-        return Fraction(int(np.count_nonzero(table)), totient(N))
-
-
 @dataclass(frozen=True)
-class Complement(_Compound):
+class Complement(PrimeSelector):
     inner: PrimeSelector
 
     def __post_init__(self):
@@ -283,7 +249,7 @@ class Complement(_Compound):
         return self.inner.congruence_modulus()
 
     def analytic_density(self) -> Fraction | None:
-        # the complement in the unit residues; no residue set is lifted
+        # the complement in the unit residues; no table is lifted
         if self.inner.congruence_modulus() is None:
             return None
         return 1 - self.inner.analytic_density()
@@ -296,7 +262,10 @@ class Complement(_Compound):
 
 
 @dataclass(frozen=True)
-class Intersection(_Compound):
+class _Pair(PrimeSelector):
+    """``left`` and ``right`` joined by the ufunc ``_op``, named ``_word``:
+    their masks, and their residue tables lifted to the lcm of their moduli."""
+
     left: PrimeSelector
     right: PrimeSelector
 
@@ -308,47 +277,28 @@ class Intersection(_Compound):
             object.__setattr__(self, "norm_exponent", None)
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
-        keep = self.left.mask(primes) & self.right.mask(primes)
+        keep = self._op(self.left.mask(primes), self.right.mask(primes))
         for p in self.excluded:
             keep &= primes != p
         return keep
 
     def congruence_modulus(self):
-        return _combined_modulus(self.left, self.right)
+        qa, qb = self.left.congruence_modulus(), self.right.congruence_modulus()
+        return None if qa is None or qb is None else math.lcm(qa, qb)
 
     def residue_table(self):
-        return _lift(self, np.logical_and, self.left, self.right)
+        return _lift(self, self._op, self.left, self.right)
 
     def describe(self) -> str:
-        return f"({self.left.describe()} and {self.right.describe()})"
+        return f"({self.left.describe()} {self._word} {self.right.describe()})"
 
 
-@dataclass(frozen=True)
-class Union(_Compound):
-    left: PrimeSelector
-    right: PrimeSelector
+class Intersection(_Pair):
+    _op, _word = np.logical_and, "and"
 
-    def __post_init__(self):
-        object.__setattr__(self, "excluded", self.left.excluded | self.right.excluded)
-        if self.left.norm_exponent == self.right.norm_exponent:
-            object.__setattr__(self, "norm_exponent", self.left.norm_exponent)
-        else:
-            object.__setattr__(self, "norm_exponent", None)
 
-    def mask(self, primes: np.ndarray) -> np.ndarray:
-        keep = self.left.mask(primes) | self.right.mask(primes)
-        for p in self.excluded:
-            keep &= primes != p
-        return keep
-
-    def congruence_modulus(self):
-        return _combined_modulus(self.left, self.right)
-
-    def residue_table(self):
-        return _lift(self, np.logical_or, self.left, self.right)
-
-    def describe(self) -> str:
-        return f"({self.left.describe()} or {self.right.describe()})"
+class Union(_Pair):
+    _op, _word = np.logical_or, "or"
 
 
 # -- command-line mini-language ---------------------------------------------
@@ -438,6 +388,10 @@ def parse_selector(expr: str, base_dir: str | Path = ".") -> PrimeSelector:
                 raise ParseError(f"cannot read prime list {path}: {exc}")
             except ValueError:
                 raise ParseError(f"non-integer entry in prime list {path}")
+            prime = is_prime_array(primes)
+            if not prime.all():
+                raise NonPrimeRow(f"entry {primes[int(np.argmin(prime))]} in prime list "
+                                  f"{path} is not prime")
             return ExplicitList(primes)
         raise ParseError(f"unknown selector token {tok!r}")
 

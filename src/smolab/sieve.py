@@ -391,7 +391,8 @@ def residue_prime_counts(x: int, q: int) -> np.ndarray:
 
     Lucy's recurrence (``_lucy_walk``) on one int32 row per unit residue;
     int32 is exact below 2**31 > PRIME_LIMIT.  The primes dividing q lie in
-    no unit row and are added back at the end.
+    no unit row and are added back at the end.  A state above
+    RECURRENCE_STATE_BYTES is refused with LimitExceeded before it is built.
     """
     return residue_prime_counts_grid([x], q)[0]
 
@@ -411,6 +412,7 @@ def residue_prime_counts_grid(grid, q: int) -> np.ndarray:
     counts = np.zeros((len(grid), q), dtype=np.int64)
     if x < 2:
         return counts
+    _check_state(x, totient(q), 4)
     values, n_small = _lucy_values(x)
     units = np.flatnonzero(unit_mask(q))
     state = np.empty((len(units), len(values)), dtype=np.int32)  # filled a row at a time
@@ -437,7 +439,8 @@ def residue_prime_power_sums(x: int, q: int, exponents) -> np.ndarray:
     float64 array of shape (len(exponents), q), one row per exponent s > 1.
 
     Every exponent takes one block of rows in a single run of ``_lucy_walk``,
-    so they share its pass over the primes up to sqrt(x).
+    so they share its pass over the primes up to sqrt(x).  A state above
+    RECURRENCE_STATE_BYTES is refused with LimitExceeded before it is built.
 
     Error: each of the about pi(sqrt(x)) updates of a cell rounds three times
     (difference, product, subtraction), each time by at most eps = 2**-53
@@ -458,6 +461,7 @@ def residue_prime_power_sums(x: int, q: int, exponents) -> np.ndarray:
     out = np.zeros((len(exponents), q))
     if x < 2:
         return out
+    _check_state(x, len(exponents) * totient(q), 8)
     units = np.flatnonzero(unit_mask(q))
     state = _power_sum_rows(_lucy_values(x)[0], q, units, exponents)
     _lucy_walk(x, q, state, exponents)
@@ -512,6 +516,18 @@ def _em_correction(s: float, q: int, u, f):
     return f * h * (w1 * c1 + h * h * (w3 * c3 + h * h * w5 * c5))
 
 
+def _state_bytes(x: int, rows: int, cell_bytes: int) -> int:
+    """Bytes of a recurrence state at x >= 2: about 2 sqrt(x) cells per row."""
+    return 2 * rows * cell_bytes * math.isqrt(x)
+
+
+def _check_state(x: int, rows: int, cell_bytes: int) -> None:
+    size = _state_bytes(x, rows, cell_bytes)
+    if size > RECURRENCE_STATE_BYTES:
+        raise LimitExceeded(f"recurrence state at x = {x} with {rows} rows takes {size} "
+                            f"bytes, capped at {RECURRENCE_STATE_BYTES}")
+
+
 def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
     """Whether the recurrence at every x >= 2 of ``xs`` is predicted to beat
     one sieve up to max(xs), within a bounded state.
@@ -548,7 +564,7 @@ def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
         return False
     rows, cell_bytes = (1, 4) if exponents is None else (exponents, 8)
     rows *= totient(q)
-    if 2 * rows * cell_bytes * math.isqrt(max(xs)) > RECURRENCE_STATE_BYTES:
+    if _state_bytes(max(xs), rows, cell_bytes) > RECURRENCE_STATE_BYTES:
         return False
     seconds = sum((8.3e-5 * math.sqrt(x) + 1.2e-8 * rows * cell_bytes * x**0.75) / math.log(x)
                   for x in xs)

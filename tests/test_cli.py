@@ -365,6 +365,26 @@ def test_emit_io_error(tmp_path):
         emit(report, "json", tmp_path / "missing-dir" / "out.json")
 
 
+def test_prime_list_selector_counts_distinct_primes(capsys, tmp_path):
+    listfile = tmp_path / "primes.txt"
+    listfile.write_text("5\n7\n7\n")
+    code, out, _ = run(capsys, "density", "natural", "--selector", f"list:{listfile}",
+                       "--x", "100")
+    assert code == 0
+    diagnostics = json.loads(out)["results"]["diagnostics"]
+    assert diagnostics["selector"] == "list:[2 primes]"
+    assert diagnostics["selected_counts"] == [2]
+
+
+def test_prime_list_selector_refuses_a_composite_entry(capsys, tmp_path):
+    listfile = tmp_path / "primes.txt"
+    listfile.write_text("5\n7\n7\n4\n")
+    code, out, err = run(capsys, "density", "natural", "--selector", f"list:{listfile}",
+                         "--x", "100")
+    assert code == 1 and out == ""
+    assert err.startswith(f"non-prime-row: entry 4 in prime list {listfile} is not prime")
+
+
 def test_nonpositive_congruence_modulus_is_a_typed_error():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -68,7 +68,7 @@ def test_dirichlet_inert_norms_vanish():
 
 def test_dirichlet_underlying_primes_of_inert_set():
     fs = FieldSpec(7, (6,))
-    under = CongruenceSelector(7, fs.residues_with_degree(3))
+    under = CongruenceSelector(7, frozenset(np.flatnonzero(fs._degree_table == 3).tolist()))
     est = dirichlet_density_estimate(under, [1.5, 1.25, 1.0625], 10**6)
     assert abs(est.extrapolated - 2.0 / 3.0) < 0.03
 
@@ -277,7 +277,7 @@ def test_huge_compound_modulus_is_never_lifted(capsys, monkeypatch):
     def no_lift(self):
         raise AssertionError("residue lift attempted")
 
-    monkeypatch.setattr(Intersection, "as_congruence", no_lift)
+    monkeypatch.setattr(Intersection, "residue_table", no_lift)
     code = main(["density", "natural", "--selector", "mod:100000000:1 and mod:99999989:1",
                  "--x", "100"])
     diagnostics = json.loads(capsys.readouterr().out)["results"]["diagnostics"]

@@ -73,9 +73,10 @@ def tuple_bfs_reference(gen_maps, limit):
 def set_classes_reference(G):
     """Conjugacy classes as sets of G.mul conjugates, ordered by (size, least element)."""
     classes, remaining = [], set(range(G.order))
+    inverse = np.argmin(G.table, axis=1).tolist()  # g * inverse[g] is the identity 0
     while remaining:
         x = min(remaining)
-        orbit = {G.mul(G.mul(G.inverse(g), x), g) for g in range(G.order)}
+        orbit = {G.mul(G.mul(inverse[g], x), g) for g in range(G.order)}
         classes.append(sorted(orbit))
         remaining -= orbit
     classes.sort(key=lambda c: (len(c), c[0]))
@@ -90,9 +91,10 @@ def brute_class_sizes(G):
     """Exhaustive conjugation oracle on the multiplication table."""
     sizes = []
     remaining = set(range(G.order))
+    inverse = np.argmin(G.table, axis=1).tolist()  # g * inverse[g] is the identity 0
     while remaining:
         x = min(remaining)
-        orbit = {G.mul(G.mul(G.inverse(g), x), g) for g in range(G.order)}
+        orbit = {G.mul(G.mul(inverse[g], x), g) for g in range(G.order)}
         sizes.append(len(orbit))
         remaining -= orbit
     return sorted(sizes)
@@ -239,7 +241,7 @@ def test_conjugacy_class_invariants():
         # class_of constant on conjugates
         for x in range(G.order):
             for g in range(G.order):
-                y = G.mul(G.mul(G.inverse(g), x), g)
+                y = G.mul(G.mul(int(np.argmin(G.table[g])), x), g)
                 assert part.class_of[y] == part.class_of[x]
 
 

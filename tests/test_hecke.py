@@ -41,7 +41,7 @@ def test_normalization_round_trip(tau_rep):
 def test_local_factor_degree(tau_rep):
     f = tau_rep.local_factor(11)
     assert f.q == 11 and f.degree == 2 and f.k == 2
-    assert f.is_tempered
+    assert all(abs(abs(a) - 1.0) <= 1e-9 for a in f.alphas)
 
 
 def test_empty_file_is_valid():

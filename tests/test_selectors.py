@@ -23,6 +23,15 @@ def members(selector, primes=PRIMES):
     return set(primes[selector.mask(primes)].tolist())
 
 
+def residue_set(selector):
+    """The residue table as (modulus, frozenset of the residues set), or None."""
+    lifted = selector.residue_table()
+    if lifted is None:
+        return None
+    N, table = lifted
+    return N, frozenset(np.flatnonzero(table).tolist())
+
+
 def test_all_and_none():
     assert members(AllPrimes()) == set(PRIMES.tolist())
     assert members(NoPrimes()) == set()
@@ -83,6 +92,19 @@ def test_boolean_combinations():
     assert members(either) == (ga | gb) - {2, 3}
     assert both.analytic_density() == Fraction(1, 4)
     assert either.analytic_density() == Fraction(3, 4)
+
+
+def test_and_or_pairs_differ_only_in_their_operation(tmp_path):
+    a = CongruenceSelector(8, frozenset({1}))
+    b = DegreeSelector(FieldSpec(7, (6,)), 3)
+    assert Intersection(a, b) != Union(a, b)
+    assert Intersection(a, b) == Intersection(CongruenceSelector(8, frozenset({1})), b)
+    assert hash(Union(a, b)) == hash(Union(CongruenceSelector(8, frozenset({1})), b))
+    assert Intersection(a, b).norm_exponent is None and Union(a, a).norm_exponent == 1
+    assert repr(Union(a, b)).startswith("Union(left=CongruenceSelector(")
+    (tmp_path / "n7h6.txt").write_text("N=7\nH=6\n")
+    sel = parse_selector("(mod:8:1 or mod:8:3) and not degree:n7h6.txt:1", base_dir=tmp_path)
+    assert sel.describe() == "((mod:8:1 or mod:8:3) and not degree:n7h6.txt:1)"
 
 
 def test_density_of_degree_classes_sums_to_one():
@@ -178,7 +200,7 @@ def mod_atoms(draw):
 
 
 selector_trees = st.recursive(
-    mod_atoms() | degree_atoms(),
+    mod_atoms() | degree_atoms() | st.just(AllPrimes()) | st.just(NoPrimes()),
     lambda inner: (st.builds(Complement, inner) | st.builds(Intersection, inner, inner)
                    | st.builds(Union, inner, inner)),
     max_leaves=5,
@@ -189,7 +211,7 @@ selector_trees = st.recursive(
 @given(selector_trees)
 def test_mask_picks_exactly_the_congruence_residues(selector):
     # the residue counts of the density estimators rest on this invariant
-    modulus, residues = selector.as_congruence()
+    modulus, residues = residue_set(selector)
     assert selector.congruence_modulus() == modulus
     picked = selector.mask(PRIMES_1E5)
     expected = np.isin(PRIMES_1E5 % modulus, np.array(sorted(residues), dtype=np.int64))
@@ -199,7 +221,7 @@ def test_mask_picks_exactly_the_congruence_residues(selector):
 
 def density_over_all_residues(selector):
     """The former analytic_density: every unit residue of range(N), one by one."""
-    cong = selector.as_congruence()
+    cong = residue_set(selector)
     if cong is None:
         return None
     N, residues = cong
@@ -245,14 +267,14 @@ def congruence_by_residue_walk(selector):
 
         op = set.intersection if isinstance(selector, Intersection) else set.union
         return N, frozenset(op(lift(na, ra), lift(nb, rb)))
-    return selector.as_congruence()
+    return residue_set(selector)
 
 
 @settings(max_examples=100, deadline=None)
 @given(selector_trees)
 def test_lifted_congruence_matches_residue_walk(selector):
-    assert selector.as_congruence() == congruence_by_residue_walk(selector)
-    assert Complement(selector).as_congruence() == \
+    assert residue_set(selector) == congruence_by_residue_walk(selector)
+    assert residue_set(Complement(selector)) == \
         congruence_by_residue_walk(Complement(selector))
 
 
@@ -261,7 +283,7 @@ def test_lift_above_the_cap_is_refused_before_any_residue_set():
     with pytest.raises(LimitExceeded):
         parse_selector("mod:999999937:1 and mod:4:1").analytic_density()
     with pytest.raises(LimitExceeded):
-        Complement(CongruenceSelector(999_999_937, frozenset({1}))).as_congruence()
+        Complement(CongruenceSelector(999_999_937, frozenset({1}))).residue_table()
     with pytest.raises(LimitExceeded):
         Intersection(CongruenceSelector(LIFT_MODULUS_LIMIT + 1, frozenset({1})),
                      AllPrimes()).analytic_density()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -317,6 +318,16 @@ def test_recurrence_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20, (fn.__name__, peak)
+
+
+def test_recurrence_state_above_the_bound_is_refused_before_it_is_built():
+    # 17.7 MB and 19.2 MB of state against RECURRENCE_STATE_BYTES = 16 MiB
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded):
+        residue_prime_counts(10**5, 7001)
+    with pytest.raises(LimitExceeded):
+        residue_prime_power_sums(10**6, 8, [1.5] * 300)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_residue_prime_counts_at_the_cap():

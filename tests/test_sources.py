@@ -253,7 +253,7 @@ def _reference_z_ratio(A, B, primes, s_values, m_cap: int = 40):
             prod *= (eval_local(aa, s) * eval_local(bb, s)
                      / (eval_local(ab, s) * eval_local(ba, s)))
             for m in range(1, m_cap + 1):
-                sums = [f.power_sum(m) for f in (aa, bb, ab, ba)]
+                sums = [sum(a**m for a in f.alphas) for f in (aa, bb, ab, ba)]
                 combined_min = min(combined_min, sum(sums).real / m)
                 log_sum += (sums[0] + sums[1] - sums[2] - sums[3]) / m * p ** (-s * m)
         direct.append(prod)
