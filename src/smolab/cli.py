@@ -368,6 +368,8 @@ def _character_table_csv(args) -> str:
 
 
 def _extremal_report(args) -> Report:
+    if args.degree < 1:
+        raise UsageError(f"character degree must be >= 1, got {args.degree}")
     G = _load_group(args.group)
     result = characters.extremal_search(G, args.degree)
     if result is None:
@@ -436,6 +438,8 @@ def _dispatch(args) -> Report | str:
     if args.command == "smo":
         return _dispatch_smo(args, workers)
     if args.command == "data" and args.subcommand == "gen-tau":
+        if args.limit < 1:
+            raise UsageError(f"tau limit must be >= 1, got {args.limit}")
         path = write_tau_csv(args.limit, args.out)
         return Report(
             experiment="data.gen-tau",

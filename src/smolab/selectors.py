@@ -388,6 +388,9 @@ def parse_selector(expr: str, base_dir: str | Path = ".") -> PrimeSelector:
                 raise ParseError(f"cannot read prime list {path}: {exc}")
             except ValueError:
                 raise ParseError(f"non-integer entry in prime list {path}")
+            if max(primes, default=0) > PRIME_LIMIT:
+                raise LimitExceeded(f"entry {max(primes)} in prime list {path} is above "
+                                    f"the prime cap {PRIME_LIMIT}")
             prime = is_prime_array(primes)
             if not prime.all():
                 raise NonPrimeRow(f"entry {primes[int(np.argmin(prime))]} in prime list "

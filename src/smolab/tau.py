@@ -11,31 +11,34 @@ a series with only about sqrt(2n) nonzero terms up to q^n.  Its square, the
 the about n pairs of exponents.  The 24th power is then ((6th)^2)^2, two
 truncated squarings by ``poly_mul_trunc``.
 
-Each product is one Kronecker substitution in base 10^w.  A signed operand
-is written as the base-10^w digits of its value sum c_i 10^(w i), taken
-positive by negating every slot if the top one is negative: slot i borrows
-from slot i + 1 exactly when the last nonzero coefficient at or below i is
-negative, so the digits come from whole-array arithmetic, one ASCII string
-and one ``decimal`` value per operand.  One exact multiplication in a
-context with maximal precision follows; libmpdec multiplies operands of this
-size by number-theoretic transform, which is far faster than CPython's
-Karatsuba on ``int``.  By Cauchy-Schwarz every product coefficient is at
-most ||a|| ||b|| in size, and the slot width w is the least with
-10^w > 2 ceil(||a|| ||b||) (15 and 27 digits for the two squarings at
-n = 2e4).  Then slot i of the product's digits borrows from slot i + 1
-exactly when it reads at least 10^w / 2, whatever slot i - 1 borrowed, so
-the unpacking needs no carry chain either.  Slots are cut into base-10^18
-limbs, written and read a uint8 digit column at a time through int64
-arrays, and joined into ``int`` by object-array arithmetic: one path for
-every coefficient size, with no per-coefficient Python and no ``int``/``str``
-conversion limit.
+Each product is a float64 FFT convolution over balanced limbs (C. Percival,
+Rapid multiplication modulo the sum and difference of highly composite
+numbers, Math. Comp. 72 (2003), 387-395).  Coefficients are split into
+base-2^L digits in [-2^(L-1), 2^(L-1)), on int64 when an operand fits and on
+Python ints otherwise, and each digit column takes one ``rfft`` of length
+2^n, the least power of two that holds the whole product.  The column at
+shift s (bit offset L s) is one ``irfft`` of the spectrum pairs j + k = s,
+rounded; the columns are carried low to high into int64 words of at most 60
+bits, and only those few words become ``int``.
 
-On a 2-vCPU x86-64 VM (Python 3.11.7, numpy 2.4.6) ``discriminant_coefficients``
-takes 0.09-0.12 s at 2e4 and 0.69-0.74 s at TAU_LIMIT = 1e5, against
-0.19-0.22 s and 1.26-1.36 s for the earlier three full squarings that packed
-and unpacked a slot at a time; ``data gen-tau --limit 100000`` peaks at
-60 MiB of RSS against 71 MiB.  ``decimal`` is already loaded by
-``fractions`` when smolab is imported, so start-up does not grow.
+A digit column has norm at most 2^(L-1) sqrt(length), and a shift sums at
+most P = ceil(bits / L) + 1 pairs (bits of the smaller operand's largest
+coefficient), so by Percival's Theorem 5.1, with the twiddle error taken as
+eps = 2^-53, a column is off by less than
+P 4^(L-1) sqrt(len a len b) ((1 + eps)^(6n+P-1) (1 + eps sqrt5)^(3n+1) - 1),
+about P 4^(L-1) sqrt(len a len b) (12.7 n + P + 1.2) eps.  L is the widest
+limb that keeps this below 1/4, fixed before any transform.  Every column is
+then below 2^50, where float64 is exact, and a rounding residual above 1/4,
+which only a transform less accurate than the bound assumes could give,
+raises ``NumericalDegeneracy``.  L is 14 at 2e4 (length 2^16; bounds 0.09 and
+0.12 for the two squarings) and 13 at TAU_LIMIT = 1e5 (2^18; 0.13 and 0.22);
+the largest residuals seen are 7.6e-6 and 6.7e-6.
+
+On a 2-vCPU x86-64 VM (Python 3.11.7, numpy 2.4.6), in fresh processes,
+``discriminant_coefficients`` takes 41-47 ms at 2e4 and 213-234 ms at 1e5
+(Kronecker products in ``decimal`` before: 107-120 ms and 673-729 ms), and
+``data gen-tau`` peaks at 41.8 and 60.6 MiB of RSS (before: 41.5 and 61.0).
+``numpy.fft`` is loaded by the first product, not when smolab is imported.
 """
 
 from __future__ import annotations
@@ -43,18 +46,18 @@ from __future__ import annotations
 import csv
 import io
 import math
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .errors import LimitExceeded
+from .errors import LimitExceeded, NumericalDegeneracy
 from .sieve import prime_array
 
 TAU_LIMIT = 10**5
 
-_LIMB_DIGITS = 18  # limbs below 10**18 < 2**63 fit int64
-_LIMB = 10**_LIMB_DIGITS
+_EPS = 2.0**-53  # unit roundoff of float64
+_WORD_BITS = 60  # limbs are recombined into int64 words of at most this many bits
 
 
 def _jacobi_terms(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,105 +83,99 @@ def _eta_sixth(order: int) -> np.ndarray:
     return out
 
 
-def _limb_columns(width: int) -> list[tuple[int, int]]:
-    """Digit columns [start, end) of the base-10^18 limbs of a slot, lowest first."""
-    return [(max(0, end - _LIMB_DIGITS), end) for end in range(width, 0, -_LIMB_DIGITS)]
+def _integers(coeffs) -> np.ndarray:
+    """An integer sequence as int64 when every entry fits, else as Python ints."""
+    try:
+        return np.asarray(coeffs, dtype=np.int64)
+    except OverflowError:
+        return np.array(coeffs, dtype=object)
 
 
-def _flip_add(limbs: list[np.ndarray], width: int, flip: np.ndarray,
-              add: np.ndarray) -> list[np.ndarray]:
-    """int64 limbs, lowest first, of (10**width - 1 - x where ``flip``, else x)
-    + ``add``, for slots x < 10**width given by their limbs and add in
-    {-1, 0, 1}; every result lies in [0, 10**width)."""
-    out, carry = [], add.astype(np.int64)
-    for (start, end), limb in zip(_limb_columns(width), limbs):
-        limb = np.where(flip, 10 ** (end - start) - 1 - limb, limb) + carry
-        carry = (limb >= _LIMB).astype(np.int64) - (limb < 0)
-        limb -= carry * _LIMB
-        out.append(limb)
-    return out
+def _limb_width(bits: int, length: float, size: int) -> int:
+    """The widest limbs L whose a-priori product error stays below 1/4.
+
+    ``bits`` is the bit length of the smaller operand's largest coefficient,
+    ``length`` is sqrt(len a * len b) and ``size`` = 2**n the transform length.
+    """
+    n = size.bit_length() - 1
+    for width in range(25, 0, -1):  # 4**(L-1) * sqrt(5) eps < 1/4 needs L <= 25
+        pairs = -(-bits // width) + 1  # limbs of the smaller operand, at most
+        growth = math.expm1((6 * n + pairs - 1) * math.log1p(_EPS)
+                            + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5)))
+        if pairs * 4.0 ** (width - 1) * length * growth < 0.25:
+            return width
+    raise NumericalDegeneracy(f"no limb width keeps a product of length {size} exact")
 
 
-def _pack(coeffs: np.ndarray, width: int) -> Decimal:
-    """sum c_i 10^(width i) of a nonzero object array of ints with |c_i| < 10^width."""
-    nonzero = coeffs != 0
-    negative = bool(coeffs[np.flatnonzero(nonzero)[-1]] < 0)
-    # the digits of |value|: negate every slot when the top one is negative
-    below = coeffs > 0 if negative else coeffs < 0
-    # slot i borrows from slot i + 1 when the last nonzero coefficient at or
-    # below i is below zero, and then holds 10^width - |c_i| - (borrow into it)
-    borrow = below[np.maximum.accumulate(np.where(nonzero, np.arange(len(coeffs)), 0))]
-    magnitude, limbs = np.abs(coeffs), []
-    for start, _ in _limb_columns(width):
-        limbs.append((magnitude % _LIMB if start else magnitude).astype(np.int64))
-        if start:
-            magnitude = magnitude // _LIMB
-    add = borrow.astype(np.int64)
-    add[1:] -= borrow[:-1]
-    # the sign (or a leading zero), then the slots from the highest down
-    text = np.empty(1 + len(coeffs) * width, dtype=np.uint8)
-    text[0] = ord("-" if negative else "0")
-    digits = text[1:].reshape(len(coeffs), width)[::-1]  # row i is slot i
-    for (start, end), limb in zip(_limb_columns(width), _flip_add(limbs, width, borrow, add)):
-        for col in range(end - 1, start - 1, -1):
-            limb, digits[:, col] = np.divmod(limb, 10)
-    digits += ord("0")
-    return Decimal(str(text.data, "ascii"))
+def _limbs(values: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Balanced base-2**width digits of an integer array, lowest first, as float64."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    while values.any():
+        digit = values & mask
+        up = digit >= half  # take the digit as digit - 2**width and carry one
+        yield (digit - (up.astype(np.int64) << width)).astype(np.float64)
+        values = (values >> width) + up  # no overflow at +-(2**63 - 1)
 
 
-def _unpack(packed: Decimal, width: int, count: int) -> list[int]:
-    """The balanced base-10^width slots 0..count-1 of an integer ``Decimal``."""
-    text = str(packed)
-    text = text[max(packed.is_signed(), len(text) - width * count):].encode("ascii")
-    digits = np.full(width * count, ord("0"), dtype=np.uint8)
-    digits[len(digits) - len(text):] = np.frombuffer(text, dtype=np.uint8)
-    del text
-    digits -= ord("0")
-    digits = digits.reshape(count, width)[::-1]  # row i is slot i
-    limbs = []
-    for start, end in _limb_columns(width):
-        limb = np.zeros(count, dtype=np.int64)
-        for col in range(start, end):
-            limb *= 10
-            limb += digits[:, col]
-        limbs.append(limb)
-    # every |coefficient| < 10^width / 2, so slot i borrows exactly when it
-    # reads at least 10^width / 2, whatever slot i - 1 borrowed; a borrowing
-    # slot holds 10^width - |c_i| + (borrow into it)
-    borrow = digits[:, 0] >= 5
-    del digits
-    add = borrow.copy()
-    add[1:] ^= borrow[:-1]
-    limbs = _flip_add(limbs, width, borrow, add)
-    values = limbs.pop().astype(object)
-    while limbs:  # in place, so one int per slot is alive at a time
-        np.multiply(values, _LIMB, out=values)
-        np.add(values, limbs.pop(), out=values)
-    np.negative(values, out=values, where=borrow ^ packed.is_signed())
-    return values.tolist()
+def _product_words(a: np.ndarray, b: np.ndarray, kept: int, width: int,
+                   size: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The first ``kept`` product coefficients as a sign in {0, -1} and int64
+    words of 60 // width base-2**width digits, lowest first: one inverse
+    transform per shift, carried low to high until the carry is the sign."""
+    fa = [np.fft.rfft(limb, size) for limb in _limbs(a, width)]
+    fb = fa if b is a else [np.fft.rfft(limb, size) for limb in _limbs(b, width)]
+    spectrum, term = np.empty_like(fa[0]), np.empty_like(fa[0])
+    inverse = np.empty(size)
+    per_word, shifts = _WORD_BITS // width, len(fa) + len(fb) - 1
+    carry, words, shift = np.zeros(kept, dtype=np.int64), [], 0
+    while shift < shifts or shift % per_word or ((carry != 0) & (carry != -1)).any():
+        if shift < shifts:
+            spectrum[:] = 0
+            for j in range(max(0, shift - len(fb) + 1), min(shift, len(fa) - 1) + 1):
+                spectrum += np.multiply(fa[j], fb[shift - j], out=term)
+            column = np.fft.irfft(spectrum, size, out=inverse)[:kept]
+            rounded = np.rint(column)
+            if np.abs(np.subtract(column, rounded, out=column), out=column).max() > 0.25:
+                raise NumericalDegeneracy(f"FFT rounding residual above 1/4 at length {size}")
+            np.add(carry, rounded, out=carry, casting="unsafe")
+        digit = carry & ((1 << width) - 1)
+        carry >>= width
+        if shift % per_word:
+            words[-1] |= digit << (width * (shift % per_word))
+        else:
+            words.append(digit)
+        shift += 1
+    return carry, words
 
 
 def poly_mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:
-    """Exact truncated product of integer polynomials via Kronecker packing.
+    """Exact truncated product of integer polynomials by float FFT over limbs.
 
-    Each signed operand is packed once into a ``decimal`` integer; a single
-    exact multiplication gives every coefficient up to q^order.  Any integer
-    sequence of any coefficient size is accepted.
+    Any integer sequence of any coefficient size is accepted; the limb width
+    comes from an a-priori rounding bound, and a rounding residual above 1/4
+    raises ``NumericalDegeneracy`` instead of returning a wrong integer.
     """
+    count = order + 1
     square = a is b
-    a = np.array(a[: order + 1], dtype=object)
-    b = a if square else np.array(b[: order + 1], dtype=object)
-    norm2_a = a.dot(a)
-    norms2 = norm2_a * (norm2_a if square else b.dot(b))  # (||a|| ||b||)^2
-    if norms2 == 0:
-        return [0] * (order + 1)
-    bound = math.isqrt(norms2 - 1) + 1  # ceil(||a|| ||b||) >= every |coefficient|
-    width = len(str(2 * bound))  # 10**width > 2 * bound
-    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    pa = _pack(a, width)
-    product = ctx.multiply(pa, pa if square else _pack(b, width))
-    del pa  # the operands are as large as half the product
-    return _unpack(product, width, order + 1)
+    a = _integers(a[:count])
+    b = a if square else _integers(b[:count])
+    if not (a.any() and b.any()):
+        return [0] * count
+    span = len(a) + len(b) - 1  # the product's length before truncation
+    size = 1 << (span - 1).bit_length()  # least power of two >= span: no wrap-around
+    bits = min(max(int(v.max()).bit_length(), int(v.min()).bit_length()) for v in (a, b))
+    width = _limb_width(bits, math.sqrt(len(a) * len(b)), size)
+    kept = min(count, span)
+    sign, words = _product_words(a, b, kept, width, size)
+    # Horner over the words from the top; the sign and the top word fit int64
+    word_bits = width * (_WORD_BITS // width)
+    values = (sign << word_bits) + words.pop()
+    if words:  # beyond int64: Python ints
+        values = values.astype(object)
+    for word in reversed(words):
+        np.multiply(values, 1 << word_bits, out=values)
+        np.add(values, word, out=values)
+    return values.tolist() + [0] * (count - kept)
 
 
 def discriminant_coefficients(limit: int) -> list[int]:
@@ -189,7 +186,8 @@ def discriminant_coefficients(limit: int) -> list[int]:
         return []
     order = limit - 1  # the leading q shifts everything by one
     e6 = _eta_sixth(order)
-    e12 = poly_mul_trunc(e6, e6, order)
+    e12 = _integers(poly_mul_trunc(e6, e6, order))  # int64 below 2**47 at TAU_LIMIT
+    del e6
     return poly_mul_trunc(e12, e12, order)
 
 

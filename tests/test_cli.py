@@ -420,6 +420,9 @@ BAD_ARGV = [
      "--sigma", "0.8", "--cutoffs", "1e400"),
     ("density", "natural", "--selector", "mod:1000000000000:1", "--x", "100"),
     ("frobstats", "bigfield.txt", "--x", "100"),
+    ("density", "natural", "--selector", "list:biglist.txt", "--x", "100"),
+    ("data", "gen-tau", "--limit", "-3"),
+    ("charlab", "extremal", "cyclic(4)", "--degree", "0"),
 ]
 
 
@@ -428,6 +431,7 @@ BAD_ARGV = [
 def test_bad_values_are_typed_errors(argv, tmp_path):
     (tmp_path / "field.txt").write_text("N=4\nH=\n")
     (tmp_path / "bigfield.txt").write_text("N=100000000000\n")
+    (tmp_path / "biglist.txt").write_text(f"5\n{2**127 - 1}\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -447,6 +451,21 @@ def test_huge_moduli_are_refused_before_allocation(capsys, tmp_path):
     spec.write_text("N=100000000000\n")
     code, _, err = run(capsys, "frobstats", str(spec), "--x", "100")
     assert code == 1 and err.startswith("limit-exceeded: field modulus capped"), err
+
+
+def test_values_that_would_exit_zero_or_overflow_are_refused(capsys, tmp_path):
+    # a header-only tau file, a note about degree-0 characters and an int64
+    # overflow in the list selector were the old outcomes
+    code, _, err = run(capsys, "data", "gen-tau", "--limit", "-3",
+                       "--out", str(tmp_path / "tau.csv"))
+    assert code == 1 and err.startswith("usage-error: tau limit"), err
+    assert not (tmp_path / "tau.csv").exists()
+    code, _, err = run(capsys, "charlab", "extremal", "cyclic(4)", "--degree", "0")
+    assert code == 1 and err.startswith("usage-error: character degree"), err
+    (tmp_path / "biglist.txt").write_text(f"5\n{2**127 - 1}\n")
+    code, _, err = run(capsys, "density", "natural", "--selector",
+                       f"list:{tmp_path / 'biglist.txt'}", "--x", "100")
+    assert code == 1 and err.startswith("limit-exceeded: "), err
 
 
 def test_compound_modulus_above_the_lift_cap_is_a_typed_error(tmp_path):

@@ -1,14 +1,16 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smolab.errors import LimitExceeded
+import smolab.tau
+from smolab.errors import LimitExceeded, NumericalDegeneracy
 from smolab.sieve import simple_sieve
-from smolab.tau import (_eta_sixth, _jacobi_terms, discriminant_coefficients, generate_tau,
-                        poly_mul_trunc, tau_csv_text)
+from smolab.tau import (_eta_sixth, _jacobi_terms, _limb_width, discriminant_coefficients,
+                        generate_tau, poly_mul_trunc, tau_csv_text)
 
 # sha256 of ",".join(str(tau(n)) for n in 1..10**4), taken from the earlier
 # Kronecker-substitution implementation (pentagonal series, five int products)
@@ -104,14 +106,19 @@ def test_hecke_multiplicativity():
     assert tau(8) == tau(2) * tau(4) - 2**11 * tau(2)
 
 
-def test_congruence_mod_691():
-    # tau(n) = sigma_11(n) mod 691, an independent arithmetic identity
-    def sigma11(n):
-        return sum(d**11 for d in range(1, n + 1) if n % d == 0)
-
-    d = discriminant_coefficients(200)
-    for n in range(1, 201):
-        assert (d[n - 1] - sigma11(n)) % 691 == 0
+def test_congruence_mod_691(tau_1e4):
+    # tau(n) = sigma_11(n) mod 691, an arithmetic identity sharing no code with
+    # the product: sigma_11 mod 691 from an int64 divisor sieve
+    limit = len(tau_1e4)
+    d = np.arange(limit + 1, dtype=np.int64)
+    power = np.ones(limit + 1, dtype=np.int64)
+    for _ in range(11):
+        power = power * d % 691
+    sigma = np.zeros(limit + 1, dtype=np.int64)
+    for divisor in range(1, limit + 1):
+        sigma[divisor::divisor] += power[divisor]
+    tau_mod = np.array([t % 691 for t in tau_1e4], dtype=np.int64)
+    assert np.array_equal(tau_mod, sigma[1:] % 691)
 
 
 def test_limit_enforced():
@@ -174,6 +181,50 @@ def test_hecke_relations_hold_for_every_n_to_1e4(tau_1e4):
             assert tau(n) == tau(p) * tau(n // p) - p**11 * tau(n // p // p), n
 
 
+def test_discriminant_takes_two_products(monkeypatch):
+    # the benchmark tracer counts these calls through the module attribute
+    calls = []
+    product = smolab.tau.poly_mul_trunc
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(smolab.tau, "poly_mul_trunc", counted)
+    discriminant_coefficients(2000)
+    assert len(calls) == 2
+
+
+# Two operands of length 24 (transform size 64) get 20-bit limbs when the
+# smaller one's coefficients have at most 60 bits, and 19-bit limbs from 61 to
+# 64 bits; the limb-edge examples below are built for these widths.
+EDGE = 2**19
+
+
+def test_edge_examples_sit_at_their_limb_width():
+    assert [_limb_width(bits, 24, 64) for bits in (1, 19, 20, 60)] == [20] * 4
+    assert [_limb_width(bits, 24, 64) for bits in (61, 63, 64)] == [19] * 3
+
+
+def test_unreachable_bound_is_refused_before_any_transform():
+    with pytest.raises(NumericalDegeneracy):
+        _limb_width(64, 1e12, 2**41)
+
+
+def test_rounding_residual_above_a_quarter_is_refused(monkeypatch):
+    # an inverse transform 0.3 off one integer: refused, never rounded away
+    inverse = np.fft.irfft
+
+    def perturbed(*args, **kwargs):
+        out = inverse(*args, **kwargs)
+        out[1] += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    with pytest.raises(NumericalDegeneracy):
+        poly_mul_trunc([1, 2, 3], [4, 5], 3)
+
+
 coefficient = st.one_of(st.integers(-3, 3), st.integers(-10**60, 10**60))
 
 
@@ -189,10 +240,23 @@ coefficient = st.one_of(st.integers(-3, 3), st.integers(-10**60, 10**60))
 @example(a=[7] * 30, b=[7] * 30, order=60)
 @example(a=[7] * 30, b=[-7] * 30, order=60)
 @example(a=[-(10**30)] * 20, b=[10**30] * 20, order=45)
-# |coefficient| 49 next to the half slot 50 (width 2), negative: the widest slot borrows
+# the next two were borrow edges of the earlier base-10**w decimal packing (w = 2)
 @example(a=[1] * 49, b=[-1] * 49, order=100)
-# width 2 and -42 at q^0, read as 58: a slot whose leading digit is 5 borrows
 @example(a=[-6, 0, 0, 1], b=[7], order=3)
+# limb edges at width 20: digits +-2**19 and +-(2**19 - 1)
+@example(a=[EDGE, -EDGE, EDGE - 1, -(EDGE - 1)] * 6,
+         b=[-EDGE, EDGE - 1, EDGE, -(EDGE - 1)] * 6, order=50)
+# int64 extremes at width 19, split without overflow
+@example(a=[2**63 - 1, -(2**63 - 1), -(2**63)] * 8, b=[-(2**63 - 1), 2**63 - 1, 1] * 8,
+         order=50)
+# a run of 2**20 - 1, each split into the digits -1 and 1
+@example(a=[2 * EDGE - 1] * 24, b=[2 * EDGE - 1] * 24, order=50)
+# 2**80 - 1 is the digits -1, 0, 0, 0, 1: the borrow runs through every digit
+@example(a=[2**80 - 1] + [0] * 23, b=[1] + [0] * 23, order=50)
+# two limbs each: the last shift closes a word, and its carry must still run out
+@example(a=[(EDGE - 1) << 20] * 24, b=[-(EDGE - 1) << 20] * 24, order=50)
+# an int64 operand with a big-int one
+@example(a=[3, -5, 2**62] + [1] * 21, b=[10**40, -(10**30), 7] + [-1] * 21, order=50)
 def test_poly_mul_matches_schoolbook_on_signed_inputs(a, b, order):
     assert poly_mul_trunc(a, b, order) == schoolbook(a, b, order)
 
@@ -202,8 +266,11 @@ def test_poly_mul_matches_schoolbook_on_signed_inputs(a, b, order):
 @example(a=[-(10**50)] * 10, order=30)
 @example(a=[3] * 30, order=60)
 @example(a=[-3] * 30, order=60)
-# -50 at q^49 attains ||a||^2 = 50 and borrows
+# -50 at q^49 attains ||a||^2 = 50; the next was a borrow edge of the decimal packing
 @example(a=[1] * 25 + [-1] * 25, order=99)
-@example(a=[-2, -4, 5], order=4)  # width 2; -40 at q^3 is read with leading digit 5
+@example(a=[-2, -4, 5], order=4)
+@example(a=[EDGE, -EDGE, EDGE - 1, -(EDGE - 1)] * 6, order=50)
+@example(a=[2**63 - 1] * 12 + [-(2**63 - 1)] * 12, order=50)
+@example(a=[2 * EDGE - 1] * 24, order=50)
 def test_poly_mul_squaring_matches_schoolbook(a, order):
     assert poly_mul_trunc(a, a, order) == schoolbook(a, a, order)
