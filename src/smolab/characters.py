@@ -1,20 +1,34 @@
 """Ordinary character tables and the same-degree distinguishing bound.
 
-Tables are computed by the class-algebra eigenvector method.  The integer
-structure constants of the class sums are held as one cell index per
-(element, class) pair; each attempt sums a seeded random integer combination
-of the class matrices in one exact ``bincount``, diagonalizes it in double
-precision, and normalizes the common eigenvectors through the orthogonality
-relations.
+Tables are computed by the class-algebra eigenvector method with Dixon and
+Schneider's eigenspace refinement.  The integer structure constants of the
+class sums are held as one cell index per (element, class) pair, and a
+seeded integer combination of the class matrices is summed in one exact
+``bincount``.  The combination sum c_i C_i has c_{i*} = conj(c_i), where i*
+is the class of inverses.  With D = diag(class sizes), its matrix M then
+satisfies D^(-1/2) M D^(1/2) = S + iA, with S real symmetric (from the
+real parts) and A real antisymmetric (from the imaginary parts).
+- One ``eigh`` of S separates every character except complex-conjugate
+  pairs, whose eigenvalues of S are equal, and accidental coincidences.
+- Each cluster of eigenvalues within EIG_SEPARATION_TOL is refined: iA,
+  then fresh seeded S + iA combinations, restricted to the cluster's
+  eigenspace.  The class algebra is commutative, so every combination maps
+  that eigenspace to itself.  The small blocks are solved in one stacked
+  ``eigh`` per cluster size.  A cluster still unsplit after the last round
+  raises NumericalDegeneracy.
+- The eigenvectors of M are v = D^(1/2) u, and they are normalized through
+  the orthogonality relations.
 
-An attempt keeps the table as one (r, r) complex128 array, a character per
-row, from the eigenvector matrix to the report bytes.  Each step is one
-whole-matrix expression:
+The table is one (r, r) complex128 array, a character per row, from the
+eigenvectors to the report bytes.  Each step is one whole-matrix
+expression:
 - divide each row by its identity-class entry;
 - take the norms, the degrees and the sum of squared degrees;
 - snap the real and imaginary parts;
 - check the values, their bound and integrality;
-- order the rows with one ``np.lexsort``.
+- order the rows by degree, then by descending values class by class.  The
+  real and imaginary parts of each class are ranked with values within
+  VALUE_EQ_TOL tied, so float noise in equal values cannot decide the order.
 The sorted array is stored read-only as ``CharacterTable.values``.  The
 orthogonality check reads it, and so does ``charlab table``, whose
 serializer renders a complex array row directly.  Each ``Character.values``
@@ -46,9 +60,12 @@ from .groups import ConjugacyClassPartition, FiniteGroup
 
 VALUE_EQ_TOL = 1e-9
 SNAP_TOL = 1e-7
-EIG_SEPARATION_TOL = 1e-8
+# eigenvalues within this fraction of the spectrum's scale are refined as one
+# cluster, so no eigenvector rests on a smaller gap: its error stays near
+# 2**-52 / EIG_SEPARATION_TOL, about 2e-11, far inside VALUE_EQ_TOL
+EIG_SEPARATION_TOL = 1e-5
 ORTHOGONALITY_TOL = 1e-6
-_MAX_ATTEMPTS = 8
+_REFINE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -110,7 +127,7 @@ def _class_cells(G: FiniteGroup) -> tuple[np.ndarray, ConjugacyClassPartition]:
 def _class_matrix(cells: np.ndarray, class_of: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_i coeffs[i] * (class matrix i) in one bincount.
 
-    Every entry is an integer of at most max(coeffs) * |G| < 2**53, so the
+    Every entry is an integer of at most max |coeffs| * |G| < 2**53, so the
     float sum is exact in any order.
     """
     r = len(coeffs)
@@ -118,9 +135,13 @@ def _class_matrix(cells: np.ndarray, class_of: np.ndarray, coeffs: np.ndarray) -
     return np.bincount(cells.ravel(), weights=weights.ravel(), minlength=r * r).reshape(r, r)
 
 
-def _attempt_coeffs(order: int, r: int, attempt: int) -> np.ndarray:
-    rng = random.Random(f"class-algebra:{order}:{r}:{attempt}")
-    return np.array([rng.randrange(1, 1000) for _ in range(r)], dtype=float)
+def _round_coeffs(order: int, r: int, inverse: np.ndarray, round_: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One round's seeded integer coefficients (sym, anti): sym[i] = sym[i*] and
+    anti[i] = -anti[i*], where i* = inverse[i] is the class of inverses."""
+    rng = random.Random(f"class-algebra:{order}:{r}:{round_}")
+    a, b = (np.frombuffer(rng.randbytes(8 * r), dtype="<u4") % 999 + 1.0).reshape(2, r)
+    return a + a[inverse], b - b[inverse]
 
 
 def _snap_half_integers(x: np.ndarray) -> np.ndarray:
@@ -129,31 +150,101 @@ def _snap_half_integers(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x - h) <= SNAP_TOL, h, x)
 
 
-def _eigenvector_rows(cells: np.ndarray, part: ConjugacyClassPartition, order: int,
-                      attempt: int) -> np.ndarray | None:
-    """The common eigenvectors of one attempt's class matrix, a contiguous row
-    each in eigenvalue order, or None if two eigenvalues coincide."""
-    coeffs = _attempt_coeffs(order, part.num_classes, attempt)
-    M = _class_matrix(cells, np.array(part.class_of), coeffs)
-    eigvals, eigvecs = np.linalg.eig(M)
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    gaps = np.abs(eigvals[:, None] - eigvals[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if np.any(gaps <= EIG_SEPARATION_TOL * scale):
-        return None  # coincident eigenvalues: combination failed to split
-    order_idx = np.lexsort((eigvals.imag, eigvals.real))
-    # summing |omega|^2 over a transposed or fancy-indexed view goes in
-    # another order and moves the last bits of the norms
-    return np.ascontiguousarray(eigvecs[:, order_idx].T)
+def _clusters(w: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Index runs of two or more ascending eigenvalues whose gaps are at most tol."""
+    runs = np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > tol) + 1)
+    return [run for run in runs if len(run) > 1]
 
 
-def _try_table(G: FiniteGroup, cells: np.ndarray, part: ConjugacyClassPartition,
-               attempt: int) -> CharacterTable | None:
+def _refine(V: np.ndarray, clusters: list[np.ndarray], S: np.ndarray | None,
+            A: np.ndarray | None, tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Diagonalize S + iA on the span of each cluster of rows of V.
+
+    The class algebra is commutative, so S + iA maps each eigenspace to
+    itself.  The clusters' blocks are solved in one stacked eigh per cluster
+    size and their rows rotated; returns V and the clusters still unsplit.
+    """
+    left = []
+    for k in sorted({len(c) for c in clusters}):
+        idx = np.array([c for c in clusters if len(c) == k])  # (m, k) rows of V
+        X = V[idx]  # (m, k, n)
+        flat = X.reshape(-1, X.shape[2])
+        # row x^T (S - iA) is ((S + iA) x)^T, as S is symmetric and A antisymmetric
+        HX = 0 if S is None else flat @ S
+        if A is not None:
+            HX = HX - 1j * (flat @ A)
+        w, W = np.linalg.eigh(X.conj() @ HX.reshape(X.shape).transpose(0, 2, 1))
+        if np.iscomplexobj(W):
+            V = V.astype(complex, copy=False)
+        V[idx] = W.transpose(0, 2, 1) @ X
+        for b in np.flatnonzero(np.any(np.diff(w, axis=1) <= tol, axis=1)):
+            left += [idx[b][run] for run in _clusters(w[b], tol)]
+    return V, left
+
+
+def _eigenvector_rows(G: FiniteGroup, cells: np.ndarray,
+                      part: ConjugacyClassPartition) -> np.ndarray:
+    """The common eigenvectors v of the class matrices, a contiguous row each:
+    one eigh of the round-0 S, then iA and fresh S + iA rounds on its
+    clusters.  Raises NumericalDegeneracy if a cluster outlasts the last round.
+    """
+    r = part.num_classes
+    class_of = np.array(part.class_of)
+    inverse = class_of[G._inverses[np.array(part.representatives, dtype=np.intp)]]
+    sizes = np.array(part.class_sizes, dtype=float)
+    root = np.sqrt(np.outer(sizes, sizes))
+
+    def self_adjoint(coeffs: np.ndarray) -> np.ndarray:
+        # M[j, k] * sizes[k] is an exact integer matrix, symmetric or
+        # antisymmetric; dividing by the symmetric root keeps that exactly
+        return _class_matrix(cells, class_of, coeffs) * sizes / root
+
+    sym, anti = _round_coeffs(G.order, r, inverse, 0)
+    w, U = np.linalg.eigh(self_adjoint(sym))
+    V = np.ascontiguousarray(U.T)  # eigenvectors u as rows
+    tol = EIG_SEPARATION_TOL * max(1.0, float(np.max(np.abs(w))))
+    clusters = _clusters(w, tol)
+    for round_ in range(1, _REFINE_ROUNDS + 1):
+        if not clusters:
+            break
+        if round_ == 1 and np.any(anti):
+            V, clusters = _refine(V, clusters, None, self_adjoint(anti), tol)
+            continue
+        sym, anti = _round_coeffs(G.order, r, inverse, round_)
+        V, clusters = _refine(V, clusters, self_adjoint(sym),
+                              self_adjoint(anti) if np.any(anti) else None, tol)
+    if clusters:
+        raise NumericalDegeneracy(
+            f"eigenspaces of {G.label} of dimension {max(map(len, clusters))} "
+            f"unsplit after {_REFINE_ROUNDS} refinement rounds")
+    return V * np.sqrt(sizes)  # v = D^(1/2) u
+
+
+def _row_order(degrees: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row permutation by degree, then by descending (real, imag) value pairs
+    class by class; values within VALUE_EQ_TOL of each other tie, so float
+    noise in equal values cannot decide the order."""
+    n, r = values.shape
+    keys = np.empty((2 * r, n))  # a key per row of keys, a character per column
+    keys[0::2] = -values.real.T
+    keys[1::2] = -values.imag.T
+    by_key = np.argsort(keys, axis=1)
+    steps = np.zeros((2 * r, n), dtype=np.int64)  # dense ranks in sorted order
+    np.cumsum(np.diff(np.take_along_axis(keys, by_key, axis=1), axis=1) > VALUE_EQ_TOL,
+              axis=1, out=steps[:, 1:])
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, by_key, steps, axis=1)
+    # lexsort's last key is primary
+    return np.lexsort(np.vstack([ranks[::-1], degrees[None, :]]))
+
+
+def _try_table(G: FiniteGroup, cells: np.ndarray,
+               part: ConjugacyClassPartition) -> CharacterTable | None:
     r = part.num_classes
     order = G.order
     sizes = np.array(part.class_sizes, dtype=float)
-    omega = _eigenvector_rows(cells, part, order, attempt)
-    if omega is None or np.any(np.abs(omega[:, 0]) < 1e-12):
+    omega = _eigenvector_rows(G, cells, part)
+    if np.any(np.abs(omega[:, 0]) < 1e-12):
         return None
     omega = omega / omega[:, :1]  # identity-class entry of each row is 1
     norms = np.sum(np.abs(omega) ** 2 / sizes, axis=1)
@@ -162,8 +253,8 @@ def _try_table(G: FiniteGroup, cells: np.ndarray, part: ConjugacyClassPartition,
     if np.any(degrees < 1) or np.any(np.abs(deg_f - degrees) > 1e-6):
         return None
     raw = omega * degrees[:, None] / sizes
-    # eig gives real rows when every eigenvalue is real; set part by part,
-    # since a + 1j * b would turn an imaginary -0.0 into +0.0
+    # rows are real when no cluster needed an antisymmetric matrix;
+    # set part by part, since a + 1j * b would turn an imaginary -0.0 into +0.0
     values = np.empty((r, r), dtype=complex)
     values.real = _snap_half_integers(raw.real)
     values.imag = _snap_half_integers(raw.imag)
@@ -176,12 +267,8 @@ def _try_table(G: FiniteGroup, cells: np.ndarray, part: ConjugacyClassPartition,
     ints = np.round(values.real)
     integral = (np.all(np.abs(values.imag) <= VALUE_EQ_TOL, axis=1)
                 & np.all(np.abs(values.real - ints) <= VALUE_EQ_TOL, axis=1))
-    # by degree, then by descending (real, imag) value pairs class by class,
-    # which puts the trivial character first; lexsort's last key is primary
-    keys = np.empty((2 * r, r))
-    keys[0::2] = -values.real.T
-    keys[1::2] = -values.imag.T
-    ranked = np.lexsort(np.vstack([keys[::-1], deg[None, :]]))
+    # the trivial character comes first
+    ranked = _row_order(deg, values)
     values = values[ranked]
     values.flags.writeable = False
     rows = tuple(
@@ -211,13 +298,11 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     if cached is not None:
         return cached
     cells, part = _class_cells(G)
-    for attempt in range(_MAX_ATTEMPTS):
-        table = _try_table(G, cells, part, attempt)
-        if table is not None:
-            G._cache["character_table"] = table
-            return table
-    raise NumericalDegeneracy(
-        f"eigenvector separation failed for {G.label} after {_MAX_ATTEMPTS} attempts")
+    table = _try_table(G, cells, part)
+    if table is None:
+        raise NumericalDegeneracy(f"character table checks failed for {G.label}")
+    G._cache["character_table"] = table
+    return table
 
 
 def _check_compatible(chi: Character, chi2: Character, G: FiniteGroup) -> None:

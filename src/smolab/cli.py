@@ -61,13 +61,15 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _load_group(path: str) -> groups.FiniteGroup:
-    """An existing path is a group file; anything else a catalog expression.
+    """An existing file is a group file; anything else a catalog expression.
 
     No catalog expression contains "/" or ".", so an argument with either
     that names no file is a missing group file.
     """
+    if not path:
+        raise UsageError("empty group argument: give a group file or a catalog expression")
     file = Path(path)
-    if file.exists():
+    if file.is_file():
         return groups.build_group(groups.parse_group_file(file.read_text()), label=file.stem)
     if "/" in path or "." in path:
         raise IoError(f"no such group file {path!r}")

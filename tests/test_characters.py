@@ -1,17 +1,18 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from smolab.characters import (_MAX_ATTEMPTS, EIG_SEPARATION_TOL, ORTHOGONALITY_TOL,
-                               VALUE_EQ_TOL, Verdict, _attempt_coeffs, _class_cells,
-                               _class_matrix, _orthogonality_ok, _snap_half_integers,
-                               _try_table, agreement_fraction, character_table,
-                               distinguishing_threshold, extremal_search,
-                               inner_product, lemma_check)
-from smolab.errors import ClassMismatch, DegreeMismatch
+from smolab import characters
+from smolab.characters import (ORTHOGONALITY_TOL, VALUE_EQ_TOL, Verdict, _class_cells,
+                               _class_matrix, _orthogonality_ok, _round_coeffs, _row_order,
+                               _snap_half_integers, agreement_fraction, character_table,
+                               distinguishing_threshold, extremal_search, inner_product,
+                               lemma_check)
+from smolab.errors import ClassMismatch, DegreeMismatch, NumericalDegeneracy
 from smolab.groups import BUNDLED_CATALOG, build_group, bundled_catalog, catalog
 
 # the groups of the character-tables benchmark workload
@@ -235,10 +236,17 @@ def test_class_matrix_matches_tensordot(expr):
     mats = structure_constants_reference(G).astype(float)
     cells, part = _class_cells(G)
     class_of = np.array(part.class_of)
-    for attempt in range(_MAX_ATTEMPTS):
-        coeffs = _attempt_coeffs(G.order, part.num_classes, attempt)
-        M = _class_matrix(cells, class_of, coeffs)
-        assert M.tobytes() == np.tensordot(coeffs, mats, axes=(0, 0)).tobytes()
+    inverse = class_of[G._inverses[np.array(part.representatives, dtype=np.intp)]]
+    sizes = np.array(part.class_sizes, dtype=float)
+    for round_ in range(3):
+        sym, anti = _round_coeffs(G.order, part.num_classes, inverse, round_)
+        assert np.array_equal(sym, sym[inverse]) and np.array_equal(anti, -anti[inverse])
+        for coeffs, sign in ((sym, 1), (anti, -1)):
+            M = _class_matrix(cells, class_of, coeffs)
+            assert M.tobytes() == np.tensordot(coeffs, mats, axes=(0, 0)).tobytes()
+            # D^(-1/2) M D^(1/2) is (anti)symmetric: M[j, k] |C_k| exactly so
+            N = M * sizes
+            assert np.array_equal(N, sign * N.T)
 
 
 @pytest.mark.parametrize("expr", BUNDLED_CATALOG)
@@ -254,19 +262,29 @@ def test_rows_follow_degree_then_descending_values(expr):
     assert all(v == 1 for v in rows[0].values)
 
 
+# the eigenvalue gap, relative to the spectrum, below which an attempt failed
+FORMER_EIG_SEPARATION_TOL = 1e-8
+
+
+def attempt_coeffs(order, r, attempt):
+    """The random class-sum combination of one attempt of the former retry loop."""
+    rng = random.Random(f"class-algebra:{order}:{r}:{attempt}")
+    return np.array([rng.randrange(1, 1000) for _ in range(r)], dtype=float)
+
+
 def try_table_per_row(G, cells, part, attempt):
-    """The former _try_table, one character per loop step: (degree, values,
-    integer_values) rows in table order, or None where the attempt fails."""
+    """The former eig-based _try_table, one character per loop step: (degree,
+    values, integer_values) rows in table order, or None where the attempt fails."""
     r = part.num_classes
     order = G.order
     sizes = np.array(part.class_sizes, dtype=float)
-    coeffs = _attempt_coeffs(order, r, attempt)
+    coeffs = attempt_coeffs(order, r, attempt)
     M = _class_matrix(cells, np.array(part.class_of), coeffs)
     eigvals, eigvecs = np.linalg.eig(M)
     scale = max(1.0, float(np.max(np.abs(eigvals))))
     gaps = np.abs(eigvals[:, None] - eigvals[None, :])
     np.fill_diagonal(gaps, np.inf)
-    if np.any(gaps <= EIG_SEPARATION_TOL * scale):
+    if np.any(gaps <= FORMER_EIG_SEPARATION_TOL * scale):
         return None
     order_idx = np.lexsort((eigvals.imag, eigvals.real))
     eigvecs = eigvecs[:, order_idx]
@@ -312,22 +330,96 @@ def try_table_per_row(G, cells, part, attempt):
 
 @pytest.mark.parametrize("expr", BUNDLED_CATALOG + WORKLOAD_GROUPS)
 def test_array_table_matches_per_row_reference(expr):
+    # independent oracle: the former eig solve with its retries, row by row
     G = catalog(expr)
     cells, part = _class_cells(G)
-    for attempt in range(_MAX_ATTEMPTS):
+    for attempt in range(8):
         expected = try_table_per_row(G, cells, part, attempt)
-        table = _try_table(G, cells, part, attempt)
-        assert (table is None) == (expected is None), attempt
-        if table is None:
-            continue
-        assert [(row.degree, row.integer_values) for row in table.rows] == \
-            [(degree, ints) for degree, _, ints in expected]
-        # value bits, signed zeros included, and row order
-        for row, (_, values, _) in zip(table.rows, expected):
-            assert np.array(row.values).tobytes() == np.array(values).tobytes()
-        assert table.values.tobytes() == np.array([v for _, v, _ in expected]).tobytes()
-        assert not table.values.flags.writeable
-        assert table.values.flags.c_contiguous
-        break
+        if expected is not None:
+            break
     else:
-        raise AssertionError(f"no attempt succeeded on {expr}")
+        raise AssertionError(f"no attempt of the reference succeeded on {expr}")
+    table = character_table(G)
+    assert [(row.degree, row.integer_values) for row in table.rows] == \
+        [(degree, ints) for degree, _, ints in expected]
+    # row order and values; the arithmetic differs, so not the last bits
+    reference = np.array([values for _, values, _ in expected])
+    assert np.max(np.abs(table.values - reference)) <= 1e-9
+    for row, values in zip(table.rows, table.values):
+        assert row.values == tuple(values.tolist())
+    assert not table.values.flags.writeable
+    assert table.values.flags.c_contiguous
+
+
+def test_one_full_symmetric_solve_and_no_eig(monkeypatch):
+    # one eigh of the whole class algebra; refinement only solves small stacked blocks
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def no_eig(a):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    for expr in ("symmetric(6)", "cyclic(120)", "q8_power_family(3)"):
+        G = catalog(expr)
+        r = G.conjugacy_classes().num_classes
+        shapes.clear()
+        assert _orthogonality_ok(character_table(G))
+        assert shapes[0] == (r, r)
+        assert all(len(s) == 3 and s[1] < r for s in shapes[1:]), shapes
+        # only symmetric(6) has neither conjugate pairs nor coincident eigenvalues
+        assert (len(shapes) == 1) == (expr == "symmetric(6)")
+
+
+def test_unsplittable_eigenspaces_raise(monkeypatch):
+    # a tolerance no gap can exceed puts every eigenvalue in one cluster for good
+    monkeypatch.setattr(characters, "EIG_SEPARATION_TOL", 1e300)
+    with pytest.raises(NumericalDegeneracy, match="unsplit"):
+        character_table(catalog("symmetric(3)"))
+
+
+# rows equal at a class with an irrational value: on the former exact-key
+# sort, the last bits of those values decided the row order
+NEAR_TIE_GROUPS = ("direct_product(cyclic(7),dihedral(9))",
+                   "direct_product(symmetric(4),cyclic(6))",
+                   "direct_product(quaternion8,cyclic(15))")
+
+
+def exact_key_order(degrees, values):
+    r = values.shape[1]
+    keys = np.empty((2 * r, values.shape[0]))
+    keys[0::2] = -values.real.T
+    keys[1::2] = -values.imag.T
+    return np.lexsort(np.vstack([keys[::-1], degrees[None, :]]))
+
+
+@pytest.mark.parametrize("expr", NEAR_TIE_GROUPS)
+def test_row_order_ignores_float_noise(expr):
+    table = character_table(catalog(expr))
+    degrees = np.array(table.degrees)
+    identity = np.arange(len(degrees))
+    rng = np.random.default_rng(1)
+    moved = False
+    for _ in range(5):
+        noise = rng.uniform(-1e-13, 1e-13, (2,) + table.values.shape)
+        perturbed = table.values + noise[0] + 1j * noise[1]
+        assert np.array_equal(_row_order(degrees, perturbed), identity)
+        moved |= not np.array_equal(exact_key_order(degrees, perturbed), identity)
+    assert np.array_equal(_row_order(degrees, table.values), identity)
+    # the same noise does reorder rows under exact float keys
+    assert moved
+
+
+def test_extremal_bound_attained_at_degrees_8_and_16():
+    for expr, n, expected in (("q8_power_family(3)", 8, Fraction(127, 128)),
+                              ("q8_power_family(4)", 16, Fraction(511, 512))):
+        G = catalog(expr)
+        best = extremal_search(G, n)
+        assert best.fraction == expected == distinguishing_threshold(n)
+        assert _orthogonality_ok(character_table(G))
+        assert sum(d * d for d in character_table(G).degrees) == G.order

@@ -423,6 +423,7 @@ BAD_ARGV = [
     ("density", "natural", "--selector", "list:biglist.txt", "--x", "100"),
     ("data", "gen-tau", "--limit", "-3"),
     ("charlab", "extremal", "cyclic(4)", "--degree", "0"),
+    ("charlab", "table", ""),
 ]
 
 
@@ -576,6 +577,15 @@ def test_missing_group_file_is_an_io_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("io-error: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_empty_or_directory_group_argument(capsys, tmp_path, monkeypatch):
+    # Path("") is ".", an existing directory, which was read as a group file
+    code, _, err = run(capsys, "charlab", "table", "")
+    assert code == 1 and err.startswith("usage-error: empty group argument"), err
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "charlab", "table", ".")
+    assert code == 1 and err.startswith("io-error: no such group file '.'"), err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
