@@ -7,31 +7,30 @@ log(1/(s-1)); because that comparison is only faithful when the cutoff
 grows like exp(4/(s-1)), the headline ``extrapolated`` value is instead the
 truncation-consistent ratio against the full prime sum at the same cutoff.
 
-Natural-density counts and Frobenius class counts are exact integers that
-depend only on p mod q, for q the selector's or the field's modulus.  When
-``sieve.residue_counts_pay`` accepts x and q, they are read off
-``sieve.residue_prime_counts`` instead of a sieve walk, and a whole
-natural-density grid off one walk at its largest point wherever the walk
-holds the smaller points (``sieve.residue_prime_counts_grid``).  In process
-on a 2-vCPU x86-64 VM, ``density natural`` took about 0.02 s for mod:4 on
-the grid 1e6, 1e7, 1e8 and 0.06 s for the compound q = 56 selector on 1e7,
-1e8, and ``frobstats`` 0.03 s for N = 11 at 1e8, against 0.36 s for one
-sieve to 1e8.  The model turns away
-every cutoff below about 2.7e6, and it reads only the modulus before it
-accepts one, so a huge compound modulus is never lifted to its residue set.
-``frobstats`` then takes ``first_hits`` from sieve segments in order until
-every nonempty class has its least prime, one segment for N = 11.  Both
-paths give the same integers, so the report bytes are the same.
+Every statistic here is a reduction over per-class prime counts or per-class
+sums of p^-s, and takes them from one call, ``sieve.class_sums``.  The
+natural and Dirichlet estimators put the selected primes in class 0, the
+other unramified ones in class 1 and the excluded ones nowhere
+(``_selector_classes``); ``frobstats`` uses the cosets of (Z/N)*/H and
+``prime_zeta`` one class of all primes.  ``class_sums`` reads the classes
+off Lucy's recurrence by residue class whenever the sieve's cost model
+accepts the modulus, and otherwise off one sieve walk; a selector with no
+residue table (``list:``, or a compound holding one) always sieves, and a
+huge compound modulus is refused by the model before its table is built.
+In process on a 2-vCPU x86-64 VM, ``density natural`` took about 0.02 s
+for mod:4 on the grid 1e6, 1e7, 1e8, and ``frobstats`` 0.03 s for N = 11
+at 1e8, against 0.36 s for one sieve to 1e8.  ``frobstats`` then takes
+``first_hits`` from sieve segments in order until every nonempty class has
+its least prime, one segment for N = 11.
 
-The Dirichlet sums and ``prime_zeta`` sum p^-s, which is completely
-multiplicative, so the same recurrence carries them on float64 rows
-(``sieve.residue_prime_power_sums``) for a selector with a congruence
-modulus and a uniform norm exponent, whenever the model accepts the rows.
-At 1e8, ``density dirichlet mod:8`` took 0.05-0.07 s this way against 0.45 s
-on the sieve.  The recurrence sums in another order than the segments, so
-those reports may differ from the sieve path's in their last bits, within
-the error bound in ``residue_prime_power_sums``.  Every other selector walks
-``segment_map``.
+Counts are exact, so natural and ``frobstats`` reports are the same bytes
+on both paths, and a single class sums in the same order on the sieve as a
+plain per-segment sum, so ``prime_zeta`` on the sieve keeps its bits.  The
+Dirichlet sums may move in their last bits: the recurrence sums in another
+order than the sieve, within the error bound of ``class_sums``; the
+reference is the sum of two classes; a place multiplicity multiplies the
+class sum rather than each term; and the floored sums take the primes up to
+SMALL_PRIME_FLOOR off the full sums term by term.
 """
 
 from __future__ import annotations
@@ -43,10 +42,10 @@ import numpy as np
 
 from .errors import LimitExceeded, UsageError
 from .selectors import PrimeSelector
-from .sieve import (PRIME_LIMIT, iter_prime_segments, residue_counts_pay,
-                    residue_prime_counts, residue_prime_counts_grid,
-                    residue_prime_power_sums, residues,
-                    segment_map, simple_sieve)
+from .sieve import (PRIME_LIMIT, class_sums, iter_prime_segments, residues,
+                    simple_sieve, unit_mask)
+# segment_map is not called here; perfbench/tracer.py wraps it under this name
+from .sieve import segment_map
 
 RECOMMENDED_CUTOFF_RATE = 4.0
 # density is insensitive to finite prime sets; the normalized ratio drops
@@ -73,11 +72,8 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
         raise UsageError("x grid must be strictly ascending")
     if grid[-1] > PRIME_LIMIT:
         raise LimitExceeded(f"natural density cutoff capped at {PRIME_LIMIT}")
-    modulus = selector.congruence_modulus()
-    if modulus is not None and residue_counts_pay(grid, modulus):
-        sel_tot, un_tot = _natural_counts_by_residue(selector, grid)
-    else:
-        sel_tot, un_tot = _natural_counts_by_segment(selector, grid, workers)
+    counts = class_sums(grid, 2, *_selector_classes(selector), workers=workers)
+    sel_tot, un_tot = counts[:, 0], counts.sum(axis=1)
     ratios = tuple(float(s) / u if u else 0.0 for s, u in zip(sel_tot, un_tot))
     return DensityEstimate(
         estimand="natural",
@@ -92,39 +88,27 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
     )
 
 
-def _natural_counts_by_residue(selector: PrimeSelector, grid: list[int]):
-    """Selected and unramified prime counts at each grid point from the prime
-    counts per residue class of the selector's congruence description, read
-    off one walk at the largest point wherever it serves."""
-    modulus, table = selector.residue_table()
-    chosen = np.flatnonzero(table)
+def _selector_classes(selector: PrimeSelector):
+    """The ``class_sums`` arguments (of_primes, modulus, of_residues) that put a
+    selector's primes in class 0, the other unramified primes in class 1 and
+    the excluded primes in class -1.
+
+    The residue classes come from ``residue_table`` and the units mod N: the
+    primes at a non-unit residue divide N, and they are exactly the excluded
+    ones."""
     excluded = np.array(sorted(selector.excluded), dtype=np.int64)
-    counts = residue_prime_counts_grid(grid, modulus)
-    sel_tot = counts[:, chosen].sum(axis=1)
-    un_tot = counts.sum(axis=1) - np.count_nonzero(excluded <= np.array(grid)[:, None], axis=1)
-    return sel_tot, un_tot
 
+    def of_primes(primes: np.ndarray) -> np.ndarray:
+        classes = np.where(selector.mask(primes), 0, 1)
+        if len(excluded):
+            classes[np.isin(primes, excluded)] = -1
+        return classes
 
-def _natural_counts_by_segment(selector: PrimeSelector, grid: list[int], workers: int | None):
-    excluded = np.array(sorted(selector.excluded), dtype=np.int64)
-    bounds = np.array(grid, dtype=np.int64)
+    def of_residues() -> np.ndarray:
+        modulus, table = selector.residue_table()
+        return np.where(table, 0, np.where(unit_mask(modulus), 1, -1))
 
-    def per_segment(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sel = selector.mask(seg)
-        unram = ~np.isin(seg, excluded) if len(excluded) else np.ones(len(seg), dtype=bool)
-        # counts below each grid point, cumulative within the segment
-        pos = np.searchsorted(seg, bounds, side="right")
-        sel_c = np.cumsum(sel)
-        un_c = np.cumsum(unram)
-        take = lambda c: np.where(pos > 0, c[np.maximum(pos - 1, 0)], 0)
-        return take(sel_c), take(un_c)
-
-    sel_tot = np.zeros(len(grid), dtype=np.int64)
-    un_tot = np.zeros(len(grid), dtype=np.int64)
-    for sel_part, un_part in segment_map(grid[-1], per_segment, workers=workers):
-        sel_tot += sel_part
-        un_tot += un_part
-    return sel_tot, un_tot
+    return of_primes, selector.congruence_modulus(), of_residues
 
 
 def dirichlet_density_estimate(selector: PrimeSelector, s_grid, cutoff: int,
@@ -142,15 +126,8 @@ def dirichlet_density_estimate(selector: PrimeSelector, s_grid, cutoff: int,
         raise UsageError("s grid must descend toward 1")
     if cutoff > PRIME_LIMIT:
         raise LimitExceeded(f"dirichlet cutoff capped at {PRIME_LIMIT}")
-    modulus = selector.congruence_modulus()
-    j = selector.norm_exponent
-    # at or below the floor the floored sums are empty, and only term by term exactly 0
-    if (modulus is not None and j is not None and cutoff > SMALL_PRIME_FLOOR
-            and residue_counts_pay((cutoff,), modulus, exponents=len(s_values))):
-        sums = _dirichlet_sums_by_residue(selector, s_values, cutoff)
-    else:
-        sums = _dirichlet_sums_by_segment(selector, s_values, cutoff, workers)
-    numerator, num_floored, reference, ref_floored = sums
+    numerator, num_floored, reference, ref_floored = _dirichlet_sums(
+        selector, np.array(s_values), cutoff, workers)
     log_terms = [math.log(1.0 / (s - 1.0)) for s in s_values]
     partials = tuple(float(n / l) if l > 0 else float("inf")
                      for n, l in zip(numerator, log_terms))
@@ -175,31 +152,30 @@ def dirichlet_density_estimate(selector: PrimeSelector, s_grid, cutoff: int,
     )
 
 
-def _dirichlet_sums_by_residue(selector: PrimeSelector, s_values: list[float], cutoff: int):
-    """The four Dirichlet sums from one run of ``residue_prime_power_sums`` at s.
+def _dirichlet_sums(selector: PrimeSelector, s_arr: np.ndarray, cutoff: int,
+                    workers: int | None):
+    """The numerator, reference and their floored sums at every s.
 
-    Its rows give the reference, less the excluded primes, and for j = 1 the
-    numerator, one place multiplicity per selected class.  For j >= 2 every
-    prime of norm p**j <= cutoff lies below sqrt(cutoff), and the numerator
-    is summed term by term: rows at j*s would double the run and lose the
-    floored sum, which is tiny there, to cancellation.  The floored sums
-    take off the primes up to SMALL_PRIME_FLOOR term by term.
+    One ``class_sums`` run gives the selected and the other unramified sums
+    of p^-s: together the reference, and for norms p**1 the numerator, times
+    the place multiplicity, which is the same for every prime of a selector.
+    For j >= 2 every prime of norm p**j <= cutoff lies below sqrt(cutoff),
+    and the numerator is summed term by term.  The floored sums take off the
+    primes up to SMALL_PRIME_FLOOR term by term, and are exactly 0 when the
+    cutoff is at or below the floor.
     """
-    j = selector.norm_exponent
-    s_arr = np.array(s_values)
-    rows = residue_prime_power_sums(cutoff, selector.congruence_modulus(), s_arr)
-    excluded = np.array(sorted(p for p in selector.excluded if p <= cutoff), dtype=np.int64)
-    reference = rows.sum(axis=1) - _power_sums(excluded, s_arr)
+    j = selector.norm_exponent or 1
+    sums = class_sums([cutoff], 2, *_selector_classes(selector), exponents=s_arr,
+                      workers=workers)[0]
+    excluded = np.array(sorted(selector.excluded), dtype=np.int64)
+    reference = sums[:, 0] + sums[:, 1]
     small = simple_sieve(min(SMALL_PRIME_FLOOR, cutoff))
-    ref_floored = reference - _power_sums(small[~np.isin(small, excluded)], s_arr)
     if j == 1:
-        classes = np.flatnonzero(selector.residue_table()[1])
-        # a place multiplicity depends only on the class: residues stand in for primes
-        numerator = (rows[:, classes] * selector.place_multiplicity(classes)).sum(axis=1)
-        picked = small[selector.mask(small)]
-        num_floored = numerator - _power_sums(picked, s_arr, selector.place_multiplicity(picked))
+        mult = selector.place_multiplicity(np.array([2]))[0]  # the same at every prime
+        numerator = mult * sums[:, 0]
+        num_floored = mult * (sums[:, 0] - _power_sums(small[selector.mask(small)], s_arr))
     else:
-        primes = simple_sieve(math.isqrt(cutoff))
+        primes = simple_sieve(math.isqrt(max(cutoff, 0)))
         picked = primes[selector.mask(primes)]
         norms = selector.norms(picked)
         picked, norms = picked[norms <= cutoff], norms[norms <= cutoff]
@@ -207,54 +183,17 @@ def _dirichlet_sums_by_residue(selector: PrimeSelector, s_values: list[float], c
         numerator = _power_sums(norms, s_arr, mult)
         above = picked > SMALL_PRIME_FLOOR
         num_floored = _power_sums(norms[above], s_arr, mult[above])
+    ref_floored = reference - _power_sums(small[~np.isin(small, excluded)], s_arr)
+    if cutoff <= SMALL_PRIME_FLOOR:
+        num_floored = ref_floored = np.zeros(len(s_arr))
     return numerator, num_floored, reference, ref_floored
 
 
-def _power_sums(bases: np.ndarray, s_arr: np.ndarray, weights=1.0) -> np.ndarray:
-    """The sum of weights * b^-s over ``bases``, one entry per s of ``s_arr``."""
-    return (weights * bases.astype(np.float64)[None, :] ** -s_arr[:, None]).sum(axis=1)
-
-
-def _dirichlet_sums_by_segment(selector: PrimeSelector, s_values: list[float], cutoff: int,
-                               workers: int | None):
-    s_arr = np.array(s_values)
-    excluded = np.array(sorted(selector.excluded), dtype=np.int64)
-
-    def one_sum(primes: np.ndarray, norms: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        keep = norms <= cutoff
-        if not keep.any():
-            return np.zeros(len(s_values))
-        n, m = norms[keep], mult[keep]
-        return (m[None, :] * n[None, :] ** (-s_arr[:, None])).sum(axis=1)
-
-    def per_segment(seg: np.ndarray):
-        sel = selector.mask(seg)
-        chosen = seg[sel]
-        norms = selector.norms(chosen)
-        mult = selector.place_multiplicity(chosen).astype(np.float64)
-        sums = one_sum(chosen, norms, mult)
-        unram = ~np.isin(seg, excluded) if len(excluded) else np.ones(len(seg), dtype=bool)
-        kept = seg[unram].astype(np.float64)
-        ref = (kept[None, :] ** (-s_arr[:, None])).sum(axis=1)
-        if len(seg) and seg[0] > SMALL_PRIME_FLOOR:
-            # no prime at or below the floor: the floored sums are these sums
-            return sums, sums, ref, ref
-        floor_mask = chosen > SMALL_PRIME_FLOOR
-        sums_floored = one_sum(chosen[floor_mask], norms[floor_mask], mult[floor_mask])
-        kept_f = kept[kept > SMALL_PRIME_FLOOR]
-        ref_floored = (kept_f[None, :] ** (-s_arr[:, None])).sum(axis=1)
-        return sums, sums_floored, ref, ref_floored
-
-    numerator = np.zeros(len(s_values))
-    num_floored = np.zeros(len(s_values))
-    reference = np.zeros(len(s_values))
-    ref_floored = np.zeros(len(s_values))
-    for part, part_f, ref, ref_f in segment_map(cutoff, per_segment, workers=workers):
-        numerator += part
-        num_floored += part_f
-        reference += ref
-        ref_floored += ref_f
-    return numerator, num_floored, reference, ref_floored
+def _power_sums(bases: np.ndarray, s_arr: np.ndarray, weights=1) -> np.ndarray:
+    """The sum of weights * b^-s over ``bases``, one entry per s of ``s_arr``,
+    each one pairwise sum in the order of ``bases`` as ``class_sums`` takes it."""
+    b = bases.astype(np.float64)
+    return np.array([(weights * b ** -s).sum() for s in s_arr.tolist()])
 
 
 @dataclass(frozen=True)
@@ -274,17 +213,10 @@ def frobenius_statistics(fs, cutoff: int, workers: int | None = None) -> Frobeni
     if cutoff > PRIME_LIMIT:
         raise LimitExceeded(f"cutoff capped at {PRIME_LIMIT}")
     coset_table, reps = fs._coset_table
-    num_classes = len(reps)
-    N = fs.modulus
-    if residue_counts_pay((cutoff,), N):
-        counts = np.zeros(num_classes, dtype=np.int64)
-        unit = coset_table >= 0
-        np.add.at(counts, coset_table[unit], residue_prime_counts(cutoff, N)[unit])
-        first_hits = _first_hits(coset_table, cutoff, counts > 0)
-    else:
-        counts, first_hits = _frobenius_by_segment(coset_table, num_classes, N, cutoff, workers)
+    counts = class_sums([cutoff], len(reps), None, fs.modulus, lambda: coset_table,
+                        workers=workers)[0]
+    first_hits = tuple(int(f) for f in _first_hits(coset_table, cutoff, counts > 0))
     total = int(counts.sum())
-    first_hits = tuple(int(f) for f in first_hits)
     return FrobeniusStatistics(
         fieldspec=fs.label,
         cutoff=int(cutoff),
@@ -311,27 +243,6 @@ def _first_hits(coset_table: np.ndarray, cutoff: int, nonempty: np.ndarray) -> n
     return first
 
 
-def _frobenius_by_segment(coset_table, num_classes, N, cutoff, workers):
-    def per_segment(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = coset_table[residues(seg, N)]
-        keep = idx >= 0
-        kept, kidx = seg[keep], idx[keep]
-        counts = np.bincount(kidx, minlength=num_classes)
-        first = np.full(num_classes, -1, dtype=np.int64)
-        # np.unique's return_index is the first occurrence of each class
-        classes, at = np.unique(kidx, return_index=True)
-        first[classes] = kept[at]
-        return counts, first
-
-    counts = np.zeros(num_classes, dtype=np.int64)
-    first_hits = np.full(num_classes, -1, dtype=np.int64)
-    for part_counts, part_first in segment_map(cutoff, per_segment, workers=workers):
-        counts += part_counts
-        fill = (first_hits == -1) & (part_first != -1)
-        first_hits[fill] = part_first[fill]
-    return counts, first_hits
-
-
 @dataclass(frozen=True)
 class PrimeZetaScan:
     s: float
@@ -347,13 +258,8 @@ def prime_zeta(s: float, cutoff: int, workers: int | None = None) -> PrimeZetaSc
         raise UsageError("prime power-sum scan needs s > 1")
     if cutoff > PRIME_LIMIT:
         raise LimitExceeded(f"cutoff capped at {PRIME_LIMIT}")
-    if residue_counts_pay((cutoff,), 1, exponents=1):
-        total = float(residue_prime_power_sums(cutoff, 1, [s])[0, 0])
-    else:
-        total = 0.0
-        for part in segment_map(cutoff, lambda seg: float((seg.astype(np.float64) ** (-s)).sum()),
-                                workers=workers):
-            total += part
+    total = float(class_sums([cutoff], 1, None, 1, lambda: np.zeros(1, dtype=np.int64),
+                             exponents=[s], workers=workers)[0, 0, 0])
     if cutoff >= 2:
         tail = cutoff ** (1.0 - s) / ((s - 1.0) * math.log(cutoff))
     else:

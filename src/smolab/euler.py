@@ -344,13 +344,20 @@ class GRCBoundProfile:
         object.__setattr__(self, "exponent_float", float(self.exponent))
 
 
+def require_degree(n: int) -> None:
+    """Refuse a representation degree n < 1."""
+    if n < 1:
+        raise UsageError(f"degree n = {n} must be at least 1")
+
+
 def grc_profile(name: str, n: int | None = None) -> GRCBoundProfile:
     """Look up a parameter-size bound profile; LRS(n) depends on the degree."""
     if name in _PROFILE_EXPONENTS:
         return GRCBoundProfile(name=name, exponent=_PROFILE_EXPONENTS[name])
     if name == "LRS":
-        if n is None or n < 1:
+        if n is None:
             raise UnknownProfile("LRS profile needs the degree n")
+        require_degree(n)
         return GRCBoundProfile(name=f"LRS({n})",
                                exponent=Fraction(1, 2) - Fraction(1, n * n + 1))
     if name.startswith("LRS(") and name.endswith(")"):

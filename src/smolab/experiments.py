@@ -19,13 +19,12 @@ from .errors import (DegreeMismatch, InfeasibleEpsilon, NotNested,
 # log_expansion and prime_array are not called here; perfbench/tracer.py wraps
 # them under these names alongside the prime walkers
 from .euler import (GRCBoundProfile, ConvergenceProbe, convergence_probe,
-                    log_expansion)
+                    log_expansion, require_degree)
 from .fields import FieldSpec
 from .hecke import RepresentationData, require_size_bound
 from .selectors import DegreeSelector, ExplicitList, Intersection, PrimeSelector
-from .sieve import (is_prime, iter_prime_segments, prime_array, prime_stream,
-                    residue_counts_pay, residue_prime_power_sums, restrict,
-                    segment_map, unit_mask)
+from .sieve import (class_sums, is_prime, iter_prime_segments, prime_array, prime_stream,
+                    restrict, segment_map, unit_mask)
 
 COEFF_EQ_TOL = 1e-9
 PROBE_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
@@ -145,14 +144,12 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
     rejected.  A first-order pole shows up as slope ~ density of S.
     ``coefficient_fn`` maps a prime array to a weight array (|coefficient|^2
     for self-pairings); None means weight 1, the plain zeta shape.  With
-    weight 1 and a congruence description of S, each sum that
-    ``residue_counts_pay`` accepts is read off ``residue_prime_power_sums``
-    over the selected classes; the others walk ``segment_map`` up to the
-    largest of their cutoffs.
+    weight 1 each sum is one ``class_sums`` call at its cutoff and exponent;
+    weighted sums walk ``segment_map`` once, up to the largest cutoff.
     """
     eps_values = sorted((float(e) for e in (eps_grid or DEFAULT_EPS_GRID)), reverse=True)
-    if len(eps_values) < 3:
-        raise UsageError("slope fit needs at least 3 epsilon points")
+    if len(set(eps_values)) < 3:
+        raise UsageError("slope fit needs at least 3 distinct epsilon points")
     for eps in eps_values:
         if eps <= 0 or math.exp(1.0 / eps) > 10**9:
             raise InfeasibleEpsilon(
@@ -163,35 +160,28 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
         data_limited = any(c > data_limit for c in cutoffs)
         cutoffs = [min(c, data_limit) for c in cutoffs]
     exponents = np.array([1.0 + e for e in eps_values])
-    sums = np.zeros(len(eps_values))
-    modulus = selector.congruence_modulus() if coefficient_fn is None else None
-    by_residue = [modulus is not None and residue_counts_pay((cut,), modulus, exponents=1)
-                  for cut in cutoffs]
-    if any(by_residue):
-        classes = np.flatnonzero(selector.residue_table()[1])
-        for i in np.flatnonzero(by_residue).tolist():
-            rows = residue_prime_power_sums(cutoffs[i], modulus, exponents[i:i + 1])
-            sums[i] = rows[0, classes].sum()
-    on_sieve = [i for i, fast in enumerate(by_residue) if not fast]
-
-    def per_segment(seg: np.ndarray) -> np.ndarray:
-        part = np.zeros(len(on_sieve))
-        chosen = seg[selector.mask(seg)]
-        if len(chosen) == 0:
+    if coefficient_fn is None:
+        of_primes = lambda seg: np.where(selector.mask(seg), 0, -1)
+        of_residues = lambda: np.where(selector.residue_table()[1], 0, -1)
+        sums = np.array([class_sums([cut], 1, of_primes, selector.congruence_modulus(),
+                                    of_residues, exponents=[e], workers=workers)[0, 0, 0]
+                         for cut, e in zip(cutoffs, exponents.tolist())])
+    else:
+        def per_segment(seg: np.ndarray) -> np.ndarray:
+            part = np.zeros(len(cutoffs))
+            chosen = seg[selector.mask(seg)]
+            if len(chosen) == 0:
+                return part
+            weights = np.asarray(coefficient_fn(chosen), dtype=np.float64)
+            pf = chosen.astype(np.float64)
+            for i, cut in enumerate(cutoffs):
+                inside = chosen <= cut
+                part[i] = float((weights[inside] * pf[inside] ** (-exponents[i])).sum())
             return part
-        weights = None if coefficient_fn is None else np.asarray(coefficient_fn(chosen),
-                                                                 dtype=np.float64)
-        pf = chosen.astype(np.float64)
-        for k, i in enumerate(on_sieve):
-            inside = chosen <= cutoffs[i]
-            if inside.any():
-                terms = pf[inside] ** (-exponents[i])
-                part[k] = float((terms if weights is None else weights[inside] * terms).sum())
-        return part
 
-    if on_sieve:
-        for part in segment_map(max(cutoffs[i] for i in on_sieve), per_segment, workers=workers):
-            sums[on_sieve] += part
+        sums = np.zeros(len(eps_values))
+        for part in segment_map(max(cutoffs), per_segment, workers=workers):
+            sums += part
     L = np.array([math.log(1.0 / e) for e in eps_values])
     V = sums
     slope, stderr = _least_squares_slope(L, V)
@@ -398,6 +388,7 @@ def rajan_criterion(selector: PrimeSelector, n: int,
     2j/(n^2+1) > 1; explicit lists are trivially summable.  Arbitrary
     predicates get partial sums only and an "undecidable" verdict.
     """
+    require_degree(n)
     exponent = Fraction(2, n * n + 1)
     cuts = tuple(int(c) for c in sorted(cutoffs))
     j = selector.norm_exponent
@@ -461,6 +452,7 @@ def inert_experiment(fs: FieldSpec, n: int, profile: GRCBoundProfile,
     half-plane check 2*delta' + 1/p vs 1/2 for a supplied delta', and runs
     the worst-case probe on the actual inert selector as corroboration.
     """
+    require_degree(n)
     p = fs.degree
     if not is_prime(p):
         raise NotPrimeDegree(f"field degree {p} is not prime")

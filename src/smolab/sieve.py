@@ -23,15 +23,18 @@ operations in the same order (``_lucy_walk``).  The recurrence works
 for any completely multiplicative weight, and ``residue_prime_power_sums``
 runs the same walk on float64 rows of sums of p^-s, one
 block of rows per exponent; their starting rows take 64 terms directly and
-the rest by Euler-Maclaurin.  ``density natural`` and ``frobstats`` count
-this way, and ``density dirichlet``, ``smo poleorder`` and ``prime_zeta``
-sum this way, whenever ``residue_counts_pay`` predicts it cheaper than the
-sieve; its cost model and measurements are in its docstring.  At 1e8 the
-counts took about 0.017 s for q = 4 and 0.066 s for q = 56, and the sums
+the rest by Euler-Maclaurin.  ``residue_prime_counts_grid`` reads a whole
+grid off one walk where it can.  The recurrence runs on one thread, so its
+results do not depend on the worker count either.
+
+``class_sums`` is the one entry point of the prime statistics (natural and
+Dirichlet densities, ``frobstats``, ``prime_zeta``, the unweighted pole
+order): per-class counts or sums of p^-s, for classes of primes given by
+residue or by a callable.  It is the only consumer of ``residue_counts_pay``,
+whose cost model and measurements are in its docstring, and takes the
+recurrence whenever the model predicts it cheaper than the sieve.  At 1e8
+the counts took about 0.017 s for q = 4 and 0.066 s for q = 56, and the sums
 0.059 s for q = 8 with three exponents, against 0.36 s for the sieve path.
-``residue_prime_counts_grid`` reads a whole grid off one walk where it can.
-The recurrence runs on one thread, so its results do not depend on the
-worker count either.
 
 Single integers are tested by ``is_prime``, a deterministic Miller-Rabin
 test.  ``is_prime_array`` tests a whole file column at once: every entry
@@ -569,6 +572,87 @@ def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
     seconds = sum((8.3e-5 * math.sqrt(x) + 1.2e-8 * rows * cell_bytes * x**0.75) / math.log(x)
                   for x in xs)
     return seconds <= 3.5e-9 * max(xs)
+
+
+def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarray] | None,
+               modulus: int | None = None, of_residues: Callable[[], np.ndarray] | None = None,
+               exponents=None, workers: int | None = None) -> np.ndarray:
+    """Per-class prime counts, or per-class sums of p^-s, at every point g of ``grid``.
+
+    Every prime has a class in range(n_classes), or -1 when it is left out.
+    ``of_primes`` maps an ascending prime array to its classes.  When they
+    depend only on p mod ``modulus``, ``of_residues()`` gives them as an int
+    array over range(modulus), which the sieve path also reads when
+    ``of_primes`` is None.  With ``exponents`` None the result is the int64
+    counts of the primes p <= g, of shape (len(grid), n_classes); otherwise
+    the float64 sums, of shape (len(grid), len(exponents), n_classes).
+
+    When ``residue_counts_pay`` accepts the modulus, the recurrence gives
+    every residue class and only then is ``of_residues`` called, so a
+    modulus the model refuses never builds its table.  Otherwise one
+    ``segment_map`` walk to max(grid) classifies each segment, and the
+    per-segment results add up in segment order.
+
+    A class sum is one pairwise ``.sum()`` over a contiguous row in ascending
+    p (ascending residue on the recurrence), so one class on the sieve is
+    ``(primes ** -s).sum()`` per segment to the bit.  Error: within (3
+    pi(sqrt(x)) + 64 + log2 q) eps (log x + 1) of the exact sum up to x, eps
+    = 2**-53: the recurrence's bound per residue cell, whose starting values
+    add up to at most log x, plus a pairwise reduction over at most q cells.
+    The sieve path is well inside it: each term rounds once, each segment's
+    sum adds about log2 of its length and the segment totals x / SEGMENT_SPAN.
+    """
+    grid = [int(g) for g in grid]
+    k = None if exponents is None else len(exponents)
+    if modulus is not None and residue_counts_pay(grid, modulus, k):
+        if k is None:
+            per_residue = residue_prime_counts_grid(grid, modulus)
+        else:
+            per_residue = np.stack([residue_prime_power_sums(g, modulus, exponents) for g in grid])
+        return _reduce_classes(per_residue, np.asarray(of_residues()), n_classes)
+    if of_primes is None:
+        table = np.asarray(of_residues())
+        of_primes = lambda seg: table[residues(seg, modulus)]
+    bounds = np.array(grid, dtype=np.int64)
+    if k is None:
+        def per_segment(seg: np.ndarray) -> np.ndarray:
+            shifted = of_primes(seg) + 1  # class -1 lands in the dropped column 0
+            cuts, at = np.unique(np.searchsorted(seg, bounds, side="right"), return_inverse=True)
+            return np.stack([np.bincount(shifted[:cut], minlength=n_classes + 1)[1:]
+                             for cut in cuts.tolist()])[at]
+    else:
+        powers = [-float(s) for s in exponents]
+
+        def per_segment(seg: np.ndarray) -> np.ndarray:
+            classes = of_primes(seg)
+            out = np.zeros((len(grid), k, n_classes))
+            for c in range(n_classes):
+                primes = seg[classes == c]
+                cuts = np.searchsorted(primes, bounds, side="right").tolist()
+                pf = primes.astype(np.float64)
+                for i, power in enumerate(powers):
+                    terms = pf ** power
+                    for g, cut in enumerate(cuts):
+                        out[g, i, c] = terms[:cut].sum()
+            return out
+
+    total = np.zeros((len(grid), n_classes) if k is None else (len(grid), k, n_classes),
+                     dtype=np.int64 if k is None else np.float64)
+    for part in segment_map(max(grid), per_segment, workers=workers):
+        total += part
+    return total
+
+
+def _reduce_classes(per_residue: np.ndarray, table: np.ndarray, n_classes: int) -> np.ndarray:
+    """Sum the last axis of ``per_residue`` over the residues of each class of
+    ``table``, one pairwise sum per class over its residues in ascending order."""
+    rows = per_residue.reshape(-1, per_residue.shape[-1])
+    out = np.zeros((len(rows), n_classes), dtype=per_residue.dtype)
+    for c in range(n_classes):
+        members = np.flatnonzero(table == c)
+        for r, row in enumerate(rows):
+            out[r, c] = row[members].sum()
+    return out.reshape(per_residue.shape[:-1] + (n_classes,))
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

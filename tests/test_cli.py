@@ -424,6 +424,10 @@ BAD_ARGV = [
     ("data", "gen-tau", "--limit", "-3"),
     ("charlab", "extremal", "cyclic(4)", "--degree", "0"),
     ("charlab", "table", ""),
+    ("smo", "poleorder", "--selector", "mod:4:1", "--eps", "1/8,1/8,1/8"),
+    ("smo", "rajan", "--fieldspec", "field.txt", "--degree", "1", "--n", "0"),
+    ("smo", "rajan", "--fieldspec", "field.txt", "--degree", "1", "--n", "-1"),
+    ("smo", "inert", "--fieldspec", "field.txt", "--n", "0", "--profile", "LRS"),
 ]
 
 

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-import smolab.density
+import smolab.sieve
 from smolab.cli import main
-from smolab.density import (dirichlet_density_estimate, frobenius_statistics,
-                            natural_density_estimate, prime_zeta)
+from smolab.density import (SMALL_PRIME_FLOOR, dirichlet_density_estimate,
+                            frobenius_statistics, natural_density_estimate, prime_zeta)
 from smolab.errors import LimitExceeded
 from smolab.fields import FieldSpec
 from smolab.report import canonical_json
@@ -187,15 +187,26 @@ def segment_frobenius_counts(fs, cutoff):
     return counts.tolist(), first_hits.tolist()
 
 
+SEGMENT_MAP, LUCY_WALK = smolab.sieve.segment_map, smolab.sieve._lucy_walk
+
+
+def force_path(m, recurrence: bool):
+    """Send ``sieve.class_sums`` down one path whatever the cost model says,
+    with the other path's kernel replaced by None so that reaching it fails."""
+    m.setattr(smolab.sieve, "residue_counts_pay", lambda xs, q, exponents=None: recurrence)
+    m.setattr(smolab.sieve, "segment_map", None if recurrence else SEGMENT_MAP)
+    m.setattr(smolab.sieve, "_lucy_walk", LUCY_WALK if recurrence else None)
+
+
 @pytest.fixture
 def by_residue(monkeypatch):
     """Run the estimators on residue counts whatever the cost model says."""
-    monkeypatch.setattr(smolab.density, "residue_counts_pay", lambda xs, q: True)
+    force_path(monkeypatch, True)
 
 
 def on_segments(monkeypatch, fn, *args):
     with monkeypatch.context() as m:
-        m.setattr(smolab.density, "residue_counts_pay", lambda xs, q: False)
+        force_path(m, False)
         return fn(*args)
 
 
@@ -263,7 +274,7 @@ def test_frobenius_first_hits_sieve_a_prefix(monkeypatch):
             yield seg
 
     monkeypatch.setattr(smolab.density, "iter_prime_segments", counted)
-    monkeypatch.setattr(smolab.density, "segment_map", None)  # the sieve path is not taken
+    monkeypatch.setattr(smolab.sieve, "segment_map", None)  # the sieve path is not taken
     stats = frobenius_statistics(FieldSpec(11), 10**8)
     assert len(segments) == 1
     # least prime = r mod 11, r = 1..10
@@ -323,9 +334,9 @@ def assert_reports_close(fast, slow, tol: float):
     walk(a, b)
 
 
-def on_recurrence(monkeypatch, fn, *args, module=smolab.density, accept=True):
+def on_recurrence(monkeypatch, fn, *args, accept=True):
     with monkeypatch.context() as m:
-        m.setattr(module, "residue_counts_pay", lambda xs, q, exponents=None: accept)
+        force_path(m, accept)
         return fn(*args)
 
 
@@ -342,21 +353,60 @@ DIRICHLET_CASES = [
 ]
 
 
+def segment_dirichlet_sums(selector, s_values, cutoff):
+    """The four Dirichlet sums (numerator, floored numerator, reference,
+    floored reference) term by term per segment, the floored sums summed
+    directly: the reference both paths of the estimator are checked against."""
+    s_arr = np.array(s_values)
+    excluded = np.array(sorted(selector.excluded), dtype=np.int64)
+
+    def one_sum(norms, mult):
+        keep = norms <= cutoff
+        if not keep.any():
+            return np.zeros(len(s_values))
+        n, m = norms[keep], mult[keep]
+        return (m[None, :] * n[None, :] ** (-s_arr[:, None])).sum(axis=1)
+
+    def per_segment(seg):
+        chosen = seg[selector.mask(seg)]
+        norms = selector.norms(chosen)
+        mult = selector.place_multiplicity(chosen).astype(np.float64)
+        sums = one_sum(norms, mult)
+        unram = ~np.isin(seg, excluded) if len(excluded) else np.ones(len(seg), dtype=bool)
+        kept = seg[unram].astype(np.float64)
+        ref = (kept[None, :] ** (-s_arr[:, None])).sum(axis=1)
+        above = chosen > SMALL_PRIME_FLOOR
+        sums_floored = one_sum(norms[above], mult[above])
+        kept_f = kept[kept > SMALL_PRIME_FLOOR]
+        ref_floored = (kept_f[None, :] ** (-s_arr[:, None])).sum(axis=1)
+        return np.stack([sums, sums_floored, ref, ref_floored])
+
+    total = np.zeros((4, len(s_values)))
+    for part in segment_map(cutoff, per_segment):
+        total += part
+    return total
+
+
 @pytest.mark.parametrize("selector,cutoff", DIRICHLET_CASES, ids=lambda v: str(v))
 def test_dirichlet_by_recurrence_matches_segments(selector, cutoff, monkeypatch):
     s_grid = [1.5, 1.25, 1.1]
-    fast = smolab.density._dirichlet_sums_by_residue(selector, s_grid, cutoff)
-    slow = smolab.density._dirichlet_sums_by_segment(selector, s_grid, cutoff, 1)
+    numerator, num_floored, reference, ref_floored = segment_dirichlet_sums(selector, s_grid,
+                                                                            cutoff)
     bound = sum_bound(cutoff)
-    for f, s in zip(fast, slow):
-        assert np.abs(f - s).max() <= bound
     # the report's ratios divide by log(1/(s-1)) >= log 2 and by the floored
     # reference sum, so their gaps scale by the inverse of the smaller one
-    denominator = min([math.log(2.0), *slow[3][slow[3] > 0]])
-    fast_est = on_recurrence(monkeypatch, dirichlet_density_estimate, selector, s_grid, cutoff)
-    slow_est = on_recurrence(monkeypatch, dirichlet_density_estimate, selector, s_grid, cutoff,
-                             accept=False)
-    assert_reports_close(fast_est, slow_est, 4 * bound / denominator)
+    denominator = min([math.log(2.0), *ref_floored[ref_floored > 0]])
+    normalized = np.divide(num_floored, ref_floored, out=np.zeros(len(s_grid)),
+                           where=ref_floored > 0)
+    estimates = [on_recurrence(monkeypatch, dirichlet_density_estimate, selector, s_grid,
+                               cutoff, accept=accept) for accept in (True, False)]
+    for est in estimates:
+        d = est.diagnostics
+        assert np.abs(np.array(d["numerator_sums"]) - numerator).max() <= bound
+        assert np.abs(np.array(d["reference_sums"]) - reference).max() <= bound
+        assert np.abs(np.array(d["normalized_ratios"]) - normalized).max() \
+            <= 4 * bound / denominator
+    assert_reports_close(*estimates, 4 * bound / denominator)
 
 
 def test_dirichlet_empty_selector_is_exactly_zero(monkeypatch):
@@ -369,7 +419,7 @@ def test_dirichlet_empty_selector_is_exactly_zero(monkeypatch):
 
 def test_dirichlet_at_1e8_takes_the_recurrence(monkeypatch):
     # the prime-scan command: the cost model picks the recurrence, no sieve segment runs
-    monkeypatch.setattr(smolab.density, "segment_map", None)
+    monkeypatch.setattr(smolab.sieve, "segment_map", None)
     est = dirichlet_density_estimate(CongruenceSelector(8, frozenset({3})), [1.5, 1.25, 1.1], 10**8)
     assert abs(est.extrapolated - 0.25) < 0.01
 

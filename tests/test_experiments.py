@@ -2,7 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
-import smolab.experiments
+import smolab.sieve
 
 import numpy as np
 import pytest
@@ -152,10 +152,18 @@ POLE_EPS = (Fraction(1, 8), Fraction(1, 6), Fraction(1, 5))  # cutoffs 162755, 8
 
 
 def pole_order_by(monkeypatch, accept, *args, **kwargs):
+    """``pole_order_estimate`` with the cost model replaced by ``accept``;
+    exactly the refused cutoffs must walk the sieve, one walk each."""
+    walks = []
+    walk = smolab.sieve.segment_map
     with monkeypatch.context() as m:
-        m.setattr(smolab.experiments, "residue_counts_pay",
+        m.setattr(smolab.sieve, "residue_counts_pay",
                   lambda xs, q, exponents=None: accept(xs[0]))
-        return pole_order_estimate(*args, **kwargs)
+        m.setattr(smolab.sieve, "segment_map",
+                  lambda limit, fn, workers=None: walks.append(limit) or walk(limit, fn, workers))
+        est = pole_order_estimate(*args, **kwargs)
+    assert walks == [c for c in est.cutoffs if not accept(c)]
+    return est
 
 
 @pytest.mark.parametrize("selector", POLE_CASES, ids=lambda s: s.describe())
@@ -174,19 +182,19 @@ def test_pole_order_by_recurrence_matches_sieve(selector, accept, monkeypatch):
 
 
 def test_pole_order_refused_sums_keep_their_sieve_bits(monkeypatch):
-    # values the model refuses are the sieve's floats to the bit, and the sieve
-    # stops at the largest refused cutoff
+    # values the model refuses are the sieve's floats to the bit, one walk per
+    # refused cutoff, each stopping at its cutoff
     limits = []
-    original = smolab.experiments.segment_map
+    original = smolab.sieve.segment_map
 
     def recorded(limit, fn, workers=None):
         limits.append(limit)
         return original(limit, fn, workers=workers)
 
-    monkeypatch.setattr(smolab.experiments, "segment_map", recorded)
+    monkeypatch.setattr(smolab.sieve, "segment_map", recorded)
     selector = CongruenceSelector(4, frozenset({3}))
     mixed = pole_order_by(monkeypatch, lambda x: x > 10**5, None, selector, eps_grid=POLE_EPS)
-    assert limits == [8104]
+    assert limits == [1809, 8104]
     plain = pole_order_estimate(ONES, selector, eps_grid=POLE_EPS)
     assert mixed.cutoffs == (1809, 8104, 162755)
     assert mixed.values[:2] == plain.values[:2]
@@ -202,7 +210,7 @@ def test_pole_order_cli_takes_the_recurrence_at_1e8(monkeypatch):
     # the prime-scan command's two large cutoffs need no sieve; the third,
     # exp(12) = 162755, is below the model's crossover and sieves one segment
     limits = []
-    monkeypatch.setattr(smolab.experiments, "segment_map",
+    monkeypatch.setattr(smolab.sieve, "segment_map",
                         lambda limit, fn, workers=None: limits.append(limit) or [])
     est = pole_order_estimate(None, CongruenceSelector(4, frozenset({1})),
                               eps_grid=(Fraction(1, 16), Fraction(1, 12), Fraction(1, 8)))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smolab import sieve
@@ -450,6 +450,55 @@ def test_cost_model_choices():
     assert not residue_counts_pay([10**6], 1, exponents=1)
     assert not residue_counts_pay([10**5], 8, exponents=3)
     assert not any(residue_counts_pay([x], 149, exponents=1) for x in grid)
+
+
+def class_sum_bound(x: int, q: int) -> float:
+    """Absolute error allowed for a ``class_sums`` power sum up to x against
+    ``math.fsum``: ``power_sum_bound`` with one more eps per halving of the
+    pairwise reduction over at most q residue cells, from its docstring."""
+    return power_sum_bound(x) + q.bit_length() * 2.0**-53 * (math.log(x) + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(-3, ORACLE_LIMIT), min_size=1, max_size=3),
+       st.lists(st.floats(1.0, 2.0, exclude_min=True), min_size=1, max_size=2))
+@example(1, 1, 0, [ORACLE_LIMIT], [1.5])
+@example(600, 3, 1, [2, 10**5, ORACLE_LIMIT], [1.1])   # phi(600) = 160 rows
+@example(30, 2, 2, [-3, 0, 1], [2.0])                   # nothing to count
+@example(8, 2, 3, [SEGMENT_SPAN + 1, 3], [1.25, 1.5])   # a grid point in each segment
+def test_class_sums_match_bincount_and_fsum(q, n_classes, seed, grid, exponents):
+    table = np.random.default_rng(seed).integers(-1, n_classes, q)  # -1: left out
+    k = len(exponents)
+    assume(sieve._state_bytes(max(max(grid), 2), k * totient(q), 8) <= sieve.RECURRENCE_STATE_BYTES)
+    primes = DENSE[:np.searchsorted(DENSE, max(grid), side="right")]
+    counts = np.array([np.bincount(table[primes[primes <= g] % q] + 1,
+                                   minlength=n_classes + 1)[1:] for g in grid])
+    results = []
+    for accept in (True, False):
+        with mock.patch.object(sieve, "residue_counts_pay", lambda xs, q, exponents=None: accept):
+            got = sieve.class_sums(grid, n_classes, None, q, lambda: table)
+            assert got.dtype == np.int64 and got.tolist() == counts.tolist()
+            results.append(sieve.class_sums(grid, n_classes, None, q, lambda: table,
+                                            exponents=exponents))
+    by_callable = sieve.class_sums(grid, n_classes, lambda seg: table[seg % q], exponents=exponents)
+    assert np.array_equal(by_callable, results[1])  # both sieve walks, to the bit
+    for g, at_g in zip(grid, np.moveaxis(np.array(results), 1, 0)):
+        assert at_g.shape == (2, k, n_classes) and at_g.dtype == np.float64
+        chosen = primes[primes <= g]
+        for i, s in enumerate(exponents):
+            terms = chosen.astype(np.float64) ** -s
+            expected = [math.fsum(terms[table[chosen % q] == c]) for c in range(n_classes)]
+            assert np.abs(at_g[:, i] - expected).max() <= class_sum_bound(max(g, 2), q)
+
+
+def test_class_sums_read_the_residue_table_only_on_the_recurrence():
+    def no_table():
+        raise AssertionError("residue table built")
+
+    got = sieve.class_sums([10**4], 1, lambda seg: np.zeros(len(seg), dtype=np.int64),
+                           RECURRENCE_MODULUS_LIMIT + 1, no_table)
+    assert got.tolist() == [[1229]]
 
 
 @settings(max_examples=200, deadline=None)
