@@ -21,7 +21,7 @@ from .hecke import (RepresentationData, load_hecke, synthetic_tempered,
                     synthetic_with_profile)
 from .selectors import (AllPrimes, CongruenceSelector, DegreeSelector,
                         ExplicitList, PrimeSelector, parse_selector)
-from .sieve import prime_array, prime_count, primes_up_to
+from .sieve import prime_array, prime_count
 from .tau import generate_tau, write_tau_csv
 
 __version__ = "0.1.0"

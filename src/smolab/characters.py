@@ -294,14 +294,10 @@ def _orthogonality_ok(table: CharacterTable) -> bool:
 
 def character_table(G: FiniteGroup) -> CharacterTable:
     """Full table of irreducible characters, deterministic across runs."""
-    cached = G._cache.get("character_table")
-    if cached is not None:
-        return cached
     cells, part = _class_cells(G)
     table = _try_table(G, cells, part)
     if table is None:
         raise NumericalDegeneracy(f"character table checks failed for {G.label}")
-    G._cache["character_table"] = table
     return table
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from fractions import Fraction
@@ -329,6 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process; ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def _character_table_report(args) -> Report:
     G = _load_group(args.group)
     table = characters.character_table(G)
@@ -619,8 +626,7 @@ def _dispatch_smo(args, workers) -> Report:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = _dispatch(args)
         if isinstance(result, str):  # pre-rendered CSV

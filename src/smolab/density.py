@@ -20,8 +20,8 @@ huge compound modulus is refused by the model before its table is built.
 In process on a 2-vCPU x86-64 VM, ``density natural`` took about 0.02 s
 for mod:4 on the grid 1e6, 1e7, 1e8, and ``frobstats`` 0.03 s for N = 11
 at 1e8, against 0.36 s for one sieve to 1e8.  ``frobstats`` then takes
-``first_hits`` from sieve segments in order until every nonempty class has
-its least prime, one segment for N = 11.
+``first_hits`` from ``prime_stream`` in order until every nonempty class has
+its least prime, one chunk of the first segment for N = 11.
 
 Counts are exact, so natural and ``frobstats`` reports are the same bytes
 on both paths, and a single class sums in the same order on the sieve as a
@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import LimitExceeded, UsageError
 from .selectors import PrimeSelector
-from .sieve import (PRIME_LIMIT, class_sums, iter_prime_segments, residues,
-                    simple_sieve, unit_mask)
+from .sieve import (PRIME_LIMIT, class_sums, prime_stream, residues, simple_sieve,
+                    unit_mask)
 # segment_map is not called here; perfbench/tracer.py wraps it under this name
 from .sieve import segment_map
 
@@ -231,9 +231,9 @@ def frobenius_statistics(fs, cutoff: int, workers: int | None = None) -> Frobeni
 
 def _first_hits(coset_table: np.ndarray, cutoff: int, nonempty: np.ndarray) -> np.ndarray:
     """The least prime of each class, -1 for an empty one, from a prefix of
-    sieve segments that grows until every nonempty class has its hit."""
+    ``prime_stream`` that grows until every nonempty class has its hit."""
     first = np.full(len(nonempty), -1, dtype=np.int64)
-    for seg in iter_prime_segments(cutoff):
+    for seg in prime_stream(cutoff):
         classes, at = np.unique(coset_table[residues(seg, len(coset_table))], return_index=True)
         new = classes >= 0
         new[new] = first[classes[new]] < 0

@@ -29,7 +29,8 @@ import numpy as np
 from .errors import (LimitExceeded, NormMismatch, NotPositiveType, PoleHit,
                      UnknownProfile, UsageError)
 from .selectors import PrimeSelector
-from .sieve import iter_prime_segments, prime_stream
+# iter_prime_segments is not called here; perfbench/tracer.py wraps it under this name
+from .sieve import iter_prime_segments, prefix_sums, prime_stream
 
 POSITIVITY_TOL = 1e-9
 LOG_INDEX_LIMIT = 10**8
@@ -270,51 +271,34 @@ def convergence_probe(selector: PrimeSelector, delta: float, sigmas,
     beyond norm X decays only like X^-(sigma - delta - 1/j), so just right of
     the edge a convergent product is labelled "growing" at every computable
     cutoff.  The convergence verdict is ``analytic_abscissa``, the edge
-    delta + 1/j.
+    delta + 1/j.  The sums are one ``prefix_sums`` walk, a row per sigma.
     """
     sig = tuple(float(s) for s in sigmas)
     cuts = tuple(int(c) for c in sorted(cutoffs))
-    if not cuts:
-        raise UsageError("need at least one cutoff")
-    max_p = selector.max_prime_for_norm(cuts[-1])
-    # accumulate per sigma in ascending cutoff order, one sieve pass
-    running = {s: 0.0 for s in sig}
-    cut_idx = {s: 0 for s in sig}
-    pending: dict[float, list[float]] = {s: [] for s in sig}
-    for seg in iter_prime_segments(max_p):
-        mask = selector.mask(seg)
-        chosen = seg[mask]
-        if len(chosen) == 0:
-            continue
+    if not cuts or cuts[0] < 1:
+        raise UsageError(f"need cutoffs of at least 1, got {list(cuts)}")
+    if not sig:
+        raise UsageError("need at least one sigma")
+
+    def per_class(seg: np.ndarray) -> list:
+        chosen = seg[selector.mask(seg)]
         norms = selector.norms(chosen)
         mult = selector.place_multiplicity(chosen).astype(np.float64)
+        rows = []
         for s in sig:
             x = norms ** (-(s - delta))
-            finite = x < 1.0
-            term = np.where(finite, -np.log1p(-np.clip(x, None, 1.0 - 1e-15)), np.inf)
-            # flush cutoffs that end inside this segment
-            while cut_idx[s] < len(cuts) and cuts[cut_idx[s]] < norms[-1]:
-                c = cuts[cut_idx[s]]
-                inside = norms <= c
-                pending[s].append(running[s] + float((mult[inside] * term[inside]).sum()))
-                cut_idx[s] += 1
-            running[s] += float((mult * term).sum())
-    for s in sig:
-        while cut_idx[s] < len(cuts):
-            pending[s].append(running[s])
-            cut_idx[s] += 1
-    classifications = {}
-    for s in sig:
-        vals = pending[s]
-        if len(vals) >= 2 and math.isfinite(vals[-1]):
-            classifications[s] = ("stabilized" if abs(vals[-1] - vals[-2]) < STABILIZE_TOL
-                                  else "growing")
-        else:
-            classifications[s] = "growing"
+            rows.append(mult * np.where(x < 1.0, -np.log1p(-np.clip(x, None, 1.0 - 1e-15)), np.inf))
+        return [(norms, rows)]
+
+    sums = prefix_sums(selector.max_prime_for_norm(cuts[-1]), cuts, (len(sig), 1), per_class)
+    partials = {s: tuple(float(v) for v in sums[:, i, 0]) for i, s in enumerate(sig)}
+    classifications = {s: "stabilized" if len(v) >= 2 and math.isfinite(v[-1])
+                       and abs(v[-1] - v[-2]) < STABILIZE_TOL else "growing"
+                       for s, v in partials.items()}
     j = selector.norm_exponent
     return ConvergenceProbe(
         sigmas=sig, cutoffs=cuts,
-        partial_sums={s: tuple(pending[s]) for s in sig},
+        partial_sums=partials,
         classifications=classifications,
         delta=float(delta),
         norm_exponent=j,

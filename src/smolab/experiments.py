@@ -16,15 +16,15 @@ import numpy as np
 
 from .errors import (DegreeMismatch, InfeasibleEpsilon, NotNested,
                      NotPrimeDegree, PoleHit, UsageError)
-# log_expansion and prime_array are not called here; perfbench/tracer.py wraps
-# them under these names alongside the prime walkers
+# log_expansion, prime_array, iter_prime_segments and segment_map are not called
+# here; perfbench/tracer.py wraps them under these names
 from .euler import (GRCBoundProfile, ConvergenceProbe, convergence_probe,
                     log_expansion, require_degree)
 from .fields import FieldSpec
 from .hecke import RepresentationData, require_size_bound
 from .selectors import DegreeSelector, ExplicitList, Intersection, PrimeSelector
-from .sieve import (class_sums, is_prime, iter_prime_segments, prime_array, prime_stream,
-                    restrict, segment_map, unit_mask)
+from .sieve import (class_sums, is_prime, iter_prime_segments, prefix_sums, prime_array,
+                    prime_stream, restrict, segment_map, unit_mask)
 
 COEFF_EQ_TOL = 1e-9
 PROBE_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
@@ -145,7 +145,8 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
     ``coefficient_fn`` maps a prime array to a weight array (|coefficient|^2
     for self-pairings); None means weight 1, the plain zeta shape.  With
     weight 1 each sum is one ``class_sums`` call at its cutoff and exponent;
-    weighted sums walk ``segment_map`` once, up to the largest cutoff.
+    weighted sums are one ``prefix_sums`` walk, each eps reading its own row
+    at its own cutoff.
     """
     eps_values = sorted((float(e) for e in (eps_grid or DEFAULT_EPS_GRID)), reverse=True)
     if len(set(eps_values)) < 3:
@@ -167,28 +168,20 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
                                     of_residues, exponents=[e], workers=workers)[0, 0, 0]
                          for cut, e in zip(cutoffs, exponents.tolist())])
     else:
-        def per_segment(seg: np.ndarray) -> np.ndarray:
-            part = np.zeros(len(cutoffs))
+        def per_class(seg: np.ndarray) -> list:
             chosen = seg[selector.mask(seg)]
-            if len(chosen) == 0:
-                return part
             weights = np.asarray(coefficient_fn(chosen), dtype=np.float64)
             pf = chosen.astype(np.float64)
-            for i, cut in enumerate(cutoffs):
-                inside = chosen <= cut
-                part[i] = float((weights[inside] * pf[inside] ** (-exponents[i])).sum())
-            return part
+            return [(chosen, [weights * pf ** (-e) for e in exponents])]
 
-        sums = np.zeros(len(eps_values))
-        for part in segment_map(max(cutoffs), per_segment, workers=workers):
-            sums += part
+        sums = prefix_sums(max(cutoffs), cutoffs, (len(cutoffs), 1), per_class,
+                           workers)[:, :, 0].diagonal()
     L = np.array([math.log(1.0 / e) for e in eps_values])
-    V = sums
-    slope, stderr = _least_squares_slope(L, V)
+    slope, stderr = _least_squares_slope(L, sums)
     return PoleOrderEstimate(
         eps_grid=tuple(eps_values),
         cutoffs=tuple(int(c) for c in cutoffs),
-        values=tuple(float(v) for v in V),
+        values=tuple(float(v) for v in sums),
         slope=slope,
         slope_interval=(slope - 2.0 * stderr, slope + 2.0 * stderr),
         data_limited=data_limited,
@@ -386,27 +379,23 @@ def rajan_criterion(selector: PrimeSelector, n: int,
 
     For degree-structured selectors (norms q = p^j) the sum converges iff
     2j/(n^2+1) > 1; explicit lists are trivially summable.  Arbitrary
-    predicates get partial sums only and an "undecidable" verdict.
+    predicates get partial sums only and an "undecidable" verdict.  The
+    partial sums are one ``prefix_sums`` walk keyed by the norms.
     """
     require_degree(n)
     exponent = Fraction(2, n * n + 1)
     cuts = tuple(int(c) for c in sorted(cutoffs))
+    if cuts and cuts[0] < 1:
+        raise UsageError(f"need cutoffs of at least 1, got {list(cuts)}")
     j = selector.norm_exponent
-    partials: list[float] = []
-    total = 0.0
-    prev_p = 0
-    for cut in cuts:
-        max_p = selector.max_prime_for_norm(cut)
-        if max_p > prev_p:
-            for seg in iter_prime_segments(max_p):
-                block = seg[(seg > prev_p) & selector.mask(seg)]
-                if len(block):
-                    norms = selector.norms(block)
-                    keep = norms <= cut
-                    total += float((selector.place_multiplicity(block)[keep]
-                                    * norms[keep] ** (-float(exponent))).sum())
-            prev_p = max_p
-        partials.append(total)
+
+    def per_class(seg: np.ndarray) -> list:
+        chosen = seg[selector.mask(seg)]
+        norms = selector.norms(chosen)
+        return [(norms, [selector.place_multiplicity(chosen) * norms ** (-float(exponent))])]
+
+    sums = prefix_sums(selector.max_prime_for_norm(max(cuts, default=1)), cuts, (1, 1), per_class)
+    partials = tuple(float(v) for v in sums[:, 0, 0])
     if isinstance(selector, ExplicitList):
         verdict = "summable"
         test = None
@@ -417,7 +406,7 @@ def rajan_criterion(selector: PrimeSelector, n: int,
         test = None
         verdict = "undecidable"
     return SummabilityReport(verdict=verdict, exponent=exponent, test_exponent=test,
-                             cutoffs=cuts, partial_sums=tuple(partials),
+                             cutoffs=cuts, partial_sums=partials,
                              selector=selector.describe())
 
 

@@ -14,6 +14,11 @@ numpy 2.4.6), ``prime_count(10**8)`` took 0.19-0.25 s at one worker and
 0.22-0.24 s at two (four medians of five runs each), and
 ``prime_count(10**9)`` 3.0-4.3 s at one and 3.0-3.7 s at two (single runs).
 
+Other modules walk primes three ways: ``prime_stream`` for lazy per-prime
+scans (comparisons, z-ratio, towers, Euler log expansions, first hits),
+``prefix_sums`` and ``class_sums`` for cumulative sums (Rajan's sums, the
+probe, the weighted pole order, the prime statistics), ``prime_array`` for tau.
+
 Counts of primes by residue class need no sieve walk.  ``residue_prime_counts``
 runs Lucy's recurrence on the about 2 sqrt(x) values x // n, in about
 phi(q) x^(3/4) / log x cell updates (Lagarias, Miller and Odlyzko, Math.
@@ -158,12 +163,6 @@ def iter_prime_segments(limit: int) -> Iterator[np.ndarray]:
         yield _sieve_segment(low, high, base)
 
 
-def primes_up_to(limit: int) -> Iterator[int]:
-    """Ordered stream of the primes <= limit."""
-    for seg in iter_prime_segments(limit):
-        yield from (int(p) for p in seg)
-
-
 def prime_array(limit: int) -> np.ndarray:
     segs = list(iter_prime_segments(limit))
     if not segs:
@@ -270,6 +269,34 @@ def segment_map(limit: int, fn: Callable[[np.ndarray], R],
         return [job(b) for b in bounds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, bounds))
+
+
+def prefix_sums(limit: int, cuts, shape: tuple[int, int],
+                of_primes: Callable[[np.ndarray], list], workers: int | None = None) -> np.ndarray:
+    """Entry [g, r, c] sums row r of class c over the keys <= cuts[g]
+    (compared as float64), from one ``segment_map`` walk to ``limit``.
+
+    ``of_primes`` maps a segment's primes to shape[1] ``(keys, rows)`` pairs,
+    one per class: ascending keys, such as primes or norms, and shape[0]
+    float64 rows aligned with them.  Per segment each sum is one pairwise
+    ``row[:end].sum()`` at the ``searchsorted`` end; segments add up in order
+    from 0.0, so the result does not depend on the worker count.
+    """
+    bounds = np.asarray(cuts, dtype=np.float64)
+
+    def per_segment(seg: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(bounds),) + shape)
+        for c, (keys, rows) in enumerate(of_primes(seg)):
+            ends = np.searchsorted(keys, bounds, side="right").tolist()
+            for r, row in enumerate(rows):
+                for g, end in enumerate(ends):
+                    out[g, r, c] = row[:end].sum()
+        return out
+
+    total = np.zeros((len(bounds),) + shape)
+    for part in segment_map(limit, per_segment, workers=workers):
+        total += part
+    return total
 
 
 _BLOCK_CELLS = 1 << 16  # state cells updated per numpy call in the recurrence
@@ -589,9 +616,9 @@ def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarra
 
     When ``residue_counts_pay`` accepts the modulus, the recurrence gives
     every residue class and only then is ``of_residues`` called, so a
-    modulus the model refuses never builds its table.  Otherwise one
-    ``segment_map`` walk to max(grid) classifies each segment, and the
-    per-segment results add up in segment order.
+    modulus the model refuses never builds its table.  Otherwise one walk
+    to max(grid) classifies each segment, counts by ``bincount`` and sums by
+    ``prefix_sums``, and the per-segment results add up in segment order.
 
     A class sum is one pairwise ``.sum()`` over a contiguous row in ascending
     p (ascending residue on the recurrence), so one class on the sieve is
@@ -613,31 +640,24 @@ def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarra
     if of_primes is None:
         table = np.asarray(of_residues())
         of_primes = lambda seg: table[residues(seg, modulus)]
-    bounds = np.array(grid, dtype=np.int64)
-    if k is None:
-        def per_segment(seg: np.ndarray) -> np.ndarray:
-            shifted = of_primes(seg) + 1  # class -1 lands in the dropped column 0
-            cuts, at = np.unique(np.searchsorted(seg, bounds, side="right"), return_inverse=True)
-            return np.stack([np.bincount(shifted[:cut], minlength=n_classes + 1)[1:]
-                             for cut in cuts.tolist()])[at]
-    else:
+    if k is not None:
         powers = [-float(s) for s in exponents]
 
-        def per_segment(seg: np.ndarray) -> np.ndarray:
+        def per_class(seg: np.ndarray) -> list:
             classes = of_primes(seg)
-            out = np.zeros((len(grid), k, n_classes))
-            for c in range(n_classes):
-                primes = seg[classes == c]
-                cuts = np.searchsorted(primes, bounds, side="right").tolist()
-                pf = primes.astype(np.float64)
-                for i, power in enumerate(powers):
-                    terms = pf ** power
-                    for g, cut in enumerate(cuts):
-                        out[g, i, c] = terms[:cut].sum()
-            return out
+            members = [seg[classes == c] for c in range(n_classes)]
+            return [(p, [p.astype(np.float64) ** power for power in powers]) for p in members]
 
-    total = np.zeros((len(grid), n_classes) if k is None else (len(grid), k, n_classes),
-                     dtype=np.int64 if k is None else np.float64)
+        return prefix_sums(max(grid), grid, (k, n_classes), per_class, workers)
+    bounds = np.array(grid, dtype=np.int64)
+
+    def per_segment(seg: np.ndarray) -> np.ndarray:
+        shifted = of_primes(seg) + 1  # class -1 lands in the dropped column 0
+        cuts, at = np.unique(np.searchsorted(seg, bounds, side="right"), return_inverse=True)
+        return np.stack([np.bincount(shifted[:cut], minlength=n_classes + 1)[1:]
+                         for cut in cuts.tolist()])[at]
+
+    total = np.zeros((len(grid), n_classes), dtype=np.int64)
     for part in segment_map(max(grid), per_segment, workers=workers):
         total += part
     return total

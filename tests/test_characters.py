@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,6 +32,20 @@ def elementwise_inner(chi, psi, G):
     a = expand_to_elements(chi, G)
     b = expand_to_elements(psi, G)
     return sum(x * y.conjugate() for x, y in zip(a, b)) / G.order
+
+
+def test_group_and_table_are_freed_without_the_cycle_collector():
+    # a table kept in its group's cache formed a cycle that only the cyclic
+    # collector freed, so a run's peak memory depended on when it ran
+    G = catalog("symmetric(4)")
+    table = character_table(G)
+    group, rows = weakref.ref(G), weakref.ref(table)
+    gc.disable()
+    try:
+        del G, table
+        assert group() is None and rows() is None
+    finally:
+        gc.enable()
 
 
 def test_c2_table_is_exact():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smolab import cli
 from smolab.cli import main
 from smolab.report import Report, canonical_json, emit
 
@@ -22,6 +23,20 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    try:
+        argv = ("euler", "poleline", "--q", "4", "--alphas", "2,0.5")
+        first, second = run(capsys, *argv), run(capsys, *argv)
+    finally:
+        cli._parser.cache_clear()  # the next test builds the real parser again
+    assert builds == [1]
+    assert first == second and first[0] == 0
 
 
 def test_poleline_command(capsys):
@@ -428,6 +443,10 @@ BAD_ARGV = [
     ("smo", "rajan", "--fieldspec", "field.txt", "--degree", "1", "--n", "0"),
     ("smo", "rajan", "--fieldspec", "field.txt", "--degree", "1", "--n", "-1"),
     ("smo", "inert", "--fieldspec", "field.txt", "--n", "0", "--profile", "LRS"),
+    ("euler", "probe", "--fieldspec", "field.txt", "--degree", "2", "--delta", "1/4",
+     "--sigma", "0.8", "--cutoffs=-5"),
+    ("euler", "probe", "--fieldspec", "field.txt", "--degree", "2", "--delta", "1/4",
+     "--sigma", "", "--cutoffs", "10000"),
 ]
 
 

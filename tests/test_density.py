@@ -273,7 +273,7 @@ def test_frobenius_first_hits_sieve_a_prefix(monkeypatch):
             segments.append(len(seg))
             yield seg
 
-    monkeypatch.setattr(smolab.density, "iter_prime_segments", counted)
+    monkeypatch.setattr(smolab.sieve, "iter_prime_segments", counted)  # under prime_stream
     monkeypatch.setattr(smolab.sieve, "segment_map", None)  # the sieve path is not taken
     stats = frobenius_statistics(FieldSpec(11), 10**8)
     assert len(segments) == 1

@@ -152,7 +152,7 @@ CLI_DIGESTS = [
     ("smo zratio --data tau.csv --data2 synthetic:2 --selector mod:8:1 --s 1.25,1.5",
      "b3b273ec4acf745fc167013b21277f0a6903f87063b66271c347fef5e0cc7759"),
     ("smo rajan --fieldspec c7.txt --degree 3 --n 2",
-     "4d7666a90387c06568a42b5bb307e18ec0d4f5feb5fd2dc6eb96db04859ae016"),
+     "74e45c8b9b51ce0b937d5889f0c8263896961a483a149cb43d311227508c49e8"),
     ("smo inert --fieldspec c7.txt --n 2 --profile LRS --delta 1/8",
      "88159dd6b92536f1437e042e6e33d3a17ef5de8269598f0a5bb9cfc66a990d29"),
     ("smo tower --subfield inner.txt --field outer.txt --x 10000",
@@ -164,11 +164,11 @@ CLI_DIGESTS = [
     ("smo tempered --data tau.csv --selector all",
      "e94ed19672409f6fd63bbf9987c087981d73009faa5be838a4d509d51e2cff7f"),
     ("smo rajan --fieldspec c7.txt --degree 1 --n 1",
-     "b1cc721e2fd43519f9583f74aab5adcd48a043c4c65bb8709b5cdfa12d4833a6"),
+     "fc6f0a02ba1fa8ccfaba559d0105d569da40d9cf9e5a8721acfc1a2856c838a0"),
     ("--format csv density natural --selector mod:4:1 --x 10000,100000",
      "9bfeaa5fe39cde4d7ba5d2d310372ef61ca485de92b86c227255f491e85d7fe4"),
     ("--format csv smo rajan --fieldspec c7.txt --degree 3 --n 2",
-     "88af13d4b65cbcba02d53bca1b825e7138119c78de674001ed9bf4e88dd3c9ab"),
+     "171dbb4172112ffedaf9dc094bee0b20cb0dc7e3f13d7cd541987d1a3e32e966"),
     ("--format csv smo inert --fieldspec c7.txt --n 2 --profile LRS --delta 1/8",
      "3ec043436576e7025bca1503b101306d726cee9e7611419f181bb62a3f1ddd38"),
 ]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from smolab import euler
 from smolab.errors import (NormMismatch, NotPositiveType, PoleHit,
-                           UnknownProfile)
+                           UnknownProfile, UsageError)
 from smolab.euler import (EulerProduct, LocalFactor, convergence_probe,
                           dedekind_product, eval_local, first_pole_line,
                           grc_profile, key_observation_abscissa,
@@ -20,7 +20,7 @@ from smolab.fields import FieldSpec
 from smolab.hecke import parse_hecke_text, synthetic_tempered, synthetic_with_profile
 from smolab.selectors import (AllPrimes, CongruenceSelector, DegreeSelector, ExplicitList,
                               NoPrimes)
-from smolab.sieve import simple_sieve
+from smolab.sieve import iter_prime_segments, simple_sieve
 from smolab.tau import tau_csv_text
 
 UNIT = st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False)
@@ -358,6 +358,58 @@ def test_probe_trivial_case_stabilizes():
     # at sigma comfortably beyond the edge the tail is tiny per decade
     diff = probe.partial_sums[1.5][-1] - probe.partial_sums[1.5][-2]
     assert diff < 1e-2
+
+
+def probe_sums_by_flushing(selector, delta, sigmas, cuts) -> dict:
+    """The probe's partial sums as ``convergence_probe`` made them before
+    ``prefix_sums``: a running total per sigma over the segments, and each
+    cutoff flushed in the segment where it ends."""
+    running = {s: 0.0 for s in sigmas}
+    cut_idx = {s: 0 for s in sigmas}
+    pending = {s: [] for s in sigmas}
+    for seg in iter_prime_segments(selector.max_prime_for_norm(cuts[-1])):
+        chosen = seg[selector.mask(seg)]
+        if len(chosen) == 0:
+            continue
+        norms = selector.norms(chosen)
+        mult = selector.place_multiplicity(chosen).astype(np.float64)
+        for s in sigmas:
+            x = norms ** (-(s - delta))
+            term = np.where(x < 1.0, -np.log1p(-np.clip(x, None, 1.0 - 1e-15)), np.inf)
+            while cut_idx[s] < len(cuts) and cuts[cut_idx[s]] < norms[-1]:
+                inside = norms <= cuts[cut_idx[s]]
+                pending[s].append(running[s] + float((mult[inside] * term[inside]).sum()))
+                cut_idx[s] += 1
+            running[s] += float((mult * term).sum())
+    for s in sigmas:
+        pending[s] += [running[s]] * (len(cuts) - cut_idx[s])
+    return {s: tuple(v) for s, v in pending.items()}
+
+
+@pytest.mark.parametrize("selector,delta,sigmas,cuts", [
+    (DegreeSelector(FieldSpec(4), 2), 0.25, (0.8, 0.7), (10**5, 10**6, 10**7)),
+    (DegreeSelector(FieldSpec(7, (6,)), 1), 0.25, (0.8, 1.2), (10**5, 1 << 20, 3 * 10**6)),
+    (DegreeSelector(FieldSpec(7, (6,)), 3), 0.25, (0.8,), (1, 10**6, 10**9)),
+    (AllPrimes(), 0.5, (0.5, 1.5), (10, 2 * 10**6)),  # sigma = delta: infinite terms
+    (ExplicitList((2, 3, 5, 1009)), 0.1, (0.9,), (10, 100, 2000)),
+    (NoPrimes(), 0.0, (1.5,), (10**4,)),
+], ids=lambda v: v.describe() if hasattr(v, "describe") else None)
+def test_probe_keeps_its_flushed_sums(selector, delta, sigmas, cuts):
+    probe = convergence_probe(selector, delta, sigmas, cuts)
+    assert probe.partial_sums == probe_sums_by_flushing(selector, delta, sigmas, cuts)
+
+
+def test_probe_repeated_sigma_is_summed_once():
+    selector = DegreeSelector(FieldSpec(4), 2)
+    twice = convergence_probe(selector, 0.25, [0.8, 0.8], [10**4, 10**6])
+    assert twice.partial_sums == convergence_probe(selector, 0.25, [0.8], [10**4, 10**6]).partial_sums
+
+
+@pytest.mark.parametrize("cutoffs,sigmas", [((-5,), (0.8,)), ((0, 10**4), (0.8,)),
+                                            ((10**4,), ())])
+def test_probe_refuses_cutoffs_below_one_and_no_sigma(cutoffs, sigmas):
+    with pytest.raises(UsageError):
+        convergence_probe(DegreeSelector(FieldSpec(7, (6,)), 3), 0.25, sigmas, cutoffs)
 
 
 def test_validation_errors():

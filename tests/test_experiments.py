@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smolab.errors import (DegreeMismatch, InfeasibleEpsilon, NotNested,
-                           NotPrimeDegree)
+                           NotPrimeDegree, UsageError)
 from smolab.euler import grc_profile
 from smolab.experiments import (_contains, compare_local, inert_experiment,
                                 pole_order_estimate, rajan_criterion,
@@ -219,6 +219,36 @@ def test_pole_order_cli_takes_the_recurrence_at_1e8(monkeypatch):
     assert est.values[2] > est.values[1] > 0
 
 
+def weighted_sums_by_segment(coefficient_fn, selector, exponents, cutoffs) -> np.ndarray:
+    """The weighted pole-order sums as ``pole_order_estimate`` made them before
+    ``prefix_sums``: a mask and one sum per cutoff in each segment."""
+    def per_segment(seg):
+        part = np.zeros(len(cutoffs))
+        chosen = seg[selector.mask(seg)]
+        if len(chosen) == 0:
+            return part
+        weights = np.asarray(coefficient_fn(chosen), dtype=np.float64)
+        pf = chosen.astype(np.float64)
+        for i, cut in enumerate(cutoffs):
+            inside = chosen <= cut
+            part[i] = float((weights[inside] * pf[inside] ** (-exponents[i])).sum())
+        return part
+
+    sums = np.zeros(len(cutoffs))
+    for part in smolab.sieve.segment_map(max(cutoffs), per_segment):
+        sums += part
+    return sums
+
+
+@pytest.mark.parametrize("selector", POLE_CASES, ids=lambda s: s.describe())
+def test_weighted_pole_order_keeps_its_per_segment_sums(selector):
+    weights = lambda primes: ((primes % 7) + 1) / 3.0
+    est = pole_order_estimate(weights, selector, data_limit=3 * 10**6)  # three segments
+    exponents = np.array([1.0 + e for e in est.eps_grid])
+    expected = weighted_sums_by_segment(weights, selector, exponents, est.cutoffs)
+    assert est.values == tuple(expected.tolist())  # to the bit
+
+
 # -- tempered bound ------------------------------------------------------------
 
 def test_tempered_bound_on_eigenvalue_data(tau_rep):
@@ -300,6 +330,24 @@ def test_rajan_matches_sign_of_exponent_test():
             report = rajan_criterion(DegreeSelector(fs, j), n, cutoffs=(10**4, 10**5))
             expect = "summable" if Fraction(2 * j, n * n + 1) > 1 else "divergent"
             assert report.verdict == expect
+
+
+def test_rajan_sieves_once(monkeypatch):
+    # every sieve walk, by iter_prime_segments or segment_map, takes its bounds once
+    walks, maps = [], []
+    bounds, walk = smolab.sieve._segment_bounds, smolab.sieve.segment_map
+    monkeypatch.setattr(smolab.sieve, "_segment_bounds",
+                        lambda limit: walks.append(limit) or bounds(limit))
+    monkeypatch.setattr(smolab.sieve, "segment_map",
+                        lambda limit, fn, workers=None: maps.append(limit) or walk(limit, fn, workers))
+    report = rajan_criterion(DegreeSelector(FieldSpec(7, (6,)), 1), 2)
+    assert report.cutoffs == (10**4, 10**5, 10**6, 10**7)
+    assert walks == maps == [10**7]
+
+
+def test_rajan_refuses_a_cutoff_below_one():
+    with pytest.raises(UsageError, match="cutoffs of at least 1"):
+        rajan_criterion(DegreeSelector(FieldSpec(7, (6,)), 3), 2, cutoffs=(10, -5))
 
 
 def test_rajan_explicit_list():

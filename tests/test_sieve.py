@@ -14,7 +14,7 @@ from smolab.errors import LimitExceeded, UsageError
 from smolab.sieve import (_BLOCK_CELLS, PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, SEGMENT_SPAN,
                           _icbrt, _lucy_values, _segment_bounds, _sieve_segment, is_prime,
                           is_prime_array, iter_prime_segments,
-                          prime_array, prime_count, primes_up_to, residue_counts_pay,
+                          prefix_sums, prime_array, prime_count, residue_counts_pay,
                           prime_divisors, residue_prime_counts, residue_prime_counts_grid,
                           residue_prime_power_sums, residues, segment_map, simple_sieve,
                           totient, unit_mask)
@@ -25,9 +25,9 @@ BASE = simple_sieve(math.isqrt(ORACLE_LIMIT) + 1)
 
 
 def test_small_stream():
-    assert list(primes_up_to(10)) == [2, 3, 5, 7]
-    assert list(primes_up_to(1)) == []
-    assert list(primes_up_to(2)) == [2]
+    assert prime_array(10).tolist() == [2, 3, 5, 7]
+    assert prime_array(1).tolist() == []
+    assert prime_array(2).tolist() == [2]
 
 
 def test_count_at_powers_of_ten():
@@ -47,7 +47,7 @@ def test_segment_boundaries_exact():
     span = 1 << 20
     lo, hi = span - 50, span + 50
     expected = [p for p in range(lo, hi) if is_prime(p)]
-    got = [p for p in primes_up_to(hi - 1) if p >= lo]
+    got = [p for p in prime_array(hi - 1).tolist() if p >= lo]
     assert got == expected
 
 
@@ -490,6 +490,72 @@ def test_class_sums_match_bincount_and_fsum(q, n_classes, seed, grid, exponents)
             terms = chosen.astype(np.float64) ** -s
             expected = [math.fsum(terms[table[chosen % q] == c]) for c in range(n_classes)]
             assert np.abs(at_g[:, i] - expected).max() <= class_sum_bound(max(g, 2), q)
+
+
+def per_class_power_loop(grid, n_classes, of_primes, exponents) -> np.ndarray:
+    """Per-class sums of p^-s on the sieve as ``class_sums`` made them before
+    ``prefix_sums``: a loop over classes, exponents and grid points per segment."""
+    bounds = np.array(grid, dtype=np.int64)
+    powers = [-float(s) for s in exponents]
+
+    def per_segment(seg):
+        classes = of_primes(seg)
+        out = np.zeros((len(grid), len(powers), n_classes))
+        for c in range(n_classes):
+            primes = seg[classes == c]
+            cuts = np.searchsorted(primes, bounds, side="right").tolist()
+            pf = primes.astype(np.float64)
+            for i, power in enumerate(powers):
+                terms = pf ** power
+                for g, cut in enumerate(cuts):
+                    out[g, i, c] = terms[:cut].sum()
+        return out
+
+    total = np.zeros((len(grid), len(powers), n_classes))
+    for part in segment_map(max(grid), per_segment):
+        total += part
+    return total
+
+
+PREFIX_LIMIT = 2 * 10**6
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
+       st.lists(st.integers(-3, PREFIX_LIMIT), min_size=1, max_size=4),
+       st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3))
+@example(7, 2, 0, 1, [SEGMENT_SPAN, SEGMENT_SPAN + 1, PREFIX_LIMIT], [1.5])  # a cut at the seam
+@example(5, 3, 1, 2, [1, 4, 1000, 10**6], [0.5, 1.25])  # norms p**2
+def test_prefix_sums_match_fsum_and_the_per_class_power_loop(q, n_classes, seed, power,
+                                                             cuts, exponents):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(-1, n_classes, q)  # -1: in no class
+    weights = rng.random(q) * 2  # one weight per residue, so rows are not plain powers
+
+    def of_primes(seg):
+        pairs = []
+        for c in range(n_classes):
+            primes = seg[table[seg % q] == c]
+            pf = primes.astype(np.float64)
+            pairs.append((pf ** power, [weights[primes % q] * pf ** -s for s in exponents]))
+        return pairs
+
+    limit = math.isqrt(max(max(cuts), 0)) if power == 2 else max(cuts)
+    got = prefix_sums(limit, cuts, (len(exponents), n_classes), of_primes)
+    assert got.shape == (len(cuts), len(exponents), n_classes) and got.dtype == np.float64
+    primes = DENSE[:np.searchsorted(DENSE, limit, side="right")]
+    for c, (keys, rows) in enumerate(of_primes(primes)):
+        for i, row in enumerate(rows):
+            for g, cut in enumerate(cuts):
+                terms = row[keys <= cut]
+                # pairwise sums within segments, then at most three segment totals
+                bound = (len(terms).bit_length() + 4) * 2.0**-53 * math.fsum(terms)
+                assert abs(got[g, i, c] - math.fsum(terms)) <= bound
+    if power == 1:
+        classes = lambda seg: table[seg % q]
+        old = per_class_power_loop(cuts, n_classes, classes, exponents)
+        assert np.array_equal(sieve.class_sums(cuts, n_classes, classes, exponents=exponents),
+                              old)  # to the bit
 
 
 def test_class_sums_read_the_residue_table_only_on_the_recurrence():
