@@ -30,21 +30,26 @@ from .tau import write_tau_csv
 def _parse_complex_list(text: str) -> tuple[complex, ...]:
     out = []
     for token in text.split(","):
-        token = token.strip().replace("i", "j")
+        token = token.strip()
         if not token:
             continue
         try:
-            out.append(complex(token))
+            out.append(complex(token.replace("i", "j")))
         except ValueError:
             raise UsageError(f"cannot parse complex number {token!r}")
+        if not np.isfinite(out[-1]):
+            raise UsageError(f"complex number {token!r} is not finite")
     return tuple(out)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(t) for t in text.split(",") if t.strip())
+        values = tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise UsageError(f"cannot parse number list {text!r}")
+    if not np.isfinite(values).all():
+        raise UsageError(f"number list {text!r} is not finite")
+    return values
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -100,58 +105,73 @@ def _load_rep(spec: str, weight: int, seed: int):
     return load_hecke(spec, weight=weight)
 
 
-def _norm_exponent(p: int, q: int) -> int | None:
-    """f with q == p**f exactly, or None when q is not a power of p."""
-    f = 0
-    while q % p == 0:
-        q //= p
-        f += 1
-    return f if q == 1 and f else None
-
-
-def _read_satake_row(row: list[str], path: str) -> tuple[int, int, list[float]]:
-    """(p, q, parameter parts) of a Satake row, with the checks that need no prime."""
-    try:
-        p, q = int(row[0]), int(row[1])
-        parts = [float(x) for x in row[2:]]
-    except (IndexError, ValueError):
-        raise ParseError(f"bad Satake row {row!r} in {path}")
-    if len(parts) % 2:
-        raise ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")
-    if q < 2:
-        raise UsageError(f"norm must be >= 2, got {q}")
-    return p, q, parts
-
-
 def _load_satake_csv(path: str) -> euler.EulerProduct:
     """Rows (p, q, alpha_re_1, alpha_im_1, ...): one place of norm q = p**f per row.
 
     A prime may have several rows, one per place.  Places without parameters
     (factor 1) or of norm above LOG_INDEX_LIMIT, which no allowed expansion
-    reaches, are left out.  The columns are parsed and checked as arrays;
-    only a file with a faulty row is walked row by row, by
-    ``_first_satake_fault``, to raise the first one.
+    reaches, are left out.  The first faulty row in row order raises.  Rows
+    are read up to the first that does not parse (bad columns, an odd
+    parameter count, or q < 2); the rows read are then checked prime, q a
+    power of p and nonzero parameters as arrays, in that order within a row.
     """
     with open(path, newline="") as handle:
         rows = [row for row in csv.reader(handle)
                 if row and row[0].strip().lower() not in ("p", "#")]
-    columns = _satake_columns(rows)
-    if columns is None:
-        raise _first_satake_fault(rows, path)
+    ps, qs, widths, parts, unreadable = [], [], [], [], None
+    for row in rows:
+        try:
+            p, q = int(row[0]), int(row[1])
+            values = list(map(float, row[2:]))
+        except (IndexError, ValueError):
+            unreadable = ParseError(f"bad Satake row {row!r} in {path}")
+            break
+        if len(values) % 2:
+            unreadable = ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")
+            break
+        if q < 2:
+            unreadable = UsageError(f"norm must be >= 2, got {q}")
+            break
+        ps.append(p)
+        qs.append(q)
+        widths.append(len(values) // 2)
+        parts += values
+    prime = is_prime_array(ps)
+    p_col, rest = np.array(ps, dtype=object), np.array(qs, dtype=object)  # of any size
+    widths = np.array(widths, dtype=np.int64)
+    keep = np.flatnonzero((widths > 0) & (rest <= euler.LOG_INDEX_LIMIT))
+    exponents = np.zeros(len(ps), dtype=np.int64)  # q = p**f, by division while it goes
+    todo = np.flatnonzero(prime)
+    while len(todo):
+        todo = todo[rest[todo] % p_col[todo] == 0]
+        rest[todo] //= p_col[todo]
+        exponents[todo] += 1
+    # (re, im) pairs in row order, as complex parameters
+    alphas = np.array(parts, dtype=np.float64).view(np.complex128)
+    at_row = np.repeat(np.arange(len(ps)), widths)
+    zero = np.bincount(at_row[alphas == 0], minlength=len(ps)) > 0
+    faulty = ~prime | (rest != 1) | zero
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        if not prime[i]:
+            raise NonPrimeRow(f"row prime {ps[i]} in {path} is not prime")
+        if rest[i] != 1:
+            raise ParseError(f"bad Satake row {rows[i]!r} in {path}: "
+                             f"{qs[i]} is not a power of {ps[i]}")
+        raise UsageError("local parameters must be nonzero")
+    if unreadable is not None:
+        raise unreadable
     if not rows:
         raise ParseError(f"no Satake rows in {path}")
-    ps, qs, exponents, widths, alphas = columns
-    keep = np.flatnonzero((widths > 0) & (qs <= euler.LOG_INDEX_LIMIT))
     k = int(widths[keep].max(initial=0))
     # each row's parameters, zero-padded to k
     padded = np.zeros((len(rows), k), dtype=np.complex128)
     starts = np.cumsum(widths) - widths
-    at_row = np.repeat(np.arange(len(rows)), widths)
     slot_of = np.arange(len(alphas)) - starts[at_row]
     fits = slot_of < k
     padded[at_row[fits], slot_of[fits]] = alphas[fits]
     # one (prime, place) cell per row: rows grouped by p, places kept in file order
-    ps = ps[keep].astype(np.int64)  # a kept row has p <= q <= LOG_INDEX_LIMIT
+    ps = p_col[keep].astype(np.int64)  # a kept row has p <= q <= LOG_INDEX_LIMIT
     order = np.argsort(ps, kind="stable")
     ps = ps[order]
     support, first, at, counts = np.unique(ps, return_index=True, return_inverse=True,
@@ -167,69 +187,6 @@ def _load_satake_csv(path: str) -> euler.EulerProduct:
         return exps[rows], params[rows]
 
     return euler.EulerProduct(places=places, universe=ExplicitList(tuple(support.tolist())))
-
-
-def _int_column(values: list[int]) -> np.ndarray:
-    """int64 when every entry fits, else Python ints in an object array."""
-    column = np.array(values, dtype=np.int64 if not values else None)
-    return column if column.dtype == np.int64 else np.array(values, dtype=object)
-
-
-def _satake_columns(rows: list[list[str]]):
-    """(primes p, norms q, exponents f, parameters per row, complex
-    parameters in row order) of Satake rows, or None when any row fails a
-    check."""
-    try:
-        ps = _int_column([int(row[0]) for row in rows])
-        qs = _int_column([int(row[1]) for row in rows])
-        parts = np.array([float(v) for row in rows for v in row[2:]], dtype=np.float64)
-    except (IndexError, ValueError):
-        return None
-    if ps.dtype != qs.dtype:
-        ps, qs = ps.astype(object), qs.astype(object)
-    widths = np.array([len(row) - 2 for row in rows], dtype=np.int64)
-    if (widths % 2).any() or (qs < 2).any() or not is_prime_array(ps.tolist()).all():
-        return None
-    exponents = np.zeros(len(rows), dtype=np.int64)  # q = p**f, by division while it goes
-    rest, todo = qs.copy(), np.arange(len(rows))
-    while len(todo):
-        todo = todo[rest[todo] % ps[todo] == 0]
-        rest[todo] //= ps[todo]
-        exponents[todo] += 1
-    alphas = np.empty(len(parts) // 2, dtype=np.complex128)
-    alphas.real, alphas.imag = parts[0::2], parts[1::2]
-    if (rest != 1).any() or (alphas == 0).any():
-        return None
-    return ps, qs, exponents, widths // 2, alphas
-
-
-def _first_satake_fault(rows: list[list[str]], path: str) -> SmolabError:
-    """The error of the first faulty Satake row, in row order.
-
-    The rows are read up to the first fault other than a non-prime p, then
-    checked prime in one pass; within a row, the prime check comes after the
-    columns and the norm and before the place checks.
-    """
-    row_primes, fault = [], None
-    for row in rows:
-        try:
-            p, q, parts = _read_satake_row(row, path)
-        except SmolabError as exc:
-            fault = exc
-            break
-        row_primes.append(p)
-        if p < 2:  # not prime, and q // p would not end
-            continue
-        if _norm_exponent(p, q) is None:
-            fault = ParseError(f"bad Satake row {row!r} in {path}: {q} is not a power of {p}")
-            break
-        if any(complex(re, im) == 0 for re, im in zip(parts[0::2], parts[1::2])):
-            fault = UsageError("local parameters must be nonzero")
-            break
-    prime = is_prime_array(row_primes)
-    if not prime.all():
-        return NonPrimeRow(f"row prime {row_primes[int(np.argmin(prime))]} in {path} is not prime")
-    return fault
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,6 +596,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         sys.stderr.write(f"io-error: {exc}\n")
+        return 1
+    except UnicodeDecodeError as exc:  # any input file that is not UTF-8 text
+        sys.stderr.write(f"parse-error: input file is not UTF-8 text: {exc}\n")
         return 1
 
 

@@ -13,10 +13,11 @@ natural and Dirichlet estimators put the selected primes in class 0, the
 other unramified ones in class 1 and the excluded ones nowhere
 (``_selector_classes``); ``frobstats`` uses the cosets of (Z/N)*/H and
 ``prime_zeta`` one class of all primes.  ``class_sums`` reads the classes
-off Lucy's recurrence by residue class whenever the sieve's cost model
-accepts the modulus, and otherwise off one sieve walk; a selector with no
-residue table (``list:``, or a compound holding one) always sieves, and a
-huge compound modulus is refused by the model before its table is built.
+off Lucy's recurrence by residue class, one ``sieve.residue_sums`` call,
+whenever the sieve's cost model accepts the modulus, and otherwise off one
+sieve walk; a selector with no residue table (``list:``, or a compound
+holding one) always sieves, and a huge compound modulus is refused by the
+model before its table is built.
 In process on a 2-vCPU x86-64 VM, ``density natural`` took about 0.02 s
 for mod:4 on the grid 1e6, 1e7, 1e8, and ``frobstats`` 0.03 s for N = 11
 at 1e8, against 0.36 s for one sieve to 1e8.  ``frobstats`` then takes

@@ -19,18 +19,19 @@ scans (comparisons, z-ratio, towers, Euler log expansions, first hits),
 ``prefix_sums`` and ``class_sums`` for cumulative sums (Rajan's sums, the
 probe, the weighted pole order, the prime statistics), ``prime_array`` for tau.
 
-Counts of primes by residue class need no sieve walk.  ``residue_prime_counts``
+Counts of primes by residue class need no sieve walk.  ``residue_sums``
 runs Lucy's recurrence on the about 2 sqrt(x) values x // n, in about
 phi(q) x^(3/4) / log x cell updates (Lagarias, Miller and Odlyzko, Math.
 Comp. 1985; Deleglise and Rivat, Math. Comp. 1996).  The primes up to
 x^(1/3) update one at a time and the rest in one batch that makes the same
 operations in the same order (``_lucy_walk``).  The recurrence works
-for any completely multiplicative weight, and ``residue_prime_power_sums``
-runs the same walk on float64 rows of sums of p^-s, one
-block of rows per exponent; their starting rows take 64 terms directly and
-the rest by Euler-Maclaurin.  ``residue_prime_counts_grid`` reads a whole
-grid off one walk where it can.  The recurrence runs on one thread, so its
-results do not depend on the worker count either.
+for any completely multiplicative weight: int32 rows of counts, or float64
+rows of sums of p^-s, one block of rows per exponent, whose starting rows
+take 64 terms directly and the rest by Euler-Maclaurin.  One walk at the
+largest point serves a whole grid, by one readout rule: a point among the
+walk's values reads its column, and any other point walks again.  The
+recurrence runs on one thread, so its results do not depend on the worker
+count either.
 
 ``class_sums`` is the one entry point of the prime statistics (natural and
 Dirichlet densities, ``frobstats``, ``prime_zeta``, the unweighted pole
@@ -416,90 +417,76 @@ def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None =
         lo = hi
 
 
-def residue_prime_counts(x: int, q: int) -> np.ndarray:
-    """Exact int64 counts of the primes p <= x in every residue class mod q.
+def residue_sums(grid, q: int, exponents=None) -> np.ndarray:
+    """Per-residue prime counts or sums of p^-s over the primes p <= g mod q,
+    at every point g of a nonempty grid.
 
-    Lucy's recurrence (``_lucy_walk``) on one int32 row per unit residue;
-    int32 is exact below 2**31 > PRIME_LIMIT.  The primes dividing q lie in
-    no unit row and are added back at the end.  A state above
-    RECURRENCE_STATE_BYTES is refused with LimitExceeded before it is built.
-    """
-    return residue_prime_counts_grid([x], q)[0]
+    With ``exponents`` None the result is the exact int64 counts, of shape
+    (len(grid), q): the rows are int32, exact below 2**31 > PRIME_LIMIT.
+    Otherwise it is the float64 sums, of shape (len(grid), len(exponents),
+    q), every exponent s > 1 taking one block of rows in the same walk.  The
+    primes dividing q lie in no unit row and are added back at the end.  A
+    state above RECURRENCE_STATE_BYTES is refused with LimitExceeded before
+    it is built.
 
+    One ``_lucy_walk`` at the largest point x serves the grid.  Once it is
+    done, the column of each value v holds the primes up to v: its starting
+    cells depend on v alone, and it has seen the operations of a walk at v
+    in the same order.  So a point among the values, g <= n_small or
+    x // (x // g) == g, reads its column, to the bit; any other point walks
+    again.
 
-def residue_prime_counts_grid(grid, q: int) -> np.ndarray:
-    """``residue_prime_counts(g, q)`` at every g of a nonempty grid, one row each.
-
-    One walk at the largest point x serves every g among its values, g <=
-    n_small or x // (x // g) == g: once the walk is done, the column of each
-    value v counts the primes up to v.  Any other point takes its own walk.
+    Error of a sum: each of the about pi(sqrt(x)) updates of a cell rounds
+    three times (difference, product, subtraction), each time by at most eps
+    = 2**-53 times a partial sum no larger than the cell's starting value M,
+    and the starting value is within about 64 eps M of its exact sum.  Errors
+    read from other cells come in scaled by p^-s < 1/2, so to first order the
+    result is within (3 pi(sqrt(x)) + 64) eps M of the exact sum, M below
+    log(x) + 1 for s > 1.  At 1e8 every class was within 7e-16 of
+    ``math.fsum`` over the sieved primes for q = 8 and s = 1.1, 1.25 and 1.5,
+    and within 2.5e-15 for q = 4 and s = 1 + 1/16.
     """
     grid = [int(g) for g in grid]
     x = max(grid)
     _check_limit(x)
     if q < 1:
         raise UsageError(f"modulus {q} must be a positive integer")
-    counts = np.zeros((len(grid), q), dtype=np.int64)
-    if x < 2:
-        return counts
-    _check_state(x, totient(q), 4)
-    values, n_small = _lucy_values(x)
-    units = np.flatnonzero(unit_mask(q))
+    if exponents is not None:
+        exponents = np.array(exponents, dtype=np.float64).reshape(-1)
+        if not (exponents > 1).all():
+            raise UsageError("prime power sums need every exponent s > 1")
+    k = 1 if exponents is None else len(exponents)
+    out = np.zeros((len(grid), k, q), dtype=np.int64 if exponents is None else np.float64)
+    if x >= 2:
+        _check_state(x, k * totient(q), 4 if exponents is None else 8)
+        values, n_small = _lucy_values(x)
+        units = np.flatnonzero(unit_mask(q))
+        state = (_count_rows(values, q, units) if exponents is None
+                 else _power_sum_rows(values, q, units, exponents))
+        _lucy_walk(x, q, state, exponents)
+        divisors = [p for p in simple_sieve(min(q, x)).tolist() if q % p == 0]
+        for i, g in enumerate(grid):
+            if g < 2:
+                continue
+            if g > n_small and x // (x // g) != g:
+                out[i] = residue_sums([g], q, exponents).reshape(k, q)
+                continue
+            column = len(values) - g if g <= n_small else x // g - 1
+            out[i][:, units] = state[:, column].reshape(k, -1)
+            for p in divisors:
+                if p <= g:
+                    out[i, :, p % q] += 1 if exponents is None else float(p) ** -exponents
+    return out[:, 0] if exponents is None else out
+
+
+def _count_rows(values: np.ndarray, q: int, units: np.ndarray) -> np.ndarray:
+    """int32 rows of #{2 <= n <= v : n = a mod q} at every value v, one per
+    unit class a."""
     state = np.empty((len(units), len(values)), dtype=np.int32)  # filled a row at a time
     for i, a in enumerate(units.tolist()):
         state[i] = (values - (a or q)) // q + 1
     state[np.searchsorted(units, 1 % q)] -= 1  # the integer 1
-    _lucy_walk(x, q, state)
-    divisors = [p for p in simple_sieve(min(q, x)).tolist() if q % p == 0]
-    for i, g in enumerate(grid):
-        if g < 2:
-            continue
-        if g > n_small and x // (x // g) != g:
-            counts[i] = residue_prime_counts(g, q)
-            continue
-        counts[i, units] = state[:, len(values) - g if g <= n_small else x // g - 1]
-        for p in divisors:
-            if p <= g:
-                counts[i, p % q] += 1
-    return counts
-
-
-def residue_prime_power_sums(x: int, q: int, exponents) -> np.ndarray:
-    """Sums of p^-s over the primes p <= x in every residue class mod q, as a
-    float64 array of shape (len(exponents), q), one row per exponent s > 1.
-
-    Every exponent takes one block of rows in a single run of ``_lucy_walk``,
-    so they share its pass over the primes up to sqrt(x).  A state above
-    RECURRENCE_STATE_BYTES is refused with LimitExceeded before it is built.
-
-    Error: each of the about pi(sqrt(x)) updates of a cell rounds three times
-    (difference, product, subtraction), each time by at most eps = 2**-53
-    times a partial sum no larger than the cell's starting value M, and the
-    starting value is within about 64 eps M of its exact sum.  Errors read
-    from other cells come in scaled by p^-s < 1/2, so to first order the
-    result is within (3 pi(sqrt(x)) + 64) eps M of the exact sum, M below
-    log(x) + 1 for s > 1.  At 1e8 every class was within 7e-16 of
-    ``math.fsum`` over the sieved primes for q = 8 and s = 1.1, 1.25 and 1.5,
-    and within 2.5e-15 for q = 4 and s = 1 + 1/16.
-    """
-    _check_limit(x)
-    if q < 1:
-        raise UsageError(f"modulus {q} must be a positive integer")
-    exponents = np.array(exponents, dtype=np.float64).reshape(-1)
-    if not (exponents > 1).all():
-        raise UsageError("prime power sums need every exponent s > 1")
-    out = np.zeros((len(exponents), q))
-    if x < 2:
-        return out
-    _check_state(x, len(exponents) * totient(q), 8)
-    units = np.flatnonzero(unit_mask(q))
-    state = _power_sum_rows(_lucy_values(x)[0], q, units, exponents)
-    _lucy_walk(x, q, state, exponents)
-    out[:, units] = state[:, 0].reshape(len(exponents), len(units))
-    for p in simple_sieve(min(q, x)).tolist():
-        if q % p == 0:
-            out[:, p % q] += float(p) ** -exponents
-    return out
+    return state
 
 
 def _power_sum_rows(values: np.ndarray, q: int, units: np.ndarray,
@@ -562,9 +549,10 @@ def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
     """Whether the recurrence at every x >= 2 of ``xs`` is predicted to beat
     one sieve up to max(xs), within a bounded state.
 
-    With ``exponents`` None the run is ``residue_prime_counts(x, q)``: phi(q)
-    rows of 4-byte int32 cells.  With k exponents it is
-    ``residue_prime_power_sums``: k phi(q) rows of 8-byte float64 cells.
+    The run is ``residue_sums(xs, q, ...)``: with ``exponents`` None, phi(q)
+    rows of 4-byte int32 cells; with k exponents, k phi(q) rows of 8-byte
+    float64 cells.  The model charges a walk at every x, though the points
+    among the values of max(xs) read their columns off its one walk.
 
     The model was fitted to medians of seven interleaved runs on a 2-vCPU
     x86-64 VM (Python 3.11.7, numpy 2.4.6), and predicted each of them for
@@ -614,9 +602,10 @@ def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarra
     counts of the primes p <= g, of shape (len(grid), n_classes); otherwise
     the float64 sums, of shape (len(grid), len(exponents), n_classes).
 
-    When ``residue_counts_pay`` accepts the modulus, the recurrence gives
-    every residue class and only then is ``of_residues`` called, so a
-    modulus the model refuses never builds its table.  Otherwise one walk
+    When ``residue_counts_pay`` accepts the modulus, one ``residue_sums``
+    call gives every residue class at every point, by its readout rule, and
+    only then is ``of_residues`` called, so a modulus the model refuses
+    never builds its table.  Otherwise one walk
     to max(grid) classifies each segment, counts by ``bincount`` and sums by
     ``prefix_sums``, and the per-segment results add up in segment order.
 
@@ -632,11 +621,8 @@ def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarra
     grid = [int(g) for g in grid]
     k = None if exponents is None else len(exponents)
     if modulus is not None and residue_counts_pay(grid, modulus, k):
-        if k is None:
-            per_residue = residue_prime_counts_grid(grid, modulus)
-        else:
-            per_residue = np.stack([residue_prime_power_sums(g, modulus, exponents) for g in grid])
-        return _reduce_classes(per_residue, np.asarray(of_residues()), n_classes)
+        return _reduce_classes(residue_sums(grid, modulus, exponents),
+                               np.asarray(of_residues()), n_classes)
     if of_primes is None:
         table = np.asarray(of_residues())
         of_primes = lambda seg: table[residues(seg, modulus)]

@@ -2,8 +2,10 @@ import json
 import math
 import os
 import re
+import csv
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
@@ -11,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smolab import cli
+from smolab import cli, euler
 from smolab.cli import main
+from smolab.errors import NonPrimeRow, ParseError, SmolabError, UsageError
 from smolab.report import Report, canonical_json, emit
+from smolab.sieve import is_prime_array
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -447,6 +451,13 @@ BAD_ARGV = [
      "--sigma", "0.8", "--cutoffs=-5"),
     ("euler", "probe", "--fieldspec", "field.txt", "--degree", "2", "--delta", "1/4",
      "--sigma", "", "--cutoffs", "10000"),
+    ("smo", "zratio", "--data", "synthetic:1", "--data2", "synthetic:2", "--s", "nan"),
+    ("smo", "zratio", "--data", "synthetic:1", "--data2", "synthetic:2", "--s", "1.5,inf"),
+    ("euler", "probe", "--fieldspec", "field.txt", "--degree", "2", "--delta", "1/4",
+     "--sigma", "nan", "--cutoffs", "10000"),
+    ("euler", "eval", "--q", "4", "--alphas", "1", "--s", "nan"),
+    ("euler", "eval", "--q", "4", "--alphas", "nan", "--s", "2"),
+    ("euler", "eval", "--q", "4", "--alphas", "inf", "--s", "2"),
 ]
 
 
@@ -464,6 +475,49 @@ def test_bad_values_are_typed_errors(argv, tmp_path):
     assert proc.returncode in (1, 2)
     assert "Traceback" not in proc.stderr
     assert re.search(r"^[a-z-]+: \S", proc.stderr, re.MULTILINE), proc.stderr
+
+
+def test_non_finite_numbers_are_usage_errors(capsys, tmp_path):
+    # each exited 0 with "nan" values or a sigma labelled "growing"
+    field = tmp_path / "field.txt"
+    field.write_text("N=4\nH=\n")
+    for argv, message in (
+            (("smo", "zratio", "--data", "synthetic:1", "--data2", "synthetic:2", "--s", "inf"),
+             "usage-error: number list 'inf' is not finite"),
+            (("euler", "probe", "--fieldspec", str(field), "--degree", "2", "--delta", "1/4",
+              "--sigma", "0.8,nan"), "usage-error: number list '0.8,nan' is not finite"),
+            (("euler", "eval", "--q", "4", "--alphas", "1", "--s", "2, NaN"),
+             "usage-error: complex number 'NaN' is not finite"),
+            # the token as typed, not the 'jnf' that the i -> j rewrite makes of it
+            (("euler", "eval", "--q", "4", "--alphas", "inf", "--s", "2"),
+             "usage-error: cannot parse complex number 'inf'")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err == message + "\n", (argv, err)
+
+
+_NOT_UTF8 = {"field.txt": b"N=4\nH=\xff\n", "tau.csv": b"p,a_p\n2,-24\n\xff,1\n",
+             "satake.csv": b"p,q,a1_re,a1_im\n2,2,1.0,0.0\n\xff\n", "group.txt": b"(1 2\xff)\n"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("frobstats", "field.txt"),
+    ("smo", "rajan", "--fieldspec", "field.txt", "--degree", "1"),
+    ("density", "natural", "--selector", "degree:field.txt:1", "--x", "100"),
+    ("smo", "compare", "--data", "tau.csv", "--data2", "synthetic:1"),
+    ("euler", "positivity", "--data", "satake.csv"),
+    ("charlab", "table", "group.txt"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_input_files_that_are_not_utf8_are_parse_errors(tmp_path, argv):
+    for name, data in _NOT_UTF8.items():
+        (tmp_path / name).write_bytes(data)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "smolab.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse-error: "), proc.stderr
 
 
 def test_huge_moduli_are_refused_before_allocation(capsys, tmp_path):
@@ -574,6 +628,131 @@ def test_satake_first_faulty_row_raises(capsys, tmp_path, rows, error):
     data.write_text("p,q,a1_re,a1_im\n" + rows)
     code, out, err = run(capsys, "euler", "positivity", "--data", str(data))
     assert code == 1 and err.startswith(error), (rows, err)
+
+
+def _norm_exponent(p: int, q: int) -> int | None:
+    """f with q == p**f exactly, or None when q is not a power of p."""
+    f = 0
+    while q % p == 0:
+        q //= p
+        f += 1
+    return f if q == 1 and f else None
+
+
+def _read_satake_row(row: list[str], path: str) -> tuple[int, int, list[float]]:
+    """(p, q, parameter parts) of a Satake row, with the checks that need no prime."""
+    try:
+        p, q = int(row[0]), int(row[1])
+        parts = [float(x) for x in row[2:]]
+    except (IndexError, ValueError):
+        raise ParseError(f"bad Satake row {row!r} in {path}")
+    if len(parts) % 2:
+        raise ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")
+    if q < 2:
+        raise UsageError(f"norm must be >= 2, got {q}")
+    return p, q, parts
+
+
+def _first_satake_fault(rows: list[list[str]], path: str) -> SmolabError | None:
+    """The error of the first faulty Satake row, in row order: the row-by-row
+    finder the loader once ran after its array pass, kept as the oracle.
+
+    The rows are read up to the first fault other than a non-prime p, then
+    checked prime in one pass; within a row, the prime check comes after the
+    columns and the norm and before the place checks.
+    """
+    row_primes, fault = [], None
+    for row in rows:
+        try:
+            p, q, parts = _read_satake_row(row, path)
+        except SmolabError as exc:
+            fault = exc
+            break
+        row_primes.append(p)
+        if p < 2:  # not prime, and q // p would not end
+            continue
+        if _norm_exponent(p, q) is None:
+            fault = ParseError(f"bad Satake row {row!r} in {path}: {q} is not a power of {p}")
+            break
+        if any(complex(re, im) == 0 for re, im in zip(parts[0::2], parts[1::2])):
+            fault = UsageError("local parameters must be nonzero")
+            break
+    prime = is_prime_array(row_primes)
+    if not prime.all():
+        return NonPrimeRow(f"row prime {row_primes[int(np.argmin(prime))]} in {path} is not prime")
+    return fault
+
+
+def _satake_oracle(path: str):
+    """The row-by-row outcome of a Satake file: (code, message) of its first
+    fault, or the (exponents, parameters) lists of every kept place by prime,
+    places in file order, zero-padded."""
+    with open(path, newline="") as handle:
+        rows = [row for row in csv.reader(handle)
+                if row and row[0].strip().lower() not in ("p", "#")]
+    fault = _first_satake_fault(rows, path)
+    if fault is None and not rows:
+        fault = ParseError(f"no Satake rows in {path}")
+    if fault is not None:
+        return fault.code, str(fault)
+    places = {}
+    for row in rows:
+        p, q, parts = _read_satake_row(row, path)
+        if parts and q <= euler.LOG_INDEX_LIMIT:
+            alphas = [complex(re, im) for re, im in zip(parts[0::2], parts[1::2])]
+            places.setdefault(p, []).append((_norm_exponent(p, q), alphas))
+    depth = max(map(len, places.values()), default=0)
+    width = max((len(a) for cells in places.values() for _, a in cells), default=0)
+    exps, params = [], []
+    for p in sorted(places):
+        cells = places[p] + [(0, [])] * (depth - len(places[p]))
+        exps.append([f for f, _ in cells])
+        params.append([a + [0j] * (width - len(a)) for _, a in cells])
+    return exps, params
+
+
+def _satake_outcome(path: str):
+    try:
+        product = cli._load_satake_csv(path)
+    except SmolabError as exc:
+        return exc.code, str(exc)
+    exps, params = product.places(np.array(sorted(product.universe.primes), dtype=np.int64))
+    return exps.tolist(), params.tolist()
+
+
+# primes, non-primes below 2 and above, and a prime and a non-prime above int64
+_SATAKE_P = [2, 3, 5, 97, 2**61 - 1, 2**89 - 1, 1, 0, -3, 4, 9, 2**64 + 1]
+# parameter pairs: nonzero, zero, unparseable, and a lone cell for an odd count
+_satake_cells = st.lists(st.sampled_from([["1.0", "0.0"], ["0.25", "-0.5"], ["0.0", "-0.0"],
+                                          ["-0.0", "0"], ["x", "1.0"], ["", "1.0"], ["2"]]),
+                         max_size=3).map(lambda pairs: sum(pairs, []))
+_satake_valid_row = st.builds(
+    lambda p, f, cells: [str(p), str(p**f)] + cells,
+    st.sampled_from([2, 3, 5, 97]), st.integers(1, 3),
+    st.lists(st.sampled_from([["1.0", "0.0"], ["0.25", "-0.5"]]), max_size=2).map(
+        lambda pairs: sum(pairs, [])))
+_satake_any_row = st.builds(
+    lambda p, q, cells, cut: ([str(p), str(q(p))] + cells)[:cut],
+    st.sampled_from(_SATAKE_P),
+    # a power of p, not one, below 2, or above int64
+    st.sampled_from([lambda p: p, lambda p: p**3, lambda p: p + 1, lambda p: 8,
+                     lambda p: 1, lambda p: 0, lambda p: 2**64]),
+    _satake_cells, st.sampled_from([1, 2, 99, 99, 99]))
+
+
+# valid rows first, so that the first faulty row falls anywhere in the file
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_satake_valid_row, max_size=4),
+       st.lists(_satake_any_row | _satake_valid_row, max_size=4), st.booleans())
+@example([["3", "3", "1.0", "0.0"]], [["3", "8", "0.0", "0.0"], ["4", "4"]], True)
+@example([["2", str(2**64), "1.0", "0.0"]], [[str(2**89 - 1), "5"], ["7", "7", "x"]], False)
+def test_satake_loader_matches_the_row_by_row_finder(valid, rows, header):
+    lines = (["p,q,a1_re,a1_im"] if header else []) + [",".join(row) for row in valid + rows]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "satake.csv")
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        assert repr(_satake_outcome(path)) == repr(_satake_oracle(path))
 
 
 @pytest.mark.parametrize("point", ["32768", "9" * 5000], ids=["32768", "5000-digits"])

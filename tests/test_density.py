@@ -304,7 +304,7 @@ def sum_bound(x: int) -> float:
     """Absolute gap allowed between the two paths' sums up to x.
 
     The recurrence is within (3 pi(sqrt(x)) + 64) eps (log x + 1) of the
-    exact sum (``sieve.residue_prime_power_sums``); the segment path adds up
+    exact sum (``sieve.residue_sums``); the segment path adds up
     rounded terms, within eps times the sum per segment and per pairwise level,
     far less.  Twice the recurrence's bound covers both, and one more
     pi(sqrt(x)) eps covers the few primes below SMALL_PRIME_FLOOR taken off

@@ -122,7 +122,7 @@ def test_pole_order_cutoffs_are_coupled():
 def pole_sum_bound(x: int) -> float:
     """Absolute gap allowed between a recurrence sum up to x and the sieve's:
     twice the recurrence's (3 pi(sqrt(x)) + 64) eps (log x + 1), which also
-    covers the sieve path's rounding (``sieve.residue_prime_power_sums``)."""
+    covers the sieve path's rounding (``sieve.residue_sums``)."""
     eps = 2.0**-53
     return 2 * (3 * len(simple_sieve(math.isqrt(x))) + 64) * eps * (math.log(x) + 1)
 

@@ -15,13 +15,22 @@ from smolab.sieve import (_BLOCK_CELLS, PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, S
                           _icbrt, _lucy_values, _segment_bounds, _sieve_segment, is_prime,
                           is_prime_array, iter_prime_segments,
                           prefix_sums, prime_array, prime_count, residue_counts_pay,
-                          prime_divisors, residue_prime_counts, residue_prime_counts_grid,
-                          residue_prime_power_sums, residues, segment_map, simple_sieve,
+                          prime_divisors, residue_sums, residues, segment_map, simple_sieve,
                           totient, unit_mask)
 
 ORACLE_LIMIT = 3 * 10**6
 DENSE = simple_sieve(ORACLE_LIMIT)
 BASE = simple_sieve(math.isqrt(ORACLE_LIMIT) + 1)
+
+
+def counts_at(x: int, q: int) -> np.ndarray:
+    """``residue_sums`` counts at the one point x: a walk of its own."""
+    return residue_sums([x], q)[0]
+
+
+def sums_at(x: int, q: int, exponents) -> np.ndarray:
+    """``residue_sums`` power sums at the one point x: a walk of its own."""
+    return residue_sums([x], q, exponents)[0]
 
 
 def test_small_stream():
@@ -176,7 +185,7 @@ def test_last_segment_below_cap_matches_is_prime():
 @example(1000, 60)
 @example(ORACLE_LIMIT, 56)
 def test_residue_prime_counts_match_sieve_bincount(x, q):
-    counts = residue_prime_counts(x, q)
+    counts = counts_at(x, q)
     assert counts.dtype == np.int64
     expected = np.bincount(prime_array(x) % q, minlength=q)
     assert counts.tolist() == expected.tolist()
@@ -196,7 +205,7 @@ CLASSES_1E8 = {
 
 @pytest.mark.parametrize("q", sorted(CLASSES_1E8))
 def test_residue_prime_counts_pinned_at_1e8(q):
-    counts = residue_prime_counts(10**8, q)
+    counts = counts_at(10**8, q)
     assert counts.tolist() == CLASSES_1E8[q]
     assert counts.sum() == 5761455
 
@@ -260,7 +269,7 @@ def reference(fn, *args):
 @example(10**6, 202)
 @example(10**6, 1)
 def test_residue_prime_counts_match_reference_walk(x, q):
-    assert same_bytes(residue_prime_counts(x, q), reference(residue_prime_counts, x, q))
+    assert same_bytes(counts_at(x, q), reference(counts_at, x, q))
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,8 +283,8 @@ def test_residue_prime_counts_match_reference_walk(x, q):
 @example(10**6, 202, [1.25])
 @example(10**6, 1, [1.0625])
 def test_residue_prime_power_sums_match_reference_walk(x, q, exponents):
-    got = residue_prime_power_sums(x, q, exponents)
-    assert same_bytes(got, reference(residue_prime_power_sums, x, q, exponents))
+    got = sums_at(x, q, exponents)
+    assert same_bytes(got, reference(sums_at, x, q, exponents))
 
 
 @settings(max_examples=100, deadline=None)
@@ -291,26 +300,41 @@ def test_icbrt_is_the_integer_cube_root(x):
     assert c**3 <= x < (c + 1) ** 3
 
 
+# one walk at max(grid) is read at every point among its values, and any
+# other point walks again: 999 is no 1000 // n and 3e6 - 1 no 3e6 // n, while
+# 77, below sqrt(3e6), is one
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-3, ORACLE_LIMIT), min_size=1, max_size=6, unique=True),
-       st.integers(1, 60))
-@example([10**4, 10**5, 10**6], 4)
-@example([0, 1, 2], 6)
-@example([999, 1000], 202)
-@example([1000, 3 * 10**6], 56)
-def test_residue_prime_counts_grid_matches_one_walk_per_point(grid, q):
+       st.integers(1, 60),
+       st.none() | st.lists(st.floats(1.0, 2.0, exclude_min=True), min_size=1, max_size=3))
+@example([10**4, 10**5, 10**6], 4, None)
+@example([0, 1, 2], 6, None)
+@example([999, 1000], 202, None)
+@example([1000, 3 * 10**6], 56, None)
+@example([10**4, 10**5, 10**6], 4, [1.5])
+@example([0, 1, 2], 6, [1.25])
+@example([999, 1000], 202, [1.1, 1.9])
+@example([2, 77, 3 * 10**6 - 1, 3 * 10**6], 8, [1.5, 1.25, 1.1])
+def test_residue_prime_counts_grid_matches_one_walk_per_point(grid, q, exponents):
     grid = sorted(grid)
-    got = residue_prime_counts_grid(grid, q)
-    assert got.shape == (len(grid), q) and got.dtype == np.int64
+    with mock.patch.object(sieve, "_lucy_walk", wraps=sieve._lucy_walk) as walk:
+        got = residue_sums(grid, q, exponents)
+    values = set(_lucy_values(grid[-1])[0].tolist()) if grid[-1] >= 2 else set()
+    assert walk.call_count == (grid[-1] >= 2) + sum(g >= 2 and g not in values for g in grid)
+    per_point = () if exponents is None else (len(exponents),)
+    assert got.shape == (len(grid),) + per_point + (q,)
+    assert got.dtype == (np.int64 if exponents is None else np.float64)
     for row, g in zip(got, grid):
-        assert row.tolist() == residue_prime_counts(g, q).tolist()
+        one = residue_sums([g], q, exponents)[0]
+        assert row.tolist() == one.tolist()
+        assert same_bytes(row, one)
 
 
 def test_recurrence_memory_is_bounded():
     # the traced peak takes in the state, about 2 sqrt(x) cells per row, and
     # every temporary of the walk; the tail batch goes in bounded groups
-    for fn, args in ((residue_prime_counts, (10**8, 56)),
-                     (residue_prime_power_sums, (10**8, 8, [1.5, 1.25, 1.1]))):
+    for fn, args in ((counts_at, (10**8, 56)),
+                     (sums_at, (10**8, 8, [1.5, 1.25, 1.1]))):
         tracemalloc.start()
         try:
             fn(*args)
@@ -324,28 +348,28 @@ def test_recurrence_state_above_the_bound_is_refused_before_it_is_built():
     # 17.7 MB and 19.2 MB of state against RECURRENCE_STATE_BYTES = 16 MiB
     start = time.perf_counter()
     with pytest.raises(LimitExceeded):
-        residue_prime_counts(10**5, 7001)
+        counts_at(10**5, 7001)
     with pytest.raises(LimitExceeded):
-        residue_prime_power_sums(10**6, 8, [1.5] * 300)
+        sums_at(10**6, 8, [1.5] * 300)
     assert time.perf_counter() - start < 0.25
 
 
 def test_residue_prime_counts_at_the_cap():
     # pi(10**9) = 50,847,534; 2 is the one prime in class 2 mod 4
-    counts = residue_prime_counts(PRIME_LIMIT, 4)
+    counts = counts_at(PRIME_LIMIT, 4)
     assert counts.sum() == 50_847_534
     assert counts[2] == 1 and counts[0] == 0
 
 
 def test_residue_prime_counts_checks_arguments():
     with pytest.raises(LimitExceeded):
-        residue_prime_counts(PRIME_LIMIT + 1, 4)
+        counts_at(PRIME_LIMIT + 1, 4)
     with pytest.raises(UsageError):
-        residue_prime_counts(100, 0)
+        counts_at(100, 0)
 
 
 def power_sum_bound(x: int) -> float:
-    """Absolute error allowed for ``residue_prime_power_sums(x, q, ...)`` against
+    """Absolute error allowed for ``sums_at(x, q, ...)`` against
     ``math.fsum`` over the sieved primes, fixed from the kernel's error analysis
     before any measurement: each of the pi(sqrt(x)) updates of a cell rounds
     three times by at most eps times a partial sum, a starting row is within
@@ -377,7 +401,7 @@ def fsum_by_class(x: int, q: int, exponents) -> np.ndarray:
 @example(ORACLE_LIMIT, 56, [1.5, 1.25, 1.1])
 @example(ORACLE_LIMIT, 1, [1.0625])
 def test_residue_prime_power_sums_match_fsum(x, q, exponents):
-    sums = residue_prime_power_sums(x, q, exponents)
+    sums = sums_at(x, q, exponents)
     assert sums.shape == (len(exponents), q) and sums.dtype == np.float64
     if x < 2:
         assert not sums.any()
@@ -400,7 +424,7 @@ SUMS_1E8_MOD8 = {
 
 def test_residue_prime_power_sums_pinned_at_1e8():
     exponents = sorted(SUMS_1E8_MOD8, reverse=True)
-    sums = residue_prime_power_sums(10**8, 8, exponents)
+    sums = sums_at(10**8, 8, exponents)
     expected = np.array([SUMS_1E8_MOD8[s] for s in exponents])
     assert np.abs(sums - expected).max() <= power_sum_bound(10**8)
 
@@ -410,18 +434,18 @@ def test_prime_sums_lie_below_the_prime_zeta_function(s):
     mp = pytest.importorskip("mpmath")
     limit = float(mp.primezeta(s))
     for x in (2, 3, 100, 10**4 + 7, 10**6):
-        total = residue_prime_power_sums(x, 1, [s])[0, 0]
+        total = sums_at(x, 1, [s])[0, 0]
         assert 2.0**-s <= total < limit
 
 
 def test_residue_prime_power_sums_check_arguments():
     with pytest.raises(LimitExceeded):
-        residue_prime_power_sums(PRIME_LIMIT + 1, 4, [1.5])
+        sums_at(PRIME_LIMIT + 1, 4, [1.5])
     with pytest.raises(UsageError):
-        residue_prime_power_sums(100, 0, [1.5])
+        sums_at(100, 0, [1.5])
     for s in (1.0, 0.5, float("nan")):
         with pytest.raises(UsageError):
-            residue_prime_power_sums(100, 4, [1.5, s])
+            sums_at(100, 4, [1.5, s])
 
 
 def test_cost_model_choices():
