@@ -22,6 +22,6 @@ from .hecke import (RepresentationData, load_hecke, synthetic_tempered,
 from .selectors import (AllPrimes, CongruenceSelector, DegreeSelector,
                         ExplicitList, PrimeSelector, parse_selector)
 from .sieve import prime_array, prime_count
-from .tau import generate_tau, write_tau_csv
+from .tau import generate_tau, tau_csv_text
 
 __version__ = "0.1.0"

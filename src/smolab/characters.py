@@ -238,20 +238,25 @@ def _row_order(degrees: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.lexsort(np.vstack([ranks[::-1], degrees[None, :]]))
 
 
-def _try_table(G: FiniteGroup, cells: np.ndarray,
-               part: ConjugacyClassPartition) -> CharacterTable | None:
+def character_table(G: FiniteGroup) -> CharacterTable:
+    """Full table of irreducible characters, deterministic across runs.
+
+    Raises NumericalDegeneracy naming the first check the computed rows fail.
+    """
+    cells, part = _class_cells(G)
     r = part.num_classes
     order = G.order
     sizes = np.array(part.class_sizes, dtype=float)
     omega = _eigenvector_rows(G, cells, part)
+    prefix = f"character table of {G.label}: "
     if np.any(np.abs(omega[:, 0]) < 1e-12):
-        return None
+        raise NumericalDegeneracy(prefix + "an eigenvector has a zero identity-class entry")
     omega = omega / omega[:, :1]  # identity-class entry of each row is 1
     norms = np.sum(np.abs(omega) ** 2 / sizes, axis=1)
     deg_f = (order / norms) ** 0.5
     degrees = np.round(deg_f)
     if np.any(degrees < 1) or np.any(np.abs(deg_f - degrees) > 1e-6):
-        return None
+        raise NumericalDegeneracy(prefix + "a degree is not a positive integer")
     raw = omega * degrees[:, None] / sizes
     # rows are real when no cluster needed an antisymmetric matrix;
     # set part by part, since a + 1j * b would turn an imaginary -0.0 into +0.0
@@ -260,10 +265,11 @@ def _try_table(G: FiniteGroup, cells: np.ndarray,
     values.imag = _snap_half_integers(raw.imag)
     if (np.any(np.abs(values[:, 0] - degrees) > VALUE_EQ_TOL)
             or np.any(np.abs(values) > degrees[:, None] + 1e-6)):
-        return None
+        raise NumericalDegeneracy(prefix + "a value is above its character's degree")
     deg = degrees.astype(np.int64)
     if int(deg @ deg) != order:
-        return None
+        raise NumericalDegeneracy(f"{prefix}the squared degrees sum to {deg @ deg}, "
+                                  f"not the order {order}")
     ints = np.round(values.real)
     integral = (np.all(np.abs(values.imag) <= VALUE_EQ_TOL, axis=1)
                 & np.all(np.abs(values.real - ints) <= VALUE_EQ_TOL, axis=1))
@@ -279,7 +285,7 @@ def _try_table(G: FiniteGroup, cells: np.ndarray,
                                 integral[ranked].tolist()))
     table = CharacterTable(group=G, partition=part, rows=rows, values=values)
     if not _orthogonality_ok(table):
-        return None
+        raise NumericalDegeneracy(prefix + "the rows are not orthogonal")
     return table
 
 
@@ -290,15 +296,6 @@ def _orthogonality_ok(table: CharacterTable) -> bool:
     gram = (vals * sizes) @ vals.conj().T
     target = order * np.eye(len(table.rows))
     return bool(np.max(np.abs(gram - target)) <= ORTHOGONALITY_TOL * order)
-
-
-def character_table(G: FiniteGroup) -> CharacterTable:
-    """Full table of irreducible characters, deterministic across runs."""
-    cells, part = _class_cells(G)
-    table = _try_table(G, cells, part)
-    if table is None:
-        raise NumericalDegeneracy(f"character table checks failed for {G.label}")
-    return table
 
 
 def _check_compatible(chi: Character, chi2: Character, G: FiniteGroup) -> None:

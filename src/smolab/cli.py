@@ -1,7 +1,9 @@
 """Unified command-line front end.
 
 Exit codes: 0 on success, 1 on a domain error (printed as ``code: message``
-on stderr), 2 on usage errors (argparse).  Worker parallelism is controlled
+on stderr), 2 on usage errors (argparse).  Files and arguments are UTF-8
+whatever the locale, and a file error is one line naming the file, such as
+``io-error: cannot read <path>: <reason>``.  Worker parallelism is controlled
 by --workers or SMOLAB_WORKERS and never changes numeric output.
 """
 
@@ -11,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,10 +24,10 @@ from . import characters, density, euler, experiments, groups
 from .errors import IoError, NonPrimeRow, ParseError, SmolabError, UsageError
 from .fields import parse_fieldspec
 from .hecke import load_hecke, synthetic_tempered, synthetic_with_profile
-from .report import Report, emit, write
+from .report import Report, emit, os_path, read, write
 from .selectors import DegreeSelector, ExplicitList, parse_selector
 from .sieve import is_prime_array
-from .tau import write_tau_csv
+from .tau import tau_csv_text
 
 
 def _parse_complex_list(text: str) -> tuple[complex, ...]:
@@ -74,9 +77,8 @@ def _load_group(path: str) -> groups.FiniteGroup:
     """
     if not path:
         raise UsageError("empty group argument: give a group file or a catalog expression")
-    file = Path(path)
-    if file.is_file():
-        return groups.build_group(groups.parse_group_file(file.read_text()), label=file.stem)
+    if os.path.isfile(os_path(path)):
+        return groups.build_group(groups.parse_group_file(read(path)), label=Path(path).stem)
     if "/" in path or "." in path:
         raise IoError(f"no such group file {path!r}")
     return groups.catalog(path)
@@ -115,9 +117,8 @@ def _load_satake_csv(path: str) -> euler.EulerProduct:
     parameter count, or q < 2); the rows read are then checked prime, q a
     power of p and nonzero parameters as arrays, in that order within a row.
     """
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle)
-                if row and row[0].strip().lower() not in ("p", "#")]
+    rows = [row for row in csv.reader(io.StringIO(read(path)))
+            if row and row[0].strip().lower() not in ("p", "#")]
     ps, qs, widths, parts, unreadable = [], [], [], [], None
     for row in rows:
         try:
@@ -293,9 +294,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _character_table_report(args) -> Report:
+def _character_table_report(args) -> Report | str:
     G = _load_group(args.group)
     table = characters.character_table(G)
+    if args.format == "csv":
+        return _character_table_csv(table)
     part = table.partition
     return Report(
         experiment="charlab.table",
@@ -315,21 +318,15 @@ def _character_table_report(args) -> Report:
     )
 
 
-def _character_table_csv(args) -> str:
+def _character_table_csv(table: characters.CharacterTable) -> str:
     # class sizes header row, then one character per row
-    G = _load_group(args.group)
-    table = characters.character_table(G)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["class_size"] + [str(s) for s in table.partition.class_sizes])
     for row in table.rows:
-        rendered = []
-        for v in row.values:
-            if abs(v.imag) < 1e-12:
-                rendered.append(repr(v.real))
-            else:
-                rendered.append(f"{v.real!r}{v.imag:+}j")
-        writer.writerow([str(row.degree)] + rendered)
+        cells = [repr(v.real) if abs(v.imag) < 1e-12 else f"{v.real!r}{v.imag:+}j"
+                 for v in row.values]
+        writer.writerow([str(row.degree)] + cells)
     return buf.getvalue()
 
 
@@ -362,8 +359,6 @@ def _extremal_report(args) -> Report:
 def _dispatch(args) -> Report | str:
     workers = args.workers
     if args.command == "charlab" and args.subcommand == "table":
-        if args.format == "csv":
-            return _character_table_csv(args)
         return _character_table_report(args)
     if args.command == "charlab" and args.subcommand == "extremal":
         return _extremal_report(args)
@@ -388,7 +383,7 @@ def _dispatch(args) -> Report | str:
         )
 
     if args.command == "frobstats":
-        fs = parse_fieldspec(Path(args.fieldspec).read_text(), label=args.fieldspec)
+        fs = parse_fieldspec(read(args.fieldspec), label=args.fieldspec)
         stats = density.frobenius_statistics(fs, args.x, workers=workers)
         return Report(
             experiment="frobstats",
@@ -406,11 +401,12 @@ def _dispatch(args) -> Report | str:
     if args.command == "data" and args.subcommand == "gen-tau":
         if args.limit < 1:
             raise UsageError(f"tau limit must be >= 1, got {args.limit}")
-        path = write_tau_csv(args.limit, args.out)
+        text = tau_csv_text(args.limit)
+        write(text, args.out)
         return Report(
             experiment="data.gen-tau",
             inputs={"limit": args.limit},
-            payload={"path": str(path), "rows": len(path.read_text().splitlines()) - 1},
+            payload={"path": str(Path(args.out)), "rows": text.count("\n") - 1},
             interpretation=("exact integer eigenvalue file for the weight-12 cusp form",),
         )
     raise UsageError(f"unhandled command {args.command}")
@@ -466,7 +462,7 @@ def _dispatch_euler(args) -> Report:
             ),
         )
     if args.subcommand == "probe":
-        fs = parse_fieldspec(Path(args.fieldspec).read_text(), label=args.fieldspec)
+        fs = parse_fieldspec(read(args.fieldspec), label=args.fieldspec)
         selector = DegreeSelector(fs, args.degree)
         probe = euler.convergence_probe(selector, float(_parse_fraction(args.delta)),
                                         _parse_float_list(args.sigma),
@@ -527,7 +523,7 @@ def _dispatch_smo(args, workers) -> Report:
             ),
         )
     if args.subcommand == "rajan":
-        fs = parse_fieldspec(Path(args.fieldspec).read_text(), label=args.fieldspec)
+        fs = parse_fieldspec(read(args.fieldspec), label=args.fieldspec)
         rep = experiments.rajan_criterion(DegreeSelector(fs, args.degree), args.n)
         return Report(
             experiment="smo.rajan",
@@ -539,7 +535,7 @@ def _dispatch_smo(args, workers) -> Report:
             ),
         )
     if args.subcommand == "inert":
-        fs = parse_fieldspec(Path(args.fieldspec).read_text(), label=args.fieldspec)
+        fs = parse_fieldspec(read(args.fieldspec), label=args.fieldspec)
         profile = euler.grc_profile(args.profile, args.n)
         delta = _parse_fraction(args.delta) if args.delta else None
         rep = experiments.inert_experiment(fs, args.n, profile, variant_delta=delta)
@@ -554,8 +550,8 @@ def _dispatch_smo(args, workers) -> Report:
             ),
         )
     if args.subcommand == "tower":
-        F = parse_fieldspec(Path(args.subfield).read_text(), label=args.subfield)
-        K = parse_fieldspec(Path(args.field).read_text(), label=args.field)
+        F = parse_fieldspec(read(args.subfield), label=args.subfield)
+        K = parse_fieldspec(read(args.field), label=args.field)
         rep = experiments.tower_degree_check(F, K, args.x)
         return Report(
             experiment="smo.tower",
@@ -583,6 +579,8 @@ def _dispatch_smo(args, workers) -> Report:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the arguments' bytes read as UTF-8, as file paths are
+        argv = [os.fsencode(arg).decode("utf-8", "surrogateescape") for arg in sys.argv[1:]]
     args = _parser().parse_args(argv)
     try:
         result = _dispatch(args)
@@ -596,9 +594,6 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         sys.stderr.write(f"io-error: {exc}\n")
-        return 1
-    except UnicodeDecodeError as exc:  # any input file that is not UTF-8 text
-        sys.stderr.write(f"parse-error: input file is not UTF-8 text: {exc}\n")
         return 1
 
 

@@ -500,28 +500,25 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
     p = F.degree
     if not is_prime(p):
         raise NotPrimeDegree(f"subfield degree {p} is not prime")
-    step = K.degree // F.degree
-    if F.degree * step != K.degree or step < 1:
+    if K.degree % p:
         raise NotNested("field degrees are not nested")
     m = 1
-    total = p
-    while total < K.degree:
-        total *= p
+    while p**m < K.degree:
         m += 1
-    if total != K.degree:
+    if p**m != K.degree:
         raise NotNested(f"extension degree {K.degree} is not a power of {p}")
     if not _quotient_cyclic(K):
         raise NotNested(f"{K.label} is not cyclic over the rationals")
-    expected = p**m
     checked = 0
     bad: list[int] = []
     samples: list[tuple[int, int, int]] = []
-    for seg in prime_stream(scan_limit, exclude=F.ramified_primes() | K.ramified_primes()):
-        below = seg[F._degree_table[seg % F.modulus] == p]
+    upstairs = DegreeSelector(K, p**m)
+    for below in prime_stream(scan_limit, DegreeSelector(F, p),
+                              exclude=F.ramified_primes() | K.ramified_primes()):
         checked += len(below)
-        lifted = K._degree_table[below % K.modulus] == expected
+        lifted = upstairs.mask(below)
         bad.extend(below[~lifted][:SHOWN_COUNTEREXAMPLES - len(bad)].tolist())
-        samples.extend((q, p, expected) for q in below[lifted][:5 - len(samples)].tolist())
+        samples.extend((q, p, p**m) for q in below[lifted][:5 - len(samples)].tolist())
     return TowerReport(subfield=F.label, field=K.label, p=p, m=m,
                        scan_limit=scan_limit, checked=checked,
                        counterexamples=tuple(bad), examples=tuple(samples))

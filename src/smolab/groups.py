@@ -554,9 +554,5 @@ def bundled_catalog() -> dict[str, FiniteGroup]:
 
 def parse_group_file(text: str) -> list[str]:
     """Extract generator lines from a group spec file (one permutation per line)."""
-    gens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            gens.append(line)
-    return gens
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [line for line in lines if line]

@@ -118,8 +118,8 @@ def load_hecke(path: str | Path, weight: int, label: str | None = None) -> Repre
     Rows must be ascending in p with no duplicates; entries breaking the
     |a_p| <= 2 p^((k-1)/2) size bound are kept but recorded as warnings.
     """
-    text = Path(path).read_text()
-    return parse_hecke_text(text, weight, label=label or Path(path).stem)
+    from .report import read  # here, so that import smolab loads no json or hashlib
+    return parse_hecke_text(read(path), weight, label=label or Path(path).stem)
 
 
 def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> RepresentationData:

@@ -1,4 +1,9 @@
-"""Deterministic report objects and their serialization.
+"""Deterministic report objects, their serialization, and the file boundary.
+
+Files are read by ``read`` and written by ``write``, their text and paths as
+UTF-8 whatever the locale.  A file that cannot be opened raises IoError
+(``io-error: cannot read <path>: <reason>``, or ``cannot write``), one that
+is not UTF-8 ParseError (``parse-error: <path> is not UTF-8 text: ...``).
 
 Reports round-trip losslessly through JSON and serialize to identical bytes
 for identical inputs: keys are sorted, floats use repr, and the timestamp
@@ -46,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError
+from .errors import IoError, ParseError
 
 # NaN and infinities are not valid JSON
 _NON_FINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
@@ -228,12 +233,30 @@ def emit(report: Report, format: str = "json", path: str | Path | None = None) -
     return text
 
 
+def os_path(path: str | Path) -> str:
+    """The operating system's name for a path whose text is UTF-8, whatever
+    the locale; bytes that are not UTF-8 come in and go out as surrogates."""
+    return os.fsdecode(str(path).encode("utf-8", "surrogateescape"))
+
+
 def write(text: str, path: str | Path | None = None) -> None:
     """Write rendered text; '-' or None writes to stdout."""
     if path is None or str(path) == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
         return
     try:
-        Path(path).write_text(text)
+        Path(os_path(path)).write_text(text, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}")
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def read(path: str | Path) -> str:
+    """The text of an input file, decoded as UTF-8 with universal newlines."""
+    try:
+        with open(os_path(path), encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LimitExceeded, NonPrimeRow, ParseError
-from .fields import FieldSpec
+from .fields import FieldSpec, parse_fieldspec
 from .sieve import PRIME_LIMIT, is_prime_array, prime_divisors, totient, unit_mask
 from .sieve import residues as prime_residues
 
@@ -308,6 +308,7 @@ class Union(_Pair):
 
 
 def parse_selector(expr: str, base_dir: str | Path = ".") -> PrimeSelector:
+    from .report import read  # here, so that import smolab loads no json or hashlib
     tokens = expr.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ParseError("empty selector expression")
@@ -369,12 +370,7 @@ def parse_selector(expr: str, base_dir: str | Path = ".") -> PrimeSelector:
                 raise ParseError(f"bad congruence selector {tok!r}")
             return CongruenceSelector(modulus, residues)
         if parts[0] == "degree" and len(parts) == 3:
-            from .fields import parse_fieldspec
-            path = Path(base_dir) / parts[1]
-            try:
-                text = path.read_text()
-            except OSError as exc:
-                raise ParseError(f"cannot read field spec {path}: {exc}")
+            text = read(Path(base_dir) / parts[1])
             try:
                 j = int(parts[2])
             except ValueError:
@@ -383,9 +379,7 @@ def parse_selector(expr: str, base_dir: str | Path = ".") -> PrimeSelector:
         if parts[0] == "list" and len(parts) == 2:
             path = Path(base_dir) / parts[1]
             try:
-                primes = tuple(int(line) for line in path.read_text().split())
-            except OSError as exc:
-                raise ParseError(f"cannot read prime list {path}: {exc}")
+                primes = tuple(int(line) for line in read(path).split())
             except ValueError:
                 raise ParseError(f"non-integer entry in prime list {path}")
             if max(primes, default=0) > PRIME_LIMIT:

@@ -551,8 +551,8 @@ def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
 
     The run is ``residue_sums(xs, q, ...)``: with ``exponents`` None, phi(q)
     rows of 4-byte int32 cells; with k exponents, k phi(q) rows of 8-byte
-    float64 cells.  The model charges a walk at every x, though the points
-    among the values of max(xs) read their columns off its one walk.
+    float64 cells.  The model charges the walks that run makes: one at
+    max(xs), and one more at each point off its values.
 
     The model was fitted to medians of seven interleaved runs on a 2-vCPU
     x86-64 VM (Python 3.11.7, numpy 2.4.6), and predicted each of them for
@@ -577,16 +577,19 @@ def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
     neither phi(q) nor a residue lift: every q above RECURRENCE_MODULUS_LIMIT
     has phi(q) >= 2304.
     """
-    xs = [x for x in xs if x >= 2]
+    xs = [int(x) for x in xs if x >= 2]
     if q > RECURRENCE_MODULUS_LIMIT or not xs:
         return False
+    top = max(xs)
     rows, cell_bytes = (1, 4) if exponents is None else (exponents, 8)
     rows *= totient(q)
-    if _state_bytes(max(xs), rows, cell_bytes) > RECURRENCE_STATE_BYTES:
+    if _state_bytes(top, rows, cell_bytes) > RECURRENCE_STATE_BYTES:
         return False
+    n_small = top // math.isqrt(top) - 1  # residue_sums walks again off its values
+    walks = [top] + [x for x in xs if x > n_small and top // (top // x) != x]
     seconds = sum((8.3e-5 * math.sqrt(x) + 1.2e-8 * rows * cell_bytes * x**0.75) / math.log(x)
-                  for x in xs)
-    return seconds <= 3.5e-9 * max(xs)
+                  for x in walks)
+    return seconds <= 3.5e-9 * top
 
 
 def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarray] | None,

@@ -47,7 +47,6 @@ import csv
 import io
 import math
 from collections.abc import Iterator
-from pathlib import Path
 
 import numpy as np
 
@@ -205,9 +204,3 @@ def tau_csv_text(limit: int) -> str:
     for p, value in sorted(generate_tau(limit).items()):
         writer.writerow([p, value])
     return buf.getvalue()
-
-
-def write_tau_csv(limit: int, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(tau_csv_text(limit))
-    return path

@@ -399,6 +399,30 @@ def test_unsplittable_eigenspaces_raise(monkeypatch):
         character_table(catalog("symmetric(3)"))
 
 
+def _s3_rows(pick):
+    """Eigenvector rows of symmetric(3)'s class algebra (trivial, sign,
+    standard): row i of its table times the class sizes over the degree."""
+    table = character_table(catalog("symmetric(3)"))
+    sizes = np.array(table.partition.class_sizes, dtype=float)
+    return np.array([table.values[i] * sizes / table.rows[i].degree for i in pick])
+
+
+@pytest.mark.parametrize("rows,message", [
+    (lambda: np.zeros((3, 3)), "an eigenvector has a zero identity-class entry"),
+    (lambda: np.ones((3, 3)), "a degree is not a positive integer"),
+    (lambda: np.array([[1.0, 0.0, 3 * math.sqrt(5 / 3)]] * 3),
+     "a value is above its character's degree"),
+    (lambda: _s3_rows([0, 1, 1]), "the squared degrees sum to 3, not the order 6"),
+    (lambda: _s3_rows([0, 0, 2]), "the rows are not orthogonal"),
+], ids=["identity-entry", "degree", "value", "squared-degrees", "orthogonality"])
+def test_each_failed_table_check_is_named(monkeypatch, rows, message):
+    omega = rows()
+    monkeypatch.setattr(characters, "_eigenvector_rows", lambda G, cells, part: omega)
+    with pytest.raises(NumericalDegeneracy) as failure:
+        character_table(catalog("symmetric(3)"))
+    assert str(failure.value) == f"character table of S3: {message}"
+
+
 # rows equal at a class with an irrational value: on the former exact-key
 # sort, the last bits of those values decided the row order
 NEAR_TIE_GROUPS = ("direct_product(cyclic(7),dihedral(9))",

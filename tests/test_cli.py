@@ -520,6 +520,87 @@ def test_input_files_that_are_not_utf8_are_parse_errors(tmp_path, argv):
     assert proc.stderr.startswith("parse-error: "), proc.stderr
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_cli(argv, cwd, **env) -> subprocess.CompletedProcess:
+    """``python -m smolab.cli`` on argv (bytes arguments are passed as they
+    are), with ``env`` over the environment; output is left as bytes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "smolab.cli", *argv], cwd=cwd,
+                          capture_output=True, env=env, timeout=120)
+
+
+def test_utf8_field_spec_reads_the_same_under_an_ascii_locale(tmp_path):
+    (tmp_path / "field.txt").write_bytes("N=5\nH=1,4  # the real quadratic field — Q(√5)\n".encode())
+    argv = ("frobstats", "field.txt", "--x", "1000")
+    utf8, ascii_ = run_cli(argv, tmp_path, PYTHONUTF8="1"), run_cli(argv, tmp_path, **ASCII_LOCALE)
+    assert utf8.returncode == 0 and utf8.stdout, utf8.stderr
+    assert (ascii_.returncode, ascii_.stdout, ascii_.stderr) == (0, utf8.stdout, b"")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_ascii_paths_give_the_same_bytes_under_an_ascii_locale(tmp_path, fmt):
+    # bytes paths and arguments, so this test also runs under an ASCII locale
+    name = "é2.txt".encode()
+    with open(os.path.join(os.fsencode(tmp_path), name), "wb") as handle:
+        handle.write(b"N=5\nH=1,4\n")
+    outputs = []
+    for env in ({"PYTHONUTF8": "1"}, ASCII_LOCALE):
+        for out in (f"out-{len(outputs)}.{fmt}".encode(), b"-"):  # a file, then stdout
+            proc = run_cli([b"--format", fmt.encode(), b"--output", out, b"frobstats", name,
+                            b"--x", b"1000"], tmp_path, **env)
+            assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+            if out == b"-":
+                outputs.append(proc.stdout)
+                continue
+            with open(os.path.join(os.fsencode(tmp_path), out), "rb") as handle:
+                outputs.append(handle.read())
+    assert outputs[0] and outputs.count(outputs[0]) == 4
+    assert name in outputs[0] if fmt == "csv" else b"\\u00e92.txt" in outputs[0]
+
+
+# each file argument once, "{}" standing for it; the other files are valid
+FILE_ARGUMENTS = [
+    ("charlab", "table", "{}"),
+    ("frobstats", "{}", "--x", "100"),
+    ("euler", "probe", "--fieldspec", "{}", "--degree", "1", "--delta", "1/4",
+     "--sigma", "0.8", "--cutoffs", "1000"),
+    ("euler", "positivity", "--data", "{}"),
+    ("smo", "rajan", "--fieldspec", "{}", "--degree", "1"),
+    ("smo", "inert", "--fieldspec", "{}"),
+    ("smo", "tower", "--subfield", "{}", "--field", "field4.txt", "--x", "100"),
+    ("smo", "tower", "--subfield", "field.txt", "--field", "{}", "--x", "100"),
+    ("smo", "compare", "--data", "{}", "--data2", "ok.csv"),
+    ("smo", "compare", "--data", "ok.csv", "--data2", "{}"),
+    ("smo", "zratio", "--data", "{}", "--data2", "ok.csv"),
+    ("smo", "zratio", "--data", "ok.csv", "--data2", "{}"),
+    ("smo", "tempered", "--data", "{}", "--selector", "all"),
+    ("density", "natural", "--selector", "degree:{}:1", "--x", "100"),
+    ("density", "natural", "--selector", "list:{}", "--x", "100"),
+]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("argv", FILE_ARGUMENTS,
+                         ids=[" ".join(a[:2]) + f"[{i}]" for i, a in enumerate(FILE_ARGUMENTS)])
+def test_every_file_error_is_one_line_naming_its_file(capsys, tmp_path, monkeypatch, argv, kind):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "field.txt").write_text("N=5\nH=1,4\n")
+    (tmp_path / "field4.txt").write_text("N=5\nH=1\n")
+    (tmp_path / "ok.csv").write_text("p,a_p\n2,-24\n3,252\n")
+    (tmp_path / "bad.d").mkdir()
+    (tmp_path / "bad.txt").write_bytes(b"N=5\n# \xff\n")
+    path = {"missing": "missing.txt", "directory": "bad.d", "not-utf8": "bad.txt"}[kind]
+    code, out, err = run(capsys, *(a.replace("{}", path) for a in argv))
+    assert (code, out) == (1, ""), err
+    code = "parse-error" if kind == "not-utf8" else "io-error"
+    assert re.fullmatch(code + r": [^\n]*\n", err), err
+    assert err.count(path) == 1, err
+
+
 def test_huge_moduli_are_refused_before_allocation(capsys, tmp_path):
     # a modulus-sized selector table or (Z/N)* loop would end in a MemoryError
     code, _, err = run(capsys, "density", "natural", "--selector", "mod:1000000000000:1",

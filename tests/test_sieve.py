@@ -456,8 +456,11 @@ def test_cost_model_choices():
     # small cutoffs and nothing to count stay on the sieve
     assert not residue_counts_pay([10**4], 4)
     assert not residue_counts_pay([-5, 0, 1], 4)
-    # a long grid costs one recurrence per point but still one sieve
+    # a long grid costs a recurrence at each point off the values of the
+    # largest one's walk, but still one sieve
     assert not residue_counts_pay(range(10**8 - 100, 10**8), 4)
+    # 1e6 and 1e7 are among the values of the walk at 1e8: one walk serves all
+    assert residue_counts_pay([10**6, 10**7, 10**8], 97)
     # no cutoff admits phi(q) = 150 (q = 151), and the moduli above the limit
     # have far larger phi(q), so the limit turns none of them away
     grid = sorted({int(10 ** (k / 16)) for k in range(16 * 9 + 1)})
