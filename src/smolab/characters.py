@@ -29,11 +29,11 @@ expression:
 - order the rows by degree, then by descending values class by class.  The
   real and imaginary parts of each class are ranked with values within
   VALUE_EQ_TOL tied, so float noise in equal values cannot decide the order.
-The sorted array is stored read-only as ``CharacterTable.values``.  The
-orthogonality check reads it, and so does ``charlab table``, whose
-serializer renders a complex array row directly.  Each ``Character.values``
-is the tuple of Python complex numbers of its row, which
-``agreement_fraction`` compares.
+The sorted array, stored read-only as ``CharacterTable.values``, is the
+only copy of the values: each ``Character.values`` is a view of its row.
+Every agreement test is one array comparison within VALUE_EQ_TOL; snapping
+puts integral parts exactly on their integers, so on integral rows it gives
+the verdicts of integer equality.
 
 Character values are algebraic integers, and so are their complex
 conjugates.  If the real part a of a value chi is rational, then
@@ -51,7 +51,6 @@ import enum
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -68,19 +67,15 @@ ORTHOGONALITY_TOL = 1e-6
 _REFINE_ROUNDS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Character:
     """One irreducible character: degree plus a value per conjugacy class."""
 
     degree: int
-    values: tuple[complex, ...]
+    #: read-only view of the character's row of ``CharacterTable.values``
+    values: np.ndarray = field(repr=False)
     partition: ConjugacyClassPartition
     group_label: str
-    integer_values: tuple[int, ...] | None = None
-
-    @property
-    def is_integral(self) -> bool:
-        return self.integer_values is not None
 
 
 @dataclass(frozen=True)
@@ -88,8 +83,8 @@ class CharacterTable:
     group: FiniteGroup
     partition: ConjugacyClassPartition
     rows: tuple[Character, ...]
-    #: the rows' values as one read-only (r, r) complex128 array, row i being
-    #: rows[i].values; report rows are serialized straight from it
+    #: the rows' values as one read-only (r, r) complex128 array, of whose
+    #: row i rows[i].values is a view; report rows are serialized from it
     values: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -270,19 +265,12 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     if int(deg @ deg) != order:
         raise NumericalDegeneracy(f"{prefix}the squared degrees sum to {deg @ deg}, "
                                   f"not the order {order}")
-    ints = np.round(values.real)
-    integral = (np.all(np.abs(values.imag) <= VALUE_EQ_TOL, axis=1)
-                & np.all(np.abs(values.real - ints) <= VALUE_EQ_TOL, axis=1))
     # the trivial character comes first
     ranked = _row_order(deg, values)
     values = values[ranked]
     values.flags.writeable = False
-    rows = tuple(
-        Character(degree=d, values=tuple(v), partition=part, group_label=G.label,
-                  integer_values=tuple(iv) if ok else None)
-        for d, v, iv, ok in zip(deg[ranked].tolist(), values.tolist(),
-                                ints[ranked].astype(np.int64).tolist(),
-                                integral[ranked].tolist()))
+    rows = tuple(Character(degree=d, values=row, partition=part, group_label=G.label)
+                 for d, row in zip(deg[ranked].tolist(), values))
     table = CharacterTable(group=G, partition=part, rows=rows, values=values)
     if not _orthogonality_ok(table):
         raise NumericalDegeneracy(prefix + "the rows are not orthogonal")
@@ -306,31 +294,28 @@ def _check_compatible(chi: Character, chi2: Character, G: FiniteGroup) -> None:
         raise ClassMismatch(f"{chi2.group_label} character used with group {G.label}")
 
 
+def _agrees(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where the values a and b agree, broadcast: within VALUE_EQ_TOL."""
+    return np.abs(a - b) <= VALUE_EQ_TOL
+
+
 def inner_product(chi: Character, chi2: Character, G: FiniteGroup) -> complex:
     """(1/|G|) sum_g chi(g) conj(chi2(g)), evaluated classwise."""
     _check_compatible(chi, chi2, G)
-    sizes = G.conjugacy_classes().class_sizes
-    total = sum(s * a * b.conjugate() for s, a, b in zip(sizes, chi.values, chi2.values))
-    return total / G.order
+    sizes = np.array(G.conjugacy_classes().class_sizes, dtype=float)
+    return complex(np.sum(sizes * chi.values * chi2.values.conj())) / G.order
 
 
 def agreement_fraction(chi: Character, chi2: Character, G: FiniteGroup) -> Fraction:
     """Exact fraction of group elements on which the two characters agree."""
     _check_compatible(chi, chi2, G)
-    sizes = G.conjugacy_classes().class_sizes
-    if chi.is_integral and chi2.is_integral:
-        agree = sum(s for s, a, b in zip(sizes, chi.integer_values, chi2.integer_values)
-                    if a == b)
-    else:
-        agree = sum(s for s, a, b in zip(sizes, chi.values, chi2.values)
-                    if abs(a - b) <= VALUE_EQ_TOL)
-    return Fraction(agree, G.order)
+    sizes = np.array(G.conjugacy_classes().class_sizes)
+    return Fraction(int(sizes[_agrees(chi.values, chi2.values)].sum()), G.order)
 
 
 def characters_equal(chi: Character, chi2: Character) -> bool:
-    return (chi.degree == chi2.degree
-            and len(chi.values) == len(chi2.values)
-            and all(abs(a - b) <= VALUE_EQ_TOL for a, b in zip(chi.values, chi2.values)))
+    return (chi.degree == chi2.degree and chi.values.shape == chi2.values.shape
+            and bool(np.all(_agrees(chi.values, chi2.values))))
 
 
 def lemma_check(chi: Character, chi2: Character, G: FiniteGroup) -> Verdict:
@@ -367,9 +352,13 @@ def extremal_search(G: FiniteGroup, n: int) -> ExtremalResult | None:
     rows = table.rows_of_degree(n)
     if len(rows) < 2:
         return None
-    best: ExtremalResult | None = None
-    for i, j in combinations(rows, 2):
-        frac = agreement_fraction(table.rows[i], table.rows[j], G)
-        if best is None or frac > best.fraction:
-            best = ExtremalResult(fraction=frac, pair=(i, j), degree=n)
-    return best
+    sizes = np.array(table.partition.class_sizes)
+    values = table.values[rows]
+    best, pair = -1, None
+    for a in range(len(rows) - 1):
+        # agreement of row a with each later row, in group elements
+        agree = _agrees(values[a + 1:], values[a]) @ sizes
+        b = int(np.argmax(agree))  # the first of the row's maxima
+        if agree[b] > best:
+            best, pair = int(agree[b]), (rows[a], rows[a + 1 + b])
+    return ExtremalResult(fraction=Fraction(best, G.order), pair=pair, degree=n)

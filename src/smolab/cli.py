@@ -1,10 +1,10 @@
 """Unified command-line front end.
 
 Exit codes: 0 on success, 1 on a domain error (printed as ``code: message``
-on stderr), 2 on usage errors (argparse).  Files and arguments are UTF-8
-whatever the locale, and a file error is one line naming the file, such as
-``io-error: cannot read <path>: <reason>``.  Worker parallelism is controlled
-by --workers or SMOLAB_WORKERS and never changes numeric output.
+on stderr), 2 on usage errors (argparse).  Files, arguments and error lines
+are UTF-8 whatever the locale, and a file error is one line naming the file,
+such as ``io-error: cannot read <path>: <reason>``.  Worker parallelism is
+controlled by --workers or SMOLAB_WORKERS and never changes numeric output.
 """
 
 from __future__ import annotations
@@ -73,13 +73,15 @@ def _load_group(path: str) -> groups.FiniteGroup:
     """An existing file is a group file; anything else a catalog expression.
 
     No catalog expression contains "/" or ".", so an argument with either
-    that names no file is a missing group file.
+    that names no file is a missing group file.  A bare name that exists is
+    read as a file, so a directory there is an unreadable one.
     """
     if not path:
         raise UsageError("empty group argument: give a group file or a catalog expression")
-    if os.path.isfile(os_path(path)):
+    dotted = "/" in path or "." in path
+    if os.path.isfile(os_path(path)) or (not dotted and os.path.exists(os_path(path))):
         return groups.build_group(groups.parse_group_file(read(path)), label=Path(path).stem)
-    if "/" in path or "." in path:
+    if dotted:
         raise IoError(f"no such group file {path!r}")
     return groups.catalog(path)
 
@@ -91,13 +93,11 @@ def _parse_seed(text: str, spec: str) -> int:
         raise UsageError(f"bad seed {text!r} in data spec {spec!r}")
 
 
-def _load_rep(spec: str, weight: int, seed: int):
+def _load_rep(spec: str, weight: int):
     """``path.csv`` loads an eigenvalue file; ``synthetic:<seed>`` and
     ``profile:<name>:<seed>`` draw synthetic sources."""
     if spec.startswith("synthetic:"):
         return synthetic_tempered(_parse_seed(spec.split(":", 1)[1], spec))
-    if spec == "synthetic":
-        return synthetic_tempered(seed)
     if spec.startswith("profile:"):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="smolab")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=None,
                         help="worker threads (default SMOLAB_WORKERS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -323,10 +322,10 @@ def _character_table_csv(table: characters.CharacterTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["class_size"] + [str(s) for s in table.partition.class_sizes])
-    for row in table.rows:
+    for degree, values in zip(table.degrees, table.values.tolist()):
         cells = [repr(v.real) if abs(v.imag) < 1e-12 else f"{v.real!r}{v.imag:+}j"
-                 for v in row.values]
-        writer.writerow([str(row.degree)] + cells)
+                 for v in values]
+        writer.writerow([str(degree)] + cells)
     return buf.getvalue()
 
 
@@ -482,8 +481,8 @@ def _dispatch_euler(args) -> Report:
 
 def _dispatch_smo(args, workers) -> Report:
     if args.subcommand == "compare":
-        A = _load_rep(args.data, args.weight, args.seed)
-        B = _load_rep(args.data2, args.weight, args.seed + 1)
+        A = _load_rep(args.data, args.weight)
+        B = _load_rep(args.data2, args.weight)
         rep = experiments.compare_local(A, B, args.x)
         return Report(
             experiment="smo.compare",
@@ -508,8 +507,8 @@ def _dispatch_smo(args, workers) -> Report:
             ),
         )
     if args.subcommand == "zratio":
-        A = _load_rep(args.data, args.weight, args.seed)
-        B = _load_rep(args.data2, args.weight, args.seed + 1)
+        A = _load_rep(args.data, args.weight)
+        B = _load_rep(args.data2, args.weight)
         rep = experiments.z_ratio(A, B, parse_selector(args.selector),
                                   _parse_float_list(args.s))
         return Report(
@@ -563,7 +562,7 @@ def _dispatch_smo(args, workers) -> Report:
             ),
         )
     if args.subcommand == "tempered":
-        A = _load_rep(args.data, args.weight, args.seed)
+        A = _load_rep(args.data, args.weight)
         rep = experiments.tempered_bound_check(A, parse_selector(args.selector),
                                                workers=workers)
         return Report(
@@ -589,11 +588,12 @@ def main(argv=None) -> int:
         else:
             emit(result, format=args.format, path=args.output)
         return 0
-    except SmolabError as exc:
-        sys.stderr.write(f"{exc.code}: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"io-error: {exc}\n")
+    except (SmolabError, OSError) as exc:
+        code = exc.code if isinstance(exc, SmolabError) else "io-error"
+        # UTF-8 whatever the locale, as report.write writes reports
+        sys.stderr.flush()
+        sys.stderr.buffer.write(f"{code}: {exc}\n".encode("utf-8", "surrogateescape"))
+        sys.stderr.buffer.flush()
         return 1
 
 

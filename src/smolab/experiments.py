@@ -34,6 +34,8 @@ CUTOFF_CAP = 10**8
 SLOPE_MARGIN = 0.1  # slack of the tempered bound's slope test
 SHOWN_DISAGREEMENTS = 200  # disagreeing primes a comparison report lists
 SHOWN_COUNTEREXAMPLES = 50  # counterexamples a tower report lists
+Z_RATIO_SCAN_LIMIT = 10**4  # primes a four-way ratio scans up to
+Z_RATIO_POWERS = 40  # power sums m = 1..this in the ratio's log series
 
 # annotation thresholds quoted in every comparison report
 REFINED_SMO_DENSITY = Fraction(1, 8)
@@ -278,7 +280,7 @@ class ZRatioReport:
 
 
 def z_ratio(A: RepresentationData, B: RepresentationData, selector: PrimeSelector,
-            s_grid, scan_limit: int | None = None, m_cap: int = 40) -> ZRatioReport:
+            s_grid) -> ZRatioReport:
     """Truncated four-way ratio over the selected primes, computed two ways.
 
     Direct path: product over p in S of
@@ -301,7 +303,7 @@ def z_ratio(A: RepresentationData, B: RepresentationData, selector: PrimeSelecto
     log_sum = np.zeros(len(s_values), dtype=np.complex128)
     combined_min_coeff = 0.0
     primes_used = 0
-    for seg in _unramified_stream(_data_limit(scan_limit or 10**4, A, B), A, B, selector):
+    for seg in _unramified_stream(_data_limit(Z_RATIO_SCAN_LIMIT, A, B), A, B, selector):
         primes_used += len(seg)
         sa, sb = A.satake_array(seg), B.satake_array(seg)
         x = seg.astype(np.float64)[:, None] ** exponents  # p^-s, one row per prime
@@ -309,7 +311,7 @@ def z_ratio(A: RepresentationData, B: RepresentationData, selector: PrimeSelecto
                           _paired_poly(sa, sa, x) * _paired_poly(sb, sb, x))
         direct *= ratio.prod(axis=0)
         power_a, power_b, x_m = sa.copy(), sb.copy(), x.copy()
-        for m in range(1, m_cap + 1):
+        for m in range(1, Z_RATIO_POWERS + 1):
             pa, pb = power_a.sum(axis=1), power_b.sum(axis=1)
             aa, bb = pa * pa.conj(), pb * pb.conj()
             ab, ba = pa * pb.conj(), pb * pa.conj()

@@ -71,13 +71,13 @@ class RepresentationData:
     def local_factor(self, p: int) -> LocalFactor:
         return LocalFactor(q=int(p), alphas=self.satake(p), degree=self.degree)
 
-    def self_rankin_selberg(self, conjugate: bool = True) -> EulerProduct:
+    def self_rankin_selberg(self) -> EulerProduct:
         """Pairing of the source with itself: one place per p, parameters {a_i c(a_j)}."""
 
         def places(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             a = self.satake_array(primes)
             # a_i-major, as in rankin_selberg_local
-            pairs = a[:, :, None] * (a.conj() if conjugate else a)[:, None, :]
+            pairs = a[:, :, None] * a.conj()[:, None, :]
             return np.ones((len(primes), 1), dtype=np.int64), pairs.reshape(len(primes), 1, -1)
 
         return EulerProduct(places=places, universe=self.universe, ramified=self.ramified)

@@ -311,7 +311,7 @@ def _report_bundle(workers: int) -> str:
         table = character_table(G)
         tables[name] = {
             "degrees": list(table.degrees),
-            "rows": [[[v.real, v.imag] for v in r.values] for r in table.rows],
+            "rows": [[[v.real, v.imag] for v in r.values.tolist()] for r in table.rows],
         }
         found = extremal_search(G, 2)
         if found:

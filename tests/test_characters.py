@@ -25,7 +25,17 @@ WORKLOAD_GROUPS = ("q8_power_family(3)", "direct_product(q8_power_family(2),dihe
 def expand_to_elements(chi, G):
     """Character as a function on all elements (independent of class sums)."""
     part = G.conjugacy_classes()
-    return [chi.values[part.class_of[g]] for g in range(G.order)]
+    values = chi.values.tolist()
+    return [values[part.class_of[g]] for g in range(G.order)]
+
+
+def integer_row(values):
+    """The row's values as ints when each is within VALUE_EQ_TOL of one, else None."""
+    ints = np.round(values.real)
+    if (np.all(np.abs(values.imag) <= VALUE_EQ_TOL)
+            and np.all(np.abs(values.real - ints) <= VALUE_EQ_TOL)):
+        return tuple(ints.astype(np.int64).tolist())
+    return None
 
 
 def elementwise_inner(chi, psi, G):
@@ -52,9 +62,7 @@ def test_c2_table_is_exact():
     G = build_group(["(1 2)"])
     table = character_table(G)
     assert [r.degree for r in table.rows] == [1, 1]
-    assert table.rows[0].values == ((1 + 0j), (1 + 0j))
-    assert table.rows[1].values == ((1 + 0j), (-1 + 0j))
-    assert table.rows[0].integer_values == (1, 1)
+    assert table.values.tolist() == [[(1 + 0j), (1 + 0j)], [(1 + 0j), (-1 + 0j)]]
 
 
 def test_s3_degrees():
@@ -201,18 +209,18 @@ def test_offdiagonal_mass_bound():
 def test_table_deterministic_across_runs():
     a = character_table(catalog("symmetric(4)"))
     b = character_table(catalog("symmetric(4)"))
-    assert [r.values for r in a.rows] == [r.values for r in b.rows]
+    assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_complex_values_snap_to_gaussian_grid():
     table = character_table(catalog("cyclic(4)"))
-    values = {v for row in table.rows for v in row.values}
+    values = {v for row in table.rows for v in row.values.tolist()}
     assert 1j in values and -1j in values
 
 
 def test_golden_ratio_values_stay_unsnapped():
     table = character_table(catalog("dihedral(5)"))
-    values = [v for row in table.rows for v in row.values]
+    values = [v for row in table.rows for v in row.values.tolist()]
     # 1e-9 from the irrational value: neither snapped nor pulled onto a fraction
     for target in ((-1 + math.sqrt(5)) / 2, (-1 - math.sqrt(5)) / 2):
         assert any(abs(v.real - target) < 1e-9 for v in values)
@@ -273,7 +281,7 @@ def test_bundled_tables_are_orthogonal(expr):
 @pytest.mark.parametrize("expr", BUNDLED_CATALOG + WORKLOAD_GROUPS)
 def test_rows_follow_degree_then_descending_values(expr):
     rows = character_table(catalog(expr)).rows
-    key = lambda row: (row.degree, tuple((-v.real, -v.imag) for v in row.values))
+    key = lambda row: (row.degree, tuple((-v.real, -v.imag) for v in row.values.tolist()))
     assert list(rows) == sorted(rows, key=key)
     assert all(v == 1 for v in rows[0].values)
 
@@ -356,13 +364,11 @@ def test_array_table_matches_per_row_reference(expr):
     else:
         raise AssertionError(f"no attempt of the reference succeeded on {expr}")
     table = character_table(G)
-    assert [(row.degree, row.integer_values) for row in table.rows] == \
+    assert [(row.degree, integer_row(row.values)) for row in table.rows] == \
         [(degree, ints) for degree, _, ints in expected]
     # row order and values; the arithmetic differs, so not the last bits
     reference = np.array([values for _, values, _ in expected])
     assert np.max(np.abs(table.values - reference)) <= 1e-9
-    for row, values in zip(table.rows, table.values):
-        assert row.values == tuple(values.tolist())
     assert not table.values.flags.writeable
     assert table.values.flags.c_contiguous
 
@@ -463,3 +469,42 @@ def test_extremal_bound_attained_at_degrees_8_and_16():
         assert best.fraction == expected == distinguishing_threshold(n)
         assert _orthogonality_ok(character_table(G))
         assert sum(d * d for d in character_table(G).degrees) == G.order
+
+
+@pytest.mark.parametrize("expr", ("symmetric(4)", "cyclic(12)", "q8_power_family(2)"))
+def test_rows_are_read_only_views_of_the_table(expr):
+    table = character_table(catalog(expr))
+    for i, row in enumerate(table.rows):
+        assert np.shares_memory(row.values, table.values[i])
+        assert np.array_equal(row.values, table.values[i])
+        assert not row.values.flags.writeable
+        with pytest.raises(ValueError):
+            row.values[0] = 0
+
+
+def extremal_by_pairs(G, n):
+    """The former pair loop: (fraction, pair) of the first pair of distinct
+    degree-n rows with the most agreement, class by class in Python."""
+    table = character_table(G)
+    sizes = G.conjugacy_classes().class_sizes
+    values = table.values.tolist()
+    best = None
+    for i, j in combinations(table.rows_of_degree(n), 2):
+        agree = sum(s for s, a, b in zip(sizes, values[i], values[j])
+                    if abs(a - b) <= VALUE_EQ_TOL)
+        if best is None or agree > best[0]:
+            best = (agree, (i, j))
+    return None if best is None else (Fraction(best[0], G.order), best[1])
+
+
+@pytest.mark.parametrize("expr,degrees", [(expr, None)
+                                          for expr in BUNDLED_CATALOG + WORKLOAD_GROUPS]
+                         + [("cyclic(300)", (1,))])
+def test_extremal_search_matches_the_pair_loop(expr, degrees):
+    G = catalog(expr)
+    for n in degrees or sorted(set(character_table(G).degrees)):
+        found, expected = extremal_search(G, n), extremal_by_pairs(G, n)
+        if expected is None:
+            assert found is None, n
+        else:
+            assert (found.fraction, found.pair, found.degree) == (*expected, n)

@@ -562,6 +562,15 @@ def test_non_ascii_paths_give_the_same_bytes_under_an_ascii_locale(tmp_path, fmt
     assert name in outputs[0] if fmt == "csv" else b"\\u00e92.txt" in outputs[0]
 
 
+def test_error_lines_are_utf8_under_an_ascii_locale(tmp_path):
+    # a missing file named in the error line, as the bytes it was given in
+    for env in ({"PYTHONUTF8": "1"}, ASCII_LOCALE):
+        proc = run_cli(["frobstats", "é3.txt".encode()], tmp_path, **env)
+        assert (proc.returncode, proc.stdout) == (1, b""), proc.stderr
+        assert proc.stderr.startswith(b"io-error: cannot read \xc3\xa93.txt: "), proc.stderr
+        assert proc.stderr.count(b"\n") == 1, proc.stderr
+
+
 # each file argument once, "{}" standing for it; the other files are valid
 FILE_ARGUMENTS = [
     ("charlab", "table", "{}"),
@@ -869,6 +878,10 @@ def test_empty_or_directory_group_argument(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, "charlab", "table", ".")
     assert code == 1 and err.startswith("io-error: no such group file '.'"), err
+    # a bare name is no catalog entry when it names a directory
+    (tmp_path / "adir").mkdir()
+    code, out, err = run(capsys, "charlab", "table", "adir")
+    assert (code, out, err) == (1, "", "io-error: cannot read adir: Is a directory\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
