@@ -21,10 +21,12 @@ probe, the weighted pole order, the prime statistics), ``prime_array`` for tau.
 
 Counts of primes by residue class need no sieve walk.  ``residue_sums``
 runs Lucy's recurrence on the about 2 sqrt(x) values x // n, in about
-phi(q) x^(3/4) / log x cell updates (Lagarias, Miller and Odlyzko, Math.
-Comp. 1985; Deleglise and Rivat, Math. Comp. 1996).  The primes up to
-x^(1/3) update one at a time and the rest in one batch that makes the same
-operations in the same order (``_lucy_walk``).  The recurrence works
+rows x^(3/4) / log x cell updates (Lagarias, Miller and Odlyzko, Math.
+Comp. 1985; Deleglise and Rivat, Math. Comp. 1996): one row per unit mod q,
+or, for the counts of ``class_sums``, one per coset of the subgroup of
+units that fixes its class table.  The primes up to x^(1/3) update one at
+a time with no array division, and the rest in one batch that makes the
+same operations in the same order (``_lucy_walk``).  The recurrence works
 for any completely multiplicative weight: int32 rows of counts, or float64
 rows of sums of p^-s, one block of rows per exponent, whose starting rows
 take 64 terms directly and the rest by Euler-Maclaurin.  One walk at the
@@ -39,8 +41,9 @@ order): per-class counts or sums of p^-s, for classes of primes given by
 residue or by a callable.  It is the only consumer of ``residue_counts_pay``,
 whose cost model and measurements are in its docstring, and takes the
 recurrence whenever the model predicts it cheaper than the sieve.  At 1e8
-the counts took about 0.017 s for q = 4 and 0.066 s for q = 56, and the sums
-0.059 s for q = 8 with three exponents, against 0.36 s for the sieve path.
+the counts took about 0.010 s for q = 4 and 0.014 s for the 6 coset rows of
+a compound selector mod 56, and the sums 0.038 s for q = 8 with three
+exponents, against 0.36 s for the sieve path.
 
 Single integers are tested by ``is_prime``, a deterministic Miller-Rabin
 test.  ``is_prime_array`` tests a whole file column at once: every entry
@@ -328,64 +331,83 @@ def _icbrt(x: int) -> int:
     return c
 
 
-def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None = None) -> None:
+def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None = None,
+               row_of: np.ndarray | None = None) -> None:
     """Lucy's recurrence on ``state`` in place, one update per prime p <= sqrt(x)
     not dividing q.
 
-    Rows come in blocks of the unit classes mod q, one block per entry of
-    ``exponents`` (one block of counts when it is None); columns are the
-    values of ``_lucy_values(x)``.  Row a at v starts as the sum of n^-s, or the count, over
-    2 <= n <= v with n = a mod q.  The update for p subtracts, at every v >=
-    p*p, p^-s times the row of a * p^-1 at v // p less that row at p - 1: the
-    n with least prime factor p.
+    Rows come in blocks of ``row_of``, a residue -> row map (one row per unit
+    mod q by default; counts may take one per coset aH of a subgroup of the
+    units), one block per entry of ``exponents`` (one block of counts when it
+    is None); columns are the values of ``_lucy_values(x)``.  Row a (aH) at v
+    starts as the sum of n^-s, or the count, over 2 <= n <= v in a (aH) mod
+    q.  The update for p subtracts, at every v >= p*p, p^-s times the row of
+    a * p^-1 at v // p less that row at p - 1: the n with least prime factor p.
 
-    The head primes, p**3 <= x, update one at a time in column blocks.  The
-    tail primes, p**3 > x, go in one batch: such a p writes only values v >=
-    p*p > x^(2/3), and reads only v // p <= x / p < x^(2/3) and p - 1, cells
-    that no tail prime writes and that are final once the head is done.  So
-    the term of every (tail prime, column) pair is gathered at once, and the
-    columns go in ascending groups of at most _BLOCK_CELLS cells.  A group
+    The head primes, p**3 <= x, update one at a time, with no array
+    division.  Column c < r = isqrt(x) holds v = x // n, n = c + 1, and v // p
+    = x // (n p) sits at column n p - 1 while n p <= r; past that it is below
+    x // r, a small value at column m - v // p.  The small values, from
+    n_small down to p*p, read v // p, which takes each value p times in a
+    row: their terms are formed once per source column and spread by
+    ``np.repeat``.  Both go in column blocks of at most _BLOCK_CELLS cells,
+    in ascending columns, that is descending values; every read is at a
+    smaller value, so each block reads only columns no earlier block wrote.
+
+    The tail primes, p**3 > x, go in one batch: such a p writes only values
+    v >= p*p > x^(2/3), and reads only v // p <= x / p < x^(2/3) and p - 1,
+    cells that no tail prime writes and that are final once the head is done.
+    So the term of every (tail prime, column) pair is gathered at once, and
+    the columns go in ascending groups of at most _BLOCK_CELLS cells.  A group
     lays out each column as its current cell followed by its terms in
-    ascending p, and one ``np.subtract.reduceat`` makes the subtractions, so
-    every cell sees the operations of the one-prime-at-a-time walk in the
-    same order and float rows come out bit for bit the same.  At 1e8 the head
-    is 90 primes and the tail 1139; at 1e9, 168 and 3233.
+    ascending p, and one ``np.subtract.reduceat`` makes the subtractions.  In
+    both parts every cell sees the operations of the one-prime-at-a-time walk
+    in the same order, so float rows come out bit for bit the same.  At 1e8
+    the head is 90 primes and the tail 1139; at 1e9, 168 and 3233.
     """
     values, n_small = _lucy_values(x)
-    units = np.flatnonzero(unit_mask(q))
+    row_of = _unit_rows(q) if row_of is None else row_of
+    reps = _row_residues(row_of)
     m = len(values)
     r = math.isqrt(x)
-    row_of = np.full(q, -1, dtype=np.int64)
-    row_of[units] = np.arange(len(units))
-    blocks = np.arange(len(state) // len(units))[:, None] * len(units)
-    per_row = None if exponents is None else np.repeat(exponents, len(units))[:, None]
+    blocks = np.arange(len(state) // len(reps))[:, None] * len(reps)
+    per_row = None if exponents is None else np.repeat(exponents, len(reps))[:, None]
     width = max(1, _BLOCK_CELLS // len(state))
     primes = simple_sieve(r)
     primes = primes[q % primes != 0]
     head = np.searchsorted(primes, _icbrt(x), side="right")
     for p in primes[:head].tolist():
-        k = min(r, x // (p * p)) + max(0, n_small - p * p + 1)  # values >= p*p
-        w = values[:k] // p
-        src = np.where(w > n_small, x // w - 1, m - w)  # column of each v // p
-        low = state[:, m - (p - 1) if p - 1 <= n_small else x // (p - 1) - 1]
-        perm = (row_of[units * pow(p, -1, q) % q] + blocks).ravel()
+        low = state[:, m - (p - 1)]  # p - 1 <= r - 1 <= n_small
+        perm = (row_of[reps * pow(p, -1, q) % q] + blocks).ravel()
         scale = None if per_row is None else float(p) ** -per_row
-        # ascending columns are descending values and every read is at a
-        # smaller value, so each block reads columns no earlier block wrote
+
+        def terms_of(cells: np.ndarray) -> np.ndarray:
+            cells = cells - low[:, None]
+            if scale is not None:
+                cells *= scale
+            return cells[perm]
+
+        k = min(r, x // (p * p))  # the large values >= p*p
+        src = m - values[:k] // p  # the column of each v // p, n p - 1 while n p <= r
+        src[:r // p] = np.arange(p - 1, r // p * p, p)
         for start in range(0, k, width):
             end = min(k, start + width)
-            block = np.take(state, src[start:end], axis=1)
-            block -= low[:, None]
-            if scale is not None:
-                block *= scale
-            state[:, start:end] -= block[perm]
+            state[:, start:end] -= terms_of(np.take(state, src[start:end], axis=1))
+        step = max(1, width // p)  # source columns per block of small values
+        for top in range(n_small // p, p - 1, -step):
+            least = max(p, top - step + 1)
+            runs = np.full(top - least + 1, p)
+            v_top = min(n_small, top * p + p - 1)  # the largest v with v // p = top
+            runs[0] = v_top - top * p + 1
+            state[:, m - v_top:m - least * p + 1] -= np.repeat(
+                terms_of(state[:, m - top:m - least + 1]), runs, axis=1)
     tail = primes[head:]
     if not len(tail):
         return
-    # row i of prime p reads row perm[p, i], the class units[i] * p^-1
-    into = row_of[units * (tail[:, None] % q) % q]
+    # row i of prime p reads row perm[p, i], the coset of reps[i] * p^-1
+    into = row_of[reps * (tail[:, None] % q) % q]
     perm = np.empty_like(into)
-    np.put_along_axis(perm, into, np.arange(len(units)), axis=1)
+    np.put_along_axis(perm, into, np.arange(len(reps)), axis=1)
     base = (perm[:, None, :] + blocks).reshape(len(tail), len(state))
     base *= m  # flat index of the row each (prime, row) reads, at column 0
     flat = state.reshape(-1)
@@ -402,9 +424,9 @@ def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None =
         first = np.cumsum(n) - n  # pair index of each column's first term
         col = np.repeat(np.arange(lo, hi), n)
         prime = np.arange(len(col)) - np.repeat(first, n)
-        w = values[col] // tail[prime]
+        d = (col + 1) * tail[prime]  # v // p = x // d at the column of v = x // (col + 1)
         at = base[prime]
-        at += np.where(w > n_small, x // w - 1, m - w)[:, None]  # column of v // p
+        at += np.where(d <= r, d - 1, m - x // d)[:, None]
         terms = flat[at]
         terms -= low[prime]
         if scale is not None:
@@ -417,7 +439,32 @@ def _lucy_walk(x: int, q: int, state: np.ndarray, exponents: np.ndarray | None =
         lo = hi
 
 
-def residue_sums(grid, q: int, exponents=None) -> np.ndarray:
+def _unit_rows(q: int) -> np.ndarray:
+    """The residue -> row map of one row per unit mod q, in ascending order,
+    with -1 at every other residue."""
+    units = unit_mask(q)
+    return np.where(units, np.cumsum(units) - 1, -1)
+
+
+def _coset_rows(q: int, table: np.ndarray) -> np.ndarray:
+    """The residue -> row map of one row per coset of the stabilizer H = {h
+    unit : table[h a mod q] = table[a] for every unit a} of a class table over
+    range(q), rows in ascending least residue, with -1 at the non-units.
+    Every residue of a row has the class of its least one."""
+    units = np.flatnonzero(unit_mask(q))
+    stabilizer = units[(table[units[:, None] * units % q] == table[units]).all(axis=1)]
+    least = (units[:, None] * stabilizer % q).min(axis=1)  # of each unit's coset
+    row_of = np.full(q, -1, dtype=np.int64)
+    row_of[units] = np.unique(least, return_inverse=True)[1]
+    return row_of
+
+
+def _row_residues(row_of: np.ndarray) -> np.ndarray:
+    """The least residue of each row of a residue -> row map, in row order."""
+    return np.unique(row_of, return_index=True)[1][-(row_of.max() + 1):]  # past the -1
+
+
+def residue_sums(grid, q: int, exponents=None, row_of: np.ndarray | None = None) -> np.ndarray:
     """Per-residue prime counts or sums of p^-s over the primes p <= g mod q,
     at every point g of a nonempty grid.
 
@@ -428,6 +475,11 @@ def residue_sums(grid, q: int, exponents=None) -> np.ndarray:
     primes dividing q lie in no unit row and are added back at the end.  A
     state above RECURRENCE_STATE_BYTES is refused with LimitExceeded before
     it is built.
+
+    Counts may pass ``row_of``, a ``_coset_rows`` map: the walk then takes one
+    row per coset, and each coset's count lands at its least residue, its
+    other residues reading 0.  Sums always take one row per unit, as summing
+    their starting rows per coset would move their last bits.
 
     One ``_lucy_walk`` at the largest point x serves the grid.  Once it is
     done, the column of each value v holds the primes up to v: its starting
@@ -452,40 +504,47 @@ def residue_sums(grid, q: int, exponents=None) -> np.ndarray:
     if q < 1:
         raise UsageError(f"modulus {q} must be a positive integer")
     if exponents is not None:
+        if row_of is not None:
+            raise ValueError("prime power sums take one row per unit")
         exponents = np.array(exponents, dtype=np.float64).reshape(-1)
         if not (exponents > 1).all():
             raise UsageError("prime power sums need every exponent s > 1")
     k = 1 if exponents is None else len(exponents)
     out = np.zeros((len(grid), k, q), dtype=np.int64 if exponents is None else np.float64)
     if x >= 2:
-        _check_state(x, k * totient(q), 4 if exponents is None else 8)
+        rows = _unit_rows(q) if row_of is None else row_of
+        reps = _row_residues(rows)
+        _check_state(x, k * len(reps), 4 if exponents is None else 8)
         values, n_small = _lucy_values(x)
-        units = np.flatnonzero(unit_mask(q))
-        state = (_count_rows(values, q, units) if exponents is None
-                 else _power_sum_rows(values, q, units, exponents))
-        _lucy_walk(x, q, state, exponents)
+        state = (_count_rows(values, q, rows) if exponents is None
+                 else _power_sum_rows(values, q, reps, exponents))
+        if row_of is None:  # the four-argument walk, one row per unit
+            _lucy_walk(x, q, state, exponents)
+        else:
+            _lucy_walk(x, q, state, row_of=row_of)
         divisors = [p for p in simple_sieve(min(q, x)).tolist() if q % p == 0]
         for i, g in enumerate(grid):
             if g < 2:
                 continue
             if g > n_small and x // (x // g) != g:
-                out[i] = residue_sums([g], q, exponents).reshape(k, q)
+                out[i] = residue_sums([g], q, exponents, row_of).reshape(k, q)
                 continue
             column = len(values) - g if g <= n_small else x // g - 1
-            out[i][:, units] = state[:, column].reshape(k, -1)
+            out[i][:, reps] = state[:, column].reshape(k, -1)
             for p in divisors:
                 if p <= g:
                     out[i, :, p % q] += 1 if exponents is None else float(p) ** -exponents
     return out[:, 0] if exponents is None else out
 
 
-def _count_rows(values: np.ndarray, q: int, units: np.ndarray) -> np.ndarray:
-    """int32 rows of #{2 <= n <= v : n = a mod q} at every value v, one per
-    unit class a."""
-    state = np.empty((len(units), len(values)), dtype=np.int32)  # filled a row at a time
-    for i, a in enumerate(units.tolist()):
-        state[i] = (values - (a or q)) // q + 1
-    state[np.searchsorted(units, 1 % q)] -= 1  # the integer 1
+def _count_rows(values: np.ndarray, q: int, row_of: np.ndarray) -> np.ndarray:
+    """int32 rows of #{2 <= n <= v : n mod q in the row} at every value v, one
+    per row of a residue -> row map."""
+    state = np.zeros((row_of.max() + 1, len(values)), dtype=np.int32)
+    shifted = values + q  # 1 <= n <= v has (v + q - a) // q of the n = a mod q, 1 <= a <= q
+    for a in np.flatnonzero(row_of >= 0).tolist():
+        state[row_of[a]] += (shifted - (a or q)) // q
+    state[row_of[1 % q]] -= 1  # the integer 1
     return state
 
 
@@ -560,14 +619,18 @@ def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
     (0.36 s at 1e8), and the recurrence 8.3e-5 sqrt(x)/log x for its numpy
     calls, one set per prime up to sqrt(x), plus 1.2e-8 rows * bytes *
     x^(3/4)/log x for its cell updates.  Since then the primes above x^(1/3)
-    update in one batch, and the model overstates the recurrence on purpose:
-    a refit would move some power-sum cutoffs from the sieve path to the
-    recurrence, and with them the last bits of their reports, so it is left
-    to a change that declares those bytes.  Medians of seven on the same VM,
-    at 1e8: the counts took 0.017 s for q = 4, 0.033 s for q = 11, 0.066 s
-    for q = 56 and 0.24 s for q = 420; the power sums 0.014 s for q = 1 with
-    one exponent, 0.021 s for q = 4 with one, 0.059 s for q = 8 with three
-    and 0.22 s for q = 56 with two.  The
+    update in one batch and the head divides no array, and the model
+    overstates the recurrence on purpose: a refit would move some power-sum
+    cutoffs from the sieve path to the recurrence, and with them the last
+    bits of their reports, so it is left to a change that declares those
+    bytes.  Counts are charged phi(q) rows though ``class_sums`` walks one
+    per coset: the cosets come from a class table built only on acceptance.
+    Medians of three processes' medians of nine on the same VM, at 1e8:
+    the counts took 0.010 s for q = 4, 0.021 s for q = 11, 0.038 s for q =
+    56 on one row per unit (0.014 s on the 6 coset rows of a compound
+    selector) and 0.15 s for q = 420; the power sums 0.007 s for q = 1 with
+    one exponent, 0.011 s for q = 4 with one, 0.038 s for q = 8 with three
+    and 0.19 s for q = 56 with two.  The
     state of about 2 sqrt(x) cells per row may take at most
     RECURRENCE_STATE_BYTES.  Below about x = 2.7e6 the sieve is predicted to
     win for every q, and no x up to PRIME_LIMIT admits phi(q) > 148 for
@@ -608,7 +671,8 @@ def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarra
     When ``residue_counts_pay`` accepts the modulus, one ``residue_sums``
     call gives every residue class at every point, by its readout rule, and
     only then is ``of_residues`` called, so a modulus the model refuses
-    never builds its table.  Otherwise one walk
+    never builds its table.  Counts walk one row per coset of the units that
+    fix the table (``_coset_rows``), sums one row per unit.  Otherwise one walk
     to max(grid) classifies each segment, counts by ``bincount`` and sums by
     ``prefix_sums``, and the per-segment results add up in segment order.
 
@@ -624,8 +688,9 @@ def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarra
     grid = [int(g) for g in grid]
     k = None if exponents is None else len(exponents)
     if modulus is not None and residue_counts_pay(grid, modulus, k):
-        return _reduce_classes(residue_sums(grid, modulus, exponents),
-                               np.asarray(of_residues()), n_classes)
+        table = np.asarray(of_residues())
+        row_of = _coset_rows(modulus, table) if k is None else None
+        return _reduce_classes(residue_sums(grid, modulus, exponents, row_of), table, n_classes)
     if of_primes is None:
         table = np.asarray(of_residues())
         of_primes = lambda seg: table[residues(seg, modulus)]

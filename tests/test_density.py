@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -254,6 +255,29 @@ def test_frobenius_by_residue_is_byte_identical(fs, cutoff, by_residue, monkeypa
     assert (list(fast.counts), list(fast.first_hits)) == segment_frobenius_counts(fs, cutoff)
     slow = on_segments(monkeypatch, frobenius_statistics, fs, cutoff)
     assert canonical_json(fast) == canonical_json(slow)
+
+
+MOD8_1 = CongruenceSelector(8, frozenset({1}))
+# counts walk one row per coset of the stabilizer of their class table: mod 56
+# COMPOUND's is {1, 27, 41, 43}, the units that are 1 or 3 mod 8 and +-1 mod
+# 7; the subgroup <2> of (Z/35)* has index 2; mod 8 no unit but 1 fixes the
+# class of 1 alone.  Power sums keep one row per unit and exponent
+WALK_ROWS = [
+    ("compound counts", lambda: natural_density_estimate(COMPOUND, [10**4, 10**5]), 6),
+    ("frobstats N=35 H=<2>", lambda: frobenius_statistics(FieldSpec(35, (2,)), 10**5), 2),
+    ("mod:8:1 counts", lambda: natural_density_estimate(MOD8_1, [10**5]), 4),
+    ("mod:8:1 sums", lambda: dirichlet_density_estimate(MOD8_1, [1.5, 1.25, 1.1], 10**5), 12),
+    ("compound sums", lambda: dirichlet_density_estimate(COMPOUND, [1.5, 1.25], 10**5), 48),
+]
+
+
+@pytest.mark.parametrize("run,rows", [case[1:] for case in WALK_ROWS],
+                         ids=[case[0] for case in WALK_ROWS])
+def test_recurrence_walks_one_row_per_coset_for_counts(run, rows, by_residue):
+    with mock.patch.object(smolab.sieve, "_lucy_walk", wraps=LUCY_WALK) as walk:
+        run()
+    assert walk.call_count >= 1
+    assert {call.args[2].shape[0] for call in walk.call_args_list} == {rows}
 
 
 @pytest.mark.parametrize("fs,cutoff", [(FieldSpec(11), 3 * 10**5),

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import random
+import shlex
 
 import numpy as np
 import pytest
@@ -119,6 +120,7 @@ def test_cli_positivity_digest(tmp_path, monkeypatch, capsys):
 CLI_INPUTS = {
     "n4.txt": "N=4\nH=\n",
     "n8.txt": "N=8\nH=\n",
+    "n11.txt": "N=11\n",
     "c7.txt": "N=7\nH=6\n",
     "inner.txt": "N=5\nH=4\n",
     "outer.txt": "N=5\nH=\n",
@@ -179,6 +181,26 @@ CLI_DIGESTS = [
      "171dbb4172112ffedaf9dc094bee0b20cb0dc7e3f13d7cd541987d1a3e32e966"),
     ("--format csv smo inert --fieldspec c7.txt --n 2 --profile LRS --delta 1/8",
      "3ec043436576e7025bca1503b101306d726cee9e7611419f181bb62a3f1ddd38"),
+    # the prime-scan commands at 1e8, which run Lucy's recurrence where every
+    # entry above runs on the sieve; the compound selector takes each pair mod 8
+    ('density natural --selector "(mod:8:1 or mod:8:3) and not degree:c7.txt:1" --x 1e7,1e8',
+     "463e5742953fd95fb4be106c3dc08a5dbb7958f8d1494f1b0cb3e2340e76f516"),
+    ('density natural --selector "(mod:8:1 or mod:8:5) and not degree:c7.txt:1" --x 1e7,1e8',
+     "47cc13ef1568f1f58bdd7fd0a1c1617602db02326795514e4dd80dd26eb130c9"),
+    ('density natural --selector "(mod:8:1 or mod:8:7) and not degree:c7.txt:1" --x 1e7,1e8',
+     "a818b713e330aef022884353d1f1e985e240f5d7e84291be6e12bb157cdea777"),
+    ('density natural --selector "(mod:8:3 or mod:8:5) and not degree:c7.txt:1" --x 1e7,1e8',
+     "49709781dbca374a72870742cf38ff611b27ccc9c703d0d23222df9394f975c5"),
+    ('density natural --selector "(mod:8:3 or mod:8:7) and not degree:c7.txt:1" --x 1e7,1e8',
+     "221c905dc00ddecda5296a156f66c29c99119b6126cf202607fa0d1f34be6f54"),
+    ('density natural --selector "(mod:8:5 or mod:8:7) and not degree:c7.txt:1" --x 1e7,1e8',
+     "65f5d7a79dc0b601264cc3d2edf8815d4d6023e576d4400c4d576456afdfbf6b"),
+    ("frobstats n11.txt --x 100000000",
+     "b08063a2693e31286ce904119784d9780d1257db8ab4bb65ee30f6d5461b8218"),
+    ("density dirichlet --selector mod:8:5 --s 1.5,1.25,1.1 --cutoff 100000000",
+     "cad98f51ae127048b80eb2e436e778f82697295a51d976423f1b9b24d30a9f2a"),
+    ("smo poleorder --selector mod:4:3 --eps 1/16,1/12,1/8",
+     "49cb3b0e8e5cacbc8838176f23ccccdd16b545415613ca7011a0dd4edc6c2f45"),
 ]
 
 
@@ -199,7 +221,7 @@ def _reject_constant(token):
 def test_cli_report_digest(command, expected, cli_dir, monkeypatch, capsys):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     monkeypatch.chdir(cli_dir)
-    code = main(command.split())
+    code = main(shlex.split(command))
     out = capsys.readouterr().out
     assert code == 0
     if not command.startswith("--format csv"):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from smolab import sieve
 from smolab.errors import LimitExceeded, UsageError
 from smolab.sieve import (_BLOCK_CELLS, PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, SEGMENT_SPAN,
-                          _icbrt, _lucy_values, _segment_bounds, _sieve_segment, is_prime,
-                          is_prime_array, iter_prime_segments,
+                          _icbrt, _lucy_values, _segment_bounds, _sieve_segment, class_sums,
+                          is_prime, is_prime_array, iter_prime_segments,
                           prefix_sums, prime_array, prime_count, residue_counts_pay,
                           prime_divisors, residue_sums, residues, segment_map, simple_sieve,
                           totient, unit_mask)
@@ -255,7 +255,12 @@ def reference(fn, *args):
 
 
 # perfect cubes keep p**3 = x in the head loop; below 8 no prime is in the
-# head; 101 is a tail prime at 1e6 and divides 202; q = 1 has one row
+# head; 101 is a tail prime at 1e6 and divides 202; q = 1 has one row.
+# 10**6 - 1, 10**6 and 10**6 + 2000 are r*r - 1, r*r and r*r + 2r for r =
+# 1000, the seams of the head's column ranges; at 19 with q = 1, 2449 with
+# q = 30 and 14761 with q = 210 every head prime has p*p > n_small, so no
+# head prime reaches the small values; the 1e8 walks are the multi-row
+# walks of the prime statistics
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, ORACLE_LIMIT), st.integers(1, 60))
 @example(343, 7)
@@ -268,6 +273,13 @@ def reference(fn, *args):
 @example(7, 4)
 @example(10**6, 202)
 @example(10**6, 1)
+@example(10**6 - 1, 12)
+@example(10**6, 7)
+@example(10**6 + 2000, 56)
+@example(19, 1)
+@example(2449, 30)
+@example(14761, 210)
+@example(10**8, 56)
 def test_residue_prime_counts_match_reference_walk(x, q):
     assert same_bytes(counts_at(x, q), reference(counts_at, x, q))
 
@@ -282,6 +294,12 @@ def test_residue_prime_counts_match_reference_walk(x, q):
 @example(7, 1, [2.0, 1.0 + 1e-9])
 @example(10**6, 202, [1.25])
 @example(10**6, 1, [1.0625])
+@example(10**6 - 1, 8, [1.5])
+@example(10**6, 1, [1.25])
+@example(10**6 + 2000, 12, [1.1, 1.9])
+@example(19, 1, [1.5])
+@example(2449, 30, [1.25, 1.5])
+@example(10**8, 8, [1.5, 1.25, 1.1])
 def test_residue_prime_power_sums_match_reference_walk(x, q, exponents):
     got = sums_at(x, q, exponents)
     assert same_bytes(got, reference(sums_at, x, q, exponents))
@@ -330,6 +348,46 @@ def test_residue_prime_counts_grid_matches_one_walk_per_point(grid, q, exponents
         assert same_bytes(row, one)
 
 
+@st.composite
+def coset_tables(draw):
+    """A modulus q <= 600 and a class table over range(q) in -1..3 that is
+    constant on the cosets of a random subgroup H of the units, with a random
+    class per coset and per non-unit residue."""
+    q = draw(st.integers(1, 600))
+    units = np.flatnonzero(unit_mask(q))
+    gens = np.array(draw(st.lists(st.sampled_from(units.tolist()), max_size=3)), dtype=np.int64)
+    group = np.array([1 % q])
+    while len(grown := np.union1d(group, group[:, None] * gens % q)) > len(group):
+        group = grown
+    cosets, coset_of = np.unique((units[:, None] * group % q).min(axis=1), return_inverse=True)
+    table = np.array(draw(st.lists(st.integers(-1, 3), min_size=q, max_size=q)))
+    labels = np.array(draw(st.lists(st.integers(-1, 3), min_size=len(cosets),
+                                    max_size=len(cosets))))
+    table[units] = labels[coset_of]
+    return q, table
+
+
+# the recurrence walks one row per coset of the table's stabilizer, which
+# holds H and more when cosets share a class: the examples walk 1, 4, 2 and
+# 1 rows, the last 598 units of one class
+@settings(max_examples=60, deadline=None)
+@given(coset_tables(), st.lists(st.integers(-3, ORACLE_LIMIT), min_size=1, max_size=3,
+                                unique=True))
+@example((1, np.array([0])), [10**5])
+@example((8, np.array([-1, 0, -1, 1, -1, 2, -1, 3])), [10**5, 10**6])
+@example((35, np.where(np.isin(np.arange(35), [1, 2, 4, 8, 9, 11, 16, 18, 22, 23, 29, 32]),
+                       0, 1)), [999, 1000])
+@example((599, np.where(np.arange(599) > 0, 2, -1)), [ORACLE_LIMIT])
+def test_class_counts_on_cosets_match_bincount(case, grid):
+    q, table = case
+    grid = sorted(grid)
+    with mock.patch.object(sieve, "residue_counts_pay", return_value=True):
+        got = class_sums(grid, 4, None, q, lambda: table)
+    for row, g in zip(got, grid):
+        classes = table[DENSE[:np.searchsorted(DENSE, g, side="right")] % q]
+        assert row.tolist() == np.bincount(classes[classes >= 0], minlength=4).tolist()
+
+
 def test_recurrence_memory_is_bounded():
     # the traced peak takes in the state, about 2 sqrt(x) cells per row, and
     # every temporary of the walk; the tail batch goes in bounded groups
@@ -366,6 +424,8 @@ def test_residue_prime_counts_checks_arguments():
         counts_at(PRIME_LIMIT + 1, 4)
     with pytest.raises(UsageError):
         counts_at(100, 0)
+    with pytest.raises(ValueError):  # power sums take no coset rows
+        residue_sums([100], 8, [1.5], sieve._coset_rows(8, np.arange(8)))
 
 
 def power_sum_bound(x: int) -> float:
