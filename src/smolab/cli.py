@@ -64,9 +64,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse fraction {text!r}")
+    if abs(value) > sys.float_info.max:  # the experiments take its float
+        raise UsageError(f"fraction {text!r} is too large for a float")
+    return value
 
 
 def _load_group(path: str) -> groups.FiniteGroup:

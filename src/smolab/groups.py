@@ -1,12 +1,13 @@
 """Finite groups as permutation closures with explicit multiplication tables.
 
 A permutation is one 0-based int16 row of images of the points
-0..degree-1, from the parse boundary in ``build_group`` to the stored
-``FiniteGroup.perms`` array, whose row i is element i; cycle strings appear
-only in ``FiniteGroup.generators``, for display.  Points are capped at
-POINT_LIMIT, the largest int16.  Permutations compose left-to-right:
-``(a * b)(x) == b[a[x]]``, so the stored table satisfies T[i, j] = index of
-perm_i * perm_j.  Everything is immutable after construction.
+0..degree-1, from the parse boundary in ``build_group`` (group files and
+tests) to the stored ``FiniteGroup.perms`` array, whose row i is element i;
+cycle strings appear only in ``FiniteGroup.generators``, for display.
+Points are capped at POINT_LIMIT, the largest int16.  Permutations compose
+left-to-right: ``(a * b)(x) == b[a[x]]``, so the stored table satisfies
+T[i, j] = index of perm_i * perm_j.  Everything is immutable after
+construction.
 
 Elements are numbered 0..order-1 by breadth-first closure from the identity,
 taking the generators in the order given, with the identity and repeated
@@ -23,14 +24,21 @@ This numbers the elements exactly as a one-element queue would.  The
 products give the generator columns of the table, and each remaining
 column j = parent(j) * g is filled a level at a time from
 i * j = (i * parent(j)) * g.
+
+The named catalog is one table, ``_CATALOG``, of each entry's argument
+count, order rule and constructor.  ``catalog`` reads an expression in one
+walk, ``_plan``, which refuses a group above ORDER_LIMIT before anything is
+built.  ``cyclic``, ``dihedral`` and ``symmetric`` close generator rows.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -130,25 +138,40 @@ class FiniteGroup:
     perms: np.ndarray  # (order, degree) int16; row i is element i
     generators: tuple[str, ...]
     label: str
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    @property
+    @cached_property
     def _inverses(self) -> np.ndarray:
-        inv = self._cache.get("inverses")
-        if inv is None:
-            inv = np.argmin(self.table, axis=1)  # identity is element 0
-            self._cache["inverses"] = inv
-        return inv
+        return np.argmin(self.table, axis=1)  # identity is element 0
+
+    @cached_property
+    def _classes(self) -> ConjugacyClassPartition:
+        T = self.table
+        inv = self._inverses
+        n = self.order
+        every = np.arange(n)
+        assigned = np.full(n, -1)
+        classes: list[np.ndarray] = []
+        for x in range(n):
+            if assigned[x] != -1:
+                continue
+            orbit = np.unique(T[T[inv, x], every])  # g^-1 x g over all g, sorted
+            assigned[orbit] = len(classes)
+            classes.append(orbit)
+        classes.sort(key=lambda c: (len(c), int(c[0])))
+        class_of = np.empty(n, dtype=np.intp)
+        for ci, members in enumerate(classes):
+            class_of[members] = ci
+        return ConjugacyClassPartition(
+            class_of=tuple(class_of.tolist()),
+            class_sizes=tuple(len(c) for c in classes),
+            representatives=tuple(int(c[0]) for c in classes),
+        )
 
     def conjugacy_classes(self) -> ConjugacyClassPartition:
-        part = self._cache.get("classes")
-        if part is None:
-            part = _conjugacy_classes(self)
-            self._cache["classes"] = part
-        return part
+        return self._classes
 
     def center(self) -> list[int]:
         T = self.table
@@ -275,30 +298,6 @@ def _close(gen_rows: np.ndarray, limit: int, label: str | None) -> FiniteGroup:
                        generators=gen_strings, label=name)
 
 
-def _conjugacy_classes(G: FiniteGroup) -> ConjugacyClassPartition:
-    T = G.table
-    inv = G._inverses
-    n = G.order
-    every = np.arange(n)
-    assigned = np.full(n, -1)
-    classes: list[np.ndarray] = []
-    for x in range(n):
-        if assigned[x] != -1:
-            continue
-        orbit = np.unique(T[T[inv, x], every])  # g^-1 x g over all g, sorted
-        assigned[orbit] = len(classes)
-        classes.append(orbit)
-    classes.sort(key=lambda c: (len(c), int(c[0])))
-    class_of = np.empty(n, dtype=np.intp)
-    for ci, members in enumerate(classes):
-        class_of[members] = ci
-    return ConjugacyClassPartition(
-        class_of=tuple(class_of.tolist()),
-        class_sizes=tuple(len(c) for c in classes),
-        representatives=tuple(int(c[0]) for c in classes),
-    )
-
-
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassPartition:
     return G.conjugacy_classes()
 
@@ -375,27 +374,23 @@ Q8_GENERATORS = ("(1 2 5 6)(3 4 7 8)", "(1 3 5 7)(2 8 6 4)")
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise UnknownCatalogEntry("cyclic order must be >= 1")
-    if n == 1:
-        return build_group([], label="C1")
-    gen = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
-    return build_group([gen], label=f"C{n}")
+    rotation = np.roll(np.arange(n), -1)[None, :] if n > 1 else np.empty((0, 0))
+    return _close(rotation, ORDER_LIMIT, f"C{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n acting on an n-gon (n >= 3)."""
     if n < 3:
         raise UnknownCatalogEntry("dihedral(n) needs n >= 3; use direct products below that")
-    rot = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
-    pairs = [(i, n + 2 - i) for i in range(2, n // 2 + 2) if i < n + 2 - i]
-    refl = "".join(f"({a} {b})" for a, b in pairs)
-    return build_group([rot, refl], label=f"D{n}")
+    points = np.arange(n)
+    return _close(np.stack([np.roll(points, -1), -points % n]), ORDER_LIMIT, f"D{n}")
 
 
 def symmetric(n: int) -> FiniteGroup:
     if n < 2:
         raise UnknownCatalogEntry("symmetric(n) needs n >= 2")
-    cycle = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
-    return build_group(["(1 2)", cycle], label=f"S{n}")
+    points = np.arange(n)
+    return _close(np.stack([np.r_[1, 0, points[2:]], np.roll(points, -1)]), ORDER_LIMIT, f"S{n}")
 
 
 def quaternion8() -> FiniteGroup:
@@ -425,26 +420,17 @@ _CATALOG_RE = re.compile(r"^\s*([a-z0-9_]+)\s*(?:\((.*)\))?\s*$", re.IGNORECASE)
 
 
 def _split_top_level(args: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in args:
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(args):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    last = "".join(cur).strip()
-    if last:
-        parts.append(last)
-    return parts
-
-
-# catalog entry -> number of arguments
-_ARITY = {"cyclic": 1, "dihedral": 1, "symmetric": 1, "quaternion8": 0, "q8_power_family": 1,
-          "direct_product": 2, "central_product_mod_diagonal_center": 2}
+        elif ch == "," and depth == 0:
+            parts.append(args[start:i].strip())
+            start = i + 1
+    last = args[start:].strip()
+    return parts + [last] if last else parts
 
 
 def _parse_catalog(expr: str) -> tuple[str, list]:
@@ -454,12 +440,12 @@ def _parse_catalog(expr: str) -> tuple[str, list]:
         raise UnknownCatalogEntry(f"cannot parse catalog expression {expr!r}")
     name = match.group(1).lower()
     args = _split_top_level(match.group(2)) if match.group(2) else []
-    if name not in _ARITY:
+    if name not in _CATALOG:
         raise UnknownCatalogEntry(f"unknown catalog entry {name!r}")
-    if len(args) != _ARITY[name]:
-        raise UnknownCatalogEntry(
-            f"{name} takes {_ARITY[name]} argument(s), got {len(args)} in {expr!r}")
-    if _ARITY[name] == 1:
+    arity = _CATALOG[name][0]
+    if len(args) != arity:
+        raise UnknownCatalogEntry(f"{name} takes {arity} argument(s), got {len(args)} in {expr!r}")
+    if arity == 1:
         try:
             return name, [int(args[0])]
         except ValueError:
@@ -467,34 +453,49 @@ def _parse_catalog(expr: str) -> tuple[str, list]:
     return name, args
 
 
-def _checked_order(expr: str) -> int:
-    """Order of a catalog group, from its expression alone.
+# entry -> (number of arguments, order rule, constructor).  A one-argument
+# rule takes the entry's integer, a two-factor rule the orders of its factors.
+# Arguments a constructor rejects pass the rule and fail when built.
+_CATALOG = {
+    "cyclic": (1, lambda n: n, cyclic),
+    "dihedral": (1, lambda n: 2 * n, dihedral),
+    # n! with n capped at the limit: over the limit, and no huge factorial
+    "symmetric": (1, lambda n: math.factorial(min(max(n, 0), ORDER_LIMIT)), symmetric),
+    "quaternion8": (0, lambda: 8, quaternion8),
+    # 2^(2m+2); capping m at the limit's bit length keeps the result over it
+    "q8_power_family": (1, lambda m: 4 ** (min(m, ORDER_LIMIT.bit_length()) + 1) if m >= 1 else 1,
+                        q8_power_family),
+    "direct_product": (2, lambda a, b: a * b, direct_product),
+    "central_product_mod_diagonal_center": (2, lambda a, b: a * b // 2,
+                                            central_product_mod_diagonal_center),
+}
 
-    Raises ClosureExceedsLimit when the group, or the direct product that a
-    two-factor entry builds first, is larger than ORDER_LIMIT.  Arguments the
-    constructors reject pass here and fail when built.
+# Nontrivial factors nest at most ORDER_LIMIT.bit_length() deep, trivial ones
+# without end; each level costs one stack frame in ``_plan`` and one in its
+# build function, so the bound keeps both far below the recursion limit 1000.
+CATALOG_DEPTH_LIMIT = 32
+
+
+def _plan(expr: str, depth: int = 0) -> tuple[int, Callable[[], FiniteGroup]]:
+    """Order of a catalog group, and a function that builds it.
+
+    Refuses a group, or the direct product a two-factor entry builds first,
+    above ORDER_LIMIT, and nesting past CATALOG_DEPTH_LIMIT.
     """
+    if depth > CATALOG_DEPTH_LIMIT:
+        raise UnknownCatalogEntry(f"catalog nesting deeper than {CATALOG_DEPTH_LIMIT} levels")
     name, args = _parse_catalog(expr)
-    if name == "cyclic":
-        order = args[0]
-    elif name == "dihedral":
-        order = 2 * args[0]
-    elif name == "symmetric":
-        order = 1
-        for k in range(2, args[0] + 1):  # stop once over the limit: no large factorial
-            order *= k
-            if order > ORDER_LIMIT:
-                break
-    elif name == "quaternion8":
-        order = 8
-    elif name == "q8_power_family":
-        # 2^(2m+2); capping m at the limit's bit length keeps the result over it
-        order = 4 ** (min(args[0], ORDER_LIMIT.bit_length()) + 1) if args[0] >= 1 else 1
+    arity, order_rule, construct = _CATALOG[name]
+    if arity == 2:
+        (a, build_a), (b, build_b) = (_plan(arg, depth + 1) for arg in args)
+        built, order = a * b, order_rule(a, b)
+        build = lambda: construct(build_a(), build_b())
     else:
-        order = _checked_order(args[0]) * _checked_order(args[1])
-    if order > ORDER_LIMIT:
+        built = order = order_rule(*args)
+        build = lambda: construct(*args)
+    if built > ORDER_LIMIT:
         raise ClosureExceedsLimit(f"{expr} would build a group of order above {ORDER_LIMIT}")
-    return order // 2 if name == "central_product_mod_diagonal_center" else order
+    return order, build
 
 
 def catalog(expr: str) -> FiniteGroup:
@@ -502,21 +503,7 @@ def catalog(expr: str) -> FiniteGroup:
 
     The order is checked against ORDER_LIMIT before any permutation is built.
     """
-    _checked_order(expr)
-    name, args = _parse_catalog(expr)
-    if name == "cyclic":
-        return cyclic(args[0])
-    if name == "dihedral":
-        return dihedral(args[0])
-    if name == "symmetric":
-        return symmetric(args[0])
-    if name == "quaternion8":
-        return quaternion8()
-    if name == "q8_power_family":
-        return q8_power_family(args[0])
-    if name == "direct_product":
-        return direct_product(catalog(args[0]), catalog(args[1]))
-    return central_product_mod_diagonal_center(catalog(args[0]), catalog(args[1]))
+    return _plan(expr)[1]()
 
 
 BUNDLED_CATALOG: tuple[str, ...] = (

@@ -307,11 +307,18 @@ class Union(_Pair):
 #   combinable with 'and' / 'or' / 'not'; 'or' binds loosest.
 
 
+# Each '(' costs the parser four stack frames, each 'not', 'and' or 'or' one
+# level of recursion; this many tokens keep both far below the limit of 1000.
+SELECTOR_TOKEN_LIMIT = 256
+
+
 def parse_selector(expr: str, base_dir: str | Path = ".") -> PrimeSelector:
     from .report import read  # here, so that import smolab loads no json or hashlib
     tokens = expr.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ParseError("empty selector expression")
+    if len(tokens) > SELECTOR_TOKEN_LIMIT:
+        raise ParseError(f"selector has {len(tokens)} tokens, above {SELECTOR_TOKEN_LIMIT}")
     pos = 0
 
     def peek() -> str | None:

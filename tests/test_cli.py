@@ -458,6 +458,9 @@ BAD_ARGV = [
     ("euler", "eval", "--q", "4", "--alphas", "1", "--s", "nan"),
     ("euler", "eval", "--q", "4", "--alphas", "nan", "--s", "2"),
     ("euler", "eval", "--q", "4", "--alphas", "inf", "--s", "2"),
+    ("density", "natural", "--selector", "(" * 400 + "all" + ")" * 400, "--x", "100"),
+    ("density", "natural", "--selector", " and ".join(["mod:4:1"] * 1000), "--x", "100"),
+    ("charlab", "table", "direct_product(cyclic(1)," * 1000 + "cyclic(2)" + ")" * 1000),
 ]
 
 
@@ -493,6 +496,32 @@ def test_non_finite_numbers_are_usage_errors(capsys, tmp_path):
              "usage-error: cannot parse complex number 'inf'")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err == message + "\n", (argv, err)
+
+
+def test_fractions_too_large_for_a_float_are_usage_errors(capsys, tmp_path):
+    # each ended in an OverflowError traceback where the experiment took the float
+    field = tmp_path / "field.txt"
+    field.write_text("N=7\nH=6\n")
+    for argv in (("smo", "poleorder", "--selector", "mod:4:1", "--eps", "1e400,1/12,1/8"),
+                 ("smo", "inert", "--fieldspec", str(field), "--n", "2", "--delta", "1e400"),
+                 ("euler", "probe", "--fieldspec", str(field), "--degree", "3",
+                  "--delta", "1e400", "--sigma", "0.8", "--cutoffs", "1000")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "usage-error: fraction '1e400' is too large "
+                                           "for a float\n"), argv
+
+
+def test_import_loads_no_serializer_hasher_argument_parser_or_fft():
+    # import time is the benchmark's setup_s on every workload: report.py,
+    # tau.py and the command line load these on first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, smolab; print([m for m in ('json', 'hashlib', 'argparse', 'numpy.fft')"
+             " if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 _NOT_UTF8 = {"field.txt": b"N=4\nH=\xff\n", "tau.csv": b"p,a_p\n2,-24\n\xff,1\n",

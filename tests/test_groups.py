@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from smolab import groups
 from smolab.errors import (ClosureExceedsLimit, InvalidPermutation,
                            UnknownCatalogEntry)
-from smolab.groups import (BUNDLED_CATALOG, POINT_LIMIT, Q8_GENERATORS, _conjugacy_classes,
-                           build_group, bundled_catalog, catalog,
+from smolab.groups import (BUNDLED_CATALOG, CATALOG_DEPTH_LIMIT, POINT_LIMIT, Q8_GENERATORS,
+                           _plan, build_group, bundled_catalog, catalog,
                            central_product_mod_diagonal_center, cyclic, dihedral,
                            direct_product, parse_group_file, parse_permutation,
                            perm_to_cycles, q8_power_family, quaternion8,
                            quotient_by_central, symmetric)
+from test_characters import WORKLOAD_GROUPS
 
 
 def brute_closure(gen_maps, cap=10000):
@@ -165,6 +166,26 @@ def direct_power_q8_family_reference(m):
         kernel = subgroup_closure_reference(G, [G.mul(z[i], z[i + 1]) for i in range(m - 1)])
         G = coset_loop_quotient_reference(G, kernel)
     return string_direct_product_reference(G, cyclic(2))
+
+
+def string_cyclic(n):
+    """C_n closed from the parsed cycle string (1 2 ... n)."""
+    if n == 1:
+        return build_group([], label="C1")
+    return build_group(["(" + " ".join(str(i) for i in range(1, n + 1)) + ")"], label=f"C{n}")
+
+
+def string_dihedral(n):
+    """D_n closed from the parsed rotation (1 2 ... n) and reflection i <-> n + 2 - i."""
+    rot = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
+    pairs = [(i, n + 2 - i) for i in range(2, n // 2 + 2) if i < n + 2 - i]
+    return build_group([rot, "".join(f"({a} {b})" for a, b in pairs)], label=f"D{n}")
+
+
+def string_symmetric(n):
+    """S_n closed from the parsed strings (1 2) and (1 2 ... n)."""
+    cycle = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
+    return build_group(["(1 2)", cycle], label=f"S{n}")
 
 
 def test_parse_cycles():
@@ -360,10 +381,6 @@ def test_catalog_expressions():
     assert catalog("cyclic(6)").conjugacy_classes().num_classes == 6
     assert catalog("quaternion8").order == 8
     assert catalog("direct_product(quaternion8,cyclic(2))").order == 16
-    with pytest.raises(UnknownCatalogEntry):
-        catalog("frobnicate(3)")
-    with pytest.raises(UnknownCatalogEntry):
-        catalog("cyclic(x)")
 
 
 def test_bundled_catalog_complete_and_small():
@@ -414,26 +431,92 @@ def test_closure_matches_tuple_bfs(gen_maps, limit):
                                                    "q8_power_family(3)"))
 def test_conjugacy_classes_match_set_reference(expr):
     G = catalog(expr)
-    part = _conjugacy_classes(G)
+    part = G.conjugacy_classes()
     assert (part.class_of, part.class_sizes, part.representatives) == set_classes_reference(G)
 
 
-@pytest.mark.parametrize("expr,error", [
-    ("direct_product(cyclic(50),cyclic(50))", ClosureExceedsLimit),
+def _over(expr):
+    return f"{expr} would build a group of order above 2000"
+
+
+@pytest.mark.parametrize("expr,error,message", [
+    ("direct_product(cyclic(50),cyclic(50))", ClosureExceedsLimit,
+     _over("direct_product(cyclic(50),cyclic(50))")),
     ("central_product_mod_diagonal_center(q8_power_family(2),q8_power_family(2))",
-     ClosureExceedsLimit),
-    ("cyclic(2000000)", ClosureExceedsLimit),
-    ("dihedral(1001)", ClosureExceedsLimit),
-    ("symmetric(1000000000)", ClosureExceedsLimit),
-    ("q8_power_family(5)", ClosureExceedsLimit),
-    ("q8_power_family(10000000000)", ClosureExceedsLimit),
-    ("cyclic(2,3)", UnknownCatalogEntry),
-    ("quaternion8(2)", UnknownCatalogEntry),
-    ("direct_product(cyclic(2))", UnknownCatalogEntry),
+     ClosureExceedsLimit,
+     _over("central_product_mod_diagonal_center(q8_power_family(2),q8_power_family(2))")),
+    ("cyclic(2000000)", ClosureExceedsLimit, _over("cyclic(2000000)")),
+    ("dihedral(1001)", ClosureExceedsLimit, _over("dihedral(1001)")),
+    ("symmetric(1000000000)", ClosureExceedsLimit, _over("symmetric(1000000000)")),
+    ("q8_power_family(5)", ClosureExceedsLimit, _over("q8_power_family(5)")),
+    ("q8_power_family(10000000000)", ClosureExceedsLimit, _over("q8_power_family(10000000000)")),
+    # a negative factor passes the order rule: the product of orders is what counts
+    ("direct_product(cyclic(-50),cyclic(-50))", ClosureExceedsLimit,
+     _over("direct_product(cyclic(-50),cyclic(-50))")),
+    ("direct_product(cyclic(2),cyclic(3000))", ClosureExceedsLimit, _over("cyclic(3000)")),
+    ("cyclic(2,3)", UnknownCatalogEntry, "cyclic takes 1 argument(s), got 2 in 'cyclic(2,3)'"),
+    ("quaternion8(2)", UnknownCatalogEntry,
+     "quaternion8 takes 0 argument(s), got 1 in 'quaternion8(2)'"),
+    ("direct_product(cyclic(2))", UnknownCatalogEntry,
+     "direct_product takes 2 argument(s), got 1 in 'direct_product(cyclic(2))'"),
+    ("frobnicate(3)", UnknownCatalogEntry, "unknown catalog entry 'frobnicate'"),
+    ("cyclic(x)", UnknownCatalogEntry, "cyclic needs an integer argument in 'cyclic(x)'"),
+    ("cyclic(", UnknownCatalogEntry, "cannot parse catalog expression 'cyclic('"),
+    # arguments the order rules let through fail in the constructors
+    ("cyclic(0)", UnknownCatalogEntry, "cyclic order must be >= 1"),
+    ("dihedral(2)", UnknownCatalogEntry,
+     "dihedral(n) needs n >= 3; use direct products below that"),
+    ("symmetric(-3)", UnknownCatalogEntry, "symmetric(n) needs n >= 2"),
+    ("q8_power_family(0)", UnknownCatalogEntry, "q8_power_family(m) needs m >= 1"),
+    ("central_product_mod_diagonal_center(cyclic(2),cyclic(3))", UnknownCatalogEntry,
+     "C3 has 0 central involutions; need exactly one"),
 ])
-def test_catalog_rejects_before_building(expr, error):
-    with pytest.raises(error):
+def test_catalog_rejection_messages(expr, error, message):
+    with pytest.raises(error) as caught:
         catalog(expr)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("expr", [
+    "direct_product(cyclic(40),direct_product(cyclic(7),cyclic(8)))",
+    "central_product_mod_diagonal_center(q8_power_family(4),quaternion8)",
+    "direct_product(cyclic(1)," * 1000 + "cyclic(2)" + ")" * 1000,
+])
+def test_catalog_refuses_before_any_closure(expr, monkeypatch):
+    calls = []
+    monkeypatch.setattr(groups, "_close", lambda *args: calls.append(args))
+    with pytest.raises((ClosureExceedsLimit, UnknownCatalogEntry)):
+        catalog(expr)
+    assert calls == []
+
+
+def test_catalog_nesting_bound():
+    def nested(depth):
+        return "direct_product(cyclic(1)," * depth + "cyclic(2)" + ")" * depth
+
+    assert catalog(nested(CATALOG_DEPTH_LIMIT)).order == 2
+    with pytest.raises(UnknownCatalogEntry) as caught:
+        catalog(nested(CATALOG_DEPTH_LIMIT + 1))
+    assert str(caught.value) == f"catalog nesting deeper than {CATALOG_DEPTH_LIMIT} levels"
+
+
+@pytest.mark.parametrize("expr", BUNDLED_CATALOG + WORKLOAD_GROUPS)
+def test_planned_order_is_the_built_order(expr):
+    order, build = _plan(expr)
+    assert order == build().order == catalog(expr).order
+
+
+@pytest.mark.parametrize("build,oracle,sizes", [
+    (cyclic, string_cyclic, range(1, 121)),
+    (dihedral, string_dihedral, [*range(3, 61), 999, 1000]),
+    (symmetric, string_symmetric, range(2, 7)),
+])
+def test_row_built_entries_match_string_built(build, oracle, sizes):
+    for n in sizes:
+        G, R = build(n), oracle(n)
+        assert G.perms.dtype == R.perms.dtype and np.array_equal(G.perms, R.perms), n
+        assert G.table.dtype == R.table.dtype and G.table.tobytes() == R.table.tobytes(), n
+        assert (G.generators, G.label) == (R.generators, R.label), n
 
 
 def test_catalog_builds_up_to_the_limit():

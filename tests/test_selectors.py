@@ -12,7 +12,7 @@ from smolab.fields import FieldSpec
 from smolab.selectors import (LIFT_MODULUS_LIMIT, MODULUS_LIMIT, AllPrimes, Complement,
                               CongruenceSelector,
                               DegreeSelector, ExplicitList, Intersection,
-                              NoPrimes, Union, parse_selector)
+                              NoPrimes, SELECTOR_TOKEN_LIMIT, Union, parse_selector)
 from smolab.sieve import prime_array, totient
 
 PRIMES = prime_array(1000)
@@ -139,6 +139,18 @@ def test_parse_mini_language(tmp_path):
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_selector(bad)
+
+
+def test_parse_refuses_expressions_above_the_token_bound():
+    # each ended in RecursionError: in the parser, and in congruence_modulus
+    for expr in ("(" * 400 + "all" + ")" * 400, " and ".join(["mod:4:1"] * 1000)):
+        with pytest.raises(ParseError, match=f"tokens, above {SELECTOR_TOKEN_LIMIT}$"):
+            parse_selector(expr)
+    nested = parse_selector("( " * 127 + "not mod:4:1" + " )" * 127)
+    chain = parse_selector(" and ".join(["mod:4:1"] * (SELECTOR_TOKEN_LIMIT // 2)))
+    assert members(nested) == {int(p) for p in PRIMES if p % 4 == 3}
+    assert members(chain) == {int(p) for p in PRIMES if p % 4 == 1}
+    assert nested.congruence_modulus() == chain.congruence_modulus() == 4
 
 
 def test_membership_is_pure():
