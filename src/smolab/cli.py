@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import os
 import sys
 from fractions import Fraction
@@ -116,9 +117,10 @@ def _load_satake_csv(path: str) -> euler.EulerProduct:
     A prime may have several rows, one per place.  Places without parameters
     (factor 1) or of norm above LOG_INDEX_LIMIT, which no allowed expansion
     reaches, are left out.  The first faulty row in row order raises.  Rows
-    are read up to the first that does not parse (bad columns, an odd
-    parameter count, or q < 2); the rows read are then checked prime, q a
-    power of p and nonzero parameters as arrays, in that order within a row.
+    are read up to the first that does not parse (bad columns, a non-finite
+    parameter, an odd parameter count, or q < 2); the rows read are then
+    checked prime, q a power of p and nonzero parameters as arrays, in that
+    order within a row.
     """
     rows = [row for row in csv.reader(io.StringIO(read(path)))
             if row and row[0].strip().lower() not in ("p", "#")]
@@ -129,6 +131,9 @@ def _load_satake_csv(path: str) -> euler.EulerProduct:
             values = list(map(float, row[2:]))
         except (IndexError, ValueError):
             unreadable = ParseError(f"bad Satake row {row!r} in {path}")
+            break
+        if not all(map(math.isfinite, values)):
+            unreadable = ParseError(f"bad Satake row {row!r} in {path}: non-finite parameter")
             break
         if len(values) % 2:
             unreadable = ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")

@@ -433,23 +433,39 @@ def _split_top_level(args: str) -> list[str]:
     return parts + [last] if last else parts
 
 
+def _shown(text: str) -> str:
+    """``text`` for a message: whole up to 100 characters, else its first 60 and its length."""
+    return text if len(text) <= 100 else f"{text[:60]}...({len(text)} characters)"
+
+
+_INTEGER_RE = re.compile(r"([+-]?)0*([0-9]+)")  # decimal, leading zeros apart
+# An argument of more digits stands for its sign times 10**_ARGUMENT_DIGITS: every
+# order rule then refuses or passes it as it would the argument itself, through
+# the at most CATALOG_DEPTH_LIMIT halvings of nested central products
+_ARGUMENT_DIGITS = 20
+
+
 def _parse_catalog(expr: str) -> tuple[str, list]:
     """Entry name and arguments: an int for one-argument entries, else sub-expressions."""
     match = _CATALOG_RE.match(expr)
     if not match:
-        raise UnknownCatalogEntry(f"cannot parse catalog expression {expr!r}")
+        raise UnknownCatalogEntry(f"cannot parse catalog expression {_shown(expr)!r}")
     name = match.group(1).lower()
     args = _split_top_level(match.group(2)) if match.group(2) else []
     if name not in _CATALOG:
-        raise UnknownCatalogEntry(f"unknown catalog entry {name!r}")
+        raise UnknownCatalogEntry(f"unknown catalog entry {_shown(name)!r}")
     arity = _CATALOG[name][0]
     if len(args) != arity:
-        raise UnknownCatalogEntry(f"{name} takes {arity} argument(s), got {len(args)} in {expr!r}")
+        raise UnknownCatalogEntry(
+            f"{name} takes {arity} argument(s), got {len(args)} in {_shown(expr)!r}")
     if arity == 1:
-        try:
-            return name, [int(args[0])]
-        except ValueError:
-            raise UnknownCatalogEntry(f"{name} needs an integer argument in {expr!r}")
+        number = _INTEGER_RE.fullmatch(args[0])
+        if number is None:
+            raise UnknownCatalogEntry(f"{name} needs an integer argument in {_shown(expr)!r}")
+        # the digit count first: int() of a long argument is slow, or refused
+        sign, digits = number.groups()
+        value = int(digits) if len(digits) <= _ARGUMENT_DIGITS else 10**_ARGUMENT_DIGITS
+        return name, [-value if sign == "-" else value]
     return name, args
 
 
@@ -494,7 +510,8 @@ def _plan(expr: str, depth: int = 0) -> tuple[int, Callable[[], FiniteGroup]]:
         built = order = order_rule(*args)
         build = lambda: construct(*args)
     if built > ORDER_LIMIT:
-        raise ClosureExceedsLimit(f"{expr} would build a group of order above {ORDER_LIMIT}")
+        raise ClosureExceedsLimit(
+            f"{_shown(expr)} would build a group of order above {ORDER_LIMIT}")
     return order, build
 
 

@@ -46,12 +46,16 @@ a compound selector mod 56, and the sums 0.038 s for q = 8 with three
 exponents, against 0.36 s for the sieve path.
 
 Single integers are tested by ``is_prime``, a deterministic Miller-Rabin
-test.  ``is_prime_array`` tests a whole file column at once: every entry
-below 3,215,031,751 takes the witnesses 2, 3, 5 and 7 in one uint64 pass,
-four rows of square-and-multiply in which every product of two residues
-stays below 2**64, and any other entry the scalar test.  On the 2262 rows
-of a tau file to 2e4 it took 5 ms against 18 ms for a scalar test per row
-(2-vCPU x86-64 VM, numpy 2.4.6).
+test.  ``is_prime_array`` tests a whole file column at once, in three tiers.
+Its entries below 3,215,031,751 are looked up in one dense sieve table when
+below T = min(SEGMENT_SPAN, 256 n), n the count of such entries, so the
+table never passes 1 MiB and costs at most about as much as the
+four-witness test of all n of them (``TABLE_PER_TEST``).  The rest of them
+take the witnesses 2, 3, 5 and 7 in one uint64 pass, four rows of
+square-and-multiply in which every product of two residues stays below
+2**64, and any other entry the scalar test.  On the 2262 rows of a tau file to 2e4 the table took 0.16-0.20
+ms, against 2.7 ms for the four-witness pass and 18 ms for a scalar test per
+row (2-vCPU x86-64 VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -85,12 +89,17 @@ def simple_sieve(limit: int) -> np.ndarray:
     """Dense sieve; fine up to ~10**7, used for base primes and as an oracle."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
+    return np.flatnonzero(_prime_table(limit)).astype(np.int64)
+
+
+def _prime_table(limit: int) -> np.ndarray:
+    """Bool array whose entry n says whether n is prime, for 0 <= n <= limit."""
+    table = np.ones(limit + 1, dtype=bool)
+    table[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p:: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
+        if table[p]:
+            table[p * p:: p] = False
+    return table
 
 
 def _check_limit(limit: int) -> None:
@@ -732,6 +741,15 @@ def _reduce_classes(per_residue: np.ndarray, table: np.ndarray, n_classes: int) 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _FOUR_WITNESS_LIMIT = 3_215_031_751  # the least strong pseudoprime to 2, 3, 5 and 7
 
+# Integers of sieve table per entry that ``is_prime_array`` looks up rather
+# than tests.  On a 2-vCPU x86-64 VM (Python 3.11.7, numpy 2.4.6) the
+# four-witness test cost 1.2-1.5 us per entry (2.6-2.8 ms for the 2262 primes
+# below 2e4, 3.4 ms for 2262 primes near 2**20), and the table about 3.7 ns
+# per integer (0.05 ms to 2e4, 0.33 ms to 1e5, 3.9 ms to 2**20): a table of
+# up to 256 integers per entry below the four-witness limit, about 0.95 us
+# each, costs at most about as much as four-witness-testing all of them.
+TABLE_PER_TEST = 256
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every 64-bit integer.
@@ -766,15 +784,24 @@ def is_prime(n: int) -> bool:
 def is_prime_array(values) -> np.ndarray:
     """``is_prime`` of every entry of an integer sequence, as a bool array.
 
-    Entries of any size are accepted.  Those in [0, 3,215,031,751) take one
+    Entries of any size are accepted, in three tiers.  Of the entries in
+    [0, 3,215,031,751), those below min(SEGMENT_SPAN, TABLE_PER_TEST times
+    their count) are looked up in one dense sieve table, the others take one
     whole-array Miller-Rabin test to the witnesses 2, 3, 5 and 7 on uint64,
-    where the square of every residue fits; any other entry, which only a
+    where the square of every residue fits.  Any other entry, which only a
     hand-written file can hold, takes the scalar 12-witness ``is_prime``.
     """
     values = np.array(values, dtype=object)
     small = (values >= 0) & (values < _FOUR_WITNESS_LIMIT)
+    n = values[small].astype(np.uint64)
+    looked_up = n < min(SEGMENT_SPAN, TABLE_PER_TEST * len(n))
+    prime = np.zeros(len(n), dtype=bool)
+    if looked_up.any():
+        prime[looked_up] = _prime_table(int(n[looked_up].max()))[n[looked_up]]
+    if not looked_up.all():
+        prime[~looked_up] = _four_witness_test(n[~looked_up])
     out = np.zeros(len(values), dtype=bool)
-    out[small] = _four_witness_test(values[small].astype(np.uint64))
+    out[small] = prime
     for i in np.flatnonzero(~small).tolist():
         out[i] = is_prime(int(values[i]))
     return out

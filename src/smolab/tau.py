@@ -43,8 +43,6 @@ On a 2-vCPU x86-64 VM (Python 3.11.7, numpy 2.4.6), in fresh processes,
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections.abc import Iterator
 
@@ -193,14 +191,9 @@ def discriminant_coefficients(limit: int) -> list[int]:
 def generate_tau(limit: int) -> dict[int, int]:
     """tau(p) for every prime p <= limit."""
     coeffs = discriminant_coefficients(limit)
-    return {int(p): coeffs[int(p) - 1] for p in prime_array(limit)}
+    return {p: coeffs[p - 1] for p in prime_array(limit).tolist()}
 
 
 def tau_csv_text(limit: int) -> str:
     """Coefficient file body with header ``p,a_p`` for primes up to limit."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p", "a_p"])
-    for p, value in sorted(generate_tau(limit).items()):
-        writer.writerow([p, value])
-    return buf.getvalue()
+    return "p,a_p\n" + "".join(f"{p},{t}\n" for p, t in generate_tau(limit).items())

@@ -20,7 +20,7 @@ from smolab import cli, euler
 from smolab.cli import main
 from smolab.errors import NonPrimeRow, ParseError, SmolabError, UsageError
 from smolab.report import Report, canonical_json, emit
-from smolab.sieve import is_prime_array
+from smolab.sieve import is_prime
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -461,6 +461,12 @@ BAD_ARGV = [
     ("density", "natural", "--selector", "(" * 400 + "all" + ")" * 400, "--x", "100"),
     ("density", "natural", "--selector", " and ".join(["mod:4:1"] * 1000), "--x", "100"),
     ("charlab", "table", "direct_product(cyclic(1)," * 1000 + "cyclic(2)" + ")" * 1000),
+    ("euler", "positivity", "--data", "nan_satake.csv", "--max-index", "100"),
+    ("euler", "positivity", "--data", "inf_satake.csv", "--max-index", "100"),
+    ("smo", "zratio", "--data", "nan_tau.csv", "--data2", "synthetic:1", "--selector", "all",
+     "--s", "1.5"),
+    ("smo", "tempered", "--data", "inf_tau.csv", "--selector", "all"),
+    ("charlab", "table", "cyclic(" + "9" * 5000 + ")"),
 ]
 
 
@@ -470,6 +476,10 @@ def test_bad_values_are_typed_errors(argv, tmp_path):
     (tmp_path / "field.txt").write_text("N=4\nH=\n")
     (tmp_path / "bigfield.txt").write_text("N=100000000000\n")
     (tmp_path / "biglist.txt").write_text(f"5\n{2**127 - 1}\n")
+    (tmp_path / "nan_satake.csv").write_text("p,q,a1_re,a1_im\n2,2,nan,0,1,0\n")
+    (tmp_path / "inf_satake.csv").write_text("p,q,a1_re,a1_im\n2,2,1e400,0,1,0\n")
+    (tmp_path / "nan_tau.csv").write_text("2,nan\n3,252\n")
+    (tmp_path / "inf_tau.csv").write_text("2,1e400\n3,252\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -478,6 +488,32 @@ def test_bad_values_are_typed_errors(argv, tmp_path):
     assert proc.returncode in (1, 2)
     assert "Traceback" not in proc.stderr
     assert re.search(r"^[a-z-]+: \S", proc.stderr, re.MULTILINE), proc.stderr
+
+
+def test_non_finite_file_values_are_parse_errors(capsys, tmp_path):
+    # each exited 0 with a verdict drawn from nan or inf, some after numpy warnings
+    satake, tau = tmp_path / "satake.csv", tmp_path / "tau.csv"
+    for path, text, argv, message in (
+            (satake, "p,q,a1_re,a1_im\n2,2,nan,0,1,0\n",
+             ("euler", "positivity", "--data", str(satake), "--max-index", "100"),
+             f"parse-error: bad Satake row ['2', '2', 'nan', '0', '1', '0'] in {satake}: "
+             "non-finite parameter"),
+            (satake, "p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,3,1e400,0,1,0\n4,4,1.0,0.0\n",
+             ("euler", "positivity", "--data", str(satake), "--max-index", "100"),
+             f"parse-error: bad Satake row ['3', '3', '1e400', '0', '1', '0'] in {satake}: "
+             "non-finite parameter"),
+            # a non-prime row before the non-finite one wins
+            (satake, "p,q,a1_re,a1_im\n4,4,1.0,0.0\n3,3,-inf,0\n",
+             ("euler", "positivity", "--data", str(satake), "--max-index", "100"),
+             f"non-prime-row: row prime 4 in {satake} is not prime"),
+            (tau, "2,nan\n3,252\n",
+             ("smo", "zratio", "--data", str(tau), "--data2", "synthetic:1", "--selector", "all",
+              "--s", "1.5"), "parse-error: non-finite a_p in row ['2', 'nan']"),
+            (tau, "2,1e400\n3,252\n", ("smo", "tempered", "--data", str(tau), "--selector", "all"),
+             "parse-error: non-finite a_p in row ['2', '1e400']")):
+        path.write_text(text)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", message + "\n"), (argv, err)
 
 
 def test_non_finite_numbers_are_usage_errors(capsys, tmp_path):
@@ -765,6 +801,8 @@ def _read_satake_row(row: list[str], path: str) -> tuple[int, int, list[float]]:
         parts = [float(x) for x in row[2:]]
     except (IndexError, ValueError):
         raise ParseError(f"bad Satake row {row!r} in {path}")
+    if not all(math.isfinite(x) for x in parts):
+        raise ParseError(f"bad Satake row {row!r} in {path}: non-finite parameter")
     if len(parts) % 2:
         raise ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")
     if q < 2:
@@ -777,7 +815,7 @@ def _first_satake_fault(rows: list[list[str]], path: str) -> SmolabError | None:
     finder the loader once ran after its array pass, kept as the oracle.
 
     The rows are read up to the first fault other than a non-prime p, then
-    checked prime in one pass; within a row, the prime check comes after the
+    checked prime one by one; within a row, the prime check comes after the
     columns and the norm and before the place checks.
     """
     row_primes, fault = [], None
@@ -796,9 +834,9 @@ def _first_satake_fault(rows: list[list[str]], path: str) -> SmolabError | None:
         if any(complex(re, im) == 0 for re, im in zip(parts[0::2], parts[1::2])):
             fault = UsageError("local parameters must be nonzero")
             break
-    prime = is_prime_array(row_primes)
-    if not prime.all():
-        return NonPrimeRow(f"row prime {row_primes[int(np.argmin(prime))]} in {path} is not prime")
+    for p in row_primes:  # the scalar test: the loader's column test is under check
+        if not is_prime(p):
+            return NonPrimeRow(f"row prime {p} in {path} is not prime")
     return fault
 
 
@@ -841,9 +879,10 @@ def _satake_outcome(path: str):
 
 # primes, non-primes below 2 and above, and a prime and a non-prime above int64
 _SATAKE_P = [2, 3, 5, 97, 2**61 - 1, 2**89 - 1, 1, 0, -3, 4, 9, 2**64 + 1]
-# parameter pairs: nonzero, zero, unparseable, and a lone cell for an odd count
+# parameter pairs: nonzero, zero, unparseable, non-finite, and a lone cell for an odd count
 _satake_cells = st.lists(st.sampled_from([["1.0", "0.0"], ["0.25", "-0.5"], ["0.0", "-0.0"],
-                                          ["-0.0", "0"], ["x", "1.0"], ["", "1.0"], ["2"]]),
+                                          ["-0.0", "0"], ["x", "1.0"], ["", "1.0"], ["2"],
+                                          ["nan", "0"], ["1.0", "-inf"], ["1e400", "0"]]),
                          max_size=3).map(lambda pairs: sum(pairs, []))
 _satake_valid_row = st.builds(
     lambda p, f, cells: [str(p), str(p**f)] + cells,

@@ -477,6 +477,59 @@ def test_catalog_rejection_messages(expr, error, message):
     assert str(caught.value) == message
 
 
+LONG_EXPRESSIONS = [
+    # a 348-character line, and a 5000-digit integer called a non-integer: int()
+    # refuses more than 4300 digits
+    ("cyclic(" + "9" * 300 + ")", ClosureExceedsLimit,
+     _over("cyclic(" + "9" * 53 + "...(308 characters)")),
+    ("cyclic(" + "9" * 5000 + ")", ClosureExceedsLimit,
+     _over("cyclic(" + "9" * 53 + "...(5008 characters)")),
+    ("symmetric(-" + "9" * 5000 + ")", UnknownCatalogEntry, "symmetric(n) needs n >= 2"),
+    ("direct_product(cyclic(-" + "9" * 5000 + "),cyclic(-2))", ClosureExceedsLimit,
+     _over("direct_product(cyclic(-" + "9" * 37 + "...(5036 characters)")),
+    ("a" * 400, UnknownCatalogEntry,
+     "unknown catalog entry '" + "a" * 60 + "...(400 characters)'"),
+    ("cyclic(x" + "9" * 400 + ")", UnknownCatalogEntry,
+     "cyclic needs an integer argument in 'cyclic(x" + "9" * 52 + "...(409 characters)'"),
+    ("cyclic(2," + "3" * 400 + ")", UnknownCatalogEntry,
+     "cyclic takes 1 argument(s), got 2 in 'cyclic(2," + "3" * 51 + "...(410 characters)'"),
+    ("cyclic(" + "9" * 400, UnknownCatalogEntry,
+     "cannot parse catalog expression 'cyclic(" + "9" * 53 + "...(407 characters)'"),
+]
+
+
+@pytest.mark.parametrize("expr,error,message", LONG_EXPRESSIONS,
+                         ids=[f"{expr[:12]}-{len(expr)}" for expr, _, _ in LONG_EXPRESSIONS])
+def test_long_catalog_expressions_are_shown_bounded(expr, error, message):
+    with pytest.raises(error) as caught:
+        catalog(expr)
+    assert str(caught.value) == message
+
+
+def test_long_catalog_argument_with_leading_zeros_builds():
+    assert catalog("q8_power_family(" + "0" * 5000 + "3)").order == 256
+
+
+@pytest.mark.parametrize("digits", [1, 4, 20, 21, 300, 5000])
+def test_long_catalog_arguments_keep_their_order_rules(digits):
+    # past 20 digits an argument reads as its sign times 10**20, which every order
+    # rule refuses or passes as it would the argument itself, alone or in a product
+    sevens = 7 * (10**digits - 1) // 9
+    for sign in (1, -1):
+        n, arg = sign * sevens, ("-" if sign < 0 else "") + "7" * digits
+        for entry, order in (("cyclic", n), ("dihedral", 2 * n),
+                             ("q8_power_family", 4 ** (min(n, 11) + 1) if n >= 1 else 1)):
+            for expr, refused in ((f"{entry}({arg})", order > 2000),
+                                  (f"direct_product({entry}({arg}),cyclic(-3))",
+                                   order > 2000 or -3 * order > 2000)):
+                try:
+                    _plan(expr)
+                except ClosureExceedsLimit:
+                    assert refused, (entry, sign, digits)
+                else:
+                    assert not refused, (entry, sign, digits)
+
+
 @pytest.mark.parametrize("expr", [
     "direct_product(cyclic(40),direct_product(cyclic(7),cyclic(8)))",
     "central_product_mod_diagonal_center(q8_power_family(4),quaternion8)",

@@ -70,8 +70,11 @@ def test_out_of_order_rejected():
     ("7,1\n4,1\n11\n", NonPrimeRow, "row index 4 is not prime"),
     ("7,1\n9,1\n7,1\n", NonPrimeRow, "row index 9 is not prime"),
     ("7,1\n1,1\n5,1\n", NonPrimeRow, "row index 1 is not prime"),
+    ("7,1\n4,1\n11,inf\n", NonPrimeRow, "row index 4 is not prime"),
     # and loses to one before it
     ("7,1\n11,abc\n4,1\n", ParseError, "bad numeric row ['11', 'abc']"),
+    ("7,1\n11,nan\n4,1\n", ParseError, "non-finite a_p in row ['11', 'nan']"),
+    ("7,1\n11,-1e400\n4,1\n", ParseError, "non-finite a_p in row ['11', '-1e400']"),
     ("7,1\n11\n4,1\n", ParseError, "expected 'p,a_p' columns, got ['11']"),
     ("7,1\n7,1\n9,1\n", DuplicatePrime, "prime 7 appears twice"),
     ("7,1\n5,1\n9,1\n", ParseError, "rows out of order at p=5"),

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from smolab import sieve
 from smolab.errors import LimitExceeded, UsageError
 from smolab.sieve import (_BLOCK_CELLS, PRIME_LIMIT, RECURRENCE_MODULUS_LIMIT, SEGMENT_SPAN,
-                          _icbrt, _lucy_values, _segment_bounds, _sieve_segment, class_sums,
-                          is_prime, is_prime_array, iter_prime_segments,
+                          TABLE_PER_TEST, _four_witness_test, _icbrt, _lucy_values,
+                          _segment_bounds, _sieve_segment, class_sums, is_prime,
+                          is_prime_array, iter_prime_segments,
                           prefix_sums, prime_array, prime_count, residue_counts_pay,
                           prime_divisors, residue_sums, residues, segment_map, simple_sieve,
                           totient, unit_mask)
+from smolab.tau import TAU_LIMIT
 
 ORACLE_LIMIT = 3 * 10**6
 DENSE = simple_sieve(ORACLE_LIMIT)
@@ -97,12 +99,6 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert is_prime(3215031767) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**33 - 1), max_size=50))
-def test_is_prime_array_matches_is_prime(values):
-    assert is_prime_array(values).tolist() == [is_prime(n) for n in values]
-
-
 def test_is_prime_array_cases():
     # 561 and 41041 are Carmichael numbers; 2047, 1373653 and 25326001 are the least
     # strong pseudoprimes to {2}, {2, 3} and {2, 3, 5}; 3215031751 to {2, 3, 5, 7}
@@ -118,9 +114,58 @@ def test_is_prime_array_cases():
 
 
 def test_is_prime_array_matches_dense_sieve_below_1e6():
+    # the segmented sieve, which takes only its base primes below 1000 from the
+    # dense table that the column below is looked up in
     flags = np.zeros(10**6, dtype=bool)
-    flags[simple_sieve(10**6 - 1)] = True
+    flags[prime_array(10**6 - 1)] = True
     assert np.array_equal(is_prime_array(range(10**6)), flags)
+    # the column above takes the sieve table; the four-witness tier on its own
+    assert np.array_equal(_four_witness_test(np.arange(10**6, dtype=np.uint64)), flags)
+
+
+# entries at the edges of the three tiers: the table's reach for columns of 1, 4
+# and 16 entries below 2**20, the four-witness limit, 0, 1, negatives, 2**64
+_TIER_EDGES = [0, 1, 2, -1, -2, -(2**64) - 1, 3_215_031_751, 3_215_031_767, 2**64 - 59,
+               2**64 + 13, SEGMENT_SPAN] + [TABLE_PER_TEST * k for k in (1, 4, 16)]
+_near_edges = st.builds(lambda edge, offset: edge + offset,
+                        st.sampled_from(_TIER_EDGES), st.integers(-40, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_near_edges | st.integers(-(2**70), 2**70) | st.integers(0, 2**33 - 1),
+                max_size=50))
+def test_is_prime_array_matches_is_prime(values):
+    assert is_prime_array(values).tolist() == [is_prime(n) for n in values]
+
+
+def test_is_prime_array_tier_edges(monkeypatch):
+    # a column of n entries looks up those below min(SEGMENT_SPAN, TABLE_PER_TEST n)
+    # in the table and tests the rest by four witnesses
+    tested = []
+
+    def four_witness_test(n):
+        tested.extend(n.tolist())
+        return _four_witness_test(n)
+
+    monkeypatch.setattr(sieve, "_four_witness_test", four_witness_test)
+    for size in (1, 4, 16, 4096, 8192):
+        reach = min(SEGMENT_SPAN, TABLE_PER_TEST * size)
+        for edge in range(reach - 3, reach + 4):
+            column = [2] * (size - 1) + [edge]
+            tested.clear()
+            assert is_prime_array(column).tolist() == [is_prime(n) for n in column]
+            assert tested == ([] if edge < reach else [edge]), (size, edge)
+
+
+def test_tau_column_takes_no_four_witness_test(monkeypatch):
+    def refused(n):
+        raise AssertionError(f"four-witness test of {len(n)} entries")
+
+    monkeypatch.setattr(sieve, "_four_witness_test", refused)
+    for limit in (20, 2000, TAU_LIMIT):
+        column = prime_array(limit)
+        assert is_prime_array(column.astype(object)).all()
+        assert is_prime_array(column.tolist() + [limit + 1]).tolist()[-1] == is_prime(limit + 1)
 
 
 def test_primes_to_1e7_match_pinned_digest():

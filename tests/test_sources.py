@@ -8,8 +8,10 @@ loops for the comparison and ratio scans.
 
 import cmath
 import dataclasses
+import functools
 import hashlib
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -17,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smolab.euler import (EulerProduct, eval_local, grc_profile,
                           rankin_selberg_local, zeta_product)
 from smolab.experiments import COEFF_EQ_TOL, compare_local, z_ratio
-from smolab.hecke import (parse_hecke_text, synthetic_tempered,
+from smolab.hecke import (RepresentationData, parse_hecke_text, synthetic_tempered,
                           synthetic_with_profile, tempered_angles)
 from smolab.selectors import AllPrimes, CongruenceSelector, ExplicitList, Intersection
 from smolab.sieve import STREAM_CHUNK, prime_array, prime_stream, simple_sieve
@@ -79,6 +81,46 @@ def test_tempered_arrays_match_one_prime_path(seed, degree, primes):
 def test_profile_arrays_match_one_prime_path(seed, name, degree, primes):
     rep = synthetic_with_profile(seed, grc_profile(name), degree=degree)
     _assert_matches_one_prime_path(rep, primes)
+
+
+# parts whose sums turn on the order of the adds: signed zeros, infinities whose
+# sum is a NaN, NaNs, overflow and cancellation
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e308, -1e308, 5e-324,
+                          math.inf, -math.inf, math.nan, -math.nan]) | st.floats()
+
+
+def _part_bits(z: np.ndarray) -> bytes:
+    """The bits of each real and imaginary part, every NaN made one NaN: IEEE 754
+    leaves the sign of a NaN result open, and numpy's add loops differ in it."""
+    parts = z.view(np.float64).copy()
+    parts[np.isnan(parts)] = math.nan
+    return parts.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.tuples(_PARTS, _PARTS), min_size=width, max_size=width), max_size=20)))
+@example([[(-0.0, -0.0), (-0.0, 0.0)], [(-0.0, 1.0), (-0.0, -1.0)]])
+@example([[(-0.0, -0.0), (-0.0, -0.0), (-0.0, -0.0)], [(math.inf, 1.0), (-math.inf, 1e308),
+                                                        (1.0, 1e308)]])
+@example([[(1e308, 0.0), (1e308, 0.0), (-1e308, 0.0), (-1e308, 0.0)]])
+def test_traces_are_the_parameter_sums_bit_for_bit(rows):
+    # up to three columns the traces are numpy's sum(axis=1); at every width they
+    # are a left fold of Python complex adds from +0, one prime at a time as for
+    # the whole column (numpy sums four or more columns pairwise)
+    width = len(rows[0]) if rows else 2
+    params = np.array([[complex(re, im) for re, im in row] for row in rows],
+                      dtype=np.complex128).reshape(len(rows), width)
+    rep = RepresentationData(label="parts", degree=width, satake_fn=lambda primes: params[primes])
+    with np.errstate(invalid="ignore", over="ignore"):
+        traces = rep.coefficient_array(np.arange(len(rows)))
+        one_prime = np.array([rep.coefficient(p) for p in range(len(rows))], dtype=np.complex128)
+        if width <= 3:
+            sums = params.sum(axis=1)
+            assert traces.dtype == sums.dtype and _part_bits(traces) == _part_bits(sums)
+    folds = np.array([functools.reduce(operator.add, row, 0j) for row in params.tolist()],
+                     dtype=np.complex128)
+    assert _part_bits(traces) == _part_bits(folds) == _part_bits(one_prime)
 
 
 def _unitary_pair(lam: float) -> tuple[complex, complex]:
