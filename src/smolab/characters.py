@@ -43,14 +43,36 @@ one too, so the rational number 2b has an integer square and is an integer.
 A rational real or imaginary part therefore lies in (1/2)Z.  Parts within
 SNAP_TOL of (1/2)Z are snapped to it; every other part, such as
 (-1 + sqrt 5)/2, is left as computed.
+
+The whole of ``character_table`` (the full ``eigh``, the refinement rounds
+and the orthogonality gram) runs with numpy's bundled OpenBLAS at one
+thread, and the caller's thread count is restored afterwards, also when a
+check raises.  Two reasons:
+- an idle OpenBLAS worker spins on a second core after every ``eigh`` or
+  matrix product, so at the default count a table cost about twice its
+  wall time in CPU;
+- the multithreaded full ``eigh`` returns different bits for the same
+  matrix at different thread counts, so above about 200 classes the table
+  bytes followed the thread count, whose default is the core count.
+The library's thread-count functions are found through ctypes on the first
+table, not at import.  Under any other BLAS nothing is pinned, and the
+bytes of large tables may still depend on its threading.  Exact values from
+power maps, which would make the bytes independent of every BLAS, and
+agreement without a tolerance are still open (item 9 of ROADMAP.md).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -233,11 +255,58 @@ def _row_order(degrees: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.lexsort(np.vstack([ranks[::-1], degrees[None, :]]))
 
 
+@functools.cache
+def _blas_thread_functions() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles, or None where none is found (numpy built on another BLAS)."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    set_.argtypes, set_.restype = (ctypes.c_int,), None
+                    return get, set_
+    return None
+
+
+# the thread count is process-wide: one thread's pinned regions at a time, so
+# each restores the count that its caller had set
+_BLAS_PIN = threading.RLock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS at one thread, restoring
+    the caller's count afterwards; under any other BLAS, change nothing."""
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    with _BLAS_PIN:
+        count = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(count)
+
+
 def character_table(G: FiniteGroup) -> CharacterTable:
-    """Full table of irreducible characters, deterministic across runs.
+    """Full table of irreducible characters, deterministic across runs and
+    BLAS thread counts (the whole computation runs at one BLAS thread).
 
     Raises NumericalDegeneracy naming the first check the computed rows fail.
     """
+    with _one_blas_thread():
+        return _character_table(G)
+
+
+def _character_table(G: FiniteGroup) -> CharacterTable:
     cells, part = _class_cells(G)
     r = part.num_classes
     order = G.order

@@ -21,7 +21,7 @@ from .errors import (DegreeMismatch, InfeasibleEpsilon, NotNested,
 from .euler import (GRCBoundProfile, ConvergenceProbe, convergence_probe,
                     log_expansion, require_degree)
 from .fields import FieldSpec
-from .hecke import RepresentationData, require_size_bound
+from .hecke import RepresentationData, parameter_sums, require_size_bound
 from .selectors import DegreeSelector, ExplicitList, Intersection, PrimeSelector
 from .sieve import (class_sums, is_prime, iter_prime_segments, prefix_sums, prime_array,
                     prime_stream, restrict, segment_map, unit_mask)
@@ -312,7 +312,7 @@ def z_ratio(A: RepresentationData, B: RepresentationData, selector: PrimeSelecto
         direct *= ratio.prod(axis=0)
         power_a, power_b, x_m = sa.copy(), sb.copy(), x.copy()
         for m in range(1, Z_RATIO_POWERS + 1):
-            pa, pb = power_a.sum(axis=1), power_b.sum(axis=1)
+            pa, pb = parameter_sums(power_a), parameter_sums(power_b)
             aa, bb = pa * pa.conj(), pb * pb.conj()
             ab, ba = pa * pb.conj(), pb * pa.conj()
             combined = aa + bb + ab + ba

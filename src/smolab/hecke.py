@@ -7,7 +7,8 @@ and ``local_factor`` are one-element views of the same arrays, so there is
 a single implementation of each source.
 
 A source with no coefficient function of its own (the synthetic ones) takes
-its traces as parameter sums, formed as column adds into a +0 array, one
+its traces as parameter sums, and the z-ratio takes its power sums the same
+way: ``parameter_sums`` forms them as column adds into a +0 array, one
 column at a time.  Up to three columns that is numpy's own order for
 ``sum(axis=1)``: the same bits, the sign of a zero part included (a NaN
 part is a NaN in both, its sign left open by IEEE 754).  Wider sources,
@@ -46,6 +47,18 @@ from .sieve import is_prime_array
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 
+def parameter_sums(params: np.ndarray) -> np.ndarray:
+    """Row sums of a (len, degree) parameter array, as column adds into +0.
+
+    One column at a time from +0 is numpy's own order for ``sum(axis=1)`` up
+    to three columns, and a -0.0 part in every column sums to +0.0 as there.
+    """
+    total = np.zeros(len(params), dtype=np.complex128)
+    for column in params.T:
+        total += column
+    return total
+
+
 @dataclass(frozen=True)
 class RepresentationData:
     """A degree-n source of local parameters, file-backed or synthetic.
@@ -71,12 +84,7 @@ class RepresentationData:
         primes = np.asarray(primes, dtype=np.int64)
         if self.coefficient_fn is not None:
             return self.coefficient_fn(primes)
-        # from +0, one column at a time: numpy's own order for sum(axis=1) up to
-        # three columns, and a -0.0 part in every column sums to +0.0 as there
-        total = np.zeros(len(primes), dtype=np.complex128)
-        for column in self.satake_array(primes).T:
-            total += column
-        return total
+        return parameter_sums(self.satake_array(primes))
 
     def coefficient(self, p: int) -> float | complex:
         return self.coefficient_array([p])[0].item()

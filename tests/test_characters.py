@@ -1,9 +1,13 @@
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,83 @@ def test_table_deterministic_across_runs():
     a = character_table(catalog("symmetric(4)"))
     b = character_table(catalog("symmetric(4)"))
     assert a.values.tobytes() == b.values.tobytes()
+
+
+# groups above 200 classes, whose table bytes followed the BLAS thread count
+# while the full eigh ran multithreaded
+THREAD_COUNT_GROUPS = ("cyclic(250)", "cyclic(600)", "dihedral(999)",
+                       "direct_product(cyclic(30),dihedral(15))")
+
+# prints whether importing smolab looked up the BLAS, then a digest per table
+_DIGEST_PROBE = """
+import hashlib, sys
+import smolab
+from smolab.characters import _blas_thread_functions, character_table
+from smolab.groups import catalog
+print(_blas_thread_functions.cache_info().currsize)
+for expr in sys.argv[1:]:
+    print(expr, hashlib.sha256(character_table(catalog(expr)).values.tobytes()).hexdigest())
+"""
+
+
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS thread-count (get, set), skipping the test without one."""
+    functions = characters._blas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy bundles no OpenBLAS here, so the BLAS thread count is not pinned")
+    return functions
+
+
+def test_table_bytes_do_not_depend_on_the_blas_thread_count():
+    _bundled_openblas()
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for threads in ("1", "2", "3"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_PROBE, *THREAD_COUNT_GROUPS],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # the lookup happens on the first table, not at import
+        assert proc.stdout.startswith("0\n"), proc.stdout
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+
+
+def test_table_pins_one_blas_thread_and_restores_the_count(monkeypatch):
+    get, set_ = _bundled_openblas()
+    found, seen = get(), []
+    solve = characters._eigenvector_rows
+
+    def recording(*args):
+        seen.append(get())
+        return solve(*args)
+
+    def failing(*args):
+        seen.append(get())
+        raise NumericalDegeneracy("planted")
+
+    G = catalog("symmetric(4)")
+    try:
+        set_(3)
+        monkeypatch.setattr(characters, "_eigenvector_rows", recording)
+        character_table(G)
+        assert (seen, get()) == ([1], 3)
+        monkeypatch.setattr(characters, "_eigenvector_rows", failing)
+        with pytest.raises(NumericalDegeneracy, match="planted"):
+            character_table(G)
+        assert (seen, get()) == ([1, 1], 3)
+    finally:
+        set_(found)
+
+
+@pytest.mark.parametrize("expr", WORKLOAD_GROUPS)
+def test_table_without_a_bundled_openblas_is_the_same(monkeypatch, expr):
+    # the path of every other BLAS: nothing is pinned, and below 200 classes
+    # the bytes are the same
+    pinned = character_table(catalog(expr)).values.tobytes()
+    monkeypatch.setattr(characters, "_blas_thread_functions", lambda: None)
+    assert character_table(catalog(expr)).values.tobytes() == pinned
 
 
 def test_complex_values_snap_to_gaussian_grid():
