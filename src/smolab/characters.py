@@ -297,8 +297,8 @@ def _one_blas_thread():
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
-    """Full table of irreducible characters, deterministic across runs and
-    BLAS thread counts (the whole computation runs at one BLAS thread).
+    """Full table of irreducible characters, deterministic across runs, and
+    across thread counts on numpy's bundled OpenBLAS, which it runs at one.
 
     Raises NumericalDegeneracy naming the first check the computed rows fail.
     """
