@@ -784,14 +784,17 @@ def is_prime(n: int) -> bool:
 def is_prime_array(values) -> np.ndarray:
     """``is_prime`` of every entry of an integer sequence, as a bool array.
 
-    Entries of any size are accepted, in three tiers.  Of the entries in
-    [0, 3,215,031,751), those below min(SEGMENT_SPAN, TABLE_PER_TEST times
-    their count) are looked up in one dense sieve table, the others take one
-    whole-array Miller-Rabin test to the witnesses 2, 3, 5 and 7 on uint64,
-    where the square of every residue fits.  Any other entry, which only a
-    hand-written file can hold, takes the scalar 12-witness ``is_prime``.
+    Entries of any size are accepted, in three tiers; an int64 array is
+    tested as it is, any other sequence as an array of Python ints.  Of the
+    entries in [0, 3,215,031,751), those below min(SEGMENT_SPAN,
+    TABLE_PER_TEST times their count) are looked up in one dense sieve
+    table, the others take one whole-array Miller-Rabin test to the
+    witnesses 2, 3, 5 and 7 on uint64, where the square of every residue
+    fits.  Any other entry, which only a hand-written file can hold, takes
+    the scalar 12-witness ``is_prime``.
     """
-    values = np.array(values, dtype=object)
+    if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
+        values = np.array(values, dtype=object)
     small = (values >= 0) & (values < _FOUR_WITNESS_LIMIT)
     n = values[small].astype(np.uint64)
     looked_up = n < min(SEGMENT_SPAN, TABLE_PER_TEST * len(n))

@@ -844,7 +844,7 @@ def _satake_oracle(path: str):
     """The row-by-row outcome of a Satake file: (code, message) of its first
     fault, or the (exponents, parameters) lists of every kept place by prime,
     places in file order, zero-padded."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         rows = [row for row in csv.reader(handle)
                 if row and row[0].strip().lower() not in ("p", "#")]
     fault = _first_satake_fault(rows, path)
@@ -879,10 +879,14 @@ def _satake_outcome(path: str):
 
 # primes, non-primes below 2 and above, and a prime and a non-prime above int64
 _SATAKE_P = [2, 3, 5, 97, 2**61 - 1, 2**89 - 1, 1, 0, -3, 4, 9, 2**64 + 1]
-# parameter pairs: nonzero, zero, unparseable, non-finite, and a lone cell for an odd count
+# parameter pairs: nonzero, zero, unparseable, non-finite, a lone cell for an
+# odd count, and spellings where Python's float() and numpy's parser may part
+# ('1_0' and Arabic-Indic digits only Python reads, '\x1c' only numpy strips)
 _satake_cells = st.lists(st.sampled_from([["1.0", "0.0"], ["0.25", "-0.5"], ["0.0", "-0.0"],
                                           ["-0.0", "0"], ["x", "1.0"], ["", "1.0"], ["2"],
-                                          ["nan", "0"], ["1.0", "-inf"], ["1e400", "0"]]),
+                                          ["nan", "0"], ["1.0", "-inf"], ["1e400", "0"],
+                                          ["1_0", "0"], ["١", "0"], [" 1 ", "+0"],
+                                          ["1\x1c", "0"], ["\xa01", "0"], ['"1.0"', "0"]]),
                          max_size=3).map(lambda pairs: sum(pairs, []))
 _satake_valid_row = st.builds(
     lambda p, f, cells: [str(p), str(p**f)] + cells,
@@ -895,7 +899,44 @@ _satake_any_row = st.builds(
     # a power of p, not one, below 2, or above int64
     st.sampled_from([lambda p: p, lambda p: p**3, lambda p: p + 1, lambda p: 8,
                      lambda p: 1, lambda p: 0, lambda p: 2**64]),
-    _satake_cells, st.sampled_from([1, 2, 99, 99, 99]))
+    _satake_cells, st.sampled_from([0, 1, 2, 99, 99, 99])) | st.sampled_from([
+    # p and q spelled as int() reads them and numpy may not, or the other way
+    ["1_1", "11", "1.0", "0.0"], ["٣", "9", "1.0", "0.0"], [" 5 ", "+5", "1.0", "0.0"],
+    ["5\x1c", "5", "1.0", "0.0"], ["\xa05", "25", "1.0", "0.0"], ['"7"', "7", "1.0", "0.0"],
+    ["007", "49", "0.5", "0.5"], ["3", "3.0", "1.0", "0.0"],
+    # a header or comment row mid-file, a whitespace-only row, a wider row
+    ["p", "q"], ["#", "x"], [" P ", "7", "1"], [" "], ["2", "2", "1.0", "0.0", "1.0", "0.0"]])
+# rows of one width with valid cells, files that np.loadtxt reads whole, but
+# for a lone last cell in every row when the width is odd
+_satake_rectangular = st.tuples(st.integers(1, 3), st.sampled_from([[], [], ["1.0"]])).flatmap(
+    lambda shape: st.lists(st.builds(
+        lambda p, f, cells: [str(p), str(p**f)] + cells + shape[1],
+        st.sampled_from([2, 3, 5, 97, 2**31 - 1]), st.integers(1, 3),
+        st.lists(st.sampled_from([["1.0", "0.0"], ["0.25", "-0.5"], ["-0.0", "1e-3"],
+                                  ["3", "-0"]]),
+                 min_size=shape[0], max_size=shape[0]).map(lambda pairs: sum(pairs, []))),
+        min_size=1, max_size=5))
+
+
+@st.composite
+def _respelled(draw, rows, spellings):
+    """Rows with one cell replaced by a spelling drawn from ``spellings(column)``."""
+    rows = draw(rows)
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    rows[i] = rows[i][:j] + [draw(spellings(j))] + rows[i][j + 1:]
+    return rows
+
+
+# one faulty or oddly spelled cell in a file np.loadtxt would read whole: a
+# non-prime p, q below 2 or not a power of p, a non-finite or zero parameter,
+# which only the array checks of the columnar read can find, and cells it
+# must hand to the row reader
+_satake_respelled = _respelled(_satake_rectangular, lambda column: st.sampled_from(
+    ["1", "0", "4", "8", "-3", "x", "", "p", "#", "1_1", "٣", " 5 ", "+5", "5\x1c", "\xa05",
+     '"7"', "2.0", str(2**63), str(2**61 - 1)] if column < 2 else
+    ["nan", "-inf", "1e400", "0", "-0.0", "x", "", "1_0", "١", " 1 ", "+5", "1\x1c", "\xa01",
+     '"2.5"']))
 
 
 # valid rows first, so that the first faulty row falls anywhere in the file
@@ -908,9 +949,44 @@ def test_satake_loader_matches_the_row_by_row_finder(valid, rows, header):
     lines = (["p,q,a1_re,a1_im"] if header else []) + [",".join(row) for row in valid + rows]
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "satake.csv")
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
         assert repr(_satake_outcome(path)) == repr(_satake_oracle(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "p,q,a1_re,a1_im", "#,comment"]),
+       _satake_rectangular | _satake_respelled, st.sampled_from(["\n", "\n", "\r\n"]),
+       st.booleans())
+def test_satake_loader_matches_the_row_by_row_finder_on_rectangular_files(
+        header, rows, newline, last):
+    lines = ([header] if header else []) + [",".join(row) for row in rows]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "satake.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(newline.join(lines) + (newline if last else ""))
+        assert repr(_satake_outcome(path)) == repr(_satake_oracle(path))
+
+
+def test_workload_shaped_satake_file_takes_the_columnar_read(tmp_path, monkeypatch):
+    # eight parameters per row, as in the benchmark's self-pairing file
+    lines = ["p,q," + ",".join(f"a{i}_{part}" for i in range(1, 5) for part in ("re", "im"))]
+    for p in (2, 3, 5, 7, 11, 13):
+        c, s = math.cos(p), math.sin(p)
+        lines.append(",".join([str(p), str(p)] + [repr(v) for v in
+                                                  (1.0, 0.0, c, s, c, -s, 1.0, 0.0)]))
+    text = "\n".join(lines) + "\n"
+    ints, floats = cli.numeric_columns(text, 2, ("p", "#"))
+    assert ints.shape == (6, 2) and floats.shape == (6, 8)
+    path = tmp_path / "satake.csv"
+    path.write_text(text)
+    expected = _satake_oracle(str(path))
+
+    def row_reader(text, path):
+        raise AssertionError("the row reader ran on a plain Satake file")
+
+    monkeypatch.setattr(cli, "_satake_rows", row_reader)
+    assert repr(_satake_outcome(str(path))) == repr(expected)
 
 
 @pytest.mark.parametrize("point", ["32768", "9" * 5000], ids=["32768", "5000-digits"])

@@ -1,13 +1,20 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from smolab.errors import DuplicatePrime, NonPrimeRow, NotTempered, ParseError
+from smolab import hecke
+from smolab.errors import DuplicatePrime, NonPrimeRow, NotTempered, ParseError, SmolabError
 from smolab.euler import grc_profile
-from smolab.hecke import (parse_hecke_text, require_size_bound,
+from smolab.hecke import (numeric_columns, parse_hecke_text, require_size_bound,
                           synthetic_tempered, synthetic_with_profile)
-from smolab.tau import tau_csv_text
+from smolab.selectors import ExplicitList
+from smolab.sieve import is_prime
+from smolab.tau import generate_tau, tau_csv_text
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +111,152 @@ def test_size_bound_warning_not_error():
     assert rep.warnings and "size bound" in rep.warnings[0]
     a, b = rep.satake(2)
     assert a * b == pytest.approx(1.0)  # pair still normalized
+
+
+def _hecke_oracle(text: str, weight: int = 12):
+    """The row-by-row outcome of a ``p,a_p`` text: (error type, message) of
+    its first faulty row, or its primes, normalized coefficients, warnings
+    and universe, by Python ints and floats one row at a time.
+
+    Rows are read up to the first that does not parse.  Of the rows read, the
+    first that is not prime, or not above the one before it, raises; the row
+    that does not parse raises only when none of them does.
+    """
+    rows = [row for row in csv.reader(io.StringIO(text)) if "".join(row).strip()]
+    if rows and rows[0] and rows[0][0].strip().lower() == "p":
+        rows = rows[1:]
+    read, fault = [], None
+    for row in rows:
+        if len(row) < 2:
+            fault = ParseError(f"expected 'p,a_p' columns, got {row!r}")
+            break
+        try:
+            p, a_p = int(row[0]), float(row[1])
+        except ValueError:
+            fault = ParseError(f"bad numeric row {row!r}")
+            break
+        if not math.isfinite(a_p):
+            fault = ParseError(f"non-finite a_p in row {row!r}")
+            break
+        read.append((p, a_p))
+    for i, (p, _) in enumerate(read):
+        if not is_prime(p):
+            fault = NonPrimeRow(f"row index {p} is not prime")
+        elif i and p <= read[i - 1][0]:
+            if any(p == q for q, _ in read[:i]):
+                fault = DuplicatePrime(f"prime {p} appears twice")
+            else:
+                fault = ParseError(f"rows out of order at p={p}")
+        else:
+            continue
+        break
+    if fault is None and read and read[-1][0] >= 2**63:
+        fault = ParseError(f"prime {read[-1][0]} does not fit a 64-bit integer")
+    if fault is not None:
+        return type(fault).__name__, str(fault)
+    primes, normalized, warnings = [], [], []
+    for p, a_p in read:
+        scale = p ** ((weight - 1) / 2.0)
+        primes.append(p)
+        normalized.append(a_p / scale)
+        if abs(a_p) > 2.0 * scale + 1e-9:
+            warnings.append(f"size bound exceeded at p={p}: |{a_p}| > {2.0 * scale:.6g}")
+    return tuple(primes), normalized, tuple(warnings), ExplicitList(tuple(primes))
+
+
+def _hecke_outcome(text: str, weight: int = 12):
+    try:
+        rep = parse_hecke_text(text, weight)
+    except SmolabError as exc:
+        return type(exc).__name__, str(exc)
+    primes = rep.universe.primes
+    assert all(type(p) is int for p in primes)
+    return (primes, rep.coefficient_array(np.array(primes, dtype=np.int64)).tolist(),
+            rep.warnings, rep.universe)
+
+
+# cells where Python's int() and float() and numpy's parser may part: '1_1'
+# and the Arabic-Indic digits that only Python reads, '\x1c', which only
+# numpy strips, '\xa0', which both strip, and quoted cells, which csv unquotes
+_ODD_SPELLINGS = ["1_1", "٣", " 5 ", "+5", "007", "5\x1c", "\xa05", '"7"', "2.0", "", "p",
+                  "#", " "]
+_HECKE_P = st.sampled_from([2, 3, 5, 7, 97, 2**61 - 1, 2**89 - 1, 1, 0, -3, 4, 9,
+                            2**64 + 13, 2**64 + 15]).map(str) | st.sampled_from(_ODD_SPELLINGS)
+_HECKE_A = st.sampled_from(["-24", "0.5", "-0.0", "1e-400", "3e30", "1e400", "nan", "-inf", "x",
+                            "", "1_0", "١", " 1 ", "+5", "1\x1c", "\xa01", '"2.5"', "1,5"])
+_hecke_any_row = st.builds(lambda p, a, extra, cut: ([p, a] + extra)[:cut],
+                           _HECKE_P, _HECKE_A, st.lists(_HECKE_A, max_size=2),
+                           st.sampled_from([0, 1, 2, 2, 9, 9]))
+# ascending distinct primes with plainly spelled a_p, in rows of one width:
+# files that np.loadtxt reads whole
+_hecke_valid_rows = st.builds(
+    lambda primes, values, extra: [[str(p), a] + extra for p, a in zip(primes, values)],
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 97, 7919, 2**61 - 1]), unique=True, max_size=6).map(
+        sorted),
+    st.lists(st.sampled_from(["-24", "252", "0.5", "-0.0", "1e-3", "3e30", "4830"]),
+             min_size=6, max_size=6),
+    st.sampled_from([[], [], ["1"], ["0.5", "-2"]]))
+_hecke_header = st.sampled_from(["", "p,a_p", " P ,x", "p", "#,a_p"])
+
+
+@st.composite
+def _respelled(draw, rows, spellings):
+    """Rows with one cell, when there is one, replaced by a spelling drawn
+    from ``spellings(column)``."""
+    rows = draw(rows)
+    if rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i] = rows[i][:j] + [draw(spellings(j))] + rows[i][j + 1:]
+    return rows
+
+
+# one faulty or oddly spelled cell in a file that np.loadtxt would read whole:
+# non-finite, duplicate, descending and non-prime cells that only the array
+# checks of the columnar read can find, and cells it must hand to the row reader
+_hecke_respelled = _respelled(
+    _hecke_valid_rows,
+    lambda column: (_HECKE_P | st.sampled_from(["2", "11", "9223372036854775783"]) if column == 0
+                    else _HECKE_A | st.sampled_from(["inf", "-1e400", "NaN"])))
+
+
+def _csv_text(header: str, rows: list[list[str]], newline: str, last: bool) -> str:
+    lines = ([header] if header else []) + [",".join(row) for row in rows]
+    return newline.join(lines) + (newline if last else "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hecke_header, _hecke_valid_rows, st.lists(_hecke_any_row, max_size=4),
+       st.sampled_from(["\n", "\n", "\r\n"]), st.booleans())
+@example("p,a_p", [["2", "-24"], ["3", "252"]], [["5", "1_0"]], "\n", True)
+@example("p,a_p", [], [["7", "1"], ["5\x1c", "1"]], "\n", False)
+@example("", [["2", "1"]], [[str(2**64 + 13), "1"]], "\n", True)
+def test_hecke_parser_matches_the_row_by_row_reader(header, valid, rows, newline, last):
+    text = _csv_text(header, valid + rows, newline, last)
+    assert repr(_hecke_outcome(text)) == repr(_hecke_oracle(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hecke_header, _hecke_valid_rows | _hecke_respelled, st.sampled_from(["\n", "\n", "\r\n"]),
+       st.booleans())
+def test_hecke_parser_matches_the_row_by_row_reader_on_rectangular_files(header, rows, newline,
+                                                                         last):
+    text = _csv_text(header, rows, newline, last)
+    assert repr(_hecke_outcome(text)) == repr(_hecke_oracle(text))
+
+
+def test_tau_text_takes_the_columnar_read(monkeypatch):
+    text = tau_csv_text(2000)
+    ints, floats = numeric_columns(text, 1, ("p",))
+    tau = generate_tau(2000)
+    assert ints[:, 0].tolist() == sorted(tau) and floats[:, 0].tolist() == [
+        float(tau[p]) for p in sorted(tau)]
+
+    def row_reader(text):
+        raise AssertionError("the row reader ran on a plain tau text")
+
+    monkeypatch.setattr(hecke, "_hecke_rows", row_reader)
+    assert parse_hecke_text(text, weight=12).universe.primes == tuple(sorted(tau))
 
 
 def test_synthetic_tempered_reproducible():

@@ -73,6 +73,21 @@ def test_explicit_list_and_complement():
     assert members(rest) == set(PRIMES.tolist()) - {5, 11, 13}
 
 
+@pytest.mark.parametrize("primes", [(13, 5, 11, 5, 997), ()])
+def test_explicit_list_holds_its_distinct_primes_sorted(primes):
+    chosen = ExplicitList(primes)
+    distinct = sorted(set(primes))
+    assert chosen._sorted.tobytes() == np.array(distinct, dtype=np.int64).tobytes()
+    assert chosen._sorted.dtype == np.int64
+    assert type(chosen.largest_prime) is int
+    assert chosen.largest_prime == (distinct[-1] if distinct else 0)
+
+
+def test_explicit_list_entry_beyond_int64_overflows():
+    with pytest.raises(OverflowError):
+        ExplicitList((5, 2**64 + 13))
+
+
 def test_complement_respects_exclusions():
     sel = CongruenceSelector(4, frozenset({1}))
     comp = Complement(sel)

@@ -138,6 +138,15 @@ def test_is_prime_array_matches_is_prime(values):
     assert is_prime_array(values).tolist() == [is_prime(n) for n in values]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_near_edges.filter(lambda n: -(2**63) <= n < 2**63)
+                | st.integers(-(2**63), 2**63 - 1) | st.integers(0, 2**33 - 1), max_size=50))
+def test_is_prime_array_of_an_int64_column_matches_is_prime(values):
+    # the file loaders pass their int64 columns as they are
+    column = np.array(values, dtype=np.int64)
+    assert is_prime_array(column).tolist() == [is_prime(n) for n in values]
+
+
 def test_is_prime_array_tier_edges(monkeypatch):
     # a column of n entries looks up those below min(SEGMENT_SPAN, TABLE_PER_TEST n)
     # in the table and tests the rest by four witnesses
