@@ -34,13 +34,16 @@ power of p).  It reads only a text that ``csv.reader`` and ``int()`` and
 ``float()`` per cell would read to the same values: printable ASCII without
 '"', since ``loadtxt`` strips a '\\x1c' around a number that ``float()``
 refuses, and it leaves every other text, and every cell it does not read
-('1_0', Arabic-Indic digits), to the row reader.  When it declines, or the
-array checks find any fault, the row reader reads the text again, and the
-first faulty row raises with the row reader's message, so every accepted
-text gives the same bits and every faulty one the same error either way.  On
-the benchmark's 2262-row files (best of 9 x 20 loads, 2-vCPU x86-64 VM,
-numpy 2.4.6) ``parse_hecke_text`` took 1.3 ms against 3.0 ms by rows, and
-the Satake load 3.8 ms against 9.9 ms.
+('1_0', Arabic-Indic digits), to the row reader.  An int cell spelled as a
+float ('2.9', '3.0') is not read either: numpy from 1.23 until that
+deprecation expired truncates it with only a DeprecationWarning, which the
+reader turns into an error.  When it declines, or the array checks find any
+fault, the row reader reads the text again, and the first faulty row raises
+with the row reader's message, so every accepted text gives the same bits
+and every faulty one the same error either way.  On the benchmark's
+2262-row files (best of 9 x 20 loads, 2-vCPU x86-64 VM, numpy 2.4.6)
+``parse_hecke_text`` took 1.3 ms against 3.0 ms by rows, and the Satake
+load 3.8 ms against 9.9 ms.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -97,7 +101,10 @@ def numeric_columns(text: str, ints: int,
     - no rows, a blank first line, or rows of unequal width.  Other blank
       lines are skipped, as both loaders' row readers drop blank rows;
     - a cell ``loadtxt`` does not read, or an int beyond int64.  ``int()``
-      and ``float()`` read some of them, such as '1_0'.
+      and ``float()`` read some of them, such as '1_0'.  An int cell that is
+      a float, such as '2.9' or '3.0', counts as not read: numpy from 1.23
+      until that deprecation expired truncates it with a DeprecationWarning,
+      which is made an error here, where ``int()`` refuses it.
     """
     rest = text.encode().translate(None, _PLAIN_BYTES)
     if rest.count(b"\n") != len(rest):
@@ -110,9 +117,14 @@ def numeric_columns(text: str, ints: int,
         return None
     dtype = np.dtype([("ints", np.int64, (ints,)), ("floats", np.float64, (width - ints,))])
     try:
-        table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None,
-                           quotechar=None, ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy from 1.23 until that deprecation expired reads an int cell
+            # such as '2.9' as a float and truncates it, warning only by a
+            # DeprecationWarning that default filters hide in library code
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
     return table["ints"], table["floats"]
 
