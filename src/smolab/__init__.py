@@ -14,7 +14,7 @@ from .euler import (EulerProduct, GRCBoundProfile, LocalFactor, convergence_prob
 from .experiments import (compare_local, inert_experiment, pole_order_estimate,
                           rajan_criterion, tempered_bound_check,
                           tower_degree_check, z_ratio)
-from .fields import FieldSpec, parse_fieldspec, residue_degree
+from .fields import FieldSpec, parse_fieldspec
 from .groups import (FiniteGroup, build_group, bundled_catalog, catalog,
                      conjugacy_classes, direct_product)
 from .hecke import (RepresentationData, load_hecke, synthetic_tempered,

@@ -24,7 +24,8 @@ import numpy as np
 from . import characters, density, euler, experiments, groups
 from .errors import IoError, NonPrimeRow, ParseError, SmolabError, UsageError
 from .fields import parse_fieldspec
-from .hecke import load_hecke, numeric_columns, synthetic_tempered, synthetic_with_profile
+from .hecke import (csv_rows, load_hecke, numeric_columns, synthetic_tempered,
+                    synthetic_with_profile)
 from .report import Report, emit, os_path, read, write
 from .selectors import DegreeSelector, ExplicitList, parse_selector
 from .sieve import is_prime_array
@@ -188,13 +189,14 @@ def _satake_columns(text: str):
 
 
 def _satake_rows(text: str, path: str):
-    """The row reader of a Satake text: its rows, (p, q, widths, parameter
-    parts) of the rows read up to the first that does not parse (bad columns,
-    a non-finite parameter, an odd parameter count, or q < 2), and that row's
-    error, or None.  p and q are object arrays of ints of any size."""
-    rows = [row for row in csv.reader(io.StringIO(text))
-            if row and row[0].strip().lower() not in ("p", "#")]
-    ps, qs, widths, parts, unreadable = [], [], [], [], None
+    """The row reader of a Satake text: its rows, (p, q, widths, parameter parts) of the
+    rows read up to the first that does not parse (a row csv cannot read, bad columns, a
+    non-finite parameter, an odd parameter count, or q < 2), and that row's error, or
+    None.  p and q are object arrays of ints of any size."""
+    rows, cut = csv_rows(text)
+    rows = [row for row in rows if row and row[0].strip().lower() not in ("p", "#")]
+    ps, qs, widths, parts = [], [], [], []
+    unreadable = ParseError(f"bad Satake row at line {cut[0]} in {path}: {cut[1]}") if cut else None
     for row in rows:
         try:
             p, q = int(row[0]), int(row[1])

@@ -43,8 +43,7 @@ import numpy as np
 
 from .errors import LimitExceeded, UsageError
 from .selectors import PrimeSelector
-from .sieve import (PRIME_LIMIT, class_sums, prime_stream, residues, simple_sieve,
-                    unit_mask)
+from .sieve import PRIME_LIMIT, class_sums, prime_stream, simple_sieve, unit_mask
 # segment_map is not called here; perfbench/tracer.py wraps it under this name
 from .sieve import segment_map
 
@@ -213,15 +212,14 @@ def frobenius_statistics(fs, cutoff: int, workers: int | None = None) -> Frobeni
     """Tally the class of p in (Z/N)*/H over unramified primes p <= cutoff."""
     if cutoff > PRIME_LIMIT:
         raise LimitExceeded(f"cutoff capped at {PRIME_LIMIT}")
-    coset_table, reps = fs._coset_table
-    counts = class_sums([cutoff], len(reps), None, fs.modulus, lambda: coset_table,
-                        workers=workers)[0]
-    first_hits = tuple(int(f) for f in _first_hits(coset_table, cutoff, counts > 0))
+    counts = class_sums([cutoff], len(fs.class_labels), fs.classes, fs.modulus,
+                        lambda: fs.classes(np.arange(fs.modulus)), workers=workers)[0]
+    first_hits = tuple(int(f) for f in _first_hits(fs.classes, cutoff, counts > 0))
     total = int(counts.sum())
     return FrobeniusStatistics(
         fieldspec=fs.label,
         cutoff=int(cutoff),
-        class_labels=tuple(int(r) for r in reps),
+        class_labels=fs.class_labels,
         counts=tuple(int(c) for c in counts),
         fractions=tuple(float(c) / total if total else 0.0 for c in counts),
         first_hits=first_hits,
@@ -230,12 +228,12 @@ def frobenius_statistics(fs, cutoff: int, workers: int | None = None) -> Frobeni
     )
 
 
-def _first_hits(coset_table: np.ndarray, cutoff: int, nonempty: np.ndarray) -> np.ndarray:
-    """The least prime of each class, -1 for an empty one, from a prefix of
-    ``prime_stream`` that grows until every nonempty class has its hit."""
+def _first_hits(classes_of, cutoff: int, nonempty: np.ndarray) -> np.ndarray:
+    """The least prime of each ``classes_of`` class, -1 for an empty one, from
+    a prefix of ``prime_stream`` that grows until every nonempty class has its hit."""
     first = np.full(len(nonempty), -1, dtype=np.int64)
     for seg in prime_stream(cutoff):
-        classes, at = np.unique(coset_table[residues(seg, len(coset_table))], return_index=True)
+        classes, at = np.unique(classes_of(seg), return_index=True)
         new = classes >= 0
         new[new] = first[classes[new]] < 0
         first[classes[new]] = seg[at[new]]

@@ -56,10 +56,6 @@ class LimitExceeded(SmolabError):
     code = "limit-exceeded"
 
 
-class Ramified(SmolabError):
-    code = "ramified-prime"
-
-
 # -- local factors / Euler products ------------------------------------------
 
 class PoleHit(SmolabError):

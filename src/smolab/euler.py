@@ -140,7 +140,7 @@ def dedekind_product(fs) -> EulerProduct:
     from .selectors import AllPrimes
 
     def places(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f = fs._degree_table[primes % fs.modulus][:, None]  # 0 at ramified primes
+        f = fs.residue_degrees(primes)[:, None]  # 0 at ramified primes
         g = fs.degree // np.maximum(f, 1)
         exponents = np.where(np.arange(fs.degree) < g, f, 0)
         return exponents, np.ones((len(primes), fs.degree, 1), dtype=np.complex128)

@@ -24,7 +24,7 @@ from .fields import FieldSpec
 from .hecke import RepresentationData, parameter_sums, require_size_bound
 from .selectors import DegreeSelector, ExplicitList, Intersection, PrimeSelector
 from .sieve import (class_sums, is_prime, iter_prime_segments, prefix_sums, prime_array,
-                    prime_stream, restrict, segment_map, unit_mask)
+                    prime_stream, restrict, segment_map)
 
 COEFF_EQ_TOL = 1e-9
 PROBE_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
@@ -497,7 +497,7 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
     p must have residue degree p^m in K.  The first SHOWN_COUNTEREXAMPLES
     primes that fail are kept.
     """
-    if not _contains(K, F):
+    if not K.contains(F):
         raise NotNested(f"{K.label} does not contain {F.label}")
     p = F.degree
     if not is_prime(p):
@@ -509,7 +509,7 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
         m += 1
     if p**m != K.degree:
         raise NotNested(f"extension degree {K.degree} is not a power of {p}")
-    if not _quotient_cyclic(K):
+    if not K.cyclic:
         raise NotNested(f"{K.label} is not cyclic over the rationals")
     checked = 0
     bad: list[int] = []
@@ -524,23 +524,3 @@ def tower_degree_check(F: FieldSpec, K: FieldSpec, scan_limit: int = 10**5) -> T
     return TowerReport(subfield=F.label, field=K.label, p=p, m=m,
                        scan_limit=scan_limit, checked=checked,
                        counterexamples=tuple(bad), examples=tuple(samples))
-
-
-def _contains(K: FieldSpec, F: FieldSpec) -> bool:
-    """Whether H_K, lifted to lcm(N_F, N_K), lies in H_F lifted.  By CRT: whether
-    every unit a mod N_F with a mod g in H_K mod g, g = gcd(N_F, N_K), lies in H_F.
-    """
-    g = math.gcd(F.modulus, K.modulus)
-    reached = np.zeros(g, dtype=bool)
-    reached[K._subgroup_array % g] = True
-    in_hf = np.zeros(F.modulus, dtype=bool)
-    in_hf[F._subgroup_array] = True
-    units = np.flatnonzero(unit_mask(F.modulus))
-    return bool(in_hf[units[reached[units % g]]].all())
-
-
-def _quotient_cyclic(fs: FieldSpec) -> bool:
-    # cyclic iff some class generates the quotient
-    d = fs.degree
-    table = fs._degree_table
-    return bool((table == d).any()) or d == 1

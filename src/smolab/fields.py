@@ -3,7 +3,10 @@
 A field is the fixed field of a subgroup H of (Z/N)* inside the N-th
 cyclotomic field; the class of an unramified prime in (Z/N)*/H plays the
 role of its Frobenius, and its residue degree is the order of that class.
-Primes dividing N are ramified and always excluded.
+Primes dividing N are ramified and always excluded.  Other modules read a
+field only through ``FieldSpec``'s interface (``classes`` and ``residue_degrees``
+of a prime array, ``class_labels``, ``degree``, ``cyclic``, ``contains`` and
+``ramified_primes``), never the residue tables behind it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LimitExceeded, ParseError, Ramified
-from .sieve import prime_divisors, totient, unit_mask
+from .errors import LimitExceeded, ParseError
+from .sieve import prime_divisors, residues, totient, unit_mask
 
 # The coset and degree tables are int64 arrays of N entries.  The coset
 # table takes about log2 |H| array steps per generator of H: at N = 999983
@@ -89,10 +92,6 @@ class FieldSpec:
             object.__setattr__(self, "label", f"N={self.modulus};H=<{gens}>")
 
     @cached_property
-    def subgroup(self) -> frozenset[int]:
-        return frozenset(self._subgroup_array.tolist())
-
-    @cached_property
     def _subgroup_array(self) -> np.ndarray:
         return _close_subgroup(self.modulus, self.subgroup_generators)
 
@@ -163,25 +162,37 @@ class FieldSpec:
         out[units] = f
         return out
 
-    def residue_degree(self, p: int) -> int:
-        if self.modulus == 1:
-            return 1
-        f = int(self._degree_table[p % self.modulus])
-        if f == 0:
-            raise Ramified(f"prime {p} divides modulus {self.modulus}")
-        return f
+    def residue_degrees(self, primes: np.ndarray) -> np.ndarray:
+        """The residue degree of each prime, 0 where p divides N."""
+        return self._degree_table[residues(primes, self.modulus)]
 
-    def places(self, p: int) -> tuple[int, int]:
-        """(residue degree f, number of places above p) for unramified p."""
-        f = self.residue_degree(p)
-        return f, self.degree // f
+    def classes(self, primes: np.ndarray) -> np.ndarray:
+        """The index in ``class_labels`` of each prime's class, -1 where p divides N."""
+        return self._coset_table[0][residues(primes, self.modulus)]
+
+    @property
+    def class_labels(self) -> tuple[int, ...]:
+        """The least residue of each class of (Z/N)*/H, ascending."""
+        return self._coset_table[1]
+
+    @property
+    def cyclic(self) -> bool:
+        """Whether the Galois group (Z/N)*/H is cyclic: some class generates it."""
+        return bool((self._degree_table == self.degree).any()) or self.degree == 1
+
+    def contains(self, F: FieldSpec) -> bool:
+        """Whether this field contains F: by CRT, whether every unit a mod N_F
+        with a mod g in H mod g, g = gcd(N_F, N), lies in H_F."""
+        g = math.gcd(F.modulus, self.modulus)
+        reached = np.zeros(g, dtype=bool)
+        reached[self._subgroup_array % g] = True
+        in_hf = np.zeros(F.modulus, dtype=bool)
+        in_hf[F._subgroup_array] = True
+        units = np.flatnonzero(unit_mask(F.modulus))
+        return bool(in_hf[units[reached[units % g]]].all())
 
     def ramified_primes(self) -> frozenset[int]:
         return prime_divisors(self.modulus)
-
-
-def residue_degree(fs: FieldSpec, p: int) -> int:
-    return fs.residue_degree(p)
 
 
 def parse_fieldspec(text: str, label: str = "") -> FieldSpec:

@@ -259,21 +259,32 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
     )
 
 
+def csv_rows(text: str) -> tuple[list[list[str]], tuple[int, str] | None]:
+    """The rows ``csv.reader`` reads up to one it cannot read, such as a cell
+    above ``csv.field_size_limit()``, and (line, error) of that row or None."""
+    rows, reader = [], csv.reader(io.StringIO(text))
+    try:
+        rows.extend(reader)
+    except csv.Error as e:
+        return rows, (reader.line_num, str(e))
+    return rows, None
+
+
 def _hecke_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
     """The row reader of ``p,a_p`` text: (p, a_p) int64 and float64 columns,
     or the error of the first faulty row in row order.
 
-    Columns and numbers, a_p finite, are checked as rows are read.  The rows
-    read before any such fault are then checked prime in one ``is_prime_array``
-    pass and checked ascending; within a row, the prime check comes first.
+    Columns and numbers, a_p finite, are checked as rows are read, up to a row
+    ``csv_rows`` cannot read.  The rows read before any such fault are then checked
+    prime in one ``is_prime_array`` pass and ascending; within a row, prime first.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if "".join(row).strip()]  # drop blank rows
+    rows, cut = csv_rows(text)
+    rows = [row for row in rows if "".join(row).strip()]  # drop blank rows
     if rows and rows[0] and rows[0][0].strip().lower() == "p":
         rows = rows[1:]
     ps: list[int] = []
     values: list[float] = []
-    unreadable = None
+    unreadable = ParseError(f"bad numeric row at line {cut[0]}: {cut[1]}") if cut else None
     for row in rows:
         if len(row) < 2:
             unreadable = ParseError(f"expected 'p,a_p' columns, got {row!r}")

@@ -179,8 +179,7 @@ class DegreeSelector(PrimeSelector):
         object.__setattr__(self, "excluded", self.fieldspec.ramified_primes())
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
-        table = self.fieldspec._degree_table
-        return table[prime_residues(primes, self.fieldspec.modulus)] == self.j
+        return self.fieldspec.residue_degrees(primes) == self.j
 
     def place_multiplicity(self, primes: np.ndarray) -> np.ndarray:
         return np.full(len(primes), self.fieldspec.degree // self.j, dtype=np.int64)
@@ -189,7 +188,8 @@ class DegreeSelector(PrimeSelector):
         return self.fieldspec.modulus
 
     def residue_table(self):
-        return self.fieldspec.modulus, self.fieldspec._degree_table == self.j
+        N = self.fieldspec.modulus
+        return N, self.fieldspec.residue_degrees(np.arange(N)) == self.j
 
     def describe(self) -> str:
         return f"degree:{self.fieldspec.label}:{self.j}"

@@ -469,6 +469,8 @@ BAD_ARGV = [
      "--s", "1.5"),
     ("smo", "tempered", "--data", "inf_tau.csv", "--selector", "all"),
     ("charlab", "table", "cyclic(" + "9" * 5000 + ")"),
+    ("smo", "tempered", "--data", "big_tau.csv", "--selector", "mod:8:1"),
+    ("euler", "positivity", "--data", "big_satake.csv", "--max-index", "100"),
 ]
 
 
@@ -482,6 +484,8 @@ def test_bad_values_are_typed_errors(argv, tmp_path):
     (tmp_path / "inf_satake.csv").write_text("p,q,a1_re,a1_im\n2,2,1e400,0,1,0\n")
     (tmp_path / "nan_tau.csv").write_text("2,nan\n3,252\n")
     (tmp_path / "inf_tau.csv").write_text("2,1e400\n3,252\n")
+    (tmp_path / "big_tau.csv").write_text(f"p,a_p\n2,-24\n{'7' * 140000},1\n")
+    (tmp_path / "big_satake.csv").write_text(f"p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,{'3' * 140000},1,0\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -516,6 +520,26 @@ def test_non_finite_file_values_are_parse_errors(capsys, tmp_path):
         path.write_text(text)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", message + "\n"), (argv, err)
+
+
+def test_oversized_satake_cell_is_a_parse_error(capsys, tmp_path):
+    # ended in a csv.Error traceback; a faulty row before it still wins
+    satake, big = tmp_path / "satake.csv", "3" * 140000
+    argv = ("euler", "positivity", "--data", str(satake), "--max-index", "100")
+    for text, message in (
+            (f"p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,{big},1.0,0.0\n5,5,1.0,0.0\n",
+             f"parse-error: bad Satake row at line 3 in {satake}: "
+             "field larger than field limit (131072)"),
+            (f"p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,3,{big}\n",
+             f"parse-error: bad Satake row at line 3 in {satake}: "
+             "field larger than field limit (131072)"),
+            (f"p,q,a1_re,a1_im\n4,4,1.0,0.0\n3,{big},1.0,0.0\n",
+             f"non-prime-row: row prime 4 in {satake} is not prime"),
+            (f"p,q,a1_re,a1_im\n2,2,1.0\n3,{big},1.0,0.0\n",
+             f"parse-error: bad Satake row ['2', '2', '1.0'] in {satake}: "
+             "odd parameter column count")):
+        satake.write_text(text)
+        assert run(capsys, *argv) == (1, "", message + "\n")
 
 
 def test_non_finite_numbers_are_usage_errors(capsys, tmp_path):

@@ -69,7 +69,8 @@ def test_dirichlet_inert_norms_vanish():
 
 def test_dirichlet_underlying_primes_of_inert_set():
     fs = FieldSpec(7, (6,))
-    under = CongruenceSelector(7, frozenset(np.flatnonzero(fs._degree_table == 3).tolist()))
+    inert = np.flatnonzero(fs.residue_degrees(np.arange(7)) == 3)
+    under = CongruenceSelector(7, frozenset(inert.tolist()))
     est = dirichlet_density_estimate(under, [1.5, 1.25, 1.0625], 10**6)
     assert abs(est.extrapolated - 2.0 / 3.0) < 0.03
 
@@ -163,12 +164,10 @@ def segment_natural_counts(selector, grid):
 
 def segment_frobenius_counts(fs, cutoff):
     """The per-segment counting of frobenius_statistics before residue counts."""
-    coset_table, reps = fs._coset_table
-    num_classes = len(reps)
-    N = fs.modulus
+    num_classes = len(fs.class_labels)
 
     def per_segment(seg):
-        idx = coset_table[seg % N] if N > 1 else np.zeros(len(seg), dtype=np.int64)
+        idx = fs.classes(seg)
         keep = idx >= 0
         counts = np.bincount(idx[keep], minlength=num_classes)
         first = np.full(num_classes, -1, dtype=np.int64)

@@ -22,6 +22,7 @@ from smolab.selectors import (AllPrimes, CongruenceSelector, DegreeSelector, Exp
                               NoPrimes)
 from smolab.sieve import iter_prime_segments, simple_sieve
 from smolab.tau import tau_csv_text
+from test_fields import multiplicative_order_oracle, subgroup_by_search
 
 UNIT = st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False)
 NONZERO = st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
@@ -217,9 +218,13 @@ def self_pairing_factors(rep):
 
 
 def dedekind_factors(fs):
+    """g = degree / f places of norm p^f at an unramified p, f by the order oracle."""
+    H = subgroup_by_search(fs.modulus, fs.subgroup_generators)
+
     def factors_at(p):
-        f, g = fs.places(p)
-        return tuple(LocalFactor(q=p**f, alphas=(1.0,), degree=1) for _ in range(g))
+        assert math.gcd(p, fs.modulus) == 1
+        f = multiplicative_order_oracle(p, fs.modulus, H)
+        return tuple(LocalFactor(q=p**f, alphas=(1.0,), degree=1) for _ in range(fs.degree // f))
     return factors_at
 
 

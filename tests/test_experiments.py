@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from smolab.errors import (DegreeMismatch, InfeasibleEpsilon, NotNested,
                            NotPrimeDegree, UsageError)
 from smolab.euler import grc_profile
-from smolab.experiments import (_contains, compare_local, inert_experiment,
-                                pole_order_estimate, rajan_criterion,
-                                tempered_bound_check, tower_degree_check,
+from smolab.experiments import (compare_local, inert_experiment, pole_order_estimate,
+                                rajan_criterion, tempered_bound_check, tower_degree_check,
                                 z_ratio)
 from smolab.fields import FieldSpec
 from smolab.hecke import parse_hecke_text, synthetic_tempered
@@ -22,6 +21,7 @@ from smolab.selectors import (AllPrimes, Complement, CongruenceSelector, DegreeS
                               ExplicitList, Intersection, NoPrimes, Union)
 from smolab.sieve import simple_sieve
 from smolab.tau import tau_csv_text
+from test_fields import subgroup_by_search
 
 ONES = lambda primes: np.ones(len(primes))
 
@@ -429,8 +429,9 @@ def test_tower_split_primes_not_counted():
 
 def _lift_subgroup(fs: FieldSpec, modulus: int) -> frozenset[int]:
     """The former nesting check: H over range(modulus), residue by residue."""
+    H = subgroup_by_search(fs.modulus, fs.subgroup_generators)
     return frozenset(r for r in range(modulus)
-                     if math.gcd(r, modulus) == 1 and (r % fs.modulus) in fs.subgroup)
+                     if math.gcd(r, modulus) == 1 and (r % fs.modulus) in H)
 
 
 @st.composite
@@ -454,4 +455,4 @@ def field_pairs(draw):
 def test_nesting_matches_the_lifted_subgroups(pair):
     F, K = pair
     modulus = math.lcm(F.modulus, K.modulus)
-    assert _contains(K, F) == (_lift_subgroup(K, modulus) <= _lift_subgroup(F, modulus))
+    assert K.contains(F) == (_lift_subgroup(K, modulus) <= _lift_subgroup(F, modulus))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smolab.errors import ParseError, Ramified
-from smolab.fields import FieldSpec, parse_fieldspec, residue_degree
+from smolab.errors import ParseError
+from smolab.fields import FieldSpec, parse_fieldspec
+from smolab.sieve import simple_sieve
 
 
 def multiplicative_order_oracle(r, N, H):
@@ -17,13 +18,29 @@ def multiplicative_order_oracle(r, N, H):
     return f
 
 
+def subgroup(fs):
+    """The former FieldSpec.subgroup: the members of H as a frozenset."""
+    return frozenset(fs._subgroup_array.tolist())
+
+
+def residue_degree(fs, p):
+    """The former FieldSpec.residue_degree, read from the array interface:
+    0 where p divides N, where the former method raised."""
+    return int(fs.residue_degrees(np.array([p], dtype=np.int64))[0])
+
+
+def places(fs, p):
+    """The former FieldSpec.places: (residue degree f, number of places above p)."""
+    f = residue_degree(fs, p)
+    return f, fs.degree // f
+
+
 def test_quadratic_field_degrees():
     fs = FieldSpec(4)
     assert fs.degree == 2
     assert residue_degree(fs, 7) == 2   # inert
     assert residue_degree(fs, 5) == 1   # split
-    with pytest.raises(Ramified):
-        residue_degree(fs, 2)
+    assert residue_degree(fs, 2) == 0   # ramified
 
 
 def test_quartic_cyclotomic_field():
@@ -36,7 +53,7 @@ def test_quartic_cyclotomic_field():
 
 def test_subgroup_generation():
     fs = FieldSpec(7, (6,))
-    assert fs.subgroup == frozenset({1, 6})
+    assert subgroup(fs) == frozenset({1, 6})
     assert fs.degree == 3
     assert np.flatnonzero(fs._degree_table == 3).tolist() == [2, 3, 4, 5]
 
@@ -71,22 +88,22 @@ def test_subgroup_matches_search(case):
     members = fs._subgroup_array
     assert members[0] == 1 % N
     assert len(set(members.tolist())) == len(members)
-    assert fs.subgroup == subgroup_by_search(N, gens)
+    assert subgroup(fs) == subgroup_by_search(N, gens)
 
 
 def test_residue_degree_matches_order_oracle():
     fs = FieldSpec(35, (6,))
-    H = fs.subgroup
+    H = subgroup(fs)
     for p in (2, 3, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if p in (5, 7):
             continue
-        assert fs.residue_degree(p) == multiplicative_order_oracle(p, 35, H)
-        assert fs.degree % fs.residue_degree(p) == 0
+        assert residue_degree(fs, p) == multiplicative_order_oracle(p, 35, H)
+        assert fs.degree % residue_degree(fs, p) == 0
 
 
 def test_places_count():
     fs = FieldSpec(5)
-    f, g = fs.places(19)
+    f, g = places(fs, 19)
     assert (f, g) == (2, 2)
     assert 19**f == 361
 
@@ -94,8 +111,8 @@ def test_places_count():
 def test_split_iff_in_subgroup():
     fs = FieldSpec(8)
     for p in (7, 17, 23, 31, 41):
-        f = fs.residue_degree(p)
-        assert (f == 1) == (p % 8 in fs.subgroup)
+        f = residue_degree(fs, p)
+        assert (f == 1) == (p % 8 in subgroup(fs))
 
 
 def test_ramified_primes():
@@ -105,9 +122,9 @@ def test_ramified_primes():
 
 def test_parse_fieldspec():
     fs = parse_fieldspec("# comment\nN=5\nH=4\n")
-    assert fs.modulus == 5 and fs.subgroup == frozenset({1, 4})
+    assert fs.modulus == 5 and subgroup(fs) == frozenset({1, 4})
     fs2 = parse_fieldspec("N=8\nH=\n")
-    assert fs2.subgroup == frozenset({1})
+    assert subgroup(fs2) == frozenset({1})
     with pytest.raises(ParseError):
         parse_fieldspec("H=3\n")
     with pytest.raises(ParseError):
@@ -121,14 +138,14 @@ def test_parse_fieldspec():
 def test_trivial_field():
     fs = FieldSpec(1)
     assert fs.degree == 1
-    assert fs.residue_degree(13) == 1
+    assert residue_degree(fs, 13) == 1
 
 
 def degree_table_by_multiplying(fs):
     """The former FieldSpec._degree_table: multiply until the power lands in H."""
     N = fs.modulus
     out = np.zeros(max(N, 1), dtype=np.int64)
-    H = fs.subgroup
+    H = subgroup(fs)
     units = [r for r in range(1, N + 1) if math.gcd(r, N) == 1] if N > 1 else [0]
     for r in units:
         x, f = r % N, 1
@@ -173,7 +190,7 @@ def coset_table_by_unit_loop(fs):
     for r in np.flatnonzero([math.gcd(r, N) == 1 for r in range(N)]).tolist():
         if table[r % N] != -1:
             continue
-        coset = sorted((r * h) % N for h in fs.subgroup)
+        coset = sorted((r * h) % N for h in subgroup(fs))
         for c in coset:
             table[c] = len(reps)
         reps.append(coset[0])
@@ -187,13 +204,18 @@ def small_fields(draw):
     return FieldSpec(N, tuple(draw(st.lists(st.sampled_from(units), max_size=3))))
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_fields())
-@example(FieldSpec(1))
-@example(FieldSpec(840, (11, 13)))
-@example(FieldSpec(599, (7,)))  # 7 generates (Z/599)*: one coset
-@example(FieldSpec(599, (3,)))  # index 2
-@example(FieldSpec(512, (3, 511)))
+def on_small_fields(test):
+    """Run ``test`` on drawn fields and on fields with one class, two, or a
+    non-cyclic quotient."""
+    for fs in (FieldSpec(1), FieldSpec(840, (11, 13)),
+               FieldSpec(599, (7,)),  # 7 generates (Z/599)*: one coset
+               FieldSpec(599, (3,)),  # index 2
+               FieldSpec(512, (3, 511))):
+        test = example(fs)(test)
+    return settings(max_examples=150, deadline=None)(given(small_fields())(test))
+
+
+@on_small_fields
 def test_coset_table_matches_unit_loop(fs):
     table, reps = fs._coset_table
     expected_table, expected_reps = coset_table_by_unit_loop(fs)
@@ -209,3 +231,33 @@ def test_coset_table_near_the_modulus_cap():
     table, reps = FieldSpec(999983, (999982,))._coset_table
     assert reps == tuple(range(1, 999983 // 2 + 1))
     assert table[999982] == table[1] == 0
+
+
+# The interface is read at every prime below this bound: past 600, the
+# largest drawn modulus, so every field meets ramified and unramified primes
+INTERFACE_PRIME_BOUND = 2000
+INTERFACE_PRIMES = simple_sieve(INTERFACE_PRIME_BOUND)
+
+
+@on_small_fields
+def test_residue_degrees_match_order_oracle(fs):
+    N, H = fs.modulus, subgroup_by_search(fs.modulus, fs.subgroup_generators)
+    expected = [multiplicative_order_oracle(p, N, H) if math.gcd(p, N) == 1 else 0
+                for p in INTERFACE_PRIMES.tolist()]
+    assert fs.residue_degrees(INTERFACE_PRIMES).tolist() == expected
+
+
+@on_small_fields
+def test_classes_match_unit_loop(fs):
+    expected_table, expected_reps = coset_table_by_unit_loop(fs)
+    got = fs.classes(INTERFACE_PRIMES)
+    assert got.tolist() == expected_table[INTERFACE_PRIMES % fs.modulus].tolist()
+    assert ((got == -1) == (np.gcd(INTERFACE_PRIMES, fs.modulus) > 1)).all()
+    assert fs.class_labels == expected_reps
+
+
+@on_small_fields
+def test_cyclic_matches_a_search_for_a_generator(fs):
+    N, H = fs.modulus, subgroup_by_search(fs.modulus, fs.subgroup_generators)
+    assert fs.cyclic == any(multiplicative_order_oracle(r, N, H) == fs.degree
+                            for r in range(N) if math.gcd(r, N) == 1)

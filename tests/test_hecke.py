@@ -72,6 +72,9 @@ def test_out_of_order_rejected():
         parse_hecke_text("p,a_p\n3,252\n2,-24\n", weight=12)
 
 
+OVERSIZED = "7" * 140000  # a cell past csv.field_size_limit(), 131072 by default
+
+
 @pytest.mark.parametrize("rows,error,message", [
     # a non-prime row before a malformed, duplicate or descending row wins
     ("7,1\n4,1\n11,abc\n", NonPrimeRow, "row index 4 is not prime"),
@@ -87,6 +90,17 @@ def test_out_of_order_rejected():
     ("7,1\n7,1\n9,1\n", DuplicatePrime, "prime 7 appears twice"),
     ("7,1\n5,1\n9,1\n", ParseError, "rows out of order at p=5"),
     ("3,1\n7,1\n3,1\n", DuplicatePrime, "prime 3 appears twice"),
+    # a row csv cannot read ends the rows; each ended in a csv.Error traceback
+    pytest.param(f"2,1\n{OVERSIZED},1\n3,1\n", ParseError,
+                 "bad numeric row at line 3: field larger than field limit (131072)",
+                 id="oversized-p"),
+    pytest.param(f"2,{OVERSIZED}\n", ParseError,
+                 "bad numeric row at line 2: field larger than field limit (131072)",
+                 id="oversized-a_p"),
+    pytest.param(f"2,1\n4,1\n{OVERSIZED},1\n", NonPrimeRow, "row index 4 is not prime",
+                 id="non-prime-before-oversized"),
+    pytest.param(f"2,1\n3,x\n{OVERSIZED},1\n", ParseError, "bad numeric row ['3', 'x']",
+                 id="bad-row-before-oversized"),
 ])
 def test_first_faulty_row_raises(rows, error, message):
     with pytest.raises(error) as info:
