@@ -1,4 +1,4 @@
-"""Unified command-line front end.
+"""Command-line front end: argv parsing and report rendering; each file format has its module.
 
 Exit codes: 0 on success, 1 on a domain error (printed as ``code: message``
 on stderr), 2 on usage errors (argparse).  Files, arguments and error lines
@@ -13,7 +13,6 @@ import argparse
 import csv
 import functools
 import io
-import math
 import os
 import sys
 from fractions import Fraction
@@ -22,13 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import characters, density, euler, experiments, groups
-from .errors import IoError, NonPrimeRow, ParseError, SmolabError, UsageError
+from .errors import IoError, SmolabError, UsageError
 from .fields import parse_fieldspec
-from .hecke import (csv_rows, load_hecke, numeric_columns, synthetic_tempered,
-                    synthetic_with_profile)
+from .hecke import load_hecke, load_satake, synthetic_tempered, synthetic_with_profile
 from .report import Report, emit, os_path, read, write
-from .selectors import DegreeSelector, ExplicitList, parse_selector
-from .sieve import is_prime_array
+from .selectors import DegreeSelector, parse_selector
 from .tau import tau_csv_text
 
 
@@ -110,137 +107,6 @@ def _load_rep(spec: str, weight: int):
         return synthetic_with_profile(_parse_seed(parts[2], spec),
                                       euler.grc_profile(parts[1], 2))
     return load_hecke(spec, weight=weight)
-
-
-def _load_satake_csv(path: str) -> euler.EulerProduct:
-    """Rows (p, q, alpha_re_1, alpha_im_1, ...): one place of norm q = p**f per row.
-
-    A prime may have several rows, one per place.  Places without parameters
-    (factor 1) or of norm above LOG_INDEX_LIMIT, which no allowed expansion
-    reaches, are left out.  The first faulty row in row order raises.
-
-    The text is read by ``hecke.numeric_columns``.  When it reads the text,
-    every parameter is finite, the width is even and every q >= 2, and the
-    array checks of ``_satake_checks`` find no fault, the columns are used as
-    they are; otherwise ``_satake_rows``, the row reader, reads the text
-    again and the first fault raises with its message.
-    """
-    text = read(path)
-    columns = _satake_columns(text)
-    if columns is not None:
-        faulty, prime, rest, exponents = _satake_checks(*columns)
-    if columns is None or faulty.any():
-        rows, columns, unreadable = _satake_rows(text, path)
-        faulty, prime, rest, exponents = _satake_checks(*columns)
-        if faulty.any():
-            i = int(np.argmax(faulty))
-            p, q = columns[0][i], columns[1][i]
-            if not prime[i]:
-                raise NonPrimeRow(f"row prime {p} in {path} is not prime")
-            if rest[i] != 1:
-                raise ParseError(f"bad Satake row {rows[i]!r} in {path}: "
-                                 f"{q} is not a power of {p}")
-            raise UsageError("local parameters must be nonzero")
-        if unreadable is not None:
-            raise unreadable
-        if not rows:
-            raise ParseError(f"no Satake rows in {path}")
-    p_col, q_col, widths, parts = columns
-    alphas = parts.view(np.complex128)  # (re, im) pairs in row order
-    at_row = np.repeat(np.arange(len(p_col)), widths)
-    keep = np.flatnonzero((widths > 0) & (q_col <= euler.LOG_INDEX_LIMIT))
-    k = int(widths[keep].max(initial=0))
-    # each row's parameters, zero-padded to k
-    padded = np.zeros((len(p_col), k), dtype=np.complex128)
-    starts = np.cumsum(widths) - widths
-    slot_of = np.arange(len(alphas)) - starts[at_row]
-    fits = slot_of < k
-    padded[at_row[fits], slot_of[fits]] = alphas[fits]
-    # one (prime, place) cell per row: rows grouped by p, places kept in file order
-    ps = p_col[keep].astype(np.int64)  # a kept row has p <= q <= LOG_INDEX_LIMIT
-    order = np.argsort(ps, kind="stable")
-    ps = ps[order]
-    support, first, at, counts = np.unique(ps, return_index=True, return_inverse=True,
-                                           return_counts=True)
-    slot = np.arange(len(ps)) - first[at]
-    exps = np.zeros((len(support), counts.max(initial=0)), dtype=np.int64)
-    params = np.zeros(exps.shape + (k,), dtype=np.complex128)
-    exps[at, slot] = exponents[keep][order]
-    params[at, slot] = padded[keep][order]
-
-    def places(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.searchsorted(support, query)
-        return exps[rows], params[rows]
-
-    return euler.EulerProduct(places=places, universe=ExplicitList(tuple(support.tolist())))
-
-
-def _satake_columns(text: str):
-    """(p, q, widths, parameter parts) of a Satake text by ``numeric_columns``,
-    or None unless every row reads, with finite parameters, an even width and
-    q >= 2."""
-    columns = numeric_columns(text, 2, ("p", "#"))
-    if columns is None:
-        return None
-    ints, floats = columns
-    if floats.shape[1] % 2 or not np.isfinite(floats).all() or (ints[:, 1] < 2).any():
-        return None
-    return ints[:, 0], ints[:, 1], np.full(len(ints), floats.shape[1] // 2), floats.ravel()
-
-
-def _satake_rows(text: str, path: str):
-    """The row reader of a Satake text: its rows, (p, q, widths, parameter parts) of the
-    rows read up to the first that does not parse (a row csv cannot read, bad columns, a
-    non-finite parameter, an odd parameter count, or q < 2), and that row's error, or
-    None.  p and q are object arrays of ints of any size."""
-    rows, cut = csv_rows(text)
-    rows = [row for row in rows if row and row[0].strip().lower() not in ("p", "#")]
-    ps, qs, widths, parts = [], [], [], []
-    unreadable = ParseError(f"bad Satake row at line {cut[0]} in {path}: {cut[1]}") if cut else None
-    for row in rows:
-        try:
-            p, q = int(row[0]), int(row[1])
-            values = list(map(float, row[2:]))
-        except (IndexError, ValueError):
-            unreadable = ParseError(f"bad Satake row {row!r} in {path}")
-            break
-        if not all(map(math.isfinite, values)):
-            unreadable = ParseError(f"bad Satake row {row!r} in {path}: non-finite parameter")
-            break
-        if len(values) % 2:
-            unreadable = ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")
-            break
-        if q < 2:
-            unreadable = UsageError(f"norm must be >= 2, got {q}")
-            break
-        ps.append(p)
-        qs.append(q)
-        widths.append(len(values) // 2)
-        parts += values
-    columns = (np.array(ps, dtype=object), np.array(qs, dtype=object),
-               np.array(widths, dtype=np.int64), np.array(parts, dtype=np.float64))
-    return rows, columns, unreadable
-
-
-def _satake_checks(p_col: np.ndarray, q_col: np.ndarray, widths: np.ndarray,
-                   parts: np.ndarray):
-    """The array checks of read Satake rows: (faulty, prime, rest, exponents).
-
-    A row is faulty when p is not prime, q is not a power of p (rest, the
-    part of q left after dividing out p, is not 1) or a parameter is zero;
-    exponents holds f with q = p**f for the rows that pass.
-    """
-    prime = is_prime_array(p_col)
-    rest = q_col.copy()
-    exponents = np.zeros(len(p_col), dtype=np.int64)  # q = p**f, by division while it goes
-    todo = np.flatnonzero(prime)
-    while len(todo):
-        todo = todo[rest[todo] % p_col[todo] == 0]
-        rest[todo] //= p_col[todo]
-        exponents[todo] += 1
-    at_row = np.repeat(np.arange(len(p_col)), widths)
-    zero = np.bincount(at_row[parts.view(np.complex128) == 0], minlength=len(p_col)) > 0
-    return ~prime | (rest != 1) | zero, prime, rest, exponents
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,7 +368,7 @@ def _dispatch_euler(args) -> Report:
             interpretation=("pairing multiplies parameters pairwise",),
         )
     if args.subcommand == "positivity":
-        product = _load_satake_csv(args.data)
+        product = load_satake(args.data)
         ok, first_bad = euler.positive_type_check(product, product.universe, args.max_index)
         return Report(
             experiment="euler.positivity",

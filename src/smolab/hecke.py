@@ -27,23 +27,23 @@ depend on which other primes are asked for, and runs are reproducible across
 processes and platforms.  Seeds are reduced mod 2**64 first, so negative and
 large seeds are accepted.
 
-Eigenvalue files, and the Satake files of ``cli``, are read by one columnar
-reader, ``numeric_columns``: one ``np.loadtxt`` call gives int64 and float64
-columns, which go straight into the array checks (prime, ascending, q a
-power of p).  It reads only a text that ``csv.reader`` and ``int()`` and
-``float()`` per cell would read to the same values: printable ASCII without
-'"', since ``loadtxt`` strips a '\\x1c' around a number that ``float()``
-refuses, and it leaves every other text, and every cell it does not read
-('1_0', Arabic-Indic digits), to the row reader.  An int cell spelled as a
-float ('2.9', '3.0') is not read either: numpy from 1.23 until that
-deprecation expired truncates it with only a DeprecationWarning, which the
-reader turns into an error.  When it declines, or the array checks find any
-fault, the row reader reads the text again, and the first faulty row raises
-with the row reader's message, so every accepted text gives the same bits
-and every faulty one the same error either way.  On the benchmark's
-2262-row files (best of 9 x 20 loads, 2-vCPU x86-64 VM, numpy 2.4.6)
-``parse_hecke_text`` took 1.3 ms against 3.0 ms by rows, and the Satake
-load 3.8 ms against 9.9 ms.
+Both numeric file formats, eigenvalue files (``p,a_p``, ``load_hecke``) and
+Satake files (``load_satake``), are read by one skeleton, ``_read_numeric``,
+from three functions of each format: a columnar gate, a row reader, and a
+first-fault function, the array checks that both reads call (p prime and
+ascending; p prime, q a power of p, no zero parameter).  The gate,
+``numeric_columns``, reads by one ``np.loadtxt`` call into int64 and float64
+columns only a text that ``csv.reader`` and ``int()`` and ``float()`` per
+cell would read to the same values: printable ASCII without '"', since
+``loadtxt`` strips a '\\x1c' around a number that ``float()`` refuses, and no
+line above ``csv.field_size_limit()``, where ``csv.reader`` refuses a cell.
+Every other text, and every cell ``loadtxt`` does not read ('1_0', Arabic-Indic
+digits, an int cell spelled '3.0'), goes to the row reader, as the text does
+when the checks find any fault.  The first faulty row then raises with the
+row reader's message, so every accepted text gives the same bits and every
+faulty one the same error either way.  On the benchmark's 2262-row files
+(best of 9 x 20 loads, 2-vCPU x86-64 VM, numpy 2.4.6) ``parse_hecke_text``
+took 1.3 ms against 3.0 ms by rows, and the Satake load 3.8 ms against 9.9 ms.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DuplicatePrime, NonPrimeRow, NotTempered, ParseError
-from .euler import EulerProduct, LocalFactor
+from .errors import DuplicatePrime, NonPrimeRow, NotTempered, ParseError, UsageError
+from .euler import LOG_INDEX_LIMIT, EulerProduct, LocalFactor
 from .selectors import AllPrimes, ExplicitList, PrimeSelector
 from .sieve import is_prime_array
 
@@ -76,57 +76,6 @@ def parameter_sums(params: np.ndarray) -> np.ndarray:
     for column in params.T:
         total += column
     return total
-
-
-# printable ASCII but '"': in a text of these and "\n", csv.reader's row is
-# line.split(","), and np.loadtxt reads a number cell as int() and float() do
-_PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c != ord('"'))
-
-
-def numeric_columns(text: str, ints: int,
-                    header: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray] | None:
-    r"""(rows, ints) int64 and (rows, rest) float64 blocks of a CSV text, by
-    one ``np.loadtxt`` call, or None when the text needs a row reader.
-
-    The first line is left out when its first cell, stripped and lowercased,
-    is in ``header``.  Every other line that is not blank is one row, of
-    ``ints`` int columns and at least one float column.  The text is read
-    only when a row reader (``csv.reader`` then ``int()`` and ``float()``
-    per cell) would give the same rows and values; otherwise the answer is
-    None:
-
-    - a character outside printable ASCII and "\n", or a '"'.  ``loadtxt``
-      strips the whitespace of ``str.isspace``, such as '\x1c', around a
-      number, where ``int()`` and ``float()`` do not;
-    - no rows, a blank first line, or rows of unequal width.  Other blank
-      lines are skipped, as both loaders' row readers drop blank rows;
-    - a cell ``loadtxt`` does not read, or an int beyond int64.  ``int()``
-      and ``float()`` read some of them, such as '1_0'.  An int cell that is
-      a float, such as '2.9' or '3.0', counts as not read: numpy from 1.23
-      until that deprecation expired truncates it with a DeprecationWarning,
-      which is made an error here, where ``int()`` refuses it.
-    """
-    rest = text.encode().translate(None, _PLAIN_BYTES)
-    if rest.count(b"\n") != len(rest):
-        return None
-    head, _, body = text.partition("\n")
-    if head.split(",", 1)[0].strip().lower() in header:
-        text = body
-    width = text.partition("\n")[0].count(",") + 1  # 1 for no rows or a blank first line
-    if width <= ints:
-        return None
-    dtype = np.dtype([("ints", np.int64, (ints,)), ("floats", np.float64, (width - ints,))])
-    try:
-        with warnings.catch_warnings():
-            # numpy from 1.23 until that deprecation expired reads an int cell
-            # such as '2.9' as a float and truncates it, warning only by a
-            # DeprecationWarning that default filters hide in library code
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None,
-                               quotechar=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
-        return None
-    return table["ints"], table["floats"]
 
 
 @dataclass(frozen=True)
@@ -206,6 +155,96 @@ def _unitary_pairs(lam: np.ndarray) -> np.ndarray:
     return out
 
 
+# printable ASCII but '"': in a text of these and "\n", csv.reader's row is
+# line.split(","), and np.loadtxt reads a number cell as int() and float() do
+_PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c != ord('"'))
+
+
+def numeric_columns(text: str, ints: int,
+                    header: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+    r"""(rows, ints) int64 and (rows, rest) float64 blocks of a CSV text, by
+    one ``np.loadtxt`` call, or None when the text needs a row reader.
+
+    The first line is left out when its first cell, stripped and lowercased,
+    is in ``header``.  Every other line that is not blank is one row, of
+    ``ints`` int columns and at least one float column.  The text is read
+    only when a row reader (``csv.reader`` then ``int()`` and ``float()``
+    per cell) would give the same rows and values; otherwise the answer is
+    None:
+
+    - a character outside printable ASCII and "\n", or a '"'.  ``loadtxt``
+      strips the whitespace of ``str.isspace``, such as '\x1c', around a
+      number, where ``int()`` and ``float()`` do not;
+    - a line longer than ``csv.field_size_limit()``, where ``csv.reader``
+      may refuse a cell that ``loadtxt`` reads;
+    - no rows, a blank first line, or rows of unequal width.  Other blank
+      lines are skipped, as both loaders' row readers drop blank rows;
+    - a cell ``loadtxt`` does not read, or an int beyond int64.  ``int()``
+      and ``float()`` read some of them, such as '1_0'.  An int cell that is
+      a float, such as '2.9' or '3.0', counts as not read: numpy from 1.23
+      until that deprecation expired truncates it with a DeprecationWarning,
+      which is made an error here, where ``int()`` refuses it;
+    - a float that is not finite, which neither format accepts.
+    """
+    rest = text.encode().translate(None, _PLAIN_BYTES)
+    if rest.count(b"\n") != len(rest):
+        return None
+    start, limit = 0, csv.field_size_limit()
+    while len(text) - start > limit:  # the line at start must end within limit + 1 characters
+        start = text.rfind("\n", start, start + limit + 1) + 1
+        if not start:  # no "\n" there: a line longer than limit
+            return None
+    head, _, body = text.partition("\n")
+    if head.split(",", 1)[0].strip().lower() in header:
+        text = body
+    width = text.partition("\n")[0].count(",") + 1  # 1 for no rows or a blank first line
+    if width <= ints:
+        return None
+    dtype = np.dtype([("ints", np.int64, (ints,)), ("floats", np.float64, (width - ints,))])
+    try:
+        with warnings.catch_warnings():
+            # numpy from 1.23 until that deprecation expired reads an int cell
+            # such as '2.9' as a float and truncates it, warning only by a
+            # DeprecationWarning that default filters hide in library code
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    return (table["ints"], table["floats"]) if np.isfinite(table["floats"]).all() else None
+
+
+def _csv_rows(text: str) -> tuple[list[list[str]], tuple[int, str] | None]:
+    """The rows ``csv.reader`` reads up to one it cannot read, such as a cell
+    above ``csv.field_size_limit()``, and (line, error) of that row or None."""
+    rows, reader = [], csv.reader(io.StringIO(text))
+    try:
+        rows.extend(reader)
+    except csv.Error as e:
+        return rows, (reader.line_num, str(e))
+    return rows, None
+
+
+def _read_numeric(text: str, columnar, row_reader, first_fault):
+    """(columns, what the checks found) of a numeric CSV text; the first
+    faulty row in row order raises.  ``columnar(text)`` gives the columns or
+    None; ``first_fault(columns)`` runs the array checks: what they found, and
+    None or the first faulty row's error as a function of the rows.  On a
+    None or a fault, ``row_reader(text)`` reads the text again: its rows, the
+    columns of those read up to one that does not parse, and that row's error
+    or None, which raises only when no row before it is faulty."""
+    columns = columnar(text)
+    if columns is not None:
+        found, fault = first_fault(columns)
+        if fault is None:
+            return columns, found
+    rows, columns, unreadable = row_reader(text)
+    found, fault = first_fault(columns)
+    if fault or unreadable:
+        raise fault(rows) if fault else unreadable
+    return columns, found
+
+
 def load_hecke(path: str | Path, weight: int, label: str | None = None) -> RepresentationData:
     """Load a ``p,a_p`` CSV of eigenvalues and renormalize to unit products.
 
@@ -217,21 +256,13 @@ def load_hecke(path: str | Path, weight: int, label: str | None = None) -> Repre
 
 
 def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> RepresentationData:
-    """Parse ``p,a_p`` rows; the first faulty row in row order raises.
-
-    The text is read by ``numeric_columns``.  When it reads the text and the
-    columns pass the array checks (a_p finite, p prime and ascending), they
-    are used as they are; otherwise ``_hecke_rows``, the row reader, reads the
-    text again and raises the first fault with its message.
-    """
-    columns = numeric_columns(text, 1, ("p",))
-    if columns is not None:
-        ps, values = columns[0][:, 0].copy(), columns[1][:, 0].copy()
-        if not (np.isfinite(values).all() and (ps[1:] > ps[:-1]).all()
-                and is_prime_array(ps).all()):
-            columns = None
-    if columns is None:
-        ps, values = _hecke_rows(text)
+    """Parse ``p,a_p`` rows, read by ``_read_numeric``: a_p finite, p prime
+    and ascending.  The first faulty row in row order raises."""
+    (ps, values), _ = _read_numeric(text, _hecke_columns, _hecke_rows, _hecke_fault)
+    try:
+        ps = ps.astype(np.int64)  # the row reader's p are Python ints
+    except OverflowError:
+        raise ParseError(f"prime {ps[-1]} does not fit a 64-bit integer")
     # Python float pow, once per row: numpy's pow can differ in the last bit,
     # and the file-backed report digests depend on these values
     half = (weight - 1) / 2.0
@@ -259,31 +290,21 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
     )
 
 
-def csv_rows(text: str) -> tuple[list[list[str]], tuple[int, str] | None]:
-    """The rows ``csv.reader`` reads up to one it cannot read, such as a cell
-    above ``csv.field_size_limit()``, and (line, error) of that row or None."""
-    rows, reader = [], csv.reader(io.StringIO(text))
-    try:
-        rows.extend(reader)
-    except csv.Error as e:
-        return rows, (reader.line_num, str(e))
-    return rows, None
+def _hecke_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(p, a_p) columns of a ``p,a_p`` text by ``numeric_columns``, or None."""
+    columns = numeric_columns(text, 1, ("p",))
+    return None if columns is None else (columns[0][:, 0], columns[1][:, 0])
 
 
-def _hecke_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The row reader of ``p,a_p`` text: (p, a_p) int64 and float64 columns,
-    or the error of the first faulty row in row order.
-
-    Columns and numbers, a_p finite, are checked as rows are read, up to a row
-    ``csv_rows`` cannot read.  The rows read before any such fault are then checked
-    prime in one ``is_prime_array`` pass and ascending; within a row, prime first.
-    """
-    rows, cut = csv_rows(text)
+def _hecke_rows(text: str):
+    """The row reader of ``p,a_p`` text: its rows, (p, a_p) of the rows read up to the
+    first that does not parse (a row csv cannot read, too few columns, a bad number or a
+    non-finite a_p), and that row's error or None.  p is an object array of ints."""
+    rows, cut = _csv_rows(text)
     rows = [row for row in rows if "".join(row).strip()]  # drop blank rows
     if rows and rows[0] and rows[0][0].strip().lower() == "p":
         rows = rows[1:]
-    ps: list[int] = []
-    values: list[float] = []
+    ps, values = [], []
     unreadable = ParseError(f"bad numeric row at line {cut[0]}: {cut[1]}") if cut else None
     for row in rows:
         if len(row) < 2:
@@ -299,24 +320,135 @@ def _hecke_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
             break
         ps.append(p)
         values.append(a_p)
-    column = np.array(ps, dtype=object)
-    prime = is_prime_array(column)
+    return rows, (np.array(ps, dtype=object), np.array(values, dtype=np.float64)), unreadable
+
+
+def _hecke_fault(columns: tuple[np.ndarray, np.ndarray]):
+    """(None, fault) of ``p,a_p`` columns: fault None or the error of the first row whose
+    p is not prime or not above the p before it; within a row, prime first."""
+    ps = columns[0]
+    prime = is_prime_array(ps)
     faulty = ~prime
-    faulty[1:] |= column[1:] <= column[:-1]
-    if faulty.any():
-        i = int(np.argmax(faulty))
-        p = ps[i]
-        if not prime[i]:
-            raise NonPrimeRow(f"row index {p} is not prime")
-        if p in ps[:i]:
-            raise DuplicatePrime(f"prime {p} appears twice")
-        raise ParseError(f"rows out of order at p={p}")
-    if unreadable is not None:
-        raise unreadable
-    try:
-        return np.array(ps, dtype=np.int64), np.array(values, dtype=np.float64)
-    except OverflowError:
-        raise ParseError(f"prime {ps[-1]} does not fit a 64-bit integer")
+    faulty[1:] |= ps[1:] <= ps[:-1]
+    if not faulty.any():
+        return None, None
+    i = int(np.argmax(faulty))
+    if not prime[i]:
+        return None, lambda rows: NonPrimeRow(f"row index {ps[i]} is not prime")
+    if (ps[:i] == ps[i]).any():
+        return None, lambda rows: DuplicatePrime(f"prime {ps[i]} appears twice")
+    return None, lambda rows: ParseError(f"rows out of order at p={ps[i]}")
+
+
+def load_satake(path: str | Path) -> EulerProduct:
+    """Load a Satake CSV: one place of norm q = p**f per row (p, q, alpha_re_1, alpha_im_1,
+    ...).  A prime may have several rows, one per place.  Places without parameters
+    (factor 1) or of norm above LOG_INDEX_LIMIT, which no allowed expansion
+    reaches, are left out.  The first faulty row in row order raises.
+    """
+    from .report import read
+    (p_col, q_col, widths, parts), exponents = _read_numeric(
+        read(path), _satake_columns, lambda text: _satake_rows(text, path),
+        lambda columns: _satake_fault(columns, path))
+    alphas = parts.view(np.complex128)  # (re, im) pairs in row order
+    at_row = np.repeat(np.arange(len(p_col)), widths)
+    keep = np.flatnonzero((widths > 0) & (q_col <= LOG_INDEX_LIMIT))
+    k = int(widths[keep].max(initial=0))
+    # each row's parameters, zero-padded to k
+    padded = np.zeros((len(p_col), k), dtype=np.complex128)
+    starts = np.cumsum(widths) - widths
+    slot_of = np.arange(len(alphas)) - starts[at_row]
+    fits = slot_of < k
+    padded[at_row[fits], slot_of[fits]] = alphas[fits]
+    # one (prime, place) cell per row: rows grouped by p, places kept in file order
+    ps = p_col[keep].astype(np.int64)  # a kept row has p <= q <= LOG_INDEX_LIMIT
+    order = np.argsort(ps, kind="stable")
+    ps = ps[order]
+    support, first, at, counts = np.unique(ps, return_index=True, return_inverse=True,
+                                           return_counts=True)
+    slot = np.arange(len(ps)) - first[at]
+    exps = np.zeros((len(support), counts.max(initial=0)), dtype=np.int64)
+    params = np.zeros(exps.shape + (k,), dtype=np.complex128)
+    exps[at, slot] = exponents[keep][order]
+    params[at, slot] = padded[keep][order]
+
+    def places(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.searchsorted(support, query)
+        return exps[rows], params[rows]
+
+    return EulerProduct(places=places, universe=ExplicitList(tuple(support.tolist())))
+
+
+def _satake_columns(text: str):
+    """(p, q, widths, parameter parts) of a Satake text by ``numeric_columns``,
+    or None unless every row reads, with an even width and q >= 2."""
+    columns = numeric_columns(text, 2, ("p", "#"))
+    if columns is None or columns[1].shape[1] % 2 or (columns[0][:, 1] < 2).any():
+        return None
+    ints, floats = columns
+    return ints[:, 0], ints[:, 1], np.full(len(ints), floats.shape[1] // 2), floats.ravel()
+
+
+def _satake_rows(text: str, path: str | Path):
+    """The row reader of a Satake text: its rows, (p, q, widths, parameter parts) of the
+    rows read up to the first that does not parse (a row csv cannot read, bad columns, a
+    non-finite parameter, an odd parameter count, or q < 2), and that row's error, the
+    error of a text without rows, or None.  p and q are object arrays of ints."""
+    rows, cut = _csv_rows(text)
+    rows = [row for row in rows if row and row[0].strip().lower() not in ("p", "#")]
+    ps, qs, widths, parts = [], [], [], []
+    unreadable = (ParseError(f"bad Satake row at line {cut[0]} in {path}: {cut[1]}") if cut
+                  else None if rows else ParseError(f"no Satake rows in {path}"))
+    for row in rows:
+        try:
+            p, q = int(row[0]), int(row[1])
+            values = list(map(float, row[2:]))
+        except (IndexError, ValueError):
+            unreadable = ParseError(f"bad Satake row {row!r} in {path}")
+            break
+        if not all(map(math.isfinite, values)):
+            unreadable = ParseError(f"bad Satake row {row!r} in {path}: non-finite parameter")
+            break
+        if len(values) % 2:
+            unreadable = ParseError(f"bad Satake row {row!r} in {path}: odd parameter column count")
+            break
+        if q < 2:
+            unreadable = UsageError(f"norm must be >= 2, got {q}")
+            break
+        ps.append(p)
+        qs.append(q)
+        widths.append(len(values) // 2)
+        parts += values
+    return rows, (np.array(ps, dtype=object), np.array(qs, dtype=object),
+                  np.array(widths, dtype=np.int64), np.array(parts, dtype=np.float64)), unreadable
+
+
+def _satake_fault(columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                  path: str | Path):
+    """(exponents, fault) of Satake columns: f with q = p**f for the rows that pass, and
+    None or the error of the first row whose p is not prime, whose q is not a power of p
+    (rest, q with p divided out, is not 1) or with a zero parameter."""
+    p_col, q_col, widths, parts = columns
+    prime = is_prime_array(p_col)
+    rest = q_col.copy()
+    exponents = np.zeros(len(p_col), dtype=np.int64)  # q = p**f, by division while it goes
+    todo = np.flatnonzero(prime)
+    while len(todo):
+        todo = todo[rest[todo] % p_col[todo] == 0]
+        rest[todo] //= p_col[todo]
+        exponents[todo] += 1
+    at_row = np.repeat(np.arange(len(p_col)), widths)
+    zero = np.bincount(at_row[parts.view(np.complex128) == 0], minlength=len(p_col)) > 0
+    faulty = ~prime | (rest != 1) | zero
+    if not faulty.any():
+        return exponents, None
+    i = int(np.argmax(faulty))
+    if not prime[i]:
+        return exponents, lambda rows: NonPrimeRow(f"row prime {p_col[i]} in {path} is not prime")
+    if rest[i] != 1:
+        return exponents, lambda rows: ParseError(f"bad Satake row {rows[i]!r} in {path}: "
+                                                  f"{q_col[i]} is not a power of {p_col[i]}")
+    return exponents, lambda rows: UsageError("local parameters must be nonzero")
 
 
 # splitmix64 (Steele, Lea and Flood, OOPSLA 2014) on uint64 arrays; numpy

@@ -18,11 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smolab import cli, euler
+from smolab import cli, euler, hecke
 from smolab.cli import main
 from smolab.errors import NonPrimeRow, ParseError, SmolabError, UsageError
 from smolab.report import Report, canonical_json, emit
 from smolab.sieve import is_prime
+from smolab.tau import tau_csv_text
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -524,7 +525,7 @@ def test_non_finite_file_values_are_parse_errors(capsys, tmp_path):
 
 def test_oversized_satake_cell_is_a_parse_error(capsys, tmp_path):
     # ended in a csv.Error traceback; a faulty row before it still wins
-    satake, big = tmp_path / "satake.csv", "3" * 140000
+    satake, big, zeros = tmp_path / "satake.csv", "3" * 140000, "0" * 140000
     argv = ("euler", "positivity", "--data", str(satake), "--max-index", "100")
     for text, message in (
             (f"p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,{big},1.0,0.0\n5,5,1.0,0.0\n",
@@ -537,9 +538,41 @@ def test_oversized_satake_cell_is_a_parse_error(capsys, tmp_path):
              f"non-prime-row: row prime 4 in {satake} is not prime"),
             (f"p,q,a1_re,a1_im\n2,2,1.0\n3,{big},1.0,0.0\n",
              f"parse-error: bad Satake row ['2', '2', '1.0'] in {satake}: "
-             "odd parameter column count")):
+             "odd parameter column count"),
+            # a valid parameter past the limit, which np.loadtxt reads and csv.reader
+            # does not: the verdict is the row reader's whether a faulty row follows
+            (f"p,q,a1_re,a1_im\n2,2,1.{zeros},0.0\n3,3,1.0,0.0\n",
+             f"parse-error: bad Satake row at line 2 in {satake}: "
+             "field larger than field limit (131072)"),
+            (f"p,q,a1_re,a1_im\n2,2,1.{zeros},0.0\n3,3,1.0,0.0\n4,4,1.0,0.0\n",
+             f"parse-error: bad Satake row at line 2 in {satake}: "
+             "field larger than field limit (131072)")):
         satake.write_text(text)
         assert run(capsys, *argv) == (1, "", message + "\n")
+
+
+def test_benchmark_tracer_sees_the_file_parse(capsys, tmp_path, monkeypatch):
+    # perfbench/tracer.py times the eigenvalue parse and the report emission by
+    # patching cli.load_hecke and cli.emit, so the CLI must keep calling both there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import SPAN_NAMES, Tracer
+
+    tau, satake = tmp_path / "tau.csv", tmp_path / "satake.csv"
+    tau.write_text(tau_csv_text(200))
+    satake.write_text("p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,3,-1.0,0.0\n")
+    tracer = Tracer()
+    tracer.install()
+    patches = list(tracer._patches)
+    try:
+        for argv in (("smo", "tempered", "--data", str(tau), "--selector", "mod:8:1"),
+                     ("euler", "positivity", "--data", str(satake))):
+            assert run(capsys, "--workers", "1", *argv)[0] == 0, argv
+    finally:
+        tracer.uninstall()
+    spans = [SPAN_NAMES[i] for i in tracer.spans()["name"]]
+    assert spans.count("hecke.parse") == 1 and spans.count("report.emit") == 2
+    assert ("load_hecke" in (attr for _, attr, _ in patches)
+            and all(vars(owner)[attr] is original for owner, attr, original in patches))
 
 
 def test_non_finite_numbers_are_usage_errors(capsys, tmp_path):
@@ -896,7 +929,7 @@ def _satake_oracle(path: str):
 
 def _satake_outcome(path: str):
     try:
-        product = cli._load_satake_csv(path)
+        product = hecke.load_satake(path)
     except SmolabError as exc:
         return exc.code, str(exc)
     exps, params = product.places(np.array(sorted(product.universe.primes), dtype=np.int64))
@@ -1002,7 +1035,7 @@ def test_workload_shaped_satake_file_takes_the_columnar_read(tmp_path, monkeypat
         lines.append(",".join([str(p), str(p)] + [repr(v) for v in
                                                   (1.0, 0.0, c, s, c, -s, 1.0, 0.0)]))
     text = "\n".join(lines) + "\n"
-    ints, floats = cli.numeric_columns(text, 2, ("p", "#"))
+    ints, floats = hecke.numeric_columns(text, 2, ("p", "#"))
     assert ints.shape == (6, 2) and floats.shape == (6, 8)
     path = tmp_path / "satake.csv"
     path.write_text(text)
@@ -1011,7 +1044,7 @@ def test_workload_shaped_satake_file_takes_the_columnar_read(tmp_path, monkeypat
     def row_reader(text, path):
         raise AssertionError("the row reader ran on a plain Satake file")
 
-    monkeypatch.setattr(cli, "_satake_rows", row_reader)
+    monkeypatch.setattr(hecke, "_satake_rows", row_reader)
     assert repr(_satake_outcome(str(path))) == repr(expected)
 
 
@@ -1032,7 +1065,7 @@ def test_satake_q_read_via_a_float_goes_to_the_row_reader(tmp_path, monkeypatch)
     path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert cli.numeric_columns(text, 2, ("p", "#")) is None
+        assert hecke.numeric_columns(text, 2, ("p", "#")) is None
         outcome = _satake_outcome(str(path))
     assert isinstance(outcome[1], str) and repr(outcome) == repr(_satake_oracle(str(path)))
 
