@@ -15,8 +15,7 @@ from .experiments import (compare_local, inert_experiment, pole_order_estimate,
                           rajan_criterion, tempered_bound_check,
                           tower_degree_check, z_ratio)
 from .fields import FieldSpec, parse_fieldspec
-from .groups import (FiniteGroup, build_group, bundled_catalog, catalog,
-                     conjugacy_classes, direct_product)
+from .groups import FiniteGroup, build_group, bundled_catalog, catalog, direct_product
 from .hecke import (RepresentationData, load_hecke, synthetic_tempered,
                     synthetic_with_profile)
 from .selectors import (AllPrimes, CongruenceSelector, DegreeSelector,

@@ -55,10 +55,15 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    """Integers in any spelling ``float()`` reads, such as 1e6; a value that
+    is not integral, such as 2.5 or inf, is refused rather than truncated."""
     try:
-        return tuple(int(float(t)) for t in text.split(",") if t.strip())
-    except (ValueError, OverflowError):
-        raise UsageError(f"cannot parse integer list {text!r}")
+        values = tuple(float(t) for t in text.split(",") if t.strip())
+        if all(v.is_integer() for v in values):  # inf and nan are not
+            return tuple(int(v) for v in values)
+    except ValueError:
+        pass
+    raise UsageError(f"cannot parse integer list {text!r}")
 
 
 def _parse_fraction(text: str) -> Fraction:

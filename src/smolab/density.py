@@ -12,12 +12,15 @@ sums of p^-s, and takes them from one call, ``sieve.class_sums``.  The
 natural and Dirichlet estimators put the selected primes in class 0, the
 other unramified ones in class 1 and the excluded ones nowhere
 (``_selector_classes``); ``frobstats`` uses the cosets of (Z/N)*/H and
-``prime_zeta`` one class of all primes.  ``class_sums`` reads the classes
-off Lucy's recurrence by residue class, one ``sieve.residue_sums`` call,
-whenever the sieve's cost model accepts the modulus, and otherwise off one
-sieve walk; a selector with no residue table (``list:``, or a compound
-holding one) always sieves, and a huge compound modulus is refused by the
-model before its table is built.
+``prime_zeta`` one class of all primes.  Each names its classes once, by a
+function of a prime array, with the modulus its classes depend on.
+``class_sums`` reads the classes off Lucy's recurrence by residue class, one
+``sieve.residue_sums`` call, whenever the sieve's cost model accepts the
+modulus, and otherwise off one sieve walk; a selector with no modulus
+(``list:``, or a compound holding one) always sieves, and a huge compound
+modulus is refused by the model before any table is built.  The prime cap
+is checked once, where the walk starts (``sieve.residue_sums`` or
+``sieve.segment_map``).
 In process on a 2-vCPU x86-64 VM, ``density natural`` took about 0.02 s
 for mod:4 on the grid 1e6, 1e7, 1e8, and ``frobstats`` 0.03 s for N = 11
 at 1e8, against 0.36 s for one sieve to 1e8.  ``frobstats`` then takes
@@ -41,9 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LimitExceeded, UsageError
+from .errors import UsageError
 from .selectors import PrimeSelector
-from .sieve import PRIME_LIMIT, class_sums, prime_stream, simple_sieve, unit_mask
+from .sieve import class_sums, prime_stream, simple_sieve
 # segment_map is not called here; perfbench/tracer.py wraps it under this name
 from .sieve import segment_map
 
@@ -70,8 +73,6 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
         raise UsageError("need at least one x cutoff")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError("x grid must be strictly ascending")
-    if grid[-1] > PRIME_LIMIT:
-        raise LimitExceeded(f"natural density cutoff capped at {PRIME_LIMIT}")
     counts = class_sums(grid, 2, *_selector_classes(selector), workers=workers)
     sel_tot, un_tot = counts[:, 0], counts.sum(axis=1)
     ratios = tuple(float(s) / u if u else 0.0 for s, u in zip(sel_tot, un_tot))
@@ -89,26 +90,23 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
 
 
 def _selector_classes(selector: PrimeSelector):
-    """The ``class_sums`` arguments (of_primes, modulus, of_residues) that put a
-    selector's primes in class 0, the other unramified primes in class 1 and
-    the excluded primes in class -1.
+    """The ``class_sums`` arguments (classes, modulus) that put a selector's
+    primes in class 0, the other unramified primes in class 1 and the
+    excluded primes in class -1.
 
-    The residue classes come from ``residue_table`` and the units mod N: the
-    primes at a non-unit residue divide N, and they are exactly the excluded
-    ones."""
+    The modulus is the selector's ``congruence_modulus`` N, None when it has
+    no congruence description: its mask depends only on p mod N, and the
+    excluded primes are those dividing N, so the recurrence may read the
+    classes off the residues mod N."""
     excluded = np.array(sorted(selector.excluded), dtype=np.int64)
 
-    def of_primes(primes: np.ndarray) -> np.ndarray:
-        classes = np.where(selector.mask(primes), 0, 1)
+    def classes(primes: np.ndarray) -> np.ndarray:
+        out = np.where(selector.mask(primes), 0, 1)
         if len(excluded):
-            classes[np.isin(primes, excluded)] = -1
-        return classes
+            out[np.isin(primes, excluded)] = -1
+        return out
 
-    def of_residues() -> np.ndarray:
-        modulus, table = selector.residue_table()
-        return np.where(table, 0, np.where(unit_mask(modulus), 1, -1))
-
-    return of_primes, selector.congruence_modulus(), of_residues
+    return classes, selector.congruence_modulus()
 
 
 def dirichlet_density_estimate(selector: PrimeSelector, s_grid, cutoff: int,
@@ -124,8 +122,6 @@ def dirichlet_density_estimate(selector: PrimeSelector, s_grid, cutoff: int,
         raise UsageError("s grid must lie in (1, 2]")
     if any(b >= a for a, b in zip(s_values, s_values[1:])):
         raise UsageError("s grid must descend toward 1")
-    if cutoff > PRIME_LIMIT:
-        raise LimitExceeded(f"dirichlet cutoff capped at {PRIME_LIMIT}")
     numerator, num_floored, reference, ref_floored = _dirichlet_sums(
         selector, np.array(s_values), cutoff, workers)
     log_terms = [math.log(1.0 / (s - 1.0)) for s in s_values]
@@ -210,10 +206,8 @@ class FrobeniusStatistics:
 
 def frobenius_statistics(fs, cutoff: int, workers: int | None = None) -> FrobeniusStatistics:
     """Tally the class of p in (Z/N)*/H over unramified primes p <= cutoff."""
-    if cutoff > PRIME_LIMIT:
-        raise LimitExceeded(f"cutoff capped at {PRIME_LIMIT}")
     counts = class_sums([cutoff], len(fs.class_labels), fs.classes, fs.modulus,
-                        lambda: fs.classes(np.arange(fs.modulus)), workers=workers)[0]
+                        workers=workers)[0]
     first_hits = tuple(int(f) for f in _first_hits(fs.classes, cutoff, counts > 0))
     total = int(counts.sum())
     return FrobeniusStatistics(
@@ -255,9 +249,7 @@ def prime_zeta(s: float, cutoff: int, workers: int | None = None) -> PrimeZetaSc
     """Truncated sum over primes of p^-s and its offset from log(1/(s-1))."""
     if s <= 1.0:
         raise UsageError("prime power-sum scan needs s > 1")
-    if cutoff > PRIME_LIMIT:
-        raise LimitExceeded(f"cutoff capped at {PRIME_LIMIT}")
-    total = float(class_sums([cutoff], 1, None, 1, lambda: np.zeros(1, dtype=np.int64),
+    total = float(class_sums([cutoff], 1, lambda seg: np.zeros(len(seg), dtype=np.int64), 1,
                              exponents=[s], workers=workers)[0, 0, 0])
     if cutoff >= 2:
         tail = cutoff ** (1.0 - s) / ((s - 1.0) * math.log(cutoff))

@@ -61,8 +61,8 @@ class LimitExceeded(SmolabError):
 class PoleHit(SmolabError):
     code = "pole-hit"
 
-    def __init__(self, index: int, message: str = ""):
-        super().__init__(message or f"evaluation point is a pole of parameter {index}")
+    def __init__(self, index: int):
+        super().__init__(f"evaluation point is a pole of parameter {index}")
         self.index = index
 
 

@@ -99,18 +99,15 @@ class RankinSelbergCoefficient:
 
     conjugated: complex   # sum_ij a_i conj(a_j) = |sum_i a_i|^2
     unconjugated: complex  # sum_ij a_i a_j = (sum_i a_i)^2
-    primary: complex
 
 
-def rs_leading_coefficient(f: LocalFactor, conjugated: bool = True) -> RankinSelbergCoefficient:
+def rs_leading_coefficient(f: LocalFactor) -> RankinSelbergCoefficient:
     if f.k < 1:
         raise UsageError("need at least one local parameter")
     total = sum(f.alphas)
     conj_val = sum(a * b.conjugate() for a in f.alphas for b in f.alphas)
     unconj_val = total * total
-    return RankinSelbergCoefficient(
-        conjugated=conj_val, unconjugated=unconj_val,
-        primary=conj_val if conjugated else unconj_val)
+    return RankinSelbergCoefficient(conjugated=conj_val, unconjugated=unconj_val)
 
 
 # -- global (truncated) products -------------------------------------------------
@@ -290,7 +287,7 @@ def convergence_probe(selector: PrimeSelector, delta: float, sigmas,
             rows.append(mult * np.where(x < 1.0, -np.log1p(-np.clip(x, None, 1.0 - 1e-15)), np.inf))
         return [(norms, rows)]
 
-    sums = prefix_sums(selector.max_prime_for_norm(cuts[-1]), cuts, (len(sig), 1), per_class)
+    sums = prefix_sums(selector.max_prime_for_norm(cuts[-1]), cuts, per_class)
     partials = {s: tuple(float(v) for v in sums[:, i, 0]) for i, s in enumerate(sig)}
     classifications = {s: "stabilized" if len(v) >= 2 and math.isfinite(v[-1])
                        and abs(v[-1] - v[-2]) < STABILIZE_TOL else "growing"

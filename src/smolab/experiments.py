@@ -23,8 +23,8 @@ from .euler import (GRCBoundProfile, ConvergenceProbe, convergence_probe,
 from .fields import FieldSpec
 from .hecke import RepresentationData, parameter_sums, require_size_bound
 from .selectors import DegreeSelector, ExplicitList, Intersection, PrimeSelector
-from .sieve import (class_sums, is_prime, iter_prime_segments, prefix_sums, prime_array,
-                    prime_stream, restrict, segment_map)
+from .sieve import (PRIME_LIMIT, class_sums, is_prime, iter_prime_segments, prefix_sums,
+                    prime_array, prime_stream, restrict, segment_map)
 
 COEFF_EQ_TOL = 1e-9
 PROBE_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
@@ -142,7 +142,7 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
     """Slope of truncated sums sum_{p in S} c_p p^-(1+eps) against log(1/eps).
 
     Cutoffs are coupled to eps as min(10^8, exp(1.5/eps)); an eps whose
-    minimal honest cutoff exp(1/eps) cannot fit under the 10^9 sieve wall is
+    minimal honest cutoff exp(1/eps) lies above the prime cap PRIME_LIMIT is
     rejected.  A first-order pole shows up as slope ~ density of S.
     ``coefficient_fn`` maps a prime array to a weight array (|coefficient|^2
     for self-pairings); None means weight 1, the plain zeta shape.  With
@@ -154,7 +154,7 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
     if len(set(eps_values)) < 3:
         raise UsageError("slope fit needs at least 3 distinct epsilon points")
     for eps in eps_values:
-        if eps <= 0 or math.exp(1.0 / eps) > 10**9:
+        if eps <= 0 or math.exp(1.0 / eps) > PRIME_LIMIT:
             raise InfeasibleEpsilon(
                 f"eps={eps}: coupled cutoff exp(1/eps) exceeds the sieve limit")
     cutoffs = [_coupled_cutoff(e) for e in eps_values]
@@ -164,10 +164,9 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
         cutoffs = [min(c, data_limit) for c in cutoffs]
     exponents = np.array([1.0 + e for e in eps_values])
     if coefficient_fn is None:
-        of_primes = lambda seg: np.where(selector.mask(seg), 0, -1)
-        of_residues = lambda: np.where(selector.residue_table()[1], 0, -1)
-        sums = np.array([class_sums([cut], 1, of_primes, selector.congruence_modulus(),
-                                    of_residues, exponents=[e], workers=workers)[0, 0, 0]
+        classes = lambda seg: np.where(selector.mask(seg), 0, -1)
+        sums = np.array([class_sums([cut], 1, classes, selector.congruence_modulus(),
+                                    exponents=[e], workers=workers)[0, 0, 0]
                          for cut, e in zip(cutoffs, exponents.tolist())])
     else:
         def per_class(seg: np.ndarray) -> list:
@@ -176,8 +175,7 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
             pf = chosen.astype(np.float64)
             return [(chosen, [weights * pf ** (-e) for e in exponents])]
 
-        sums = prefix_sums(max(cutoffs), cutoffs, (len(cutoffs), 1), per_class,
-                           workers)[:, :, 0].diagonal()
+        sums = prefix_sums(max(cutoffs), cutoffs, per_class, workers)[:, :, 0].diagonal()
     L = np.array([math.log(1.0 / e) for e in eps_values])
     slope, stderr = _least_squares_slope(L, sums)
     return PoleOrderEstimate(
@@ -221,7 +219,7 @@ class TemperedBoundReport:
 
 
 def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
-                         eps_grid=None, workers: int | None = None) -> TemperedBoundReport:
+                         workers: int | None = None) -> TemperedBoundReport:
     """Measure the self-pairing log growth over S against n^2 * density(S).
 
     The leading coefficient of the self-pairing at p is |coefficient(p)|^2
@@ -242,7 +240,7 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
     def weights(primes: np.ndarray) -> np.ndarray:
         return np.abs(A.coefficient_array(primes)) ** 2
 
-    estimate = pole_order_estimate(weights, _scan_universe(selector, A), eps_grid=eps_grid,
+    estimate = pole_order_estimate(weights, _scan_universe(selector, A),
                                    data_limit=A.universe.largest_prime, workers=workers)
     n = A.degree
     bound = float(n * n * density)
@@ -396,7 +394,7 @@ def rajan_criterion(selector: PrimeSelector, n: int,
         norms = selector.norms(chosen)
         return [(norms, [selector.place_multiplicity(chosen) * norms ** (-float(exponent))])]
 
-    sums = prefix_sums(selector.max_prime_for_norm(max(cuts, default=1)), cuts, (1, 1), per_class)
+    sums = prefix_sums(selector.max_prime_for_norm(max(cuts, default=1)), cuts, per_class)
     partials = tuple(float(v) for v in sums[:, 0, 0])
     if isinstance(selector, ExplicitList):
         verdict = "summable"

@@ -93,7 +93,6 @@ class RepresentationData:
     coefficient_fn: ArrayFn | None = field(default=None, compare=False)
     ramified: frozenset[int] = frozenset()
     universe: PrimeSelector = AllPrimes()
-    normalization: str = "unitary"
     warnings: tuple[str, ...] = ()
 
     def satake_array(self, primes) -> np.ndarray:
@@ -245,14 +244,14 @@ def _read_numeric(text: str, columnar, row_reader, first_fault):
     return columns, found
 
 
-def load_hecke(path: str | Path, weight: int, label: str | None = None) -> RepresentationData:
+def load_hecke(path: str | Path, weight: int) -> RepresentationData:
     """Load a ``p,a_p`` CSV of eigenvalues and renormalize to unit products.
 
     Rows must be ascending in p with no duplicates; entries breaking the
     |a_p| <= 2 p^((k-1)/2) size bound are kept but recorded as warnings.
     """
     from .report import read  # here, so that import smolab loads no json or hashlib
-    return parse_hecke_text(read(path), weight, label=label or Path(path).stem)
+    return parse_hecke_text(read(path), weight, label=Path(path).stem)
 
 
 def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> RepresentationData:
@@ -285,7 +284,6 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
         satake_fn=lambda primes: _unitary_pairs(coefficient(primes)),
         coefficient_fn=coefficient,
         universe=ExplicitList(tuple(ps.tolist())),
-        normalization=f"a_p / p^({weight - 1}/2), parameter product 1",
         warnings=tuple(warnings),
     )
 
@@ -516,12 +514,10 @@ def synthetic_tempered(seed: int, degree: int = 2, label: str | None = None) -> 
     return RepresentationData(
         label=label or f"synthetic-tempered(seed={seed})",
         degree=degree, satake_fn=satake,
-        normalization="unit-circle conjugate pairs",
     )
 
 
-def synthetic_with_profile(seed: int, profile, degree: int = 2,
-                           label: str | None = None) -> RepresentationData:
+def synthetic_with_profile(seed: int, profile, degree: int = 2) -> RepresentationData:
     """Parameters with |a| up to q^delta for the given bound profile.
 
     Pairs are (a, 1/conj(a)) with a = p^t e^(i theta), theta uniform in
@@ -539,9 +535,8 @@ def synthetic_with_profile(seed: int, profile, degree: int = 2,
         return _conjugate_pairs(radius * unit, unit / radius, degree)
 
     return RepresentationData(
-        label=label or f"synthetic-{profile.name}(seed={seed})",
+        label=f"synthetic-{profile.name}(seed={seed})",
         degree=degree, satake_fn=satake,
-        normalization=f"|a| <= q^{profile.exponent}, parameter product 1",
     )
 
 

@@ -37,8 +37,10 @@ count either.
 
 ``class_sums`` is the one entry point of the prime statistics (natural and
 Dirichlet densities, ``frobstats``, ``prime_zeta``, the unweighted pole
-order): per-class counts or sums of p^-s, for classes of primes given by
-residue or by a callable.  It is the only consumer of ``residue_counts_pay``,
+order): per-class counts or sums of p^-s.  A statistic names its classes
+once, by a function of a prime array, and states the modulus when they
+depend only on p mod it; the recurrence then derives the class of every
+residue from that function.  It is the only consumer of ``residue_counts_pay``,
 whose cost model and measurements are in its docstring, and takes the
 recurrence whenever the model predicts it cheaper than the sieve.  At 1e8
 the counts took about 0.010 s for q = 4 and 0.014 s for the 6 coset rows of
@@ -284,29 +286,32 @@ def segment_map(limit: int, fn: Callable[[np.ndarray], R],
         return list(pool.map(job, bounds))
 
 
-def prefix_sums(limit: int, cuts, shape: tuple[int, int],
-                of_primes: Callable[[np.ndarray], list], workers: int | None = None) -> np.ndarray:
+def prefix_sums(limit: int, cuts, of_primes: Callable[[np.ndarray], list],
+                workers: int | None = None) -> np.ndarray:
     """Entry [g, r, c] sums row r of class c over the keys <= cuts[g]
     (compared as float64), from one ``segment_map`` walk to ``limit``.
 
-    ``of_primes`` maps a segment's primes to shape[1] ``(keys, rows)`` pairs,
-    one per class: ascending keys, such as primes or norms, and shape[0]
-    float64 rows aligned with them.  Per segment each sum is one pairwise
+    ``of_primes`` maps a segment's primes to one ``(keys, rows)`` pair per
+    class, at least one: ascending keys, such as primes or norms, and the
+    same number of float64 rows in every class, aligned with them.  The
+    shape is read off the pairs of no primes, which also make the result
+    when there is no segment.  Per segment each sum is one pairwise
     ``row[:end].sum()`` at the ``searchsorted`` end; segments add up in order
     from 0.0, so the result does not depend on the worker count.
     """
     bounds = np.asarray(cuts, dtype=np.float64)
 
     def per_segment(seg: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(bounds),) + shape)
-        for c, (keys, rows) in enumerate(of_primes(seg)):
+        pairs = of_primes(seg)
+        out = np.zeros((len(bounds), len(pairs[0][1]), len(pairs)))
+        for c, (keys, rows) in enumerate(pairs):
             ends = np.searchsorted(keys, bounds, side="right").tolist()
             for r, row in enumerate(rows):
                 for g, end in enumerate(ends):
                     out[g, r, c] = row[:end].sum()
         return out
 
-    total = np.zeros((len(bounds),) + shape)
+    total = per_segment(np.array([], dtype=np.int64))
     for part in segment_map(limit, per_segment, workers=workers):
         total += part
     return total
@@ -664,25 +669,25 @@ def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
     return seconds <= 3.5e-9 * top
 
 
-def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarray] | None,
-               modulus: int | None = None, of_residues: Callable[[], np.ndarray] | None = None,
-               exponents=None, workers: int | None = None) -> np.ndarray:
+def class_sums(grid, n_classes: int, classes: Callable[[np.ndarray], np.ndarray],
+               modulus: int | None = None, exponents=None,
+               workers: int | None = None) -> np.ndarray:
     """Per-class prime counts, or per-class sums of p^-s, at every point g of ``grid``.
 
-    Every prime has a class in range(n_classes), or -1 when it is left out.
-    ``of_primes`` maps an ascending prime array to its classes.  When they
-    depend only on p mod ``modulus``, ``of_residues()`` gives them as an int
-    array over range(modulus), which the sieve path also reads when
-    ``of_primes`` is None.  With ``exponents`` None the result is the int64
+    Every prime has a class in range(n_classes), or -1 when it is left out:
+    ``classes`` maps an ascending prime array to them.  When they depend
+    only on p mod ``modulus``, passing it lets the recurrence read them off
+    the residue classes.  With ``exponents`` None the result is the int64
     counts of the primes p <= g, of shape (len(grid), n_classes); otherwise
     the float64 sums, of shape (len(grid), len(exponents), n_classes).
 
     When ``residue_counts_pay`` accepts the modulus, one ``residue_sums``
     call gives every residue class at every point, by its readout rule, and
-    only then is ``of_residues`` called, so a modulus the model refuses
-    never builds its table.  Counts walk one row per coset of the units that
-    fix the table (``_coset_rows``), sums one row per unit.  Otherwise one walk
-    to max(grid) classifies each segment, counts by ``bincount`` and sums by
+    only then is the class table over range(modulus) built
+    (``_residue_classes``), so a modulus the model refuses never builds it.
+    Counts walk one row per coset of the units that fix the table
+    (``_coset_rows``), sums one row per unit.  Otherwise one walk to
+    max(grid) classifies each segment, counts by ``bincount`` and sums by
     ``prefix_sums``, and the per-segment results add up in segment order.
 
     A class sum is one pairwise ``.sum()`` over a contiguous row in ascending
@@ -697,25 +702,22 @@ def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarra
     grid = [int(g) for g in grid]
     k = None if exponents is None else len(exponents)
     if modulus is not None and residue_counts_pay(grid, modulus, k):
-        table = np.asarray(of_residues())
+        table = _residue_classes(classes, modulus)
         row_of = _coset_rows(modulus, table) if k is None else None
         return _reduce_classes(residue_sums(grid, modulus, exponents, row_of), table, n_classes)
-    if of_primes is None:
-        table = np.asarray(of_residues())
-        of_primes = lambda seg: table[residues(seg, modulus)]
     if k is not None:
         powers = [-float(s) for s in exponents]
 
         def per_class(seg: np.ndarray) -> list:
-            classes = of_primes(seg)
-            members = [seg[classes == c] for c in range(n_classes)]
+            of_seg = classes(seg)
+            members = [seg[of_seg == c] for c in range(n_classes)]
             return [(p, [p.astype(np.float64) ** power for power in powers]) for p in members]
 
-        return prefix_sums(max(grid), grid, (k, n_classes), per_class, workers)
+        return prefix_sums(max(grid), grid, per_class, workers)
     bounds = np.array(grid, dtype=np.int64)
 
     def per_segment(seg: np.ndarray) -> np.ndarray:
-        shifted = of_primes(seg) + 1  # class -1 lands in the dropped column 0
+        shifted = classes(seg) + 1  # class -1 lands in the dropped column 0
         cuts, at = np.unique(np.searchsorted(seg, bounds, side="right"), return_inverse=True)
         return np.stack([np.bincount(shifted[:cut], minlength=n_classes + 1)[1:]
                          for cut in cuts.tolist()])[at]
@@ -724,6 +726,20 @@ def class_sums(grid, n_classes: int, of_primes: Callable[[np.ndarray], np.ndarra
     for part in segment_map(max(grid), per_segment, workers=workers):
         total += part
     return total
+
+
+def _residue_classes(classes: Callable[[np.ndarray], np.ndarray], q: int) -> np.ndarray:
+    """The class of the primes at each residue mod q, as an int64 array over
+    range(q): ``classes`` of the residue itself at the units, ``classes`` of
+    p at the residue of each prime p dividing q (0 for p = q), and -1 at the
+    other residues, which hold no prime.  Leaving those in a class would add
+    zero cells to its pairwise sum and could move its last bits.  One call
+    of ``classes`` takes the residues and those primes together."""
+    divisors = np.array(sorted(prime_divisors(q)), dtype=np.int64)
+    of = np.asarray(classes(np.concatenate((np.arange(q, dtype=np.int64), divisors))))
+    table = np.where(unit_mask(q), of[:q], -1).astype(np.int64)
+    table[divisors % q] = of[q:]
+    return table
 
 
 def _reduce_classes(per_residue: np.ndarray, table: np.ndarray, n_classes: int) -> np.ndarray:

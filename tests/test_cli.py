@@ -472,6 +472,9 @@ BAD_ARGV = [
     ("charlab", "table", "cyclic(" + "9" * 5000 + ")"),
     ("smo", "tempered", "--data", "big_tau.csv", "--selector", "mod:8:1"),
     ("euler", "positivity", "--data", "big_satake.csv", "--max-index", "100"),
+    ("density", "natural", "--selector", "mod:4:1", "--x", "1000.9,2.5e3"),
+    ("euler", "probe", "--fieldspec", "field.txt", "--degree", "2", "--delta", "1/4",
+     "--sigma", "0.8", "--cutoffs", "1.5,10.7"),
 ]
 
 
@@ -591,6 +594,22 @@ def test_non_finite_numbers_are_usage_errors(capsys, tmp_path):
              "usage-error: cannot parse complex number 'inf'")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err == message + "\n", (argv, err)
+
+
+def test_non_integral_list_values_are_usage_errors(capsys, tmp_path):
+    # each exited 0 with its values truncated: --x as 1000 and 2500, the
+    # cutoffs as 1 and 10 while the inputs echoed "1.5,10.7"
+    field = tmp_path / "field.txt"
+    field.write_text("N=4\nH=\n")
+    for argv, text in (
+            (("density", "natural", "--selector", "mod:4:1", "--x", "1000.9,2.5e3"),
+             "1000.9,2.5e3"),
+            (("euler", "probe", "--fieldspec", str(field), "--degree", "2", "--delta", "1/4",
+              "--sigma", "0.8", "--cutoffs", "1.5,10.7"), "1.5,10.7")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"usage-error: cannot parse integer list {text!r}\n")
+    code, out, _ = run(capsys, "density", "natural", "--selector", "mod:4:1", "--x", "1e3,2.5e3")
+    assert code == 0 and json.loads(out)["results"]["sample_points"] == [1000.0, 2500.0]
 
 
 def test_fractions_too_large_for_a_float_are_usage_errors(capsys, tmp_path):

@@ -14,7 +14,7 @@ from smolab.fields import FieldSpec
 from smolab.report import canonical_json
 from smolab.selectors import (AllPrimes, Complement, CongruenceSelector,
                               DegreeSelector, Intersection, NoPrimes, Union)
-from smolab.sieve import iter_prime_segments, segment_map, simple_sieve
+from smolab.sieve import PRIME_LIMIT, iter_prime_segments, segment_map, simple_sieve, unit_mask
 
 
 def test_natural_density_all_is_one():
@@ -277,6 +277,52 @@ def test_recurrence_walks_one_row_per_coset_for_counts(run, rows, by_residue):
         run()
     assert walk.call_count >= 1
     assert {call.args[2].shape[0] for call in walk.call_args_list} == {rows}
+
+
+def reduced_tables(run) -> list:
+    """The class tables over range(modulus) that ``class_sums`` reduces by during ``run()``."""
+    with mock.patch.object(smolab.sieve, "_reduce_classes",
+                           wraps=smolab.sieve._reduce_classes) as reduce:
+        run()
+    return [call.args[1].tolist() for call in reduce.call_args_list]
+
+
+# class_sums derives the table from the one class function of a statistic:
+# a table read off np.arange(q) alone would put the prime q of a prime modulus
+# in a class (residue 0 of DegreeSelector(FieldSpec(5), 1)), and one keeping
+# the non-units in a class would add zero cells to that class's float sums
+@pytest.mark.parametrize("selector", [case[0] for case in NATURAL_CASES], ids=lambda v: str(v))
+def test_derived_selector_table_is_the_residue_rule(selector, by_residue):
+    modulus, table = selector.residue_table()
+    expected = np.where(table, 0, np.where(unit_mask(modulus), 1, -1))
+    assert reduced_tables(lambda: natural_density_estimate(selector, [10**4])) == [
+        expected.tolist()]
+
+
+@pytest.mark.parametrize("fs", list(dict.fromkeys(case[0] for case in FROBENIUS_CASES)),
+                         ids=lambda v: str(v))
+def test_derived_frobenius_table_is_the_coset_table(fs, by_residue):
+    assert reduced_tables(lambda: frobenius_statistics(fs, 10**4)) == [
+        fs.classes(np.arange(fs.modulus)).tolist()]
+
+
+ABOVE_CAP = [
+    ("natural", lambda: natural_density_estimate(COMPOUND, [10**4, PRIME_LIMIT + 1])),
+    ("dirichlet", lambda: dirichlet_density_estimate(MOD8_1, [1.5, 1.25], PRIME_LIMIT + 1)),
+    ("frobstats", lambda: frobenius_statistics(FieldSpec(11), PRIME_LIMIT + 1)),
+    ("prime_zeta", lambda: prime_zeta(1.5, PRIME_LIMIT + 1)),
+]
+
+
+@pytest.mark.parametrize("recurrence", [True, False], ids=["recurrence", "sieve"])
+@pytest.mark.parametrize("run", [case[1] for case in ABOVE_CAP],
+                         ids=[case[0] for case in ABOVE_CAP])
+def test_density_entry_points_refuse_cutoffs_above_the_cap(run, recurrence, monkeypatch):
+    # the one check is where the walk starts: residue_sums or segment_map
+    force_path(monkeypatch, recurrence)
+    with pytest.raises(LimitExceeded, match=rf"^prime enumeration capped at {PRIME_LIMIT}, "
+                                            rf"got {PRIME_LIMIT + 1}$"):
+        run()
 
 
 @pytest.mark.parametrize("fs,cutoff", [(FieldSpec(11), 3 * 10**5),

@@ -436,7 +436,7 @@ def test_class_counts_on_cosets_match_bincount(case, grid):
     q, table = case
     grid = sorted(grid)
     with mock.patch.object(sieve, "residue_counts_pay", return_value=True):
-        got = class_sums(grid, 4, None, q, lambda: table)
+        got = class_sums(grid, 4, lambda p: table[p % q], q)
     for row, g in zip(got, grid):
         classes = table[DENSE[:np.searchsorted(DENSE, g, side="right")] % q]
         assert row.tolist() == np.bincount(classes[classes >= 0], minlength=4).tolist()
@@ -618,9 +618,9 @@ def test_class_sums_match_bincount_and_fsum(q, n_classes, seed, grid, exponents)
     results = []
     for accept in (True, False):
         with mock.patch.object(sieve, "residue_counts_pay", lambda xs, q, exponents=None: accept):
-            got = sieve.class_sums(grid, n_classes, None, q, lambda: table)
+            got = sieve.class_sums(grid, n_classes, lambda p: table[p % q], q)
             assert got.dtype == np.int64 and got.tolist() == counts.tolist()
-            results.append(sieve.class_sums(grid, n_classes, None, q, lambda: table,
+            results.append(sieve.class_sums(grid, n_classes, lambda p: table[p % q], q,
                                             exponents=exponents))
     by_callable = sieve.class_sums(grid, n_classes, lambda seg: table[seg % q], exponents=exponents)
     assert np.array_equal(by_callable, results[1])  # both sieve walks, to the bit
@@ -682,7 +682,7 @@ def test_prefix_sums_match_fsum_and_the_per_class_power_loop(q, n_classes, seed,
         return pairs
 
     limit = math.isqrt(max(max(cuts), 0)) if power == 2 else max(cuts)
-    got = prefix_sums(limit, cuts, (len(exponents), n_classes), of_primes)
+    got = prefix_sums(limit, cuts, of_primes)
     assert got.shape == (len(cuts), len(exponents), n_classes) and got.dtype == np.float64
     primes = DENSE[:np.searchsorted(DENSE, limit, side="right")]
     for c, (keys, rows) in enumerate(of_primes(primes)):
@@ -700,11 +700,12 @@ def test_prefix_sums_match_fsum_and_the_per_class_power_loop(q, n_classes, seed,
 
 
 def test_class_sums_read_the_residue_table_only_on_the_recurrence():
-    def no_table():
-        raise AssertionError("residue table built")
+    def classes(seg):
+        if (seg < 2).any():  # np.arange(q): the residue table is being built
+            raise AssertionError("residue table built")
+        return np.zeros(len(seg), dtype=np.int64)
 
-    got = sieve.class_sums([10**4], 1, lambda seg: np.zeros(len(seg), dtype=np.int64),
-                           RECURRENCE_MODULUS_LIMIT + 1, no_table)
+    got = sieve.class_sums([10**4], 1, classes, RECURRENCE_MODULUS_LIMIT + 1)
     assert got.tolist() == [[1229]]
 
 
