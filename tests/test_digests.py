@@ -201,6 +201,16 @@ CLI_DIGESTS = [
      "cad98f51ae127048b80eb2e436e778f82697295a51d976423f1b9b24d30a9f2a"),
     ("smo poleorder --selector mod:4:3 --eps 1/16,1/12,1/8",
      "49cb3b0e8e5cacbc8838176f23ccccdd16b545415613ca7011a0dd4edc6c2f45"),
+    # the synthetic sources, whose universe is all primes: a scan must keep
+    # the selector as given, not intersect it with that universe
+    ("smo tempered --data synthetic:1 --selector mod:8:1",
+     "53a07cb3a85462ab4c02dba28edb8529fc18b6164a00a65af8bbe43ba4a4fec3"),
+    ("smo tempered --data profile:JS:3 --selector all",
+     "d0b37a4040f21e983f6038a6073e30e3d7182f3e160a4f042a85ac9be27a38a7"),
+    ("smo compare --data synthetic:1 --data2 profile:GJ:2 --x 2000",
+     "b5d8450383e50c989f1c3c605bfc87bd3225f6847d0116ada2e271c4dd49cc15"),
+    ("smo zratio --data synthetic:1 --data2 synthetic:2 --selector all",
+     "5f735e5ca1eb5754f146f65f741763fab9c170abbf079a6362923f37a7ebe97e"),
 ]
 
 
