@@ -16,8 +16,7 @@ from .experiments import (compare_local, inert_experiment, pole_order_estimate,
                           tower_degree_check, z_ratio)
 from .fields import FieldSpec, parse_fieldspec
 from .groups import FiniteGroup, build_group, bundled_catalog, catalog, direct_product
-from .hecke import (RepresentationData, load_hecke, synthetic_tempered,
-                    synthetic_with_profile)
+from .hecke import load_hecke, synthetic_tempered, synthetic_with_profile
 from .selectors import (AllPrimes, CongruenceSelector, DegreeSelector,
                         ExplicitList, PrimeSelector, parse_selector)
 from .sieve import prime_array, prime_count

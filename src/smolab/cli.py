@@ -55,15 +55,21 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Integers in any spelling ``float()`` reads, such as 1e6; a value that
-    is not integral, such as 2.5 or inf, is refused rather than truncated."""
+    """Integers, exact as ``int()`` reads them or in a spelling ``float()`` reads,
+    such as 1e6; a value that is not integral (2.5, inf) is refused, not truncated."""
+    values = []
     try:
-        values = tuple(float(t) for t in text.split(",") if t.strip())
-        if all(v.is_integer() for v in values):  # inf and nan are not
-            return tuple(int(v) for v in values)
+        for token in filter(str.strip, text.split(",")):
+            try:
+                values.append(int(token))
+            except ValueError:
+                value = float(token)
+                if not value.is_integer():  # inf and nan are not
+                    raise
+                values.append(int(value))
     except ValueError:
-        pass
-    raise UsageError(f"cannot parse integer list {text!r}")
+        raise UsageError(f"cannot parse integer list {text!r}")
+    return tuple(values)
 
 
 def _parse_fraction(text: str) -> Fraction:

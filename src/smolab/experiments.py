@@ -18,11 +18,11 @@ from .errors import (DegreeMismatch, InfeasibleEpsilon, NotNested,
                      NotPrimeDegree, PoleHit, UsageError)
 # log_expansion, prime_array, iter_prime_segments and segment_map are not called
 # here; perfbench/tracer.py wraps them under these names
-from .euler import (GRCBoundProfile, ConvergenceProbe, convergence_probe,
-                    log_expansion, require_degree)
+from .euler import (GRCBoundProfile, ConvergenceProbe, EulerProduct, convergence_probe,
+                    log_expansion, parameter_sums, require_degree, scan_primes)
 from .fields import FieldSpec
-from .hecke import RepresentationData, parameter_sums, require_size_bound
-from .selectors import DegreeSelector, ExplicitList, Intersection, PrimeSelector
+from .hecke import require_size_bound
+from .selectors import DegreeSelector, ExplicitList, PrimeSelector
 from .sieve import (PRIME_LIMIT, class_sums, is_prime, iter_prime_segments, prefix_sums,
                     prime_array, prime_stream, restrict, segment_map)
 
@@ -61,30 +61,7 @@ class AgreementReport:
     annotations: dict = field(default_factory=dict)
 
 
-def _data_limit(limit: int, *reps: RepresentationData) -> int:
-    """The scan limit cut down to the last prime every source has data for."""
-    return min([limit] + [r.universe.largest_prime for r in reps
-                          if r.universe.largest_prime is not None])
-
-
-def _scan_universe(selector: PrimeSelector | None,
-                   *reps: RepresentationData) -> PrimeSelector | None:
-    """``selector`` (all primes if None) intersected with each finite source universe."""
-    for r in reps:
-        if r.universe.largest_prime is not None:
-            selector = r.universe if selector is None else Intersection(selector, r.universe)
-    return selector
-
-
-def _unramified_stream(limit: int, A: RepresentationData, B: RepresentationData,
-                       selector: PrimeSelector | None = None):
-    """Prime arrays to ``limit`` in ``selector`` and both universes, unramified for both."""
-    return prime_stream(limit, _scan_universe(selector, A, B),
-                        exclude=A.ramified | B.ramified)
-
-
-def compare_local(A: RepresentationData, B: RepresentationData,
-                  scan_limit: int) -> AgreementReport:
+def compare_local(A: EulerProduct, B: EulerProduct, scan_limit: int) -> AgreementReport:
     """Scan the unramified primes of both universes for unequal normalized coefficients.
 
     Disagreements are counted in full; only the first SHOWN_DISAGREEMENTS
@@ -92,10 +69,10 @@ def compare_local(A: RepresentationData, B: RepresentationData,
     """
     if A.degree != B.degree:
         raise DegreeMismatch(f"degrees {A.degree} != {B.degree}")
-    limit = _data_limit(scan_limit, A, B)
+    limit, universe, ramified = scan_primes(scan_limit, [A, B])
     compared = disagreements = 0
     shown: list[int] = []
-    for seg in _unramified_stream(limit, A, B):
+    for seg in prime_stream(limit, universe, ramified):
         compared += len(seg)
         gap = np.abs(A.coefficient_array(seg) - B.coefficient_array(seg))
         bad = seg[gap > COEFF_EQ_TOL]
@@ -137,7 +114,7 @@ def _coupled_cutoff(eps: float) -> int:
 
 
 def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
-                        data_limit: int | None = None,
+                        data_limit: int | None = None, exclude: frozenset[int] = frozenset(),
                         workers: int | None = None) -> PoleOrderEstimate:
     """Slope of truncated sums sum_{p in S} c_p p^-(1+eps) against log(1/eps).
 
@@ -148,7 +125,7 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
     for self-pairings); None means weight 1, the plain zeta shape.  With
     weight 1 each sum is one ``class_sums`` call at its cutoff and exponent;
     weighted sums are one ``prefix_sums`` walk, each eps reading its own row
-    at its own cutoff.
+    at its own cutoff; ``exclude`` leaves its primes out of weighted sums only.
     """
     eps_values = sorted((float(e) for e in (eps_grid or DEFAULT_EPS_GRID)), reverse=True)
     if len(set(eps_values)) < 3:
@@ -170,7 +147,7 @@ def pole_order_estimate(coefficient_fn, selector: PrimeSelector, eps_grid=None,
                          for cut, e in zip(cutoffs, exponents.tolist())])
     else:
         def per_class(seg: np.ndarray) -> list:
-            chosen = seg[selector.mask(seg)]
+            chosen = restrict(seg, selector, exclude)
             weights = np.asarray(coefficient_fn(chosen), dtype=np.float64)
             pf = chosen.astype(np.float64)
             return [(chosen, [weights * pf ** (-e) for e in exponents])]
@@ -218,7 +195,7 @@ class TemperedBoundReport:
     annotations: dict = field(default_factory=dict)
 
 
-def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
+def tempered_bound_check(A: EulerProduct, selector: PrimeSelector,
                          workers: int | None = None) -> TemperedBoundReport:
     """Measure the self-pairing log growth over S against n^2 * density(S).
 
@@ -240,8 +217,9 @@ def tempered_bound_check(A: RepresentationData, selector: PrimeSelector,
     def weights(primes: np.ndarray) -> np.ndarray:
         return np.abs(A.coefficient_array(primes)) ** 2
 
-    estimate = pole_order_estimate(weights, _scan_universe(selector, A),
-                                   data_limit=A.universe.largest_prime, workers=workers)
+    limit, universe, ramified = scan_primes(CUTOFF_CAP, [A], selector)
+    estimate = pole_order_estimate(weights, universe, data_limit=limit, exclude=ramified,
+                                   workers=workers)
     n = A.degree
     bound = float(n * n * density)
     return TemperedBoundReport(
@@ -277,7 +255,7 @@ class ZRatioReport:
     primes_used: int
 
 
-def z_ratio(A: RepresentationData, B: RepresentationData, selector: PrimeSelector,
+def z_ratio(A: EulerProduct, B: EulerProduct, selector: PrimeSelector,
             s_grid) -> ZRatioReport:
     """Truncated four-way ratio over the selected primes, computed two ways.
 
@@ -301,7 +279,7 @@ def z_ratio(A: RepresentationData, B: RepresentationData, selector: PrimeSelecto
     log_sum = np.zeros(len(s_values), dtype=np.complex128)
     combined_min_coeff = 0.0
     primes_used = 0
-    for seg in _unramified_stream(_data_limit(Z_RATIO_SCAN_LIMIT, A, B), A, B, selector):
+    for seg in prime_stream(*scan_primes(Z_RATIO_SCAN_LIMIT, [A, B], selector)):
         primes_used += len(seg)
         sa, sb = A.satake_array(seg), B.satake_array(seg)
         x = seg.astype(np.float64)[:, None] ** exponents  # p^-s, one row per prime

@@ -1,31 +1,20 @@
-"""Degree-n coefficient sources: eigenvalue files and synthetic parameter data.
+"""Coefficient sources: eigenvalue files, Satake files and synthetic parameter data.
 
-Every source answers for an array of primes at once: ``satake_array(primes)``
-gives the (len, degree) complex local parameters and ``coefficient_array``
-their normalized traces.  The one-prime methods ``satake``, ``coefficient``
-and ``local_factor`` are one-element views of the same arrays, so there is
-a single implementation of each source.
+Each is an ``euler.EulerProduct``, the one source type; eigenvalue files and
+synthetic sources have one place of norm p at each p (``euler.one_place``).
+``RepresentationData`` names the same class only because perfbench/tracer.py
+patches its one-prime methods through it; the tracer's removal (ROADMAP
+item 1) drops it.
 
-A source with no coefficient function of its own (the synthetic ones) takes
-its traces as parameter sums, and the z-ratio takes its power sums the same
-way: ``parameter_sums`` forms them as column adds into a +0 array, one
-column at a time.  Up to three columns that is numpy's own order for
-``sum(axis=1)``: the same bits, the sign of a zero part included (a NaN
-part is a NaN in both, its sign left open by IEEE 754).  Wider sources,
-which only library code builds, get the same left fold, where numpy would
-sum pairwise in blocks.  On the (78498, 2) parameters of the primes to 1e6
-the adds took 0.30 ms against 1.9 ms for the short-axis reduction (2-vCPU
-x86-64 VM, numpy 2.4.6).
-
-A loaded weight-k eigenvalue file is renormalized so the two local
-parameters at a good prime p satisfy a + b = a_p / p^((k-1)/2) and ab = 1;
-lookups index the sorted prime column, whose ``ExplicitList`` is the source's
-``universe``.  Synthetic sources have ``AllPrimes()`` and are counter-based:
-each random quantity at p is drawn from the splitmix64 hash of (seed, domain
-tag, parameter index, p), so any prime has data, a prime's values do not
-depend on which other primes are asked for, and runs are reproducible across
-processes and platforms.  Seeds are reduced mod 2**64 first, so negative and
-large seeds are accepted.
+A weight-k eigenvalue file is renormalized so the two local parameters at a
+good prime p satisfy a + b = a_p / p^((k-1)/2) and ab = 1, and a weight is
+refused where that leaves the float range.  Its exact a_p are the source's
+coefficients, and its sorted primes the ``ExplicitList`` of its universe.
+Synthetic sources have ``AllPrimes()`` and are counter-based: each random
+quantity at p is drawn from the splitmix64 hash of (seed, domain tag,
+parameter index, p), so any prime has data, a prime's values do not depend
+on which other primes are asked for, and runs are reproducible across
+processes and platforms.  Seeds are reduced mod 2**64 first.
 
 Both numeric file formats, eigenvalue files (``p,a_p``, ``load_hecke``) and
 Satake files (``load_satake``), are read by one skeleton, ``_read_numeric``,
@@ -52,87 +41,16 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .errors import DuplicatePrime, NonPrimeRow, NotTempered, ParseError, UsageError
-from .euler import LOG_INDEX_LIMIT, EulerProduct, LocalFactor
-from .selectors import AllPrimes, ExplicitList, PrimeSelector
+from .euler import LOG_INDEX_LIMIT, EulerProduct, one_place
+from .selectors import ExplicitList
 from .sieve import is_prime_array
 
-ArrayFn = Callable[[np.ndarray], np.ndarray]
-
-
-def parameter_sums(params: np.ndarray) -> np.ndarray:
-    """Row sums of a (len, degree) parameter array, as column adds into +0.
-
-    One column at a time from +0 is numpy's own order for ``sum(axis=1)`` up
-    to three columns, and a -0.0 part in every column sums to +0.0 as there.
-    """
-    total = np.zeros(len(params), dtype=np.complex128)
-    for column in params.T:
-        total += column
-    return total
-
-
-@dataclass(frozen=True)
-class RepresentationData:
-    """A degree-n source of local parameters, file-backed or synthetic.
-
-    ``satake_fn`` maps an int64 prime array to its (len, degree) complex
-    parameters; ``coefficient_fn``, when given, maps it to the normalized
-    coefficients (otherwise they are the parameter sums).
-    """
-
-    label: str
-    degree: int
-    satake_fn: ArrayFn = field(compare=False)
-    coefficient_fn: ArrayFn | None = field(default=None, compare=False)
-    ramified: frozenset[int] = frozenset()
-    universe: PrimeSelector = AllPrimes()
-    warnings: tuple[str, ...] = ()
-
-    def satake_array(self, primes) -> np.ndarray:
-        return self.satake_fn(np.asarray(primes, dtype=np.int64))
-
-    def coefficient_array(self, primes) -> np.ndarray:
-        primes = np.asarray(primes, dtype=np.int64)
-        if self.coefficient_fn is not None:
-            return self.coefficient_fn(primes)
-        return parameter_sums(self.satake_array(primes))
-
-    def coefficient(self, p: int) -> float | complex:
-        return self.coefficient_array([p])[0].item()
-
-    def satake(self, p: int) -> tuple[complex, ...]:
-        return tuple(self.satake_array([p])[0].tolist())
-
-    def local_factor(self, p: int) -> LocalFactor:
-        return LocalFactor(q=int(p), alphas=self.satake(p), degree=self.degree)
-
-    def self_rankin_selberg(self) -> EulerProduct:
-        """Pairing of the source with itself: one place per p, parameters {a_i c(a_j)}."""
-
-        def places(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            a = self.satake_array(primes)
-            # a_i-major, as in rankin_selberg_local
-            pairs = a[:, :, None] * a.conj()[:, None, :]
-            return np.ones((len(primes), 1), dtype=np.int64), pairs.reshape(len(primes), 1, -1)
-
-        return EulerProduct(places=places, universe=self.universe, ramified=self.ramified)
-
-    def max_parameter_excess(self, primes) -> float:
-        """max over given primes of |a_i| measured against 1 (tempered = 0)."""
-        moduli = _moduli(self.satake_array(primes))
-        return float(np.abs(moduli - 1.0).max(initial=0.0))
-
-
-def _moduli(params: np.ndarray) -> np.ndarray:
-    # hypot, as abs() of a Python complex uses, so file-backed moduli keep their bits
-    return np.hypot(params.real, params.imag)
+RepresentationData = EulerProduct  # see the module docstring
 
 
 def _unitary_pairs(lam: np.ndarray) -> np.ndarray:
@@ -244,7 +162,7 @@ def _read_numeric(text: str, columnar, row_reader, first_fault):
     return columns, found
 
 
-def load_hecke(path: str | Path, weight: int) -> RepresentationData:
+def load_hecke(path: str | Path, weight: int) -> EulerProduct:
     """Load a ``p,a_p`` CSV of eigenvalues and renormalize to unit products.
 
     Rows must be ascending in p with no duplicates; entries breaking the
@@ -254,7 +172,7 @@ def load_hecke(path: str | Path, weight: int) -> RepresentationData:
     return parse_hecke_text(read(path), weight, label=Path(path).stem)
 
 
-def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> RepresentationData:
+def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> EulerProduct:
     """Parse ``p,a_p`` rows, read by ``_read_numeric``: a_p finite, p prime
     and ascending.  The first faulty row in row order raises."""
     (ps, values), _ = _read_numeric(text, _hecke_columns, _hecke_rows, _hecke_fault)
@@ -265,8 +183,16 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
     # Python float pow, once per row: numpy's pow can differ in the last bit,
     # and the file-backed report digests depend on these values
     half = (weight - 1) / 2.0
-    scale = np.array([p**half for p in ps.tolist()], dtype=np.float64)
-    normalized = values / scale
+    try:
+        scale = np.array([p**half for p in ps.tolist()], dtype=np.float64)
+    except OverflowError:  # inf at each p it overflows at, refused below
+        scale = np.array([_power(p, half) for p in ps.tolist()], dtype=np.float64)
+    with np.errstate(all="ignore"):
+        normalized = values / scale
+        out = ~(np.isfinite(normalized) & np.isfinite(2.0 * scale))
+    if out.any():
+        raise UsageError(f"weight {weight} does not normalize a_p at p={ps[np.argmax(out)]}: "
+                         f"p^{half:g} or a_p / p^{half:g} leaves the float range")
     warnings = [f"size bound exceeded at p={int(ps[i])}: "
                 f"|{float(values[i])}| > {2.0 * scale[i]:.6g}"
                 for i in np.flatnonzero(np.abs(values) > 2.0 * scale + 1e-9).tolist()]
@@ -279,13 +205,19 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> Representa
             raise KeyError(f"{label}: no eigenvalue at p={int(primes[~found][0])}")
         return normalized[rows]
 
-    return RepresentationData(
-        label=label, degree=2,
-        satake_fn=lambda primes: _unitary_pairs(coefficient(primes)),
-        coefficient_fn=coefficient,
+    return EulerProduct(
+        places=one_place(lambda primes: _unitary_pairs(coefficient(primes))),
         universe=ExplicitList(tuple(ps.tolist())),
-        warnings=tuple(warnings),
+        label=label, coefficient_fn=coefficient, warnings=tuple(warnings),
     )
+
+
+def _power(p: int, exponent: float) -> float:
+    """p**exponent by Python float pow, inf where that overflows."""
+    try:
+        return p**exponent
+    except OverflowError:
+        return math.inf
 
 
 def _hecke_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -497,7 +429,7 @@ def _conjugate_pairs(first: np.ndarray, second: np.ndarray, degree: int) -> np.n
     return out
 
 
-def synthetic_tempered(seed: int, degree: int = 2, label: str | None = None) -> RepresentationData:
+def synthetic_tempered(seed: int, degree: int = 2, label: str | None = None) -> EulerProduct:
     """Unit-circle parameters in conjugate pairs with seed-determined angles.
 
     An odd degree adds a parameter +-1 with a seed-determined sign.
@@ -511,13 +443,11 @@ def synthetic_tempered(seed: int, degree: int = 2, label: str | None = None) -> 
                                   1.0, -1.0)
         return out
 
-    return RepresentationData(
-        label=label or f"synthetic-tempered(seed={seed})",
-        degree=degree, satake_fn=satake,
-    )
+    return EulerProduct(places=one_place(satake),
+                        label=label or f"synthetic-tempered(seed={seed})")
 
 
-def synthetic_with_profile(seed: int, profile, degree: int = 2) -> RepresentationData:
+def synthetic_with_profile(seed: int, profile, degree: int = 2) -> EulerProduct:
     """Parameters with |a| up to q^delta for the given bound profile.
 
     Pairs are (a, 1/conj(a)) with a = p^t e^(i theta), theta uniform in
@@ -534,16 +464,16 @@ def synthetic_with_profile(seed: int, profile, degree: int = 2) -> Representatio
             delta * uniform_draws(seed, PROFILE_RADIUS, pairs, primes))
         return _conjugate_pairs(radius * unit, unit / radius, degree)
 
-    return RepresentationData(
-        label=f"synthetic-{profile.name}(seed={seed})",
-        degree=degree, satake_fn=satake,
-    )
+    return EulerProduct(places=one_place(satake),
+                        label=f"synthetic-{profile.name}(seed={seed})")
 
 
-def require_size_bound(rep: RepresentationData, primes) -> None:
+def require_size_bound(rep: EulerProduct, primes) -> None:
     """Hard failure if any parameter breaks the square-root size wall."""
     primes = np.asarray(primes, dtype=np.int64)
-    moduli = _moduli(rep.satake_array(primes))
+    params = rep.satake_array(primes)
+    # hypot, as abs() of a Python complex uses, so file-backed moduli keep their bits
+    moduli = np.hypot(params.real, params.imag)
     over = moduli > np.sqrt(primes.astype(np.float64))[:, None] + 1e-9
     if over.any():
         row, col = np.argwhere(over)[0]

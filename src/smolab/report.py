@@ -165,7 +165,7 @@ class Report:
     inputs: dict
     payload: object  # a dict or a report dataclass
     interpretation: tuple[str, ...] = ()
-    timestamp: str = field(default_factory=_timestamp)
+    timestamp: str = field(init=False, default_factory=_timestamp)
 
     @property
     def inputs_digest(self) -> str:

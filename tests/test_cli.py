@@ -475,6 +475,8 @@ BAD_ARGV = [
     ("density", "natural", "--selector", "mod:4:1", "--x", "1000.9,2.5e3"),
     ("euler", "probe", "--fieldspec", "field.txt", "--degree", "2", "--delta", "1/4",
      "--sigma", "0.8", "--cutoffs", "1.5,10.7"),
+    ("smo", "compare", "--data", "tau200.csv", "--data2", "synthetic:1", "--weight", "300"),
+    ("smo", "tempered", "--data", "tau200.csv", "--selector", "all", "--weight", "-300"),
 ]
 
 
@@ -490,6 +492,7 @@ def test_bad_values_are_typed_errors(argv, tmp_path):
     (tmp_path / "inf_tau.csv").write_text("2,1e400\n3,252\n")
     (tmp_path / "big_tau.csv").write_text(f"p,a_p\n2,-24\n{'7' * 140000},1\n")
     (tmp_path / "big_satake.csv").write_text(f"p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,{'3' * 140000},1,0\n")
+    (tmp_path / "tau200.csv").write_text(tau_csv_text(200))
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -610,6 +613,30 @@ def test_non_integral_list_values_are_usage_errors(capsys, tmp_path):
         assert (code, out, err) == (1, "", f"usage-error: cannot parse integer list {text!r}\n")
     code, out, _ = run(capsys, "density", "natural", "--selector", "mod:4:1", "--x", "1e3,2.5e3")
     assert code == 0 and json.loads(out)["results"]["sample_points"] == [1000.0, 2500.0]
+
+
+def test_integer_lists_keep_integers_above_2_to_the_53(capsys):
+    # the limit was read through float, and the message said "got 9007199254740992"
+    code, out, err = run(capsys, "density", "natural", "--selector", "all",
+                         "--x", "9007199254740993")
+    assert (code, out) == (1, "")
+    assert err == ("limit-exceeded: prime enumeration capped at 1000000000, "
+                   "got 9007199254740993\n")
+
+
+def test_weights_that_do_not_normalize_are_usage_errors(capsys, tmp_path):
+    # 300 ended in an OverflowError traceback from p**149.5, and -300 exited 0
+    # with inf and nan parameters after numpy warnings
+    tau = tmp_path / "tau.csv"
+    tau.write_text(tau_csv_text(200))
+    for weight, p, half in (("300", 127, "149.5"), ("-300", 97, "-150.5")):
+        for argv in (("compare", "--data2", "synthetic:1"), ("zratio", "--data2", "synthetic:1"),
+                     ("tempered", "--selector", "all")):
+            code, out, err = run(capsys, "smo", argv[0], "--data", str(tau), *argv[1:],
+                                 "--weight", weight)
+            assert (code, out) == (1, ""), argv
+            assert err == (f"usage-error: weight {weight} does not normalize a_p at p={p}: "
+                           f"p^{half} or a_p / p^{half} leaves the float range\n")
 
 
 def test_fractions_too_large_for_a_float_are_usage_errors(capsys, tmp_path):

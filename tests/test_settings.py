@@ -4,7 +4,10 @@ A parameter with a default that no call ever passes is a setting nobody
 sets: it widens the interface, and every reader has to ask what it would
 change.  This test parses ``src/smolab`` and looks for a call that passes
 each defaulted parameter, by keyword or by position, anywhere in ``src/``,
-``tests/`` or ``perfbench/``.
+``tests/`` or ``perfbench/``.  The defaulted fields of a dataclass are
+parameters of its ``__init__`` and are checked too, but for those declared
+``field(init=False)``.  Their positions count the class's own fields, as no
+dataclass of the package has a dataclass base.
 
 Calls are matched by the callee's name only (``f(...)`` or ``x.f(...)``),
 and ``__init__`` by its class's name, so a call to another function of the
@@ -41,6 +44,9 @@ def optional_parameters():
         def visit(node, owner):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
+                    if _is_dataclass(child):
+                        out.extend((f"{module}.{child.name}", child.name, name, position)
+                                   for name, position in _defaulted_fields(child))
                     visit(child, child.name)
                 elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     args = child.args
@@ -61,6 +67,33 @@ def optional_parameters():
 
         visit(tree, None)
     return out
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def _defaulted_fields(cls: ast.ClassDef):
+    """(name, position) of each defaulted ``__init__`` field of a dataclass:
+    one with a plain default, or a ``field()`` with ``default`` or
+    ``default_factory``.  A ``field(init=False)`` is not a parameter."""
+    position = 0
+    for stmt in cls.body:
+        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+            continue
+        value, defaulted = stmt.value, stmt.value is not None
+        if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "field"):
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in keywords or "default_factory" in keywords
+        if defaulted:
+            yield stmt.target.id, position
+        position += 1
 
 
 def calls_by_name():

@@ -22,11 +22,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smolab.euler import (EulerProduct, eval_local, grc_profile,
-                          rankin_selberg_local, zeta_product)
+from smolab.errors import NormMismatch
+from smolab.euler import (EulerProduct, dedekind_product, eval_local, grc_profile, log_expansion,
+                          one_place, rankin_selberg_local, scan_primes, zeta_product)
 from smolab.experiments import COEFF_EQ_TOL, compare_local, z_ratio
-from smolab.hecke import (RepresentationData, parse_hecke_text, synthetic_tempered,
-                          synthetic_with_profile, tempered_angles)
+from smolab.fields import FieldSpec
+from smolab.hecke import (parse_hecke_text, synthetic_tempered, synthetic_with_profile,
+                          tempered_angles)
 from smolab.selectors import AllPrimes, CongruenceSelector, ExplicitList, Intersection
 from smolab.sieve import STREAM_CHUNK, prime_array, prime_stream, simple_sieve
 from smolab.tau import generate_tau, tau_csv_text
@@ -111,7 +113,7 @@ def test_traces_are_the_parameter_sums_bit_for_bit(rows):
     width = len(rows[0]) if rows else 2
     params = np.array([[complex(re, im) for re, im in row] for row in rows],
                       dtype=np.complex128).reshape(len(rows), width)
-    rep = RepresentationData(label="parts", degree=width, satake_fn=lambda primes: params[primes])
+    rep = EulerProduct(places=one_place(lambda primes: params[primes]), label="parts")
     with np.errstate(invalid="ignore", over="ignore"):
         traces = rep.coefficient_array(np.arange(len(rows)))
         one_prime = np.array([rep.coefficient(p) for p in range(len(rows))], dtype=np.complex128)
@@ -242,7 +244,36 @@ def test_euler_product_primes_follow_universe_and_ramified():
                                             ExplicitList(tuple(simple_sieve(1000).tolist()))),
                       ramified=frozenset({5, 13}))
     expected = [p for p in simple_sieve(1000).tolist() if p % 4 == 1 and p not in (5, 13)]
-    assert np.concatenate(list(ep.segments(10**4))).tolist() == expected
+    assert np.concatenate(list(prime_stream(*scan_primes(10**4, [ep])))).tolist() == expected
+
+
+def test_every_scan_reads_a_library_built_universe():
+    # an Intersection has no largest prime; compare_local and z_ratio used to
+    # scan every prime to their limit for it, and log_expansion did not
+    universe = Intersection(CongruenceSelector(4, frozenset({1})),
+                            ExplicitList(tuple(simple_sieve(1000).tolist())))
+    A = EulerProduct(places=synthetic_tempered(1).places, universe=universe,
+                     ramified=frozenset({5, 13}))
+    B = synthetic_tempered(2)
+    expected = [p for p in simple_sieve(1000).tolist() if p % 4 == 1 and p not in (5, 13)]
+    report = compare_local(A, B, 10**4)
+    assert report.compared == report.disagreements == len(expected)
+    assert list(report.disagreement_primes) == expected
+    assert z_ratio(A, B, AllPrimes(), [1.5]).primes_used == len(expected)
+    indices = log_expansion(A, AllPrimes(), 10**4).indices.tolist()
+    assert [n for n in indices if n in set(simple_sieve(10**4).tolist())] == expected
+
+
+def test_one_place_reads_refuse_other_places():
+    # in Q(i), 3 is inert (one place of norm 9) and 5 splits (two of norm 5);
+    # neither may be read as the one place of norm p
+    zeta_i = dedekind_product(FieldSpec(4))
+    for p in (3, 5):
+        with pytest.raises(NormMismatch, match=f"p={p}"):
+            zeta_i.satake_array([p])
+    with pytest.raises(NormMismatch, match="p=3"):
+        compare_local(zeta_i, zeta_product(), 100)
+    assert zeta_product().satake_array([2, 3]).tolist() == [[1], [1]]
 
 
 # -- scans against scalar reference loops ---------------------------------------------------
