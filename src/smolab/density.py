@@ -92,12 +92,8 @@ def natural_density_estimate(selector: PrimeSelector, x_grid,
 def _selector_classes(selector: PrimeSelector):
     """The ``class_sums`` arguments (classes, modulus) that put a selector's
     primes in class 0, the other unramified primes in class 1 and the
-    excluded primes in class -1.
-
-    The modulus is the selector's ``congruence_modulus`` N, None when it has
-    no congruence description: its mask depends only on p mod N, and the
-    excluded primes are those dividing N, so the recurrence may read the
-    classes off the residues mod N."""
+    excluded primes in class -1.  The modulus is ``congruence_modulus()``,
+    whose rule lets the recurrence read the classes off the residues."""
     excluded = np.array(sorted(selector.excluded), dtype=np.int64)
 
     def classes(primes: np.ndarray) -> np.ndarray:

@@ -268,6 +268,7 @@ def z_ratio(A: EulerProduct, B: EulerProduct, selector: PrimeSelector,
     series is also checked for nonnegative log coefficients.  Each array
     of the prime stream is computed over its primes and the s grid, and the
     results are reduced in stream order.
+    Parameters beyond the square-root wall are refused: under it |a_i conj(b_j)| <= p < p^s.
     """
     if A.degree != B.degree:
         raise DegreeMismatch(f"degrees {A.degree} != {B.degree}")
@@ -281,7 +282,7 @@ def z_ratio(A: EulerProduct, B: EulerProduct, selector: PrimeSelector,
     primes_used = 0
     for seg in prime_stream(*scan_primes(Z_RATIO_SCAN_LIMIT, [A, B], selector)):
         primes_used += len(seg)
-        sa, sb = A.satake_array(seg), B.satake_array(seg)
+        sa, sb = require_size_bound(A, seg), require_size_bound(B, seg)
         x = seg.astype(np.float64)[:, None] ** exponents  # p^-s, one row per prime
         ratio = _quotient(_paired_poly(sa, sb, x) * _paired_poly(sb, sa, x),
                           _paired_poly(sa, sa, x) * _paired_poly(sb, sb, x))

@@ -61,7 +61,8 @@ def _unitary_pairs(lam: np.ndarray) -> np.ndarray:
     Only real arithmetic and a correctly rounded sqrt are used, so the bits
     equal those of the complex formula (lam +- cmath.sqrt(lam^2 - 4)) / 2.
     """
-    disc = lam * lam - 4.0
+    with np.errstate(over="ignore"):  # an overflowing lam^2 gives the pair (inf, -inf)
+        disc = lam * lam - 4.0
     root = np.sqrt(np.abs(disc))
     inside = disc < 0.0
     out = np.zeros((len(lam), 2), dtype=np.complex128)
@@ -198,18 +199,23 @@ def parse_hecke_text(text: str, weight: int, label: str = "hecke") -> EulerProdu
                 for i in np.flatnonzero(np.abs(values) > 2.0 * scale + 1e-9).tolist()]
 
     def coefficient(primes: np.ndarray) -> np.ndarray:
-        rows = np.searchsorted(ps, primes)
-        found = rows < len(ps)
-        found[found] = ps[rows[found]] == primes[found]
-        if not found.all():
-            raise KeyError(f"{label}: no eigenvalue at p={int(primes[~found][0])}")
-        return normalized[rows]
+        return normalized[_rows_of(ps, primes, f"{label}: no eigenvalue")]
 
     return EulerProduct(
         places=one_place(lambda primes: _unitary_pairs(coefficient(primes))),
         universe=ExplicitList(tuple(ps.tolist())),
         label=label, coefficient_fn=coefficient, warnings=tuple(warnings),
     )
+
+
+def _rows_of(support: np.ndarray, primes: np.ndarray, missing: str) -> np.ndarray:
+    """The row of each prime in the ascending ``support``, else KeyError ``{missing} at p=``."""
+    rows = np.searchsorted(support, primes)
+    found = rows < len(support)
+    found[found] = support[rows[found]] == primes[found]
+    if not found.all():
+        raise KeyError(f"{missing} at p={int(primes[~found][0])}")
+    return rows
 
 
 def _power(p: int, exponent: float) -> float:
@@ -277,6 +283,7 @@ def load_satake(path: str | Path) -> EulerProduct:
     reaches, are left out.  The first faulty row in row order raises.
     """
     from .report import read
+    label = Path(path).stem
     (p_col, q_col, widths, parts), exponents = _read_numeric(
         read(path), _satake_columns, lambda text: _satake_rows(text, path),
         lambda columns: _satake_fault(columns, path))
@@ -303,10 +310,11 @@ def load_satake(path: str | Path) -> EulerProduct:
     params[at, slot] = padded[keep][order]
 
     def places(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.searchsorted(support, query)
+        rows = _rows_of(support, query, f"{label}: no Satake parameters")
         return exps[rows], params[rows]
 
-    return EulerProduct(places=places, universe=ExplicitList(tuple(support.tolist())))
+    return EulerProduct(places=places, universe=ExplicitList(tuple(support.tolist())),
+                        label=label)
 
 
 def _satake_columns(text: str):
@@ -468,8 +476,8 @@ def synthetic_with_profile(seed: int, profile, degree: int = 2) -> EulerProduct:
                         label=f"synthetic-{profile.name}(seed={seed})")
 
 
-def require_size_bound(rep: EulerProduct, primes) -> None:
-    """Hard failure if any parameter breaks the square-root size wall."""
+def require_size_bound(rep: EulerProduct, primes) -> np.ndarray:
+    """``rep.satake_array(primes)``, refused if any parameter breaks the square-root wall."""
     primes = np.asarray(primes, dtype=np.int64)
     params = rep.satake_array(primes)
     # hypot, as abs() of a Python complex uses, so file-backed moduli keep their bits
@@ -480,3 +488,4 @@ def require_size_bound(rep: EulerProduct, primes) -> None:
         p = int(primes[row])
         raise NotTempered(
             f"{rep.label}: |parameter| = {moduli[row, col]:.6g} > sqrt({p}) at p={p}")
+    return params

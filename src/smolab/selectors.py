@@ -2,14 +2,13 @@
 
 Selectors are pure predicates over primes, vectorized over numpy arrays.
 Ramified primes (dividing a defining modulus) are always excluded.  A
-selector whose membership depends only on a congruence class mod N describes
-it by one residue table, a bool array over range(N), and reads its exact
-analytic density off that table; arbitrary combinations fall back to None.
+selector whose membership depends only on p mod N gives N as its
+``congruence_modulus()``, and its exact analytic density is the share of the
+units mod N its ``mask`` picks; arbitrary combinations fall back to None.
 
 Selectors also name the primes a source or Euler product has data at:
 ``AllPrimes()``, or an ``ExplicitList`` whose ``largest_prime`` ends walks.
-``and``/``or``/``not`` tile their children's tables to the lcm of their
-moduli, after refusing an lcm above LIFT_MODULUS_LIMIT.
+A density read above LIFT_MODULUS_LIMIT is refused before any mask is read.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import LimitExceeded, NonPrimeRow, ParseError
 from .fields import FieldSpec, parse_fieldspec
-from .sieve import PRIME_LIMIT, is_prime_array, prime_divisors, totient, unit_mask
+from .sieve import PRIME_LIMIT, is_prime_array, prime_divisors, totient
 from .sieve import residues as prime_residues
 
 # ``mask`` indexes a table of ``modulus`` bytes on every call: at 1e9 it is
@@ -32,11 +31,13 @@ from .sieve import residues as prime_residues
 # larger modulus would only pick the listed residues themselves.
 MODULUS_LIMIT = PRIME_LIMIT
 
-# Near the cap, the density of "mod:2499997:1 or mod:4:1" (lcm 9,999,988, a
-# 2.5M-residue union) counts its lifted byte tables in 0.04-0.05 s and 39 MiB
-# more peak RSS (2-vCPU x86-64 VM, Python 3.11.7, numpy 2.4.6); every table
-# is one byte per residue of the lcm.
+# Densities but those of mod:, list: and not read ``mask`` on the units mod N,
+# UNIT_CHUNK at a time: near the cap, "mod:10000000:1 and all" and
+# "mod:2499997:1 or mod:4:1" took 0.09-0.14 s at 59-62 MiB peak RSS, the former
+# byte-table lifts 0.02-0.04 s at 70-74 MiB; chunks of 2**22 and 2**24 took
+# 105-240 MiB and were no faster (2-vCPU x86-64 VM, numpy 2.4.6).
 LIFT_MODULUS_LIMIT = 10**7
+UNIT_CHUNK = 2**20
 
 
 class PrimeSelector:
@@ -66,26 +67,29 @@ class PrimeSelector:
         return int(math.floor(norm_cutoff ** (1.0 / j) + 1e-9))
 
     def congruence_modulus(self) -> int | None:
-        """The modulus of ``residue_table()``, found without building any
-        table, or None when there is no congruence description."""
-        return None
+        """A modulus N such that membership depends only on p mod N, or None.
 
-    def residue_table(self) -> tuple[int, np.ndarray] | None:
-        """(modulus N, bool array over range(N) set at the chosen unit
-        residues), or None when there is no congruence description.
-
-        ``mask`` picks exactly the primes whose residue is set, and no prime
-        in ``excluded``; the residue counts of the density estimators rely
-        on this.
-        """
+        For a unit a mod N (a = 0 when N = 1), ``mask([a])`` says whether the
+        primes congruent to a mod N are picked, and ``mask`` picks no prime
+        dividing N: ``sieve.class_sums`` and ``analytic_density`` rely on it."""
         return None
 
     def analytic_density(self) -> Fraction | None:
-        lifted = self.residue_table()
-        if lifted is None:
+        """The share of the units mod ``congruence_modulus()`` that ``mask`` picks."""
+        N = self.congruence_modulus()
+        if N is None:
             return None
-        N, table = lifted
-        return Fraction(int(np.count_nonzero(table)), totient(N))
+        if N > LIFT_MODULUS_LIMIT:
+            raise LimitExceeded(f"compound congruence modulus capped at {LIFT_MODULUS_LIMIT}, "
+                                f"got {N}")
+        divisors = prime_divisors(N)
+        picked = 0
+        for start in range(0, N, UNIT_CHUNK):
+            units = np.ones(min(UNIT_CHUNK, N - start), dtype=bool)
+            for p in divisors:
+                units[-start % p::p] = False
+            picked += int(np.count_nonzero(self.mask(start + np.flatnonzero(units))))
+        return Fraction(picked, totient(N))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -102,9 +106,6 @@ class AllPrimes(PrimeSelector):
     def congruence_modulus(self):
         return 1
 
-    def residue_table(self):
-        return 1, np.ones(1, dtype=bool)
-
     def describe(self) -> str:
         return "all"
 
@@ -116,9 +117,6 @@ class NoPrimes(PrimeSelector):
 
     def congruence_modulus(self):
         return 1
-
-    def residue_table(self):
-        return 1, np.zeros(1, dtype=bool)
 
     def describe(self) -> str:
         return "none"
@@ -142,18 +140,15 @@ class CongruenceSelector(PrimeSelector):
         object.__setattr__(self, "excluded", prime_divisors(self.modulus))
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
-        return self.residue_table()[1][prime_residues(primes, self.modulus)]
+        table = np.zeros(self.modulus, dtype=bool)
+        table[np.fromiter(self.residues, dtype=np.int64, count=len(self.residues))] = True
+        return table[prime_residues(primes, self.modulus)]
 
     def congruence_modulus(self):
         return self.modulus
 
-    def residue_table(self):
-        table = np.zeros(self.modulus, dtype=bool)
-        table[np.fromiter(self.residues, dtype=np.int64, count=len(self.residues))] = True
-        return self.modulus, table
-
     def analytic_density(self) -> Fraction:
-        # no table: at a modulus near MODULUS_LIMIT it would take a gigabyte
+        # no residue walk: at a modulus near MODULUS_LIMIT it would read a billion units
         return Fraction(len(self.residues), totient(self.modulus))
 
     def describe(self) -> str:
@@ -187,10 +182,6 @@ class DegreeSelector(PrimeSelector):
     def congruence_modulus(self):
         return self.fieldspec.modulus
 
-    def residue_table(self):
-        N = self.fieldspec.modulus
-        return N, self.fieldspec.residue_degrees(np.arange(N)) == self.j
-
     def describe(self) -> str:
         return f"degree:{self.fieldspec.label}:{self.j}"
 
@@ -218,23 +209,6 @@ class ExplicitList(PrimeSelector):
         return f"list:[{len(self._sorted)} primes]"
 
 
-def _lift(node: PrimeSelector, op, *children: PrimeSelector) -> tuple[int, np.ndarray] | None:
-    """The node's residue table: ``op`` of its children's tables tiled to
-    the node's modulus, kept to the units.  The modulus is refused above
-    LIFT_MODULUS_LIMIT before any child's table is built."""
-    modulus = node.congruence_modulus()
-    if modulus is None:
-        return None
-    if modulus > LIFT_MODULUS_LIMIT:
-        raise LimitExceeded(f"compound congruence modulus capped at {LIFT_MODULUS_LIMIT}, "
-                            f"got {modulus}")
-    tables = []
-    for child in children:
-        N, table = child.residue_table()
-        tables.append(np.tile(table, modulus // N))
-    return modulus, op(*tables) & unit_mask(modulus)
-
-
 @dataclass(frozen=True)
 class Complement(PrimeSelector):
     inner: PrimeSelector
@@ -252,13 +226,10 @@ class Complement(PrimeSelector):
         return self.inner.congruence_modulus()
 
     def analytic_density(self) -> Fraction | None:
-        # the complement in the unit residues; no table is lifted
+        # the complement in the unit residues, with no residue walk of its own
         if self.inner.congruence_modulus() is None:
             return None
         return 1 - self.inner.analytic_density()
-
-    def residue_table(self):
-        return _lift(self, np.logical_not, self.inner)
 
     def describe(self) -> str:
         return f"not {self.inner.describe()}"
@@ -266,8 +237,8 @@ class Complement(PrimeSelector):
 
 @dataclass(frozen=True)
 class _Pair(PrimeSelector):
-    """``left`` and ``right`` joined by the ufunc ``_op``, named ``_word``:
-    their masks, and their residue tables lifted to the lcm of their moduli."""
+    """``left`` and ``right`` joined by the ufunc ``_op``, named ``_word``,
+    on their masks, with the lcm of their moduli."""
 
     left: PrimeSelector
     right: PrimeSelector
@@ -288,9 +259,6 @@ class _Pair(PrimeSelector):
     def congruence_modulus(self):
         qa, qb = self.left.congruence_modulus(), self.right.congruence_modulus()
         return None if qa is None or qb is None else math.lcm(qa, qb)
-
-    def residue_table(self):
-        return _lift(self, self._op, self.left, self.right)
 
     def describe(self) -> str:
         return f"({self.left.describe()} {self._word} {self.right.describe()})"

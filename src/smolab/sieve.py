@@ -651,7 +651,7 @@ def residue_counts_pay(xs, q: int, exponents: int | None = None) -> bool:
     counts, or phi(q) > 72 for sums at one exponent (phi(q) = 156 at 1.78e8
     measured 0.70 s by recurrence against 0.64 s on the sieve path).  The
     modulus is checked first, so a large one costs
-    neither phi(q) nor a residue lift: every q above RECURRENCE_MODULUS_LIMIT
+    neither phi(q) nor a class table: every q above RECURRENCE_MODULUS_LIMIT
     has phi(q) >= 2304.
     """
     xs = [int(x) for x in xs if x >= 2]

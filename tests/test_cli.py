@@ -477,6 +477,8 @@ BAD_ARGV = [
      "--sigma", "0.8", "--cutoffs", "1.5,10.7"),
     ("smo", "compare", "--data", "tau200.csv", "--data2", "synthetic:1", "--weight", "300"),
     ("smo", "tempered", "--data", "tau200.csv", "--selector", "all", "--weight", "-300"),
+    ("smo", "zratio", "--data", "tau200.csv", "--data2", "synthetic:1", "--weight", "2"),
+    ("smo", "zratio", "--data", "huge_tau.csv", "--data2", "synthetic:1", "--weight", "1"),
 ]
 
 
@@ -490,6 +492,7 @@ def test_bad_values_are_typed_errors(argv, tmp_path):
     (tmp_path / "inf_satake.csv").write_text("p,q,a1_re,a1_im\n2,2,1e400,0,1,0\n")
     (tmp_path / "nan_tau.csv").write_text("2,nan\n3,252\n")
     (tmp_path / "inf_tau.csv").write_text("2,1e400\n3,252\n")
+    (tmp_path / "huge_tau.csv").write_text("2,1e200\n3,252\n")
     (tmp_path / "big_tau.csv").write_text(f"p,a_p\n2,-24\n{'7' * 140000},1\n")
     (tmp_path / "big_satake.csv").write_text(f"p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,{'3' * 140000},1,0\n")
     (tmp_path / "tau200.csv").write_text(tau_csv_text(200))
@@ -527,6 +530,22 @@ def test_non_finite_file_values_are_parse_errors(capsys, tmp_path):
         path.write_text(text)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", message + "\n"), (argv, err)
+
+
+def test_parameters_beyond_the_wall_are_not_tempered(capsys, tmp_path):
+    # zratio exited 0 with nan values after overflow warnings, and tempered
+    # reached its verdict after one
+    tau200, huge = tmp_path / "tau200.csv", tmp_path / "huge.csv"
+    tau200.write_text(tau_csv_text(200))
+    huge.write_text("2,1e200\n3,252\n")
+    for argv, message in (
+            (("smo", "zratio", "--data", str(tau200), "--data2", "synthetic:1", "--weight", "2"),
+             "not-tempered: tau200: |parameter| = 16.9114 > sqrt(2) at p=2"),
+            (("smo", "zratio", "--data", str(huge), "--data2", "synthetic:1", "--weight", "1"),
+             "not-tempered: huge: |parameter| = inf > sqrt(2) at p=2"),
+            (("smo", "tempered", "--data", str(huge), "--selector", "all", "--weight", "1"),
+             "not-tempered: huge: |parameter| = inf > sqrt(2) at p=2")):
+        assert run(capsys, *argv) == (1, "", message + "\n"), argv
 
 
 def test_oversized_satake_cell_is_a_parse_error(capsys, tmp_path):

@@ -15,6 +15,7 @@ from smolab.report import canonical_json
 from smolab.selectors import (AllPrimes, Complement, CongruenceSelector,
                               DegreeSelector, Intersection, NoPrimes, Union)
 from smolab.sieve import PRIME_LIMIT, iter_prime_segments, segment_map, simple_sieve, unit_mask
+from test_selectors import residue_set
 
 
 def test_natural_density_all_is_one():
@@ -293,8 +294,10 @@ def reduced_tables(run) -> list:
 # the non-units in a class would add zero cells to that class's float sums
 @pytest.mark.parametrize("selector", [case[0] for case in NATURAL_CASES], ids=lambda v: str(v))
 def test_derived_selector_table_is_the_residue_rule(selector, by_residue):
-    modulus, table = selector.residue_table()
-    expected = np.where(table, 0, np.where(unit_mask(modulus), 1, -1))
+    modulus, residues = residue_set(selector)
+    picked = np.zeros(modulus, dtype=bool)
+    picked[list(residues)] = True
+    expected = np.where(picked, 0, np.where(unit_mask(modulus), 1, -1))
     assert reduced_tables(lambda: natural_density_estimate(selector, [10**4])) == [
         expected.tolist()]
 
@@ -357,7 +360,7 @@ def test_huge_compound_modulus_is_never_lifted(capsys, monkeypatch):
     def no_lift(self):
         raise AssertionError("residue lift attempted")
 
-    monkeypatch.setattr(Intersection, "residue_table", no_lift)
+    monkeypatch.setattr(Intersection, "analytic_density", no_lift)
     code = main(["density", "natural", "--selector", "mod:100000000:1 and mod:99999989:1",
                  "--x", "100"])
     diagnostics = json.loads(capsys.readouterr().out)["results"]["diagnostics"]

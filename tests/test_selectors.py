@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,13 +24,34 @@ def members(selector, primes=PRIMES):
     return set(primes[selector.mask(primes)].tolist())
 
 
+def unit_residues(N):
+    return [r for r in range(N) if math.gcd(r, N) == 1] if N > 1 else [0]
+
+
 def residue_set(selector):
-    """The residue table as (modulus, frozenset of the residues set), or None."""
-    lifted = selector.residue_table()
-    if lifted is None:
-        return None
-    N, table = lifted
-    return N, frozenset(np.flatnonzero(table).tolist())
+    """(modulus, frozenset of the unit residues picked), walked in Python from
+    the leaves without reading any mask, or None without a congruence description."""
+    if isinstance(selector, CongruenceSelector):
+        return selector.modulus, selector.residues
+    if isinstance(selector, DegreeSelector):
+        fs = selector.fieldspec
+        return fs.modulus, frozenset(
+            r for r in unit_residues(fs.modulus)
+            if fs.residue_degrees(np.array([r], dtype=np.int64))[0] == selector.j)
+    if isinstance(selector, AllPrimes):
+        return 1, frozenset({0})
+    if isinstance(selector, NoPrimes):
+        return 1, frozenset()
+    if isinstance(selector, (Complement, Intersection, Union)):
+        return congruence_by_residue_walk(selector)
+    return None
+
+
+def picked_units(selector):
+    """(modulus, frozenset of the units mod it that ``mask`` picks)."""
+    N = selector.congruence_modulus()
+    units = np.array(unit_residues(N), dtype=np.int64)
+    return N, frozenset(units[selector.mask(units)].tolist())
 
 
 def test_all_and_none():
@@ -300,8 +322,8 @@ def congruence_by_residue_walk(selector):
 @settings(max_examples=100, deadline=None)
 @given(selector_trees)
 def test_lifted_congruence_matches_residue_walk(selector):
-    assert residue_set(selector) == congruence_by_residue_walk(selector)
-    assert residue_set(Complement(selector)) == \
+    assert picked_units(selector) == congruence_by_residue_walk(selector)
+    assert picked_units(Complement(selector)) == \
         congruence_by_residue_walk(Complement(selector))
 
 
@@ -310,8 +332,6 @@ def test_lift_above_the_cap_is_refused_before_any_residue_set():
     with pytest.raises(LimitExceeded):
         parse_selector("mod:999999937:1 and mod:4:1").analytic_density()
     with pytest.raises(LimitExceeded):
-        Complement(CongruenceSelector(999_999_937, frozenset({1}))).residue_table()
-    with pytest.raises(LimitExceeded):
         Intersection(CongruenceSelector(LIFT_MODULUS_LIMIT + 1, frozenset({1})),
                      AllPrimes()).analytic_density()
     assert time.perf_counter() - start < 0.25
@@ -319,3 +339,15 @@ def test_lift_above_the_cap_is_refused_before_any_residue_set():
     assert at_cap.analytic_density() == Fraction(1, totient(LIFT_MODULUS_LIMIT))
     assert parse_selector("mod:250007:1 and mod:4:1").analytic_density() == \
         Fraction(1, 500012)
+
+
+def test_density_at_the_cap_reads_the_units_in_chunks():
+    # one read of all units mod 1e7 would hold an 80 MB int64 arange alone
+    selector = Intersection(CongruenceSelector(LIFT_MODULUS_LIMIT, frozenset({1})), AllPrimes())
+    tracemalloc.start()
+    try:
+        assert selector.analytic_density() == Fraction(1, totient(LIFT_MODULUS_LIMIT))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20

@@ -14,6 +14,13 @@ and ``__init__`` by its class's name, so a call to another function of the
 same name also counts: the test can miss a dead parameter, but it names no
 live one.  A call with ``*args`` passes every position from its star on,
 and one with ``**kwargs`` every keyword.
+
+In the same way every function, method and class of the package is named
+somewhere in those directories: as a ``Name``, an ``Attribute``, an import
+alias, or a string constant that is an identifier, since patches name their
+target by string.  Dunder names, which Python calls itself, are left out.
+A name shared with anything else counts as used, so here too the test can
+miss a dead definition but names no live one.
 """
 
 from __future__ import annotations
@@ -128,3 +135,38 @@ def test_every_optional_parameter_has_a_caller():
              for qualified, callee, name, position in optional_parameters()
              if not any(passes(c, name, position) for c in calls[callee])]
     assert unset == [], "optional parameters that no call passes: " + ", ".join(unset)
+
+
+def definitions():
+    """(qualified name, name) of every function, method and class of the package."""
+    out = []
+    for path, tree in _trees(PACKAGE.glob("*.py")):
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                out.append((f"{path.stem}.{node.name}", node.name))
+    return out
+
+
+def names_in_use():
+    """Every name the caller directories mention, by the rule of the module docstring."""
+    names = set()
+    paths = [p for d in CALLER_DIRS for p in (ROOT / d).rglob("*.py")]
+    for _, tree in _trees(paths):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                names.add(node.value)
+    return names
+
+
+def test_every_definition_is_named_somewhere():
+    used = names_in_use()
+    dead = [qualified for qualified, name in definitions() if name not in used]
+    assert dead == [], "definitions that no code names: " + ", ".join(dead)

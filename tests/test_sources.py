@@ -27,8 +27,8 @@ from smolab.euler import (EulerProduct, dedekind_product, eval_local, grc_profil
                           one_place, rankin_selberg_local, scan_primes, zeta_product)
 from smolab.experiments import COEFF_EQ_TOL, compare_local, z_ratio
 from smolab.fields import FieldSpec
-from smolab.hecke import (parse_hecke_text, synthetic_tempered, synthetic_with_profile,
-                          tempered_angles)
+from smolab.hecke import (load_satake, parse_hecke_text, synthetic_tempered,
+                          synthetic_with_profile, tempered_angles)
 from smolab.selectors import AllPrimes, CongruenceSelector, ExplicitList, Intersection
 from smolab.sieve import STREAM_CHUNK, prime_array, prime_stream, simple_sieve
 from smolab.tau import generate_tau, tau_csv_text
@@ -141,11 +141,20 @@ def test_file_backed_parameters_equal_the_complex_formula(tau_rep):
             assert tuple(row) == _unitary_pair(c)
 
 
-def test_file_backed_lookup_outside_support(tau_rep):
+def test_file_backed_lookup_outside_support(tau_rep, tmp_path):
     with pytest.raises(KeyError):
         tau_rep.coefficient_array([2, 4])
     with pytest.raises(KeyError):
         tau_rep.satake_array([10007])
+    # a Satake product read 5's row at 3 and ran off its rows at 7
+    path = tmp_path / "two_rows.csv"
+    path.write_text("p,q,a1_re,a1_im\n2,2,1.0,0.0\n5,5,-1.0,0.0\n")
+    satake = load_satake(path)
+    assert satake.label == "two_rows"
+    assert satake.satake_array([5, 2]).tolist() == [[-1 + 0j], [1 + 0j]]
+    for p in (3, 7):
+        with pytest.raises(KeyError, match=f"two_rows: no Satake parameters at p={p}"):
+            satake.satake_array([p])
 
 
 # -- the hashed generator -------------------------------------------------------------
