@@ -23,7 +23,8 @@ import numpy as np
 from . import characters, density, euler, experiments, groups
 from .errors import IoError, SmolabError, UsageError
 from .fields import parse_fieldspec
-from .hecke import load_hecke, load_satake, synthetic_tempered, synthetic_with_profile
+from .hecke import (load_hecke, load_satake, require_place_bound, synthetic_tempered,
+                    synthetic_with_profile)
 from .report import Report, emit, os_path, read, write
 from .selectors import DegreeSelector, parse_selector
 from .tau import tau_csv_text
@@ -380,6 +381,8 @@ def _dispatch_euler(args) -> Report:
         )
     if args.subcommand == "positivity":
         product = load_satake(args.data)
+        # the expansion's powers of a parameter past the wall overflow to inf and NaN
+        require_place_bound(product, product.universe.primes)
         ok, first_bad = euler.positive_type_check(product, product.universe, args.max_index)
         return Report(
             experiment="euler.positivity",

@@ -21,9 +21,21 @@ The closure runs a level at a time: one fancy-index expression forms every
 product x * g of the current level, row by row in (parent, generator)
 order, and the rows not seen before, in that order, become the next level.
 This numbers the elements exactly as a one-element queue would.  The
-products give the generator columns of the table, and each remaining
-column j = parent(j) * g is filled a level at a time from
-i * j = (i * parent(j)) * g.
+products x * g are kept as one flat array, and the table is filled through
+its transpose, whose row j holds every i * j: row 0 is the identity's, and
+the rows of a level's elements j = parent(j) * g come from one gather of
+i * j = (i * parent(j)) * g out of the flat products.  One transpose at the
+end gives the table.  ``generators``, the generators' cycle strings, is
+read off ``perms`` when asked for.
+
+Conjugacy classes come from conjugation by the generators alone, which
+generates conjugation by the whole group.  Each element starts labelled
+with itself; a round lowers each label to the least label among the
+element's generator conjugates, then replaces each label by its own label.
+A label is always a member of its element's class, and at the fixpoint
+every class is labelled with its least element.  The labels of a class
+reach its least element along a shortest chain of generator conjugations,
+so there are at most as many rounds as the largest class has elements.
 
 The named catalog is one table, ``_CATALOG``, of each entry's argument
 count, order rule and constructor.  ``catalog`` reads an expression in one
@@ -93,6 +105,10 @@ def parse_permutation(text: str) -> dict[int, int]:
     return mapping
 
 
+def _cycle_strings(rows: np.ndarray) -> tuple[str, ...]:
+    return tuple(perm_to_cycles(row) for row in rows.tolist())
+
+
 def perm_to_cycles(perm: Sequence[int]) -> str:
     """Render a 0-based image row back to 1-based cycle notation."""
     seen = [False] * len(perm)
@@ -136,11 +152,16 @@ class FiniteGroup:
     order: int
     table: np.ndarray
     perms: np.ndarray  # (order, degree) int16; row i is element i
-    generators: tuple[str, ...]
+    ngens: int  # generator k is element k + 1
     label: str
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
+
+    @cached_property
+    def generators(self) -> tuple[str, ...]:
+        """The generators in cycle notation, read off ``perms[1:1 + ngens]``."""
+        return _cycle_strings(self.perms[1:1 + self.ngens])
 
     @cached_property
     def _inverses(self) -> np.ndarray:
@@ -149,25 +170,25 @@ class FiniteGroup:
     @cached_property
     def _classes(self) -> ConjugacyClassPartition:
         T = self.table
-        inv = self._inverses
         n = self.order
-        every = np.arange(n)
-        assigned = np.full(n, -1)
-        classes: list[np.ndarray] = []
-        for x in range(n):
-            if assigned[x] != -1:
-                continue
-            orbit = np.unique(T[T[inv, x], every])  # g^-1 x g over all g, sorted
-            assigned[orbit] = len(classes)
-            classes.append(orbit)
-        classes.sort(key=lambda c: (len(c), int(c[0])))
-        class_of = np.empty(n, dtype=np.intp)
-        for ci, members in enumerate(classes):
-            class_of[members] = ci
+        gens = np.arange(1, 1 + self.ngens)
+        # conj[k, x] = g_k^-1 x g_k; the rounds are those of the module docstring
+        conj = T[T[self._inverses[gens]], gens[:, None]]
+        least = np.arange(n)
+        while True:
+            lowered = np.minimum(least, least[conj].min(axis=0, initial=n))
+            lowered = lowered[lowered]
+            if np.array_equal(lowered, least):
+                break
+            least = lowered
+        reps, at, sizes = np.unique(least, return_inverse=True, return_counts=True)
+        ranked = np.lexsort((reps, sizes))  # by (size, least element)
+        rank = np.empty_like(ranked)
+        rank[ranked] = np.arange(len(ranked))
         return ConjugacyClassPartition(
-            class_of=tuple(class_of.tolist()),
-            class_sizes=tuple(len(c) for c in classes),
-            representatives=tuple(int(c[0]) for c in classes),
+            class_of=tuple(rank[at].tolist()),
+            class_sizes=tuple(sizes[ranked].tolist()),
+            representatives=tuple(reps[ranked].tolist()),
         )
 
     def conjugacy_classes(self) -> ConjugacyClassPartition:
@@ -249,7 +270,6 @@ def _close(gen_rows: np.ndarray, limit: int, label: str | None) -> FiniteGroup:
             seen.add(row.tobytes())
             kept.append(k)
     gens = gen_rows[kept]
-    gen_strings = tuple(perm_to_cycles(row) for row in gens.tolist())
 
     # level-wise breadth-first closure from the identity: row c of a level's
     # candidates is perm_(start + c // ngens) * gen_(c % ngens), so new elements
@@ -270,7 +290,8 @@ def _close(gen_rows: np.ndarray, limit: int, label: str | None) -> FiniteGroup:
             if j is None:
                 if len(index) >= limit:
                     raise ClosureExceedsLimit(
-                        f"closure exceeds limit {limit} (generators {list(gen_strings)!r})")
+                        f"closure exceeds limit {limit} "
+                        f"(generators {list(_cycle_strings(gens))!r})")
                 j = index[key] = len(index)
                 fresh.append(c)
             col[c] = j
@@ -283,19 +304,22 @@ def _close(gen_rows: np.ndarray, limit: int, label: str | None) -> FiniteGroup:
 
     order = len(index)
     dtype = np.int16 if order < 2**15 else np.int32
-    table = np.zeros((order, order), dtype=dtype)
-    table[:, 0] = np.arange(order, dtype=dtype)
-    # every other column from its BFS word, a level at a time:
-    # j = parent(j) * g  =>  i*j = (i*parent(j)) * g
-    right_mul = np.concatenate(right) if right else None
+    # the transpose, row j holding i * j for every i, filled as the module docstring says;
+    # it keeps the table's dtype, and only a level's gather index is widened
+    transposed = np.empty((order, order), dtype=dtype)
+    transposed[0] = np.arange(order, dtype=dtype)
+    right_flat = np.concatenate(right).astype(dtype).ravel() if right else None
     done = 1
     for parents, gen_nos in words:
-        table[:, done:done + len(parents)] = right_mul[table[:, parents], gen_nos]
+        flat_at = transposed[parents].astype(np.intp) * ngens + gen_nos[:, None]
+        transposed[done:done + len(parents)] = np.take(right_flat, flat_at)
         done += len(parents)
 
-    name = label or ("<" + ", ".join(gen_strings) + ">" if gen_strings else "trivial")
-    return FiniteGroup(order=order, table=table, perms=np.concatenate(levels),
-                       generators=gen_strings, label=name)
+    if not label:
+        gen_strings = _cycle_strings(gens)
+        label = "<" + ", ".join(gen_strings) + ">" if gen_strings else "trivial"
+    return FiniteGroup(order=order, table=np.ascontiguousarray(transposed.T),
+                       perms=np.concatenate(levels), ngens=ngens, label=label)
 
 
 # -- derived constructions ----------------------------------------------------
@@ -306,7 +330,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, label: str | None = None) -> 
 
     Its generators are A's, then B's moved past A's points.
     """
-    ka, kb = len(A.generators), len(B.generators)
+    ka, kb = A.ngens, B.ngens
     da, db = A.perms.shape[1], B.perms.shape[1]
     rows = np.tile(np.arange(da + db), (ka + kb, 1))
     rows[:ka, :da] = A.perms[1:1 + ka]
@@ -334,7 +358,7 @@ def quotient_by_central(G: FiniteGroup, central: Iterable[int],
     if not np.isin(T[np.ix_(Z, Z)], Z).all():
         raise UnknownCatalogEntry("central set is not a subgroup")
     reps, coset_of = np.unique(T[:, Z].min(axis=1), return_inverse=True)
-    images = coset_of[T[reps, 1:len(G.generators) + 1]]  # (coset, generator)
+    images = coset_of[T[reps, 1:G.ngens + 1]]  # (coset, generator)
     name = label or f"{G.label} / Z{len(Z)}"
     Q = _close(images.T, max(ORDER_LIMIT, G.order), name)
     if Q.order != G.order // len(Z):

@@ -480,12 +480,28 @@ def require_size_bound(rep: EulerProduct, primes) -> np.ndarray:
     """``rep.satake_array(primes)``, refused if any parameter breaks the square-root wall."""
     primes = np.asarray(primes, dtype=np.int64)
     params = rep.satake_array(primes)
+    _refuse_past_wall(rep.label, primes, np.ones((len(primes), 1), dtype=np.int64),
+                      params[:, None])
+    return params
+
+
+def require_place_bound(rep: EulerProduct, primes) -> None:
+    """Refuse ``rep`` if a parameter of any place above ``primes`` breaks the square-root wall."""
+    primes = np.asarray(primes, dtype=np.int64)
+    _refuse_past_wall(rep.label, primes, *rep.places(primes))
+
+
+def _refuse_past_wall(label: str, primes: np.ndarray, exponents: np.ndarray,
+                      params: np.ndarray) -> None:
+    """Raise NotTempered at the first parameter a with |a| > sqrt(q), q = p**f the norm of
+    its place, of the (len, g) norm exponents and (len, g, k) parameters of ``primes``."""
     # hypot, as abs() of a Python complex uses, so file-backed moduli keep their bits
     moduli = np.hypot(params.real, params.imag)
-    over = moduli > np.sqrt(primes.astype(np.float64))[:, None] + 1e-9
+    walls = np.sqrt(primes.astype(np.float64))[:, None] ** exponents  # sqrt(p**f)
+    over = (moduli > walls[:, :, None] + 1e-9) & (exponents > 0)[:, :, None]
     if over.any():
-        row, col = np.argwhere(over)[0]
+        row, place, col = np.argwhere(over)[0]
         p = int(primes[row])
+        q = p ** int(exponents[row, place])
         raise NotTempered(
-            f"{rep.label}: |parameter| = {moduli[row, col]:.6g} > sqrt({p}) at p={p}")
-    return params
+            f"{label}: |parameter| = {moduli[row, place, col]:.6g} > sqrt({q}) at p={p}")

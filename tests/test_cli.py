@@ -18,12 +18,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smolab import cli, euler, hecke
+from smolab import cli, euler, hecke, report
 from smolab.cli import main
 from smolab.errors import NonPrimeRow, ParseError, SmolabError, UsageError
 from smolab.report import Report, canonical_json, emit
 from smolab.sieve import is_prime
 from smolab.tau import tau_csv_text
+from test_characters import WORKLOAD_GROUPS
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -387,6 +388,81 @@ def test_emit_io_error(tmp_path):
         emit(report, "json", tmp_path / "missing-dir" / "out.json")
 
 
+def _per_row_complex_array(value, pad, out):
+    """The former renderer of one complex array, a text per array with its values
+    deduplicated within the row, kept as the reference for the batched renderer."""
+    parts = np.ascontiguousarray(value).view(np.float64)
+    items = value.tolist()
+    if not items or not np.isfinite(parts).all() or np.signbit(parts[parts == 0]).any():
+        report._encode(items, pad, out)
+        return
+    inner = pad + "  "
+    deep = inner + "  "
+    texts = {v: f'{{\n{deep}"im": {v.imag!r},\n{deep}"re": {v.real!r}\n{inner}}}'
+             for v in set(items)}
+    out.append("[\n" + inner + (",\n" + inner).join([texts[v] for v in items])
+               + "\n" + pad + "]")
+
+
+def _per_row_json(value, monkeypatch) -> str:
+    with monkeypatch.context() as patched:
+        patched.setattr(report, "_complex_array", _per_row_complex_array)
+        return canonical_json(value)
+
+
+def _table_report(expr) -> Report:
+    return cli._dispatch(cli._parser().parse_args(["charlab", "table", expr]))
+
+
+def _mixed_document():
+    """Finite arrays with repeated values among arrays with NaN, infinite and -0.0
+    parts and empty arrays, at two indentation depths, the depth changing between
+    neighbouring arrays."""
+    rng = np.random.default_rng(5)
+    pool = np.array([0.5, -0.25, 1.0, 1 / 3, 0.0, 2.0, -1.0, 1e-300, 1e17])
+
+    def finite(n):
+        return pool[rng.integers(0, len(pool), n)] + 1j * pool[rng.integers(0, len(pool), n)]
+
+    nan, inf = float("nan"), float("inf")
+    return {
+        "top": [finite(5), np.array([complex(-0.0, 1.0), 1 + 1j]), finite(3),
+                np.array([], dtype=np.complex128), finite(7), finite(1)],
+        "nested": {"rows": [{"values": finite(4)}, {"values": np.array([complex(nan, 0), 2j])},
+                            {"values": finite(6)}, {"values": finite(2)}]},
+        "after": [finite(2), {"deep": finite(3)}, finite(9), np.array([complex(1, inf), 1]),
+                  finite(1), np.array([complex(-inf, 0.5)]), np.array([0.5 - 0.0j]), finite(8)],
+        "n": 1,
+    }
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, report.RENDER_BATCH])
+def test_batched_arrays_match_the_per_row_renderer(batch, monkeypatch):
+    documents = [_table_report(expr) for expr in WORKLOAD_GROUPS]
+    documents += [_mixed_document(), {"empty": [np.array([], dtype=np.complex128)] * 3}]
+    expected = [_per_row_json(doc, monkeypatch) for doc in documents]
+    monkeypatch.setattr(report, "RENDER_BATCH", batch)
+    assert [canonical_json(doc) for doc in documents] == expected
+
+
+def test_emit_writes_and_returns_the_json_text(tmp_path, capsysbinary):
+    for value in (_table_report("cyclic(12)"),
+                  Report(experiment="x", inputs={}, payload=_mixed_document())):
+        text = value.to_json()
+        assert emit(value, "json", tmp_path / "out.json") == text
+        assert (tmp_path / "out.json").read_bytes() == text.encode()
+        assert emit(value, "json", "-") == emit(value, "json") == text
+        assert capsysbinary.readouterr().out == 2 * text.encode()
+
+
+def test_unsupported_values_raise_before_the_output_file_is_opened(tmp_path):
+    path = tmp_path / "out.json"
+    value = Report(experiment="x", inputs={}, payload={"a": np.array([1j]), "b": {1, 2}})
+    with pytest.raises(TypeError):
+        emit(value, "json", path)
+    assert not path.exists()
+
+
 def test_prime_list_selector_counts_distinct_primes(capsys, tmp_path):
     listfile = tmp_path / "primes.txt"
     listfile.write_text("5\n7\n7\n")
@@ -479,6 +555,7 @@ BAD_ARGV = [
     ("smo", "tempered", "--data", "tau200.csv", "--selector", "all", "--weight", "-300"),
     ("smo", "zratio", "--data", "tau200.csv", "--data2", "synthetic:1", "--weight", "2"),
     ("smo", "zratio", "--data", "huge_tau.csv", "--data2", "synthetic:1", "--weight", "1"),
+    ("euler", "positivity", "--data", "huge_satake.csv", "--max-index", "100"),
 ]
 
 
@@ -493,6 +570,7 @@ def test_bad_values_are_typed_errors(argv, tmp_path):
     (tmp_path / "nan_tau.csv").write_text("2,nan\n3,252\n")
     (tmp_path / "inf_tau.csv").write_text("2,1e400\n3,252\n")
     (tmp_path / "huge_tau.csv").write_text("2,1e200\n3,252\n")
+    (tmp_path / "huge_satake.csv").write_text("p,q,a1_re,a1_im\n2,2,1e200,0\n3,3,1,0\n")
     (tmp_path / "big_tau.csv").write_text(f"p,a_p\n2,-24\n{'7' * 140000},1\n")
     (tmp_path / "big_satake.csv").write_text(f"p,q,a1_re,a1_im\n2,2,1.0,0.0\n3,{'3' * 140000},1,0\n")
     (tmp_path / "tau200.csv").write_text(tau_csv_text(200))
@@ -546,6 +624,27 @@ def test_parameters_beyond_the_wall_are_not_tempered(capsys, tmp_path):
             (("smo", "tempered", "--data", str(huge), "--selector", "all", "--weight", "1"),
              "not-tempered: huge: |parameter| = inf > sqrt(2) at p=2")):
         assert run(capsys, *argv) == (1, "", message + "\n"), argv
+
+
+def test_satake_parameters_beyond_the_wall_of_their_place_are_not_tempered(capsys, tmp_path):
+    # positivity exited 0 with "positive_type": true, drawn from the inf and NaN
+    # log coefficients of a huge parameter, after numpy overflow warnings
+    satake = tmp_path / "hs.csv"
+    argv = ("euler", "positivity", "--data", str(satake), "--max-index", "100")
+    for text, message in (
+            ("p,q,a1_re,a1_im\n2,2,1e200,0\n3,3,1,0\n",
+             "not-tempered: hs: |parameter| = 1e+200 > sqrt(2) at p=2"),
+            # the wall of a place of norm q = p**f is sqrt(q)
+            ("p,q,a1_re,a1_im\n2,4,2.5,0\n3,3,1,0\n",
+             "not-tempered: hs: |parameter| = 2.5 > sqrt(4) at p=2"),
+            # the first parameter past the wall in prime order
+            ("p,q,a1_re,a1_im\n5,5,9,0\n3,3,1,0,0,1.8\n",
+             "not-tempered: hs: |parameter| = 1.8 > sqrt(3) at p=3")):
+        satake.write_text(text)
+        assert run(capsys, *argv) == (1, "", message + "\n"), text
+    satake.write_text("p,q,a1_re,a1_im\n2,4,1.9,0\n3,3,1,0\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["results"]["positive_type"] is True
 
 
 def test_oversized_satake_cell_is_a_parse_error(capsys, tmp_path):

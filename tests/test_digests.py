@@ -11,8 +11,12 @@ last bit changes the digest.
 import hashlib
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +248,32 @@ def test_numpy_non_finite_floats_are_strings():
                            complex(float("nan"), float("inf"))])
     doc = json.loads(text, parse_constant=_reject_constant)
     assert doc == ["nan", "inf", "-inf", {"re": "nan", "im": "inf"}]
+
+
+# the child's own peak, in MiB: RUSAGE_CHILDREN would give the largest peak of
+# every earlier child of the test process
+_LARGE_TABLE_PROBE = """
+import resource, sys
+from smolab.cli import main
+code = main(["--output", sys.argv[1], "charlab", "table", "cyclic(1000)"])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, peak / (2**20 if sys.platform == "darwin" else 2**10))
+"""
+# 253 MiB with the report written chunk by chunk, 317 MiB when the whole text
+# was encoded at once (x86-64 Linux, numpy 2.4.6)
+LARGE_TABLE_PEAK_MIB = 290
+
+
+def test_large_table_bytes_and_peak_memory(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "SOURCE_DATE_EPOCH": "0", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "table.json"
+    proc = subprocess.run([sys.executable, "-c", _LARGE_TABLE_PROBE, str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_mib = proc.stdout.split()
+    assert code == "0"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0c85251740dc5c4832632de5f2a9e1d60d293359f17045b9137999543a684cda")
+    assert float(peak_mib) < LARGE_TABLE_PEAK_MIB

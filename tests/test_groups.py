@@ -577,3 +577,55 @@ def test_catalog_builds_up_to_the_limit():
     assert catalog("dihedral(1000)").order == 2000
     assert catalog("symmetric(6)").order == 720
     assert catalog("q8_power_family(4)").order == 1024
+
+
+def orbit_classes_reference(G):
+    """The former per-element orbit loop: each unassigned element's class is the
+    sorted set of its conjugates by every element, classes ordered by (size, least)."""
+    T = G.table
+    inverse = np.argmin(T, axis=1)
+    every = np.arange(G.order)
+    assigned = np.full(G.order, -1)
+    classes = []
+    for x in range(G.order):
+        if assigned[x] != -1:
+            continue
+        orbit = np.unique(T[T[inverse, x], every])
+        assigned[orbit] = len(classes)
+        classes.append(orbit)
+    classes.sort(key=lambda c: (len(c), int(c[0])))
+    class_of = np.empty(G.order, dtype=np.intp)
+    for ci, members in enumerate(classes):
+        class_of[members] = ci
+    return (tuple(class_of.tolist()), tuple(len(c) for c in classes),
+            tuple(int(c[0]) for c in classes))
+
+
+# dihedral(999) takes the most rounds seen (258); cyclic(1) has no generators
+@pytest.mark.parametrize("expr", BUNDLED_CATALOG + WORKLOAD_GROUPS + (
+    "symmetric(5)", "dihedral(999)", "direct_product(cyclic(30),dihedral(15))", "cyclic(1)"))
+def test_conjugacy_classes_match_orbit_loop(expr):
+    G = catalog(expr)
+    part = G.conjugacy_classes()
+    assert (part.class_of, part.class_sizes, part.representatives) == orbit_classes_reference(G)
+
+
+def test_file_group_with_a_repeated_generator_keeps_its_classes():
+    G = build_group(parse_group_file("(1 2 3 4 5)\n(1 2)\n(1 2 3 4 5)\n()\n(1 2)\n"))
+    assert (G.order, G.ngens, G.generators) == (120, 2, ("(1 2 3 4 5)", "(1 2)"))
+    part = G.conjugacy_classes()
+    assert (part.class_of, part.class_sizes, part.representatives) == orbit_classes_reference(G)
+
+
+@pytest.mark.parametrize("expr", BUNDLED_CATALOG + WORKLOAD_GROUPS + ("cyclic(1)",))
+def test_generators_are_the_cycle_strings_of_the_generator_rows(expr):
+    G = catalog(expr)
+    assert G.generators == tuple(perm_to_cycles(row) for row in G.perms[1:1 + G.ngens].tolist())
+
+
+def test_unlabeled_groups_and_the_closure_limit_keep_their_text():
+    assert build_group(["(1 2 3)", "(1 2)", "(1 2 3)", "()"]).label == "<(1 2 3), (1 2)>"
+    assert build_group(["()"]).label == build_group([]).label == "trivial"
+    with pytest.raises(ClosureExceedsLimit) as caught:
+        build_group(["(1 2)", "(1 2 3 4 5 6 7)", "(1 2)", "()"], limit=10)
+    assert str(caught.value) == "closure exceeds limit 10 (generators ['(1 2)', '(1 2 3 4 5 6 7)'])"
